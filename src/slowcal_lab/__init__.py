@@ -16,9 +16,9 @@ from .algorithms import (
     ServerAnchor,
     StepRecord,
     Trajectory,
-    WorkerState,
     run_anytime_single,
     run_local,
+    run_lanes,
     run_local_weighted,
     run_minibatch,
     run_slowcal,
@@ -91,7 +91,6 @@ __all__ = [
     "UNIFORM",
     "VerifyReport",
     "WeightSchedule",
-    "WorkerState",
     "__version__",
     "averaging_coeff",
     "bias_increment",
@@ -112,6 +111,7 @@ __all__ = [
     "rmin",
     "run_anytime_single",
     "run_experiment",
+    "run_lanes",
     "run_local",
     "run_local_weighted",
     "run_minibatch",

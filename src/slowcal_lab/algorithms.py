@@ -1,28 +1,36 @@
-"""Parameter-server loops: minibatch SGD, local SGD (plain and weighted),
+"""Parameter-server methods: minibatch SGD, local SGD (plain and weighted),
 the single-worker query-averaging method, and its drift-corrected local
 variant.
 
-All four share the same communication pattern: R rounds, K local steps per
-round, aggregation by ascending-machine-index averaging at every round
-boundary. Stochastic draws are keyed by (seed, machine, round, step), so a
-trajectory is a pure function of (problem, config) regardless of how the
-per-machine loops are interleaved or parallelized.
+All five run one two-slot recursion, the anytime online-to-batch form: an
+iterate w descends along stochastic gradients taken at a query point x,
+over R rounds of K local steps, with aggregation by ascending-machine-index
+averaging. A method is a small ``Method`` spec (query slot, step weight,
+aggregation, output rule) and ``run_lanes`` is the one engine that runs
+them. It works on (lanes, machines, d) arrays of w and x, where a lane is
+one step size: grid tuning runs every candidate of a seed as the lanes of
+one call, and ``ALGORITHMS[name](problem, cfg)`` is the one-lane call.
+Stochastic draws are keyed by (seed, machine, round, step) and made once
+per round for all lanes and machines, so a trajectory is a pure function
+of (problem, config) whatever else runs beside it.
 
-Conventions shared by every runner:
+Conventions shared by every method:
 
 * exactly R round records; record fields are measured at the round-end
   anchor, with dispersion/bias evaluated on the pre-aggregation worker
   states (post-aggregation they are identically zero);
 * divergence (non-finite round excess, or round excess above 1e6 x the
   initial excess) freezes the run: the flag is sticky and the remaining
-  round records carry +inf, never NaN;
+  round records carry +inf, never NaN; a frozen lane leaves the batch;
 * with record_diagnostics, per-step records store the post-aggregation
-  machine means and the mean gradient actually applied at each step.
+  machine means and the mean gradient actually applied at each step;
+* the weight helpers are looked up in this module at run time, so the
+  verify suite's mutation probes can patch them here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,14 +50,6 @@ class RunConfig:
     seed: int = 0
     record_diagnostics: bool = False
     x0: np.ndarray | None = None
-
-
-@dataclass
-class WorkerState:
-    """One machine's slots: the descent iterate w and the query point x."""
-
-    w: np.ndarray
-    x: np.ndarray
 
 
 @dataclass
@@ -178,39 +178,154 @@ class _Recorder:
             ))
 
 
-def run_minibatch(problem, cfg: RunConfig) -> Trajectory:
-    """Synchronous minibatch SGD: one model step per round, each machine
-    contributing the mean of K stochastic gradients at the round anchor."""
-    _validate(problem, cfg)
-    m, k_steps = cfg.M, cfg.K
-    x = _start_point(problem, cfg)
-    rec = _Recorder(problem, cfg, x)
-    rec.place_anchor(0, x, x)
+@dataclass(frozen=True)
+class Method:
+    """One method as a specialisation of the shared two-slot recursion.
+
+    query      "x": gradients are taken at x, the alpha-weighted running
+               average of w; "w": x is tied to w (plain SGD steps)
+    weighted   step t moves by eta * alpha_t instead of eta
+    aggregate  "round": one state per machine, both slots averaged at each
+               round end; "step": one shared state, stepped with the
+               machine-mean gradient; "server": one shared state that the
+               round's machine-mean gradients move once, at the round end
+    output     "last": the last anchor's x; "anchor-mean": the mean of the
+               round anchors; "weighted-mean": the alpha-weighted average of
+               the per-step machine means of w, from the start point on
+    """
+
+    name: str
+    query: str
+    weighted: bool
+    aggregate: str
+    output: str
+
+
+METHODS = {spec.name: spec for spec in (
+    Method("minibatch", query="w", weighted=False, aggregate="server", output="anchor-mean"),
+    Method("local", query="w", weighted=False, aggregate="round", output="last"),
+    Method("local-weighted", query="w", weighted=True, aggregate="round", output="weighted-mean"),
+    Method("anytime", query="x", weighted=True, aggregate="step", output="last"),
+    Method("slowcal", query="x", weighted=True, aggregate="round", output="last"),
+)}
+
+
+def _machine_mean(states: np.ndarray) -> np.ndarray:
+    """(lanes, copies, d) -> (lanes, d), summed in ascending machine order."""
+    return _ascending_mean(np.swapaxes(states, 0, 1))
+
+
+def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
+    """Run `method` once per step size in `etas`, as the lanes of one
+    recursion over (lanes, machines, d) arrays of w and x. The lanes share
+    every round's draws, and lane j returns exactly the trajectory of a run
+    with cfg.eta = etas[j]; a lane that diverges freezes and leaves the batch
+    while the others go on."""
+    spec = METHODS[method]
+    lane_cfgs = [replace(cfg, eta=float(eta)) for eta in etas]
+    for lane_cfg in lane_cfgs:
+        _validate(problem, lane_cfg, single_worker=spec.aggregate == "step")
+    m, k_steps, schedule = problem.num_machines, cfg.K, cfg.schedule
+    start = _start_point(problem, cfg)
+    copies = m if spec.aggregate == "round" else 1
+    tied = spec.query == "w"
+    w = np.tile(start, (len(lane_cfgs), copies, 1))
+    x = w if tied else w.copy()
+    acc = None
+    if spec.output == "weighted-mean":
+        acc = np.tile(weight_at(schedule, 0) * start, (len(lane_cfgs), 1))
+    recs = [_Recorder(problem, lane_cfg, start) for lane_cfg in lane_cfgs]
+    for rec in recs:
+        rec.place_anchor(0, start, start)
+    lanes = list(range(len(lane_cfgs)))  # the lane of each row of w and x
+    lane_etas = np.array([lane_cfg.eta for lane_cfg in lane_cfgs])
+    out: list[Trajectory | None] = [None] * len(lane_cfgs)
+
+    def machine_states(row: int) -> np.ndarray:
+        return x[row] if copies == m else np.tile(x[row, 0], (m, 1))
+
+    def finish(row: int) -> None:
+        rec = recs[lanes[row]]
+        if rec.steps is not None:
+            rec.record_step(rec.anchors[-1].round * k_steps, _ascending_mean(w[row]),
+                            _ascending_mean(x[row]), None, machine_states(row))
+        if spec.output == "anchor-mean":
+            x_output = _ascending_mean(np.stack([a.x for a in rec.anchors[1:]]))
+        elif spec.output == "weighted-mean":
+            x_output = acc[row] / prefix_weight(schedule, k_steps * cfg.R)
+        else:
+            x_output = rec.anchors[-1].x.copy()
+        out[lanes[row]] = Trajectory(spec.name, rec.cfg.eta, schedule, cfg.seed, rec.rounds,
+                                     rec.anchors, x_output, rec.diverged, rec.steps)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(cfg.R):
-            per_step = np.zeros((k_steps, problem.dim))
-            for i in range(m):
-                sampler = problem.round_sampler(cfg.seed, i, r, k_steps)
-                for k in range(k_steps):
-                    per_step[k] += sampler(k, x)
-            per_step /= m
-            if rec.steps is not None:
-                tiled = np.tile(x, (m, 1))
-                for k in range(k_steps):
-                    rec.record_step(r * k_steps + k, x, x, per_step[k], tiled)
-            x = x - cfg.eta * per_step.mean(axis=0)
-            rec.place_anchor(r + 1, x, x)
-            if rec.close_round(r, np.tile(x, (m, 1)), x):
-                rec.freeze_remaining(r + 1)
+            if not lanes:
                 break
+            draws = problem.round_draws(cfg.seed, r, k_steps)
+            if spec.aggregate == "server":
+                pooled = np.empty((len(lanes), k_steps, problem.dim))
+            for k in range(k_steps):
+                t = r * k_steps + k
+                queries = x if copies == m else np.repeat(x, m, axis=1)
+                grads = problem.sampled_gradients(queries, draws, k)
+                if spec.aggregate == "server":
+                    g_mean = np.zeros((len(lanes), problem.dim))
+                    for i in range(m):
+                        g_mean += grads[:, i]
+                    g_mean /= m
+                    pooled[:, k] = g_mean
+                elif spec.aggregate == "step" or cfg.record_diagnostics:
+                    g_mean = _machine_mean(grads)
+                if cfg.record_diagnostics:
+                    w_mean, x_mean = _machine_mean(w), _machine_mean(x)
+                    for row, lane in enumerate(lanes):
+                        recs[lane].record_step(t, w_mean[row], x_mean[row], g_mean[row],
+                                               queries[row])
+                if spec.aggregate == "server":
+                    continue
+                alpha = weight_at(schedule, t) if spec.weighted else 1.0
+                applied = grads if spec.aggregate == "round" else g_mean[:, None]
+                w -= (lane_etas * alpha)[:, None, None] * applied
+                if not tied:
+                    gamma = averaging_coeff(schedule, t)
+                    x *= 1.0 - gamma
+                    x += gamma * w
+                if acc is not None:
+                    acc = acc + weight_at(schedule, t + 1) * _machine_mean(w)
 
-    if rec.steps is not None:
-        rec.record_step(rec.anchors[-1].round * k_steps, x, x, None, np.tile(x, (m, 1)))
-    finished = [a.x for a in rec.anchors[1:]]
-    x_output = _ascending_mean(np.stack(finished)) if finished else x.copy()
-    return Trajectory("minibatch", cfg.eta, cfg.schedule, cfg.seed, rec.rounds, rec.anchors,
-                      x_output, rec.diverged, rec.steps)
+            if spec.aggregate == "server":
+                w = x = x - (lane_etas[:, None] * pooled.mean(axis=1))[:, None]
+            w_mean = _machine_mean(w)
+            diverged = [row for row, lane in enumerate(lanes)
+                        if recs[lane].close_round(r, machine_states(row), w_mean[row])]
+            x_mean = w_mean if tied else _machine_mean(x)
+            if copies > 1:
+                w = np.repeat(w_mean[:, None], copies, axis=1)
+                x = w if tied else np.repeat(x_mean[:, None], copies, axis=1)
+            for row, lane in enumerate(lanes):
+                recs[lane].place_anchor(r + 1, w_mean[row], x_mean[row])
+            if diverged:
+                for row in diverged:
+                    recs[lanes[row]].freeze_remaining(r + 1)
+                    finish(row)
+                keep = [row for row in range(len(lanes)) if row not in diverged]
+                lanes = [lanes[row] for row in keep]
+                w = w[keep]
+                x = w if tied else x[keep]
+                lane_etas = lane_etas[keep]
+                if acc is not None:
+                    acc = acc[keep]
+
+    for row in range(len(lanes)):
+        finish(row)
+    return out
+
+
+def run_minibatch(problem, cfg: RunConfig) -> Trajectory:
+    """Synchronous minibatch SGD: one model step per round, each machine
+    contributing the mean of K stochastic gradients at the round anchor."""
+    return run_lanes(problem, "minibatch", cfg, [cfg.eta])[0]
 
 
 def run_local(problem, cfg: RunConfig, weighted: bool = False) -> Trajectory:
@@ -218,50 +333,11 @@ def run_local(problem, cfg: RunConfig, weighted: bool = False) -> Trajectory:
     server averages iterates at round boundaries. The weighted variant
     scales step t by alpha_t and outputs the alpha-weighted average of the
     per-step machine means; the plain variant outputs the last anchor."""
-    _validate(problem, cfg)
-    m, k_steps = cfg.M, cfg.K
-    start = _start_point(problem, cfg)
-    iterates = np.tile(start, (m, 1))
-    rec = _Recorder(problem, cfg, start)
-    rec.place_anchor(0, start, start)
+    return run_lanes(problem, "local-weighted" if weighted else "local", cfg, [cfg.eta])[0]
 
-    total_steps = cfg.K * cfg.R
-    weighted_acc = weight_at(cfg.schedule, 0) * start if weighted else None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(cfg.R):
-            samplers = [problem.round_sampler(cfg.seed, i, r, k_steps) for i in range(m)]
-            for k in range(k_steps):
-                t = r * k_steps + k
-                alpha = weight_at(cfg.schedule, t) if weighted else 1.0
-                grads = np.zeros_like(iterates)
-                for i in range(m):
-                    grads[i] = samplers[i](k, iterates[i])
-                if rec.steps is not None:
-                    mean_now = _ascending_mean(iterates)
-                    rec.record_step(t, mean_now, mean_now, _ascending_mean(grads), iterates)
-                iterates -= cfg.eta * alpha * grads
-                if weighted:
-                    weighted_acc = weighted_acc + weight_at(cfg.schedule, t + 1) * _ascending_mean(iterates)
-            pre_mean = _ascending_mean(iterates)
-            diverged_now = rec.close_round(r, iterates, pre_mean)
-            iterates = np.tile(pre_mean, (m, 1))
-            rec.place_anchor(r + 1, pre_mean, pre_mean)
-            if diverged_now:
-                rec.freeze_remaining(r + 1)
-                break
-
-    final_mean = _ascending_mean(iterates)
-    if rec.steps is not None:
-        rec.record_step(rec.anchors[-1].round * k_steps, final_mean, final_mean, None, iterates)
-    if weighted:
-        x_output = weighted_acc / prefix_weight(cfg.schedule, total_steps)
-        name = "local-weighted"
-    else:
-        x_output = rec.anchors[-1].x.copy()
-        name = "local"
-    return Trajectory(name, cfg.eta, cfg.schedule, cfg.seed, rec.rounds, rec.anchors,
-                      x_output, rec.diverged, rec.steps)
+def run_local_weighted(problem, cfg: RunConfig) -> Trajectory:
+    return run_local(problem, cfg, weighted=True)
 
 
 def run_anytime_single(problem, cfg: RunConfig) -> Trajectory:
@@ -274,37 +350,7 @@ def run_anytime_single(problem, cfg: RunConfig) -> Trajectory:
     cfg.M must be 1 (one logical worker); the gradient oracle is the
     machine-averaged stochastic gradient of the ensemble, which with
     sigma=0 is exactly the batch gradient of the global objective."""
-    _validate(problem, cfg, single_worker=True)
-    k_steps = cfg.K
-    ensemble_m = problem.num_machines
-    x = _start_point(problem, cfg)
-    w = x.copy()
-    rec = _Recorder(problem, cfg, x)
-    rec.place_anchor(0, w, x)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(cfg.R):
-            samplers = [problem.round_sampler(cfg.seed, i, r, k_steps) for i in range(ensemble_m)]
-            for k in range(k_steps):
-                t = r * k_steps + k
-                grad = samplers[0](k, x).copy()
-                for i in range(1, ensemble_m):
-                    grad += samplers[i](k, x)
-                grad /= ensemble_m
-                if rec.steps is not None:
-                    rec.record_step(t, w, x, grad, np.tile(x, (ensemble_m, 1)))
-                w = w - cfg.eta * weight_at(cfg.schedule, t) * grad
-                gamma = averaging_coeff(cfg.schedule, t)
-                x = (1.0 - gamma) * x + gamma * w
-            rec.place_anchor(r + 1, w, x)
-            if rec.close_round(r, np.tile(x, (ensemble_m, 1)), w):
-                rec.freeze_remaining(r + 1)
-                break
-
-    if rec.steps is not None:
-        rec.record_step(rec.anchors[-1].round * k_steps, w, x, None, np.tile(x, (ensemble_m, 1)))
-    return Trajectory("anytime", cfg.eta, cfg.schedule, cfg.seed, rec.rounds, rec.anchors,
-                      x.copy(), rec.diverged, rec.steps)
+    return run_lanes(problem, "anytime", cfg, [cfg.eta])[0]
 
 
 def run_slowcal(problem, cfg: RunConfig) -> Trajectory:
@@ -312,49 +358,7 @@ def run_slowcal(problem, cfg: RunConfig) -> Trajectory:
     recursion locally, querying gradients at its running weighted average
     of iterates instead of at the iterates themselves; the server averages
     both slots at round boundaries."""
-    _validate(problem, cfg)
-    m, k_steps = cfg.M, cfg.K
-    start = _start_point(problem, cfg)
-    w = np.tile(start, (m, 1))
-    x = np.tile(start, (m, 1))
-    rec = _Recorder(problem, cfg, start)
-    rec.place_anchor(0, start, start)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(cfg.R):
-            samplers = [problem.round_sampler(cfg.seed, i, r, k_steps) for i in range(m)]
-            for k in range(k_steps):
-                t = r * k_steps + k
-                alpha = weight_at(cfg.schedule, t)
-                gamma = averaging_coeff(cfg.schedule, t)
-                grads = np.zeros_like(x)
-                for i in range(m):
-                    grads[i] = samplers[i](k, x[i])
-                if rec.steps is not None:
-                    rec.record_step(t, _ascending_mean(w), _ascending_mean(x),
-                                    _ascending_mean(grads), x)
-                w -= cfg.eta * alpha * grads
-                x *= (1.0 - gamma)
-                x += gamma * w
-            w_mean = _ascending_mean(w)
-            diverged_now = rec.close_round(r, x, w_mean)
-            x_mean = _ascending_mean(x)
-            w = np.tile(w_mean, (m, 1))
-            x = np.tile(x_mean, (m, 1))
-            rec.place_anchor(r + 1, w_mean, x_mean)
-            if diverged_now:
-                rec.freeze_remaining(r + 1)
-                break
-
-    if rec.steps is not None:
-        rec.record_step(rec.anchors[-1].round * k_steps, _ascending_mean(w),
-                        _ascending_mean(x), None, x)
-    return Trajectory("slowcal", cfg.eta, cfg.schedule, cfg.seed, rec.rounds, rec.anchors,
-                      rec.anchors[-1].x.copy(), rec.diverged, rec.steps)
-
-
-def run_local_weighted(problem, cfg: RunConfig) -> Trajectory:
-    return run_local(problem, cfg, weighted=True)
+    return run_lanes(problem, "slowcal", cfg, [cfg.eta])[0]
 
 
 ALGORITHMS = {

@@ -46,8 +46,8 @@ def bias_increment(problem, states: np.ndarray, alpha: float) -> float:
     if pts.shape[0] != problem.num_machines:
         raise ValueError(f"need one state row per machine, got {pts.shape[0]}")
     mean_grad = np.zeros(pts.shape[1])
-    for i in range(pts.shape[0]):
-        mean_grad += problem.exact_gradient(i, pts[i])
+    for grad in problem.exact_gradients(pts):
+        mean_grad += grad
     mean_grad /= pts.shape[0]
     gap = mean_grad - problem.global_gradient(pts.mean(axis=0))
     return float(alpha ** 2 * (gap @ gap))

@@ -10,7 +10,18 @@ Two ensemble families share one oracle surface:
 The global objective is always the machine average f = (1/M) sum_i f_i.
 Stochastic gradients are addressed by an explicit (seed, machine, round, step)
 key so trajectories are reproducible under any execution interleaving; see
-``rng`` for the block convention behind ``round_sampler``.
+``rng`` for the block convention: one stream per (seed, machine, round),
+step k's draw is its k-th row.
+
+The runners use the batched oracle. ``round_draws(seed, rnd, steps)`` stacks
+one round's draws for every machine (scaled noise ``(M, steps, d)`` for the
+quadratic, ``(M, steps)`` example rows for softmax regression), and
+``sampled_gradients(points, draws, k)`` evaluates step k at query points of
+shape ``(..., M, d)``, row i on machine i, any leading (lane) axes. Row i of
+its result equals ``round_sampler(seed, i, rnd, steps)(k, points[..., i, :])``
+bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
+per-machine reference. ``exact_gradients(points)`` is the noise-free
+counterpart with one row per machine.
 """
 from __future__ import annotations
 
@@ -120,6 +131,11 @@ class QuadraticEnsemble:
     def exact_gradient(self, machine: int, x: np.ndarray) -> np.ndarray:
         return self.curvatures[machine] @ (x - self.centers[machine])
 
+    def exact_gradients(self, points: np.ndarray) -> np.ndarray:
+        """grad f_i at points[..., i, :] for every machine i; a stacked
+        matrix-vector product, so row i equals exact_gradient(i, .) bitwise."""
+        return (self.curvatures @ (points - self.centers)[..., None])[..., 0]
+
     def global_value(self, x: np.ndarray) -> float:
         diff = x[None, :] - self.centers
         vals = 0.5 * np.einsum("mi,mij,mj->m", diff, self.curvatures, diff)
@@ -148,6 +164,21 @@ class QuadraticEnsemble:
     def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
         seed, _, rnd, step = _check_key(machine, rng_key)
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
+
+    def round_draws(self, seed: int, rnd: int, steps: int) -> np.ndarray | None:
+        """(M, steps, d) scaled noise for one round; None when sigma=0."""
+        if self.sigma == 0.0:
+            return None
+        scale = self.sigma / math.sqrt(self.dim)
+        return np.stack([normal_rows(seed, i, rnd, steps, self.dim)
+                         for i in range(self.num_machines)]) * scale
+
+    def sampled_gradients(self, points: np.ndarray, draws: np.ndarray | None,
+                          k: int) -> np.ndarray:
+        grads = self.exact_gradients(points)
+        if draws is not None:
+            grads += draws[:, k]
+        return grads
 
     @cached_property
     def _optimum_point(self) -> np.ndarray:
@@ -322,6 +353,38 @@ class LogisticEnsemble:
     def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
         seed, _, rnd, step = _check_key(machine, rng_key)
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
+
+    def exact_gradients(self, points: np.ndarray) -> np.ndarray:
+        """(M, d) full-batch gradients, row i at points[i] on machine i."""
+        return np.stack([self.exact_gradient(i, p) for i, p in enumerate(points)])
+
+    @cached_property
+    def _pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All machines' examples concatenated, and each machine's first row."""
+        sizes = [f.shape[0] for f in self.features]
+        offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
+        return np.concatenate(self.features), np.concatenate(self.labels), offsets
+
+    def round_draws(self, seed: int, rnd: int, steps: int) -> np.ndarray:
+        """(M, steps) rows of the pooled examples: machine i's step-k pick,
+        shifted by the machine's offset (machines hold unequal counts)."""
+        _, _, offsets = self._pooled
+        picks = np.stack([index_rows(seed, i, rnd, steps, f.shape[0])
+                          for i, f in enumerate(self.features)])
+        return picks + offsets[:, None]
+
+    def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int) -> np.ndarray:
+        """Single-example gradients, the batched form of _example_gradient."""
+        feats, labels, _ = self._pooled
+        rows = feats[draws[:, k]]                      # (M, f)
+        mats = points.reshape(*points.shape[:-1], self.num_classes, self.feature_dim)
+        logits = (mats @ rows[:, :, None])[..., 0]     # (..., M, C)
+        logits -= logits.max(axis=-1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[..., np.arange(rows.shape[0]), labels[draws[:, k]]] -= 1.0
+        grads = probs[..., :, None] * rows[:, None, :] + self.l2 * mats
+        return grads.reshape(points.shape)
 
     @cached_property
     def _smoothness(self) -> float:

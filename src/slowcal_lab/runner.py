@@ -270,9 +270,11 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         raise ConfigError(f"field 'x0' must be 'zeros' or 'ones:<norm>', got {x0!r}")
     if x0.startswith("ones:"):
         try:
-            float(x0[len("ones:"):])
+            norm = float(x0[len("ones:"):])
         except ValueError as exc:
             raise ConfigError(f"field 'x0': bad norm in {x0!r}") from exc
+        if not math.isfinite(norm):
+            raise ConfigError(f"field 'x0': norm must be finite, got {x0!r}")
 
     diagnostics = raw.get("diagnostics", False)
     if not isinstance(diagnostics, bool):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .algorithms import ALGORITHMS, RunConfig
+from .algorithms import ALGORITHMS, RunConfig, run_lanes
 from .metrics import excess_loss
 
 
@@ -55,26 +55,27 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
                 score_fn=None) -> tuple[float, dict[float, list[float]]]:
     """Tune eta by mean score over seeds (default score: final excess loss at
     the output point; diverged runs score +inf). Ties break toward the
-    smaller step size. Returns (best_eta, per-eta per-seed score table)."""
+    smaller step size. Returns (best_eta, per-eta per-seed score table).
+
+    Each seed runs every candidate as one lane of a single batched run on
+    the same draws; the scores equal those of one run per step size."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
-    candidates = sorted(float(v) for v in grid)
+    candidates = sorted({float(v) for v in grid})
     if not candidates:
         raise ValueError("empty step-size grid")
-    runner = ALGORITHMS[algorithm]
     if score_fn is None:
         def score_fn(prob, traj):
             return excess_loss(prob, traj.x_output)
 
-    table: dict[float, list[float]] = {}
-    best_eta, best_mean = None, math.inf
-    for eta in candidates:
-        scores = []
-        for seed in seeds:
-            traj = runner(problem, replace(cfg, eta=eta, seed=int(seed)))
+    table: dict[float, list[float]] = {eta: [] for eta in candidates}
+    for seed in seeds:
+        lanes = run_lanes(problem, algorithm, replace(cfg, seed=int(seed)), candidates)
+        for eta, traj in zip(candidates, lanes):
             value = math.inf if traj.diverged else float(score_fn(problem, traj))
-            scores.append(value if math.isfinite(value) else math.inf)
-        table[eta] = scores
+            table[eta].append(value if math.isfinite(value) else math.inf)
+    best_eta, best_mean = None, math.inf
+    for eta, scores in table.items():
         mean = sum(scores) / len(scores)
         if mean < best_mean:
             best_eta, best_mean = eta, mean

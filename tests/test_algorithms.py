@@ -1,6 +1,7 @@
 """Optimizer loops: hand-traced updates, exact reductions between methods,
 output conventions, divergence handling, and determinism."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from slowcal_lab.algorithms import (
     run_anytime_single,
     run_local,
     run_local_weighted,
+    run_lanes,
     run_minibatch,
     run_slowcal,
 )
 from slowcal_lab.metrics import excess_loss
-from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
+from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM, averaging_coeff, prefix_weight, weight_at
 
 
@@ -295,3 +297,61 @@ class TestValidation:
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError, match="x0"):
             run_local(prob, RunConfig(M=2, K=1, R=1, eta=0.1, x0=np.zeros(4)))
+
+
+def small_logistic():
+    rng = np.random.default_rng(4)
+    sizes = (5, 12, 8)
+    return LogisticEnsemble(
+        features=tuple(rng.standard_normal((n, 3)) for n in sizes),
+        labels=tuple(rng.integers(0, 3, n) for n in sizes),
+        num_classes=3,
+        l2=0.1,
+    )
+
+
+def assert_same_trajectory(a, b):
+    assert (a.algorithm, a.eta, a.schedule, a.seed, a.diverged) == (
+        b.algorithm, b.eta, b.schedule, b.seed, b.diverged)
+    assert a.rounds == b.rounds
+    assert len(a.anchors) == len(b.anchors)
+    for x, y in zip(a.anchors, b.anchors):
+        assert x.round == y.round
+        np.testing.assert_array_equal(x.w, y.w)
+        np.testing.assert_array_equal(x.x, y.x)
+    np.testing.assert_array_equal(a.x_output, b.x_output)
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        assert (x.t, x.dispersion_q, x.bias_increment) == (y.t, y.dispersion_q, y.bias_increment)
+        np.testing.assert_array_equal(x.w_mean, y.w_mean)
+        np.testing.assert_array_equal(x.x_mean, y.x_mean)
+        if x.g_mean is None:
+            assert y.g_mean is None
+        else:
+            np.testing.assert_array_equal(x.g_mean, y.g_mean)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_each_lane_equals_its_single_run_bitwise(self, algorithm, kind):
+        if kind == "quadratic":
+            prob = heterogeneous_quadratic(3, 4, sigma=0.4, seed=7)
+            etas, x0 = [0.05, 1e3, 0.2], np.ones(4)
+        else:
+            prob, etas, x0 = small_logistic(), [0.1, 1e9, 1.0], None
+        cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=3, R=5, eta=1.0,
+                        schedule=LINEAR, seed=2, record_diagnostics=True, x0=x0)
+        lanes = run_lanes(prob, algorithm, cfg, etas)
+        assert lanes[1].diverged and not lanes[0].diverged
+        for eta, lane in zip(etas, lanes):
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
+
+    def test_no_lanes_no_trajectories(self):
+        prob = heterogeneous_quadratic(2, 3, seed=1)
+        assert run_lanes(prob, "slowcal", RunConfig(M=2, K=1, R=2, eta=1.0), []) == []
+
+    def test_every_lane_is_validated(self):
+        prob = heterogeneous_quadratic(2, 3, seed=1)
+        with pytest.raises(ValueError, match="eta"):
+            run_lanes(prob, "local", RunConfig(M=2, K=1, R=2, eta=0.1), [0.1, -1.0])

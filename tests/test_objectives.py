@@ -332,3 +332,61 @@ class TestScalarBounds:
         small = prob.g_dissimilarity(probes[:2])
         large = prob.g_dissimilarity(probes)
         assert large >= small
+
+
+class TestBatchedOracle:
+    """The batched oracle the runners use must reproduce the per-machine
+    reference oracle bit for bit, at per-lane, per-machine query points."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_quadratic_matches_round_sampler_bitwise(self, sigma):
+        prob = heterogeneous_quadratic(5, 7, sigma=sigma, seed=2)
+        points = np.random.default_rng(0).standard_normal((3, 5, 7))  # lanes, machines, d
+        draws = prob.round_draws(4, 2, 6)
+        if sigma == 0.0:
+            assert draws is None
+        for k in range(6):
+            got = prob.sampled_gradients(points, draws, k)
+            assert got.shape == points.shape
+            for i in range(5):
+                sample = prob.round_sampler(4, i, 2, 6)
+                for lane in range(3):
+                    np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
+
+    def test_logistic_unequal_machine_sizes_matches_round_sampler_bitwise(self):
+        rng = np.random.default_rng(3)
+        sizes = (3, 11, 6)
+        prob = LogisticEnsemble(
+            features=tuple(rng.standard_normal((n, 4)) for n in sizes),
+            labels=tuple(rng.integers(0, 5, n) for n in sizes),
+            num_classes=5,
+            l2=0.05,
+        )
+        points = 2.0 * rng.standard_normal((4, 3, prob.dim))
+        draws = prob.round_draws(7, 1, 9)
+        for k in range(9):
+            got = prob.sampled_gradients(points, draws, k)
+            assert got.shape == points.shape
+            for i in range(3):
+                sample = prob.round_sampler(7, i, 1, 9)
+                for lane in range(4):
+                    np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
+
+    def test_exact_gradients_rows_match_bitwise(self):
+        quad = heterogeneous_quadratic(4, 5, seed=6)
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((4, 5))
+        got = quad.exact_gradients(pts)
+        for i in range(4):
+            np.testing.assert_array_equal(got[i], quad.exact_gradient(i, pts[i]))
+        sizes = (2, 9)
+        logistic = LogisticEnsemble(
+            features=tuple(rng.standard_normal((n, 3)) for n in sizes),
+            labels=tuple(rng.integers(0, 3, n) for n in sizes),
+            num_classes=3,
+            l2=0.1,
+        )
+        pts = rng.standard_normal((2, logistic.dim))
+        got = logistic.exact_gradients(pts)
+        for i in range(2):
+            np.testing.assert_array_equal(got[i], logistic.exact_gradient(i, pts[i]))

@@ -113,7 +113,8 @@ class TestSpecParsing:
         spec = spec_from_dict(cfg)
         assert spec.rounds is None and spec.total_steps == 12
 
-    @pytest.mark.parametrize("bad", ["circle", "ones:", "ones:abc"])
+    @pytest.mark.parametrize("bad", ["circle", "ones:", "ones:abc", "ones:nan", "ones:inf",
+                                     "ones:-inf"])
     def test_bad_start_directive(self, bad):
         with pytest.raises(ConfigError, match="x0"):
             spec_from_dict(base_config(x0=bad))
@@ -476,6 +477,9 @@ class TestCli:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+        path = self.write_config(tmp_path, base_config(x0="ones:nan"))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "x0" in capsys.readouterr().err
 
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = base_config(algorithm=["local"], lr="fixed:10", seeds=[0], x0="ones:3")

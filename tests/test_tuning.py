@@ -1,15 +1,18 @@
 """Step-size selection: the worst-case formula, grid search, and the
 round-complexity floors."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowcal_lab.algorithms import RunConfig
+from slowcal_lab.algorithms import ALGORITHMS, RunConfig
+from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.tuning import GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
+from slowcal_lab.weights import parse_schedule
 
 
 class TestTheoreticalLr:
@@ -157,3 +160,27 @@ class TestRoundFloors:
             rmin("minibatch", 0, 16)
         with pytest.raises(ValueError):
             rmin("local", 4, 16, g=-1.0)
+
+
+@pytest.mark.parametrize("schedule", ["linear", "uniform", "poly:1.5"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
+    """Lanes share draws, but the table and the winner are those of calling
+    each runner once per (candidate, seed), diverging candidates included."""
+    prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=5)
+    cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=3, R=6, eta=1.0,
+                    schedule=parse_schedule(schedule), x0=np.ones(4))
+    grid, seeds = [50.0, 0.001, 0.01, 0.1], [0, 1, 2]
+    best, table = grid_search(prob, algorithm, grid, cfg, seeds)
+
+    want = {}
+    for eta in sorted(grid):
+        scores = []
+        for seed in seeds:
+            traj = ALGORITHMS[algorithm](prob, replace(cfg, eta=eta, seed=seed))
+            value = math.inf if traj.diverged else excess_loss(prob, traj.x_output)
+            scores.append(value if math.isfinite(value) else math.inf)
+        want[eta] = scores
+    assert table == want
+    assert best == min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
+    assert table[50.0] == [math.inf] * 3
