@@ -360,7 +360,8 @@ class LogisticEnsemble:
 
     @cached_property
     def _pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All machines' examples concatenated, and each machine's first row."""
+        """Every machine's features and labels concatenated, and the index of
+        each machine's first row in them."""
         sizes = [f.shape[0] for f in self.features]
         offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
         return np.concatenate(self.features), np.concatenate(self.labels), offsets
