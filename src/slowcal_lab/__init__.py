@@ -52,7 +52,6 @@ from .runner import (
     mnist_experiment,
     run_experiment,
     spec_from_dict,
-    sweep,
 )
 from .tuning import GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
 from .verify import CheckResult, VerifyReport, verify_suite
@@ -120,7 +119,6 @@ __all__ = [
     "serialize_idx_images",
     "serialize_idx_labels",
     "spec_from_dict",
-    "sweep",
     "synth_clusters",
     "theoretical_lr",
     "verify_suite",

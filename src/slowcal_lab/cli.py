@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .objectives import DegenerateProblemError
-from .runner import ConfigError, RunSummary, load_spec, mnist_experiment, run_experiment, sweep
+from .runner import ConfigError, RunSummary, load_spec, mnist_experiment, run_experiment
 from .tuning import GridSearchError
 from .verify import verify_suite
 
@@ -22,13 +22,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one experiment config")
+    run_p = sub.add_parser("run", aliases=["sweep"],
+                           help="execute one experiment config (its full cartesian sweep)")
     run_p.add_argument("--config", required=True, help="JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory override")
-
-    sweep_p = sub.add_parser("sweep", help="execute the config's full cartesian sweep")
-    sweep_p.add_argument("--config", required=True, help="JSON experiment config")
-    sweep_p.add_argument("--out", default=None, help="output directory override")
 
     sub.add_parser("verify", help="run the exact-identity self-check suite")
 
@@ -52,10 +49,8 @@ def _report(summary: RunSummary) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             return _report(run_experiment(load_spec(args.config), out_dir=args.out))
-        if args.command == "sweep":
-            return _report(sweep(load_spec(args.config), out_dir=args.out))
         if args.command == "mnist":
             return _report(mnist_experiment(load_spec(args.config),
                                             data_dir=args.data, out_dir=args.out))

@@ -7,9 +7,16 @@ the fully-resolved spec, the resolved step sizes, and the problem scalars,
 enough to re-run the experiment bit-identically (the wall_ms column and the
 manifest timestamp are the only nondeterministic outputs).
 
+Synthetic and MNIST experiments share one executor. Each machine count's
+problem is built once, in the parent; a cell, one (algorithm, M, K), then
+resolves its step size (fixed, theory or grid search) and runs every seed,
+either in this process or as one task of a process pool that was handed
+the built problems at start.
+
 Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
 directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
-sets the process-parallelism degree for synthetic sweeps.
+sets how many cells run at once, tuning included. The outputs do not depend
+on it.
 """
 from __future__ import annotations
 
@@ -315,8 +322,9 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 def build_problem(problem: dict, num_machines: int):
     """Construct the ensemble a spec's problem block describes, for one
-    machine count. MNIST problems go through mnist_experiment instead
-    (they need the data directory and a reference optimum)."""
+    machine count; run_experiment calls it once per machine count. MNIST
+    problems are built by mnist_experiment instead (they need the data
+    directory and a reference optimum)."""
     kind = problem["kind"]
     if kind == "quadratic":
         return heterogeneous_quadratic(
@@ -345,9 +353,21 @@ def build_problem(problem: dict, num_machines: int):
     raise ConfigError(f"cannot build problem kind {kind!r} here; use mnist_experiment")
 
 
-def _resolve_start(x0: str, dim: int) -> np.ndarray | None:
+def _build_problems(spec: ExperimentSpec, build) -> dict:
+    """``build(m)`` once for every machine count of the spec. The problem
+    constructors reject out-of-range fields with a ValueError that names
+    the field; that is a config error, not a crash."""
+    try:
+        return {m: build(m) for m in spec.machines}
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
+
+
+def _resolve_start(x0: str, dim: int) -> np.ndarray:
     if x0 == "zeros":
-        return None
+        return np.zeros(dim)
     norm = float(x0[len("ones:"):])
     return norm * np.ones(dim) / math.sqrt(dim)
 
@@ -365,20 +385,26 @@ def _lr_directive(spec: ExperimentSpec, algorithm: str) -> str:
     return spec.lr[algorithm] if isinstance(spec.lr, dict) else spec.lr
 
 
+def _theory_warnings(spec: ExperimentSpec) -> list[str]:
+    """The theory step size assumes linear weights; warn once if a method
+    takes it under another schedule."""
+    if spec.schedule == "linear" or not any(
+            _lr_directive(spec, algorithm) == "theory" for algorithm in spec.algorithms):
+        return []
+    note = (f"theory step size assumes linear weights; "
+            f"schedule {spec.schedule!r} requested")
+    print(f"warning: {note}", file=sys.stderr)
+    return [note]
+
+
 def _resolve_eta(problem, spec: ExperimentSpec, algorithm: str, m: int, k: int,
-                 r_rounds: int, warnings: list[str]) -> float:
+                 r_rounds: int) -> float:
     mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
     if mode == "fixed":
         return payload
     start = _resolve_start(spec.x0, problem.dim)
     if mode == "theory":
-        if spec.schedule != "linear":
-            note = (f"theory step size assumes linear weights; "
-                    f"schedule {spec.schedule!r} requested")
-            if note not in warnings:
-                warnings.append(note)
-                print(f"warning: {note}", file=sys.stderr)
-        md = problem.metadata(start if start is not None else np.zeros(problem.dim))
+        md = problem.metadata(start)
         return theoretical_lr(LrInputs(
             smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
             b0=md.b0, M=m, K=k, R=r_rounds,
@@ -415,36 +441,57 @@ def _trajectory_rows(traj, run_id: str, problem_name: str, m: int, k: int,
     return rows
 
 
-def _run_one(problem, spec: ExperimentSpec, algorithm: str, m: int, k: int,
-             r_rounds: int, eta: float, seed: int) -> tuple[list[dict], bool]:
-    cfg = RunConfig(
-        M=_cfg_machines(algorithm, m), K=k, R=r_rounds, eta=eta,
-        schedule=parse_schedule(spec.schedule), seed=seed,
-        record_diagnostics=spec.diagnostics,
-        x0=_resolve_start(spec.x0, problem.dim),
-    )
-    started = time.perf_counter()
-    traj = ALGORITHMS[algorithm](problem, cfg)
-    wall_ms = (time.perf_counter() - started) * 1e3
+def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
+    """One cell, one (algorithm, M, K): resolve its step size, then run
+    every seed. Returns (eta, rows, {run_id: output point}, any diverged)."""
+    r_rounds = _rounds_for(spec, k)
+    eta = _resolve_eta(problem, spec, algorithm, m, k, r_rounds)
     kind = spec.problem["kind"]
-    run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
-    return _trajectory_rows(traj, run_id, kind, m, k, r_rounds, seed, eta, wall_ms), traj.diverged
-
-
-def _cell_worker(spec_payload: dict, algorithm: str, m: int, k: int,
-                 r_rounds: int, eta: float) -> tuple[list[dict], bool]:
-    """Process-pool task: one (algorithm, M, K) cell, all seeds.
-    Rebuilds the problem from the spec payload so nothing heavyweight
-    crosses the process boundary."""
-    spec = ExperimentSpec(**spec_payload)
-    problem = build_problem(spec.problem, m)
+    schedule = parse_schedule(spec.schedule)
+    start = _resolve_start(spec.x0, problem.dim)
     rows: list[dict] = []
+    outputs: dict[str, np.ndarray] = {}
     any_diverged = False
     for seed in spec.seeds:
-        seed_rows, diverged = _run_one(problem, spec, algorithm, m, k, r_rounds, eta, seed)
-        rows.extend(seed_rows)
-        any_diverged = any_diverged or diverged
-    return rows, any_diverged
+        cfg = RunConfig(M=_cfg_machines(algorithm, m), K=k, R=r_rounds, eta=eta,
+                        schedule=schedule, seed=seed,
+                        record_diagnostics=spec.diagnostics, x0=start)
+        started = time.perf_counter()
+        traj = ALGORITHMS[algorithm](problem, cfg)
+        wall_ms = (time.perf_counter() - started) * 1e3
+        run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
+        rows.extend(_trajectory_rows(traj, run_id, kind, m, k, r_rounds, seed, eta, wall_ms))
+        outputs[run_id] = traj.x_output
+        any_diverged = any_diverged or traj.diverged
+        del traj  # free its step records before the next seed runs
+    return eta, rows, outputs, any_diverged
+
+
+_WORKER: dict = {}  # filled in each pool worker by _start_worker; the parent never reads it
+
+
+def _start_worker(spec: ExperimentSpec, problems: dict) -> None:
+    """Pool initializer: keep the spec and the problems the parent built."""
+    _WORKER.update(spec=spec, problems=problems)
+
+
+def _cell_worker(algorithm: str, m: int, k: int):
+    """Process-pool task: one cell, on the problems the pool started with."""
+    return _run_cell(_WORKER["spec"], _WORKER["problems"][m], algorithm, m, k)
+
+
+def _cell_results(spec: ExperimentSpec, problems: dict, cells: list, jobs: int):
+    """Yield each cell's result in cell order: run here, or on a pool of
+    ``jobs`` workers when there is more than one job and one cell."""
+    if jobs == 1 or len(cells) == 1:
+        for algorithm, m, k in cells:
+            yield _run_cell(spec, problems[m], algorithm, m, k)
+        return
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                             initargs=(spec, problems)) as pool:
+        futures = [pool.submit(_cell_worker, *cell) for cell in cells]
+        while futures:
+            yield futures.pop(0).result()
 
 
 def _env_jobs() -> int:
@@ -465,11 +512,6 @@ def _resolve_out_dir(spec: ExperimentSpec, override: str | Path | None) -> Path:
         return Path(override)
     env = os.environ.get(OUT_ENV)
     return Path(env) if env else Path(spec.out_dir)
-
-
-def _sort_rows(rows: list[dict]) -> list[dict]:
-    return sorted(rows, key=lambda row: (row["algorithm"], row["M"], row["K"],
-                                         row["seed"], row["round"]))
 
 
 def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: list[dict],
@@ -494,9 +536,39 @@ def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: list[dict],
     return csv_path, manifest_path
 
 
+def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
+             manifest_extra) -> RunSummary:
+    """Run every cell of the spec, merging each result as it arrives, and
+    write the outputs; ``manifest_extra(outputs)`` gives the kind-specific
+    manifest entries from the {run_id: output point} map."""
+    jobs = _env_jobs()
+    warnings = _theory_warnings(spec)
+    cells = [(algorithm, m, k) for algorithm in spec.algorithms
+             for m in spec.machines for k in spec.local_steps]
+    rows: list[dict] = []
+    resolved_lr: dict[str, float] = {}
+    outputs: dict[str, np.ndarray] = {}
+    any_diverged = False
+    for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged) in zip(
+            cells, _cell_results(spec, problems, cells, jobs)):
+        resolved_lr[f"{algorithm}-M{m}-K{k}"] = eta
+        rows.extend(cell_rows)
+        outputs.update(cell_outputs)
+        any_diverged = any_diverged or diverged
+    rows.sort(key=lambda row: (row["algorithm"], row["M"], row["K"], row["seed"], row["round"]))
+    extra = {
+        "resolved_lr": resolved_lr,
+        **manifest_extra(outputs),
+        "package_version": _package_version(),
+        "warnings": warnings,
+    }
+    resolved = _resolve_out_dir(spec, out_dir)
+    csv_path, manifest_path = _write_outputs(resolved, spec, rows, extra)
+    return RunSummary(resolved, csv_path, manifest_path, len(outputs), any_diverged)
+
+
 def _problem_scalars(problem, spec: ExperimentSpec) -> dict:
-    start = _resolve_start(spec.x0, problem.dim)
-    md = problem.metadata(start if start is not None else np.zeros(problem.dim))
+    md = problem.metadata(_resolve_start(spec.x0, problem.dim))
     return {
         "smoothness": md.smoothness, "sigma": md.sigma, "gstar": md.gstar,
         "f_star": md.f_star, "b0": md.b0,
@@ -510,58 +582,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> R
     if spec.problem["kind"] == "mnist-logistic":
         raise ConfigError("mnist-logistic specs must run through mnist_experiment / the "
                           "'mnist' subcommand")
-    warnings: list[str] = []
-    problems = {m: build_problem(spec.problem, m) for m in spec.machines}
-
-    cells = []
-    resolved_lr: dict[str, float] = {}
-    for algorithm in spec.algorithms:
-        for m in spec.machines:
-            for k in spec.local_steps:
-                r_rounds = _rounds_for(spec, k)
-                eta = _resolve_eta(problems[m], spec, algorithm, m, k, r_rounds, warnings)
-                resolved_lr[f"{algorithm}-M{m}-K{k}"] = eta
-                cells.append((algorithm, m, k, r_rounds, eta))
-
-    rows: list[dict] = []
-    any_diverged = False
-    jobs = _env_jobs()
-    if jobs > 1 and len(cells) > 1:
-        payload = dataclasses.asdict(spec)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_cell_worker, payload, *cell) for cell in cells]
-            for future in futures:
-                cell_rows, cell_diverged = future.result()
-                rows.extend(cell_rows)
-                any_diverged = any_diverged or cell_diverged
-    else:
-        for algorithm, m, k, r_rounds, eta in cells:
-            for seed in spec.seeds:
-                seed_rows, diverged = _run_one(
-                    problems[m], spec, algorithm, m, k, r_rounds, eta, seed)
-                rows.extend(seed_rows)
-                any_diverged = any_diverged or diverged
-
-    rows = _sort_rows(rows)
-    extra = {
-        "resolved_lr": resolved_lr,
-        "problem_metadata": {f"M{m}": _problem_scalars(problems[m], spec)
-                             for m in spec.machines},
-        "package_version": _package_version(),
-        "warnings": warnings,
-    }
-    resolved = _resolve_out_dir(spec, out_dir)
-    csv_path, manifest_path = _write_outputs(resolved, spec, rows, extra)
-    return RunSummary(resolved, csv_path, manifest_path, len(cells) * len(spec.seeds),
-                      any_diverged)
-
-
-def sweep(spec: ExperimentSpec, out_dir: str | Path | None = None) -> RunSummary:
-    """Cartesian sweep; same engine as run_experiment, which already expands
-    the algorithm x machines x local_steps x seeds product."""
-    if not (spec.algorithms and spec.machines and spec.local_steps and spec.seeds):
-        raise ConfigError("sweep needs nonempty algorithm/machines/local_steps/seeds lists")
-    return run_experiment(spec, out_dir)
+    problems = _build_problems(spec, lambda m: build_problem(spec.problem, m))
+    # before any cell runs, so pool workers start with the optimum cached
+    metadata = {f"M{m}": _problem_scalars(problems[m], spec) for m in spec.machines}
+    return _execute(spec, problems, out_dir, lambda outputs: {"problem_metadata": metadata})
 
 
 def _package_version() -> str:
@@ -574,15 +598,18 @@ def _package_version() -> str:
 
 # ----------------------------------------------------------------- MNIST
 
+_MNIST_CLASSES = 10
+
+
 def _softmax_test_metrics(w_flat: np.ndarray, num_classes: int,
-                          feats: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+                          feats: np.ndarray, labels: np.ndarray) -> dict[str, float]:
     mat = np.asarray(w_flat).reshape(num_classes, -1)
     logits = feats @ mat.T
     peak = logits.max(axis=1, keepdims=True)
     logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
     ce = -float(logp[np.arange(feats.shape[0]), labels].mean())
     acc = float((logits.argmax(axis=1) == labels).mean())
-    return acc, ce
+    return {"test_accuracy": acc, "test_loss": ce}
 
 
 def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:
@@ -605,12 +632,31 @@ def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:
     return np.asarray(result.x, dtype=np.float64), grad_norm
 
 
+def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
+                   m: int) -> tuple[LogisticEnsemble, dict]:
+    """One machine count's MNIST problem: Dirichlet label-skew partition and
+    an L-BFGS reference optimum. Returns the problem and its manifest entry."""
+    part = dirichlet_partition(train_y, m, prob["label_skew"], prob["problem_seed"])
+    datasets = [LabeledDataset(train_x[idx], train_y[idx]) for idx in part.machine_indices]
+    bare = LogisticEnsemble.from_datasets(datasets, _MNIST_CLASSES, l2=prob["l2"])
+    reference, grad_norm = _lbfgs_reference(bare)
+    problem = LogisticEnsemble.from_datasets(
+        datasets, _MNIST_CLASSES, l2=prob["l2"], reference_point=reference)
+    return problem, {
+        "grad_norm": grad_norm,
+        "train_loss": problem.f_star,
+        "machine_sizes": part.sizes(),
+    }
+
+
 def mnist_experiment(spec: ExperimentSpec, data_dir: str | Path | None = None,
                      out_dir: str | Path | None = None) -> RunSummary:
-    """MNIST softmax-regression pipeline: Dirichlet label-skew partition,
-    L-BFGS reference optimum for the excess-loss column, the same CSV
-    contract as synthetic runs, and per-run test accuracy/loss in the
-    manifest. Always serial."""
+    """MNIST softmax-regression pipeline: the data is loaded and each
+    machine count's problem built once (Dirichlet label-skew partition,
+    L-BFGS reference optimum for the excess-loss column), then the cells
+    run through the same executor as synthetic experiments, pooled under
+    SLOWCAL_LAB_JOBS. Same CSV contract as synthetic runs; the manifest
+    adds per-run test accuracy/loss at each run's output point."""
     prob = spec.problem
     if prob["kind"] != "mnist-logistic":
         raise ConfigError(f"mnist_experiment needs problem kind 'mnist-logistic', "
@@ -626,61 +672,10 @@ def mnist_experiment(spec: ExperimentSpec, data_dir: str | Path | None = None,
     if limit is not None:
         train_x, train_y = train_x[:limit], train_y[:limit]
 
-    num_classes = 10
-    warnings: list[str] = []
-    problems: dict[int, LogisticEnsemble] = {}
-    reference_info: dict[str, dict] = {}
-    for m in spec.machines:
-        part = dirichlet_partition(train_y, m, prob["label_skew"], prob["problem_seed"])
-        datasets = [LabeledDataset(train_x[idx], train_y[idx])
-                    for idx in part.machine_indices]
-        bare = LogisticEnsemble.from_datasets(datasets, num_classes, l2=prob["l2"])
-        reference, grad_norm = _lbfgs_reference(bare)
-        problems[m] = LogisticEnsemble.from_datasets(
-            datasets, num_classes, l2=prob["l2"], reference_point=reference)
-        reference_info[f"M{m}"] = {
-            "grad_norm": grad_norm,
-            "train_loss": problems[m].f_star,
-            "machine_sizes": part.sizes(),
-        }
-
-    rows: list[dict] = []
-    any_diverged = False
-    resolved_lr: dict[str, float] = {}
-    test_metrics: dict[str, dict] = {}
-    for algorithm in spec.algorithms:
-        for m in spec.machines:
-            problem = problems[m]
-            for k in spec.local_steps:
-                r_rounds = _rounds_for(spec, k)
-                eta = _resolve_eta(problem, spec, algorithm, m, k, r_rounds, warnings)
-                resolved_lr[f"{algorithm}-M{m}-K{k}"] = eta
-                for seed in spec.seeds:
-                    cfg = RunConfig(
-                        M=_cfg_machines(algorithm, m), K=k, R=r_rounds, eta=eta,
-                        schedule=parse_schedule(spec.schedule), seed=seed,
-                        record_diagnostics=spec.diagnostics,
-                        x0=_resolve_start(spec.x0, problem.dim),
-                    )
-                    started = time.perf_counter()
-                    traj = ALGORITHMS[algorithm](problem, cfg)
-                    wall_ms = (time.perf_counter() - started) * 1e3
-                    run_id = f"{algorithm}-mnist-logistic-M{m}-K{k}-s{seed}"
-                    rows.extend(_trajectory_rows(
-                        traj, run_id, "mnist-logistic", m, k, r_rounds, seed, eta, wall_ms))
-                    any_diverged = any_diverged or traj.diverged
-                    acc, ce = _softmax_test_metrics(traj.x_output, num_classes,
-                                                    test_x, test_y)
-                    test_metrics[run_id] = {"test_accuracy": acc, "test_loss": ce}
-
-    rows = _sort_rows(rows)
-    extra = {
-        "resolved_lr": resolved_lr,
-        "reference": reference_info,
-        "test_metrics": test_metrics,
-        "package_version": _package_version(),
-        "warnings": warnings,
-    }
-    resolved = _resolve_out_dir(spec, out_dir)
-    csv_path, manifest_path = _write_outputs(resolved, spec, rows, extra)
-    return RunSummary(resolved, csv_path, manifest_path, len(test_metrics), any_diverged)
+    built = _build_problems(spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
+    problems = {m: problem for m, (problem, _) in built.items()}
+    return _execute(spec, problems, out_dir, lambda outputs: {
+        "reference": {f"M{m}": info for m, (_, info) in built.items()},
+        "test_metrics": {run_id: _softmax_test_metrics(x, _MNIST_CLASSES, test_x, test_y)
+                         for run_id, x in outputs.items()},
+    })

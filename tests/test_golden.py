@@ -88,8 +88,16 @@ def csv_digest(path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_sweep_matches_golden(case, tmp_path):
+@pytest.mark.parametrize("case,jobs", [
+    pytest.param(case, jobs, id=case if jobs is None else f"{case}-jobs{jobs}")
+    for case in sorted(GOLDEN) for jobs in (None, "2")
+])
+def test_sweep_matches_golden(case, jobs, tmp_path, monkeypatch):
+    # the same digests serially and with every cell a pool task
+    if jobs is None:
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
     config, want_digest, want_lr = GOLDEN[case]
     summary = run_experiment(spec_from_dict(config), out_dir=tmp_path)
     manifest = json.loads(summary.manifest_path.read_text())

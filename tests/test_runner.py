@@ -2,6 +2,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from slowcal_lab.runner import (
     mnist_experiment,
     run_experiment,
     spec_from_dict,
-    sweep,
 )
 from slowcal_lab.tuning import LrInputs, theoretical_lr
 
@@ -145,8 +148,9 @@ class TestSpecParsing:
             spec_from_dict(base_config(machines=[0]))
         with pytest.raises(ConfigError):
             spec_from_dict(base_config(seeds=[-1]))
-        with pytest.raises(ConfigError):
-            spec_from_dict(base_config(local_steps=[]))
+        for field in ("algorithm", "machines", "local_steps", "seeds"):
+            with pytest.raises(ConfigError, match="nonempty"):
+                spec_from_dict(base_config(**{field: []}))
         with pytest.raises(ConfigError):
             spec_from_dict(base_config(diagnostics="yes"))
         with pytest.raises(ConfigError, match="schedule"):
@@ -315,13 +319,43 @@ class TestRunExperiment:
         summary = run_experiment(spec)
         assert summary.out_dir == tmp_path / "from_spec"
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        spec = spec_from_dict(base_config())
-        serial = run_experiment(spec, out_dir=tmp_path / "serial")
+    @pytest.mark.parametrize("case", ["quadratic-fixed", "logistic-grid", "mnist-grid"])
+    def test_parallel_matches_serial(self, case, tmp_path, monkeypatch):
+        # each cell tunes and runs as one pool task; the CSV and the whole
+        # manifest (resolved step sizes, MNIST test metrics) match serial
+        if case == "mnist-grid":
+            data = tmp_path / "data"
+            data.mkdir()
+            write_idx_dir(data)
+            spec = spec_from_dict(mnist_config(
+                algorithm=["local", "slowcal"], lr="grid:[0.01, 0.1]", seeds=[0, 1]))
+
+            def run(out):
+                return mnist_experiment(spec, data_dir=data, out_dir=out)
+        else:
+            cfg = base_config() if case == "quadratic-fixed" else base_config(
+                problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3,
+                         "n_per_machine": 10, "label_skew": 0.5, "problem_seed": 1},
+                algorithm=["local", "slowcal"], machines=[2, 3],
+                lr="grid:[0.03, 0.3, 30.0]")
+            spec = spec_from_dict(cfg)
+
+            def run(out):
+                return run_experiment(spec, out_dir=out)
+
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
+        serial = run(tmp_path / "serial")
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", "2")
-        parallel = run_experiment(spec, out_dir=tmp_path / "parallel")
+        parallel = run(tmp_path / "parallel")
         assert strip_timing(read_rows(serial.csv_path)) == strip_timing(
             read_rows(parallel.csv_path))
+        manifests = [json.loads(s.manifest_path.read_text()) for s in (serial, parallel)]
+        for manifest in manifests:
+            manifest.pop("created_utc")
+        assert manifests[0] == manifests[1]
+        assert len(manifests[0]["resolved_lr"]) >= 2
+        if case == "mnist-grid":
+            assert len(manifests[0]["test_metrics"]) == 4
 
     def test_bad_jobs_env(self, tmp_path, monkeypatch):
         spec = spec_from_dict(base_config())
@@ -353,7 +387,7 @@ class TestSweep:
         spec = spec_from_dict(base_config(
             machines=[2, 3], local_steps=[2, 4], rounds=4, seeds=[0],
         ))
-        summary = sweep(spec, out_dir=tmp_path)
+        summary = run_experiment(spec, out_dir=tmp_path)
         assert summary.num_runs == 2 * 2 * 2
         rows = read_rows(summary.csv_path)
         cells = {(r["algorithm"], r["M"], r["K"]) for r in rows}
@@ -361,13 +395,6 @@ class TestSweep:
         keys = [(r["algorithm"], int(r["M"]), int(r["K"]), int(r["seed"]), int(r["round"]))
                 for r in rows]
         assert keys == sorted(keys)
-
-    def test_rejects_empty_dimensions(self, tmp_path):
-        spec = spec_from_dict(base_config())
-        import dataclasses
-        hollow = dataclasses.replace(spec, algorithms=())
-        with pytest.raises(ConfigError, match="nonempty"):
-            sweep(hollow, out_dir=tmp_path)
 
 
 def write_idx_dir(root, n_train=80, n_test=20):
@@ -437,6 +464,14 @@ class TestMnistExperiment:
         with pytest.raises(ConfigError, match="missing t10k-images"):
             mnist_experiment(spec, data_dir=data, out_dir=tmp_path / "out")
 
+    def test_bad_label_skew_is_a_config_error(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_idx_dir(data)
+        spec = spec_from_dict(mnist_config(problem={"kind": "mnist-logistic", "label_skew": 0}))
+        with pytest.raises(ConfigError, match="alpha"):
+            mnist_experiment(spec, data_dir=data, out_dir=tmp_path / "out")
+
     def test_rejects_other_kinds(self, tmp_path):
         spec = spec_from_dict(base_config())
         with pytest.raises(ConfigError, match="mnist-logistic"):
@@ -445,8 +480,6 @@ class TestMnistExperiment:
 
 class TestShippedConfigs:
     def test_every_bundled_config_parses(self):
-        from pathlib import Path
-
         configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
         assert configs, "no bundled configs found"
         for path in configs:
@@ -493,6 +526,48 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "divergence" in capsys.readouterr().err
+
+    def test_all_diverged_grid_exits_1_on_the_pool(self, tmp_path, capsys, monkeypatch):
+        cfg = base_config(algorithm=["local", "minibatch"], lr="grid:[1000000.0]",
+                          seeds=[0], x0="ones:3")
+        path = self.write_config(tmp_path, cfg)
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", "2")
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param({"kind": "quadratic", "dim": 0}, id="quadratic-dim0"),
+        pytest.param({"kind": "quadratic", "dim": -3}, id="quadratic-dim-3"),
+        pytest.param({"kind": "quadratic", "dim": 3, "sigma": -1}, id="quadratic-sigma"),
+        pytest.param({"kind": "quadratic", "dim": 3, "eig_range": [2, 1]},
+                     id="quadratic-eig_range-reversed"),
+        pytest.param({"kind": "quadratic", "dim": 3, "eig_range": [0, 1]},
+                     id="quadratic-eig_range-zero"),
+        pytest.param({"kind": "quadratic", "dim": 3, "target_gstar": -1},
+                     id="quadratic-target_gstar"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "num_classes": 1},
+                     id="logistic-num_classes"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "n_per_machine": 0},
+                     id="logistic-n_per_machine"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "label_skew": 0},
+                     id="logistic-label_skew"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "l2": -1}, id="logistic-l2"),
+        pytest.param({"kind": "synth-logistic", "dim": 1, "num_classes": 4},
+                     id="logistic-dim-too-small"),
+    ])
+    def test_invalid_problem_field_exits_2(self, tmp_path, problem):
+        # through a real process, so an uncaught exception would show as a traceback
+        path = self.write_config(tmp_path, base_config(problem=problem))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "slowcal_lab.cli", "run", "--config", path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "config error" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_mnist_without_data_exits_2(self, tmp_path):
         path = self.write_config(tmp_path, mnist_config())
