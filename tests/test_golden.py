@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from slowcal_lab.algorithms import ALGORITHMS, RunConfig
-from slowcal_lab.objectives import heterogeneous_quadratic
+from slowcal_lab.objectives import LogisticEnsemble, heterogeneous_quadratic
 from slowcal_lab.runner import run_experiment, spec_from_dict
 from slowcal_lab.weights import parse_schedule
 
@@ -131,3 +131,34 @@ def test_step_records_match_golden(algorithm):
     cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=2, R=5, eta=0.05,
                     schedule=parse_schedule("poly:1.5"), seed=3, record_diagnostics=True)
     assert step_digest(ALGORITHMS[algorithm](prob, cfg)) == STEP_GOLDEN[algorithm]
+
+
+def unequal_logistic():
+    rng = np.random.default_rng(11)
+    sizes = (4, 9, 6)
+    return LogisticEnsemble(
+        features=tuple(rng.standard_normal((n, 3)) for n in sizes),
+        labels=tuple(rng.integers(0, 3, n) for n in sizes),
+        num_classes=3,
+        l2=0.05,
+    )
+
+
+LOGISTIC_STEP_GOLDEN = {
+    "minibatch": "4d34207374381e11978b570f61c22631562be0b7fe4619733184c63ba3686225",
+    "local": "6c61f2dfbe7db23f4cebd8ed10337ca684fe977e1e9dc89c79080365119dae0e",
+    "local-weighted": "8df91b94537c34282603644958defabd2d674f6847319d1c93a3f836126f556c",
+    "anytime": "05c2a2cc2245f3374f6e1c2fdac7fa7156c7d9726aec94a9c0eb054fea9d92e7",
+    "slowcal": "cd5cb1f822fa4f1d5d8821f4f8ce228e05fa0f1aceadfa5fbf41f762fa004526",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(LOGISTIC_STEP_GOLDEN))
+def test_logistic_step_records_match_golden(algorithm):
+    """Per-step records on softmax regression with unequal machine sizes,
+    whose dispersion and bias increments go through the logistic oracle."""
+    prob = unequal_logistic()
+    cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=3, R=4, eta=0.2,
+                    schedule=parse_schedule("poly:1.5"), seed=5, record_diagnostics=True,
+                    x0=np.full(prob.dim, 0.1))
+    assert step_digest(ALGORITHMS[algorithm](prob, cfg)) == LOGISTIC_STEP_GOLDEN[algorithm]
