@@ -2,14 +2,15 @@
 """Machine-doubling experiment in the noise-dominated regime.
 
 Runs the grid-tuned sweep described by configs/speedup.json through the
-standard experiment harness, then replays each tuned cell and reports the
-ratio of mean excess loss at the method's designated output point between
-the two machine counts. With zero heterogeneity and dominant gradient noise
-the statistically optimal term scales as 1/sqrt(M*K*R), so doubling M should
-shrink the tuned excess by about sqrt(2) = 1.41.
+standard experiment harness and reports the ratio of mean excess loss at the
+method's designated output point between the two machine counts. With zero
+heterogeneity and dominant gradient noise the statistically optimal term
+scales as 1/sqrt(M*K*R), so doubling M should shrink the tuned excess by
+about sqrt(2) = 1.41.
 
 The per-round excess_loss column in runs.csv tracks the consensus iterate,
-not the averaged output point, so the ratio is computed from the replays.
+not the averaged output point, so the ratio is computed from the manifest's
+output_excess, each run's excess at its output point.
 
 Usage: python3 scripts/speedup_experiment.py [--config configs/speedup.json]
 """
@@ -17,51 +18,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from slowcal_lab import (
-    ALGORITHMS,
-    RunConfig,
-    build_problem,
-    excess_loss,
-    load_spec,
-    parse_schedule,
-    run_experiment,
-)
+from slowcal_lab import load_spec, run_experiment
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "speedup.json"
 
 
-def start_point(x0: str, dim: int) -> np.ndarray | None:
-    if x0 == "zeros":
-        return None
-    return float(x0[len("ones:"):]) * np.ones(dim) / math.sqrt(dim)
-
-
-def tuned_output_means(spec, resolved_lr: dict[str, float]) -> dict:
-    """Mean excess at x_output per (algorithm, machine count), at the step
-    sizes the harness resolved."""
+def tuned_output_means(spec, output_excess: dict[str, float]) -> dict:
+    """Mean excess at x_output per (algorithm, machine count), over the
+    seeds, from the manifest's {run_id: excess} map."""
     k = spec.local_steps[0]
-    rounds = spec.rounds if spec.rounds is not None else spec.total_steps // k
-    schedule = parse_schedule(spec.schedule)
-    means = {}
-    for m in spec.machines:
-        problem = build_problem(spec.problem, m)
-        x0 = start_point(spec.x0, problem.dim)
-        for name in spec.algorithms:
-            eta = resolved_lr[f"{name}-M{m}-K{k}"]
-            scores = []
-            for seed in spec.seeds:
-                cfg = RunConfig(M=1 if name == "anytime" else m, K=k, R=rounds,
-                                eta=eta, schedule=schedule, seed=seed, x0=x0)
-                traj = ALGORITHMS[name](problem, cfg)
-                scores.append(excess_loss(problem, traj.x_output))
-            means[(name, m)] = float(np.mean(scores))
-    return means
+    kind = spec.problem["kind"]
+    return {
+        (name, m): float(np.mean([output_excess[f"{name}-{kind}-M{m}-K{k}-s{seed}"]
+                                  for seed in spec.seeds]))
+        for m in spec.machines for name in spec.algorithms
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = run_experiment(spec, out_dir=args.out)
     print(f"wrote {summary.num_runs} runs to {summary.csv_path}")
     manifest = json.loads(summary.manifest_path.read_text())
-    means = tuned_output_means(spec, manifest["resolved_lr"])
+    means = tuned_output_means(spec, manifest["output_excess"])
 
     print(f"{'method':<12} {'M=' + str(small):>12} {'M=' + str(large):>12} {'ratio':>8}")
     for name in spec.algorithms:

@@ -12,7 +12,12 @@ one step size: grid tuning runs every candidate of a seed as the lanes of
 one call, and ``ALGORITHMS[name](problem, cfg)`` is the one-lane call.
 Stochastic draws are keyed by (seed, machine, round, step) and made once
 per round for all lanes and machines, so a trajectory is a pure function
-of (problem, config) whatever else runs beside it.
+of (problem, config) whatever else runs beside it. One recorder keeps the
+records of every lane of a call, and each round close and step record
+measures all live lanes in one batched pass (``metrics.dispersion`` and
+``bias_increment`` and the ensembles' ``global_gradient`` take lane axes;
+``global_value`` stays one call per lane), each lane's values bitwise equal
+to a run of its own.
 
 Conventions shared by every method:
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import RoundMetrics, bias_increment, dispersion
+from .metrics import RoundMetrics, bias_increment, dispersion, squared_norms
 from .weights import LINEAR, WeightSchedule, averaging_coeff, prefix_weight, weight_at
 
 DIVERGENCE_FACTOR = 1e6
@@ -110,72 +115,90 @@ def _start_point(problem, cfg: RunConfig) -> np.ndarray:
 
 
 def _ascending_mean(rows: np.ndarray) -> np.ndarray:
-    acc = rows[0].copy()
-    for i in range(1, rows.shape[0]):
-        acc += rows[i]
-    return acc / rows.shape[0]
+    """(..., n, d) -> (..., d): the mean over axis -2 (machines, or
+    anchors), summed in ascending index order."""
+    acc = rows[..., 0, :].copy()
+    for i in range(1, rows.shape[-2]):
+        acc += rows[..., i, :]
+    return acc / rows.shape[-2]
 
 
 class _Recorder:
-    """Shared bookkeeping: round records, anchors, divergence freeze."""
+    """Shared bookkeeping for every lane of one run_lanes call: round
+    records, anchors, per-step records and the divergence freeze. Each
+    round close and step record measures all live lanes at once; row j of
+    the arrays passed in belongs to lane ``lanes[j]``."""
 
-    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray):
+    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int):
         self.problem = problem
         self.cfg = cfg
-        self.rounds: list[RoundMetrics] = []
-        self.anchors: list[ServerAnchor] = []
-        self.steps: list[StepRecord] | None = [] if cfg.record_diagnostics else None
-        self.diverged = False
+        self.lanes = list(range(num_lanes))  # the lane of each live row
+        self.rounds: list[list[RoundMetrics]] = [[] for _ in self.lanes]
+        self.anchors = [[ServerAnchor(0, x_start.copy(), x_start.copy())] for _ in self.lanes]
+        self.steps: list[list[StepRecord]] | None = (
+            [[] for _ in self.lanes] if cfg.record_diagnostics else None)
+        self.diverged = [False] * num_lanes
         initial = problem.global_value(x_start) - problem.f_star
         self.threshold = DIVERGENCE_FACTOR * initial if initial > 0 else DIVERGENCE_FACTOR
 
     def place_anchor(self, completed: int, w: np.ndarray, x: np.ndarray) -> None:
-        self.anchors.append(ServerAnchor(completed, w.copy(), x.copy()))
+        for row, lane in enumerate(self.lanes):
+            self.anchors[lane].append(ServerAnchor(completed, w[row].copy(), x[row].copy()))
 
     def record_step(self, t: int, w_mean: np.ndarray, x_mean: np.ndarray,
-                    g_mean: np.ndarray | None, x_states: np.ndarray) -> None:
-        if self.steps is None:
-            return
+                    g_mean: np.ndarray | None, x_states: np.ndarray,
+                    rows: list[int] | None = None) -> None:
+        """Step t's records of the live rows ``rows`` (all by default), from
+        their (rows, d) means and (rows, M, d) query points."""
         alpha = weight_at(self.cfg.schedule, t)
-        self.steps.append(StepRecord(
-            t=t,
-            w_mean=w_mean.copy(),
-            x_mean=x_mean.copy(),
-            g_mean=None if g_mean is None else g_mean.copy(),
-            dispersion_q=dispersion(x_states, alpha),
-            bias_increment=bias_increment(self.problem, x_states, alpha),
-        ))
+        spreads = dispersion(x_states, alpha).tolist()
+        biases = bias_increment(self.problem, x_states, alpha).tolist()
+        for j, row in enumerate(range(len(self.lanes)) if rows is None else rows):
+            self.steps[self.lanes[row]].append(StepRecord(
+                t=t,
+                w_mean=w_mean[j].copy(),
+                x_mean=x_mean[j].copy(),
+                g_mean=None if g_mean is None else g_mean[j].copy(),
+                dispersion_q=spreads[j],
+                bias_increment=biases[j],
+            ))
 
-    def close_round(self, r: int, x_states: np.ndarray, w_mean: np.ndarray) -> bool:
-        """Record round r from pre-aggregation states; returns True when the
-        run just diverged and must freeze."""
+    def close_round(self, r: int, x_states: np.ndarray, w_mean: np.ndarray) -> list[int]:
+        """Record round r of every live lane from the (rows, M, d)
+        pre-aggregation states and (rows, d) w means; returns the rows whose
+        lanes just diverged and must freeze."""
+        problem, f_star = self.problem, self.problem.f_star
         t = (r + 1) * self.cfg.K
         x_mean = _ascending_mean(x_states)
-        excess = self.problem.global_value(x_mean) - self.problem.f_star
-        grad = self.problem.global_gradient(x_mean)
         alpha = weight_at(self.cfg.schedule, t)
-        w_gap = w_mean - self.problem.w_star
-        values = {
-            "excess_loss": excess,
-            "grad_norm": float(np.linalg.norm(grad)),
-            "dispersion_q": dispersion(x_states, alpha),
-            "v_increment": bias_increment(self.problem, x_states, alpha),
-            "d_t": float(w_gap @ w_gap),
-        }
-        bad = not all(math.isfinite(v) for v in values.values())
-        if bad or excess > self.threshold:
-            self.diverged = True
-        clean = {k: (v if math.isfinite(v) else math.inf) for k, v in values.items()}
-        self.rounds.append(RoundMetrics(round=r, t=t, diverged=self.diverged, **clean))
-        return self.diverged
+        columns = zip(
+            [problem.global_value(point) - f_star for point in x_mean],
+            np.sqrt(squared_norms(problem.global_gradient(x_mean))).tolist(),
+            dispersion(x_states, alpha).tolist(),
+            bias_increment(problem, x_states, alpha).tolist(),
+            squared_norms(w_mean - problem.w_star).tolist(),
+        )
+        diverged = []
+        for row, (lane, values) in enumerate(zip(self.lanes, columns)):
+            if not all(map(math.isfinite, values)) or values[0] > self.threshold:
+                self.diverged[lane] = True
+                diverged.append(row)
+            excess, grad_norm, spread, bias, d_t = [
+                v if math.isfinite(v) else math.inf for v in values]
+            self.rounds[lane].append(RoundMetrics(
+                round=r, t=t, excess_loss=excess, grad_norm=grad_norm, dispersion_q=spread,
+                v_increment=bias, d_t=d_t, diverged=self.diverged[lane],
+            ))
+        return diverged
 
-    def freeze_remaining(self, start_round: int) -> None:
-        for r in range(start_round, self.cfg.R):
-            self.rounds.append(RoundMetrics(
+    def freeze(self, rows: list[int], start_round: int) -> None:
+        """Fill the remaining round records of the lanes of ``rows`` with +inf."""
+        for row in rows:
+            self.rounds[self.lanes[row]].extend(RoundMetrics(
                 round=r, t=(r + 1) * self.cfg.K,
                 excess_loss=math.inf, grad_norm=math.inf, dispersion_q=math.inf,
                 v_increment=math.inf, d_t=math.inf, diverged=True,
-            ))
+            ) for r in range(start_round, self.cfg.R))
 
 
 @dataclass(frozen=True)
@@ -210,11 +233,6 @@ METHODS = {spec.name: spec for spec in (
 )}
 
 
-def _machine_mean(states: np.ndarray) -> np.ndarray:
-    """(lanes, copies, d) -> (lanes, d), summed in ascending machine order."""
-    return _ascending_mean(np.swapaxes(states, 0, 1))
-
-
 def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
     """Run `method` once per step size in `etas`, as the lanes of one
     recursion over (lanes, machines, d) arrays of w and x. The lanes share
@@ -234,54 +252,53 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
     acc = None
     if spec.output == "weighted-mean":
         acc = np.tile(weight_at(schedule, 0) * start, (len(lane_cfgs), 1))
-    recs = [_Recorder(problem, lane_cfg, start) for lane_cfg in lane_cfgs]
-    for rec in recs:
-        rec.place_anchor(0, start, start)
-    lanes = list(range(len(lane_cfgs)))  # the lane of each row of w and x
+    rec = _Recorder(problem, cfg, start, len(lane_cfgs))
     lane_etas = np.array([lane_cfg.eta for lane_cfg in lane_cfgs])
     out: list[Trajectory | None] = [None] * len(lane_cfgs)
 
-    def machine_states(row: int) -> np.ndarray:
-        return x[row] if copies == m else np.tile(x[row, 0], (m, 1))
+    def machine_states(xs: np.ndarray) -> np.ndarray:
+        return xs if copies == m else np.repeat(xs, m, axis=1)
 
-    def finish(row: int) -> None:
-        rec = recs[lanes[row]]
+    def finish(rows: list[int], completed: int) -> None:
         if rec.steps is not None:
-            rec.record_step(rec.anchors[-1].round * k_steps, _ascending_mean(w[row]),
-                            _ascending_mean(x[row]), None, machine_states(row))
-        if spec.output == "anchor-mean":
-            x_output = _ascending_mean(np.stack([a.x for a in rec.anchors[1:]]))
-        elif spec.output == "weighted-mean":
-            x_output = acc[row] / prefix_weight(schedule, k_steps * cfg.R)
-        else:
-            x_output = rec.anchors[-1].x.copy()
-        out[lanes[row]] = Trajectory(spec.name, rec.cfg.eta, schedule, cfg.seed, rec.rounds,
-                                     rec.anchors, x_output, rec.diverged, rec.steps)
+            rec.record_step(completed * k_steps, _ascending_mean(w[rows]), _ascending_mean(x[rows]),
+                            None, machine_states(x[rows]), rows)
+        for row in rows:
+            lane = rec.lanes[row]
+            anchors = rec.anchors[lane]
+            if spec.output == "anchor-mean":
+                x_output = _ascending_mean(np.stack([a.x for a in anchors[1:]]))
+            elif spec.output == "weighted-mean":
+                x_output = acc[row] / prefix_weight(schedule, k_steps * cfg.R)
+            else:
+                x_output = anchors[-1].x.copy()
+            out[lane] = Trajectory(spec.name, lane_cfgs[lane].eta, schedule, cfg.seed,
+                                   rec.rounds[lane], anchors, x_output, rec.diverged[lane],
+                                   None if rec.steps is None else rec.steps[lane])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(cfg.R):
-            if not lanes:
+            if not rec.lanes:
                 break
             draws = problem.round_draws(cfg.seed, r, k_steps)
             if spec.aggregate == "server":
-                pooled = np.empty((len(lanes), k_steps, problem.dim))
+                pooled = np.empty((len(rec.lanes), k_steps, problem.dim))
             for k in range(k_steps):
                 t = r * k_steps + k
-                queries = x if copies == m else np.repeat(x, m, axis=1)
+                queries = machine_states(x)
                 grads = problem.sampled_gradients(queries, draws, k)
                 if spec.aggregate == "server":
-                    g_mean = np.zeros((len(lanes), problem.dim))
+                    g_mean = np.zeros((len(rec.lanes), problem.dim))
                     for i in range(m):
                         g_mean += grads[:, i]
                     g_mean /= m
                     pooled[:, k] = g_mean
                 elif spec.aggregate == "step" or cfg.record_diagnostics:
-                    g_mean = _machine_mean(grads)
+                    g_mean = _ascending_mean(grads)
                 if cfg.record_diagnostics:
-                    w_mean, x_mean = _machine_mean(w), _machine_mean(x)
-                    for row, lane in enumerate(lanes):
-                        recs[lane].record_step(t, w_mean[row], x_mean[row], g_mean[row],
-                                               queries[row])
+                    w_mean = _ascending_mean(w)
+                    rec.record_step(t, w_mean, w_mean if tied else _ascending_mean(x), g_mean,
+                                    queries)
                 if spec.aggregate == "server":
                     continue
                 alpha = weight_at(schedule, t) if spec.weighted else 1.0
@@ -292,33 +309,30 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
                     x *= 1.0 - gamma
                     x += gamma * w
                 if acc is not None:
-                    acc = acc + weight_at(schedule, t + 1) * _machine_mean(w)
+                    acc = acc + weight_at(schedule, t + 1) * _ascending_mean(w)
 
             if spec.aggregate == "server":
                 w = x = x - (lane_etas[:, None] * pooled.mean(axis=1))[:, None]
-            w_mean = _machine_mean(w)
-            diverged = [row for row, lane in enumerate(lanes)
-                        if recs[lane].close_round(r, machine_states(row), w_mean[row])]
-            x_mean = w_mean if tied else _machine_mean(x)
+            w_mean = _ascending_mean(w)
+            diverged = rec.close_round(r, machine_states(x), w_mean)
+            x_mean = w_mean if tied else _ascending_mean(x)
             if copies > 1:
                 w = np.repeat(w_mean[:, None], copies, axis=1)
                 x = w if tied else np.repeat(x_mean[:, None], copies, axis=1)
-            for row, lane in enumerate(lanes):
-                recs[lane].place_anchor(r + 1, w_mean[row], x_mean[row])
+            rec.place_anchor(r + 1, w_mean, x_mean)
             if diverged:
-                for row in diverged:
-                    recs[lanes[row]].freeze_remaining(r + 1)
-                    finish(row)
-                keep = [row for row in range(len(lanes)) if row not in diverged]
-                lanes = [lanes[row] for row in keep]
+                rec.freeze(diverged, r + 1)
+                finish(diverged, r + 1)
+                keep = [row for row in range(len(rec.lanes)) if row not in diverged]
+                rec.lanes = [rec.lanes[row] for row in keep]
                 w = w[keep]
                 x = w if tied else x[keep]
                 lane_etas = lane_etas[keep]
                 if acc is not None:
                     acc = acc[keep]
 
-    for row in range(len(lanes)):
-        finish(row)
+    if rec.lanes:
+        finish(list(range(len(rec.lanes))), cfg.R)
     return out
 
 

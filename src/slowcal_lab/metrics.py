@@ -27,30 +27,45 @@ def excess_loss(problem, x: np.ndarray) -> float:
     return problem.global_value(np.asarray(x, dtype=np.float64)) - problem.f_star
 
 
-def dispersion(states: np.ndarray, alpha: float) -> float:
+def squared_norms(vecs: np.ndarray) -> np.ndarray:
+    """v @ v for every row v of a (..., d) array, as stacked (1, d) @ (d, 1)
+    products: bitwise equal to each row's own v @ v (and so to the square of
+    np.linalg.norm), which einsum and (v * v).sum(-1) are not."""
+    return (vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0]
+
+
+def dispersion(states: np.ndarray, alpha: float) -> float | np.ndarray:
     """(alpha^2 / M^2) * sum over ordered pairs (i, j) of ||x_i - x_j||^2.
 
     Computed through the centered identity sum_ij ||x_i - x_j||^2
-    = 2 M sum_i ||x_i - mean||^2.
+    = 2 M sum_i ||x_i - mean||^2. ``states`` is (M, d), one row per
+    machine, giving a float, or (lanes, M, d), giving one value per lane,
+    each bitwise equal to that lane's own call.
     """
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    m = pts.shape[0]
-    centered = pts - pts.mean(axis=0, keepdims=True)
-    return float(alpha ** 2 * 2.0 / m * (centered ** 2).sum())
+    m = pts.shape[-2]
+    centered = pts - pts.sum(axis=-2, keepdims=True) / m  # what np.mean computes
+    total = (centered ** 2).reshape(*pts.shape[:-2], -1).sum(axis=-1)
+    value = alpha ** 2 * 2.0 / m * total
+    return float(value) if pts.ndim == 2 else value
 
 
-def bias_increment(problem, states: np.ndarray, alpha: float) -> float:
+def bias_increment(problem, states: np.ndarray, alpha: float) -> float | np.ndarray:
     """alpha^2 ||mean_i grad_i(x_i) - grad f(mean_i x_i)||^2 for one step's
-    per-machine query points (one row per machine)."""
+    per-machine query points (one row per machine). Like ``dispersion``, an
+    (M, d) input gives a float and (lanes, M, d) one value per lane."""
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if pts.shape[0] != problem.num_machines:
-        raise ValueError(f"need one state row per machine, got {pts.shape[0]}")
-    mean_grad = np.zeros(pts.shape[1])
-    for grad in problem.exact_gradients(pts):
-        mean_grad += grad
-    mean_grad /= pts.shape[0]
-    gap = mean_grad - problem.global_gradient(pts.mean(axis=0))
-    return float(alpha ** 2 * (gap @ gap))
+    m = pts.shape[-2]
+    if m != problem.num_machines:
+        raise ValueError(f"need one state row per machine, got {m}")
+    grads = problem.exact_gradients(pts)
+    mean_grad = np.zeros(pts.shape[:-2] + pts.shape[-1:])
+    for i in range(m):
+        mean_grad += grads[..., i, :]
+    mean_grad /= m
+    gap = mean_grad - problem.global_gradient(pts.sum(axis=-2) / m)
+    value = alpha ** 2 * squared_norms(gap)
+    return float(value) if pts.ndim == 2 else value
 
 
 def momentum_residual(trajectory) -> float:

@@ -21,7 +21,8 @@ shape ``(..., M, d)``, row i on machine i, any leading (lane) axes. Row i of
 its result equals ``round_sampler(seed, i, rnd, steps)(k, points[..., i, :])``
 bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
 per-machine reference. ``exact_gradients(points)`` is the noise-free
-counterpart with one row per machine.
+counterpart with one row per machine; it and ``global_gradient(x)`` take
+the same leading lane axes, so one call measures every lane of a round.
 """
 from __future__ import annotations
 
@@ -132,8 +133,9 @@ class QuadraticEnsemble:
         return self.curvatures[machine] @ (x - self.centers[machine])
 
     def exact_gradients(self, points: np.ndarray) -> np.ndarray:
-        """grad f_i at points[..., i, :] for every machine i; a stacked
-        matrix-vector product, so row i equals exact_gradient(i, .) bitwise."""
+        """grad f_i at points[..., i, :] for every machine i, any leading
+        (lane) axes; a stacked matrix-vector product, so row i equals
+        exact_gradient(i, .) bitwise."""
         return (self.curvatures @ (points - self.centers)[..., None])[..., 0]
 
     def global_value(self, x: np.ndarray) -> float:
@@ -142,8 +144,10 @@ class QuadraticEnsemble:
         return float(vals.mean())
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        diff = x[None, :] - self.centers
-        return np.einsum("mij,mj->i", self.curvatures, diff) / self.num_machines
+        """grad f at x of shape (..., d), any leading (lane) axes; each
+        lane's row equals its own call bitwise."""
+        diff = x[..., None, :] - self.centers
+        return np.einsum("mij,...mj->...i", self.curvatures, diff) / self.num_machines
 
     def round_sampler(self, seed: int, machine: int, rnd: int, steps: int) -> GradSampler:
         """Per-round gradient oracle; sample(k, x) is the step-k stochastic
@@ -328,6 +332,15 @@ class LogisticEnsemble:
         return float(np.mean([self.machine_value(i, x) for i in range(self.num_machines)]))
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad f at x of shape (..., d), one lane at a time over any leading
+        (lane) axes."""
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return self._mean_gradient(x)
+        rows = [self._mean_gradient(p) for p in x.reshape(-1, self.dim)]
+        return np.stack(rows).reshape(x.shape)
+
+    def _mean_gradient(self, x: np.ndarray) -> np.ndarray:
         acc = np.zeros(self.dim)
         for i in range(self.num_machines):
             acc += self.exact_gradient(i, x)
@@ -355,8 +368,12 @@ class LogisticEnsemble:
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
 
     def exact_gradients(self, points: np.ndarray) -> np.ndarray:
-        """(M, d) full-batch gradients, row i at points[i] on machine i."""
-        return np.stack([self.exact_gradient(i, p) for i, p in enumerate(points)])
+        """Full-batch gradients at points[..., i, :] on machine i, one lane at
+        a time over any leading (lane) axes."""
+        points = np.asarray(points)
+        lanes = points.reshape(-1, self.num_machines, self.dim)
+        return np.array([[self.exact_gradient(i, p) for i, p in enumerate(lane)]
+                         for lane in lanes]).reshape(points.shape)
 
     @cached_property
     def _pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, RunConfig
 from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
+from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
 from .tuning import LrInputs, grid_search, theoretical_lr
 from .weights import parse_schedule
@@ -482,7 +483,9 @@ def _cell_worker(algorithm: str, m: int, k: int):
 
 def _cell_results(spec: ExperimentSpec, problems: dict, cells: list, jobs: int):
     """Yield each cell's result in cell order: run here, or on a pool of
-    ``jobs`` workers when there is more than one job and one cell."""
+    ``jobs`` workers when there is more than one job and one cell. When a
+    pooled cell raises, the cells that have not started are cancelled, so
+    the error is not held back until every other cell has run."""
     if jobs == 1 or len(cells) == 1:
         for algorithm, m, k in cells:
             yield _run_cell(spec, problems[m], algorithm, m, k)
@@ -490,8 +493,12 @@ def _cell_results(spec: ExperimentSpec, problems: dict, cells: list, jobs: int):
     with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                              initargs=(spec, problems)) as pool:
         futures = [pool.submit(_cell_worker, *cell) for cell in cells]
-        while futures:
-            yield futures.pop(0).result()
+        try:
+            while futures:
+                yield futures.pop(0).result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _env_jobs() -> int:
@@ -540,7 +547,9 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
              manifest_extra) -> RunSummary:
     """Run every cell of the spec, merging each result as it arrives, and
     write the outputs; ``manifest_extra(outputs)`` gives the kind-specific
-    manifest entries from the {run_id: output point} map."""
+    manifest entries from the {run_id: output point} map. The manifest's
+    ``output_excess`` holds each run's excess loss at its output point
+    (+inf when not finite); the CSV's is at the round-end consensus point."""
     jobs = _env_jobs()
     warnings = _theory_warnings(spec)
     cells = [(algorithm, m, k) for algorithm in spec.algorithms
@@ -548,16 +557,22 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     rows: list[dict] = []
     resolved_lr: dict[str, float] = {}
     outputs: dict[str, np.ndarray] = {}
+    output_excess: dict[str, float] = {}
     any_diverged = False
     for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged) in zip(
             cells, _cell_results(spec, problems, cells, jobs)):
         resolved_lr[f"{algorithm}-M{m}-K{k}"] = eta
         rows.extend(cell_rows)
         outputs.update(cell_outputs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run_id, x in cell_outputs.items():
+                excess = excess_loss(problems[m], x)
+                output_excess[run_id] = excess if math.isfinite(excess) else math.inf
         any_diverged = any_diverged or diverged
     rows.sort(key=lambda row: (row["algorithm"], row["M"], row["K"], row["seed"], row["round"]))
     extra = {
         "resolved_lr": resolved_lr,
+        "output_excess": output_excess,
         **manifest_extra(outputs),
         "package_version": _package_version(),
         "warnings": warnings,

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from slowcal_lab.algorithms import RunConfig, StepRecord, Trajectory, run_anytime_single
-from slowcal_lab.metrics import bias_increment, dispersion, excess_loss, momentum_residual
-from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
+from slowcal_lab.metrics import (
+    bias_increment,
+    dispersion,
+    excess_loss,
+    momentum_residual,
+    squared_norms,
+)
+from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM
 
 
@@ -59,6 +65,90 @@ class TestBiasIncrement:
         prob = QuadraticEnsemble(np.array([[[1.0]], [[2.0]]]), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="machine"):
             bias_increment(prob, np.zeros((3, 1)), alpha=1.0)
+
+
+# (lanes, machines, d); logistic d = num_classes * feature_dim, so d >= 2 there
+LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (5, 8, 2), (3, 4, 6),
+               (6, 16, 20)]
+
+
+def lane_problems(m, d, seed):
+    problems = [heterogeneous_quadratic(m, d, seed=seed)]
+    if d % 2 == 0:
+        rng = np.random.default_rng(seed)
+        sizes = [1 + 2 * i % 5 for i in range(m)]
+        problems.append(LogisticEnsemble(
+            features=tuple(rng.standard_normal((n, d // 2)) for n in sizes),
+            labels=tuple(rng.integers(0, 2, n) for n in sizes),
+            num_classes=2,
+            l2=0.2,
+        ))
+    return problems
+
+
+def reference_dispersion(pts, alpha):
+    """The single-lane formula as first written, before lanes."""
+    centered = pts - pts.mean(axis=0, keepdims=True)
+    return float(alpha ** 2 * 2.0 / pts.shape[0] * (centered ** 2).sum())
+
+
+def reference_bias_increment(problem, pts, alpha):
+    """The single-lane formula as first written, on the per-machine oracle."""
+    mean_grad = np.zeros(pts.shape[1])
+    for i, point in enumerate(pts):
+        mean_grad += problem.exact_gradient(i, point)
+    mean_grad /= pts.shape[0]
+    gap = mean_grad - problem.global_gradient(pts.mean(axis=0))
+    return float(alpha ** 2 * (gap @ gap))
+
+
+class TestLaneDiagnostics:
+    """(lanes, M, d) states give one value per lane, each bitwise equal to
+    that lane's own call and to the single-lane formula."""
+
+    @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
+    def test_dispersion_per_lane_bitwise(self, lanes, m, d):
+        states = 4.0 * np.random.default_rng(lanes + 10 * m + d).standard_normal((lanes, m, d))
+        got = dispersion(states, 1.7)
+        assert got.shape == (lanes,)
+        for lane in range(lanes):
+            single = dispersion(states[lane], 1.7)
+            assert isinstance(single, float)
+            assert got[lane] == single == reference_dispersion(states[lane], 1.7)
+
+    @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
+    def test_bias_increment_per_lane_bitwise(self, lanes, m, d):
+        states = 4.0 * np.random.default_rng(lanes * m + d).standard_normal((lanes, m, d))
+        for prob in lane_problems(m, d, seed=lanes + d):
+            got = bias_increment(prob, states, 0.6)
+            assert got.shape == (lanes,)
+            for lane in range(lanes):
+                single = bias_increment(prob, states[lane], 0.6)
+                assert isinstance(single, float)
+                assert got[lane] == single == reference_bias_increment(prob, states[lane], 0.6)
+
+    def test_two_leading_axes(self):
+        states = np.random.default_rng(2).standard_normal((2, 3, 4, 2))
+        for prob in lane_problems(4, 2, seed=5):
+            spreads, biases = dispersion(states, 0.9), bias_increment(prob, states, 0.9)
+            assert spreads.shape == biases.shape == (2, 3)
+            for a in range(2):
+                for b in range(3):
+                    assert spreads[a, b] == dispersion(states[a, b], 0.9)
+                    assert biases[a, b] == bias_increment(prob, states[a, b], 0.9)
+
+    def test_lane_row_count_must_match_machines(self):
+        prob = heterogeneous_quadratic(3, 2, seed=1)
+        with pytest.raises(ValueError, match="machine"):
+            bias_increment(prob, np.zeros((4, 2, 2)), alpha=1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 33])
+    def test_squared_norms_match_dot_and_norm(self, d):
+        vecs = np.random.default_rng(d).standard_normal((40, d)) * np.logspace(-150, 150, 40)[:, None]
+        got = squared_norms(vecs)
+        for vec, value in zip(vecs, got):
+            assert value == vec @ vec
+            assert np.sqrt(value) == np.linalg.norm(vec)
 
 
 class TestExcessLoss:

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slowcal_lab import cli
+from slowcal_lab import cli, runner
 from slowcal_lab.data import serialize_idx_images, serialize_idx_labels
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble
 from slowcal_lab.runner import (
@@ -200,6 +201,14 @@ class TestBuildProblem:
 
 
 class TestRunExperiment:
+    def test_overflowed_output_excess_is_inf(self, tmp_path):
+        spec = spec_from_dict(base_config(lr="fixed:1e200", x0="ones:3"))
+        summary = run_experiment(spec, out_dir=tmp_path)
+        assert summary.any_diverged
+        manifest = json.loads(summary.manifest_path.read_text())
+        assert len(manifest["output_excess"]) == 4
+        assert all(v == math.inf for v in manifest["output_excess"].values())
+
     def test_csv_and_manifest_contract(self, tmp_path):
         spec = spec_from_dict(base_config())
         summary = run_experiment(spec, out_dir=tmp_path)
@@ -221,9 +230,10 @@ class TestRunExperiment:
 
         manifest = json.loads(summary.manifest_path.read_text())
         assert set(manifest) == {
-            "spec", "csv_columns", "created_utc", "resolved_lr",
+            "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
             "problem_metadata", "package_version", "warnings",
         }
+        assert set(manifest["output_excess"]) == {row["run_id"] for row in rows}
         assert manifest["csv_columns"] == CSV_COLUMNS
         assert manifest["resolved_lr"] == {"minibatch-M2-K2": 0.05, "local-M2-K2": 0.05}
         assert set(manifest["problem_metadata"]["M2"]) == {
@@ -440,7 +450,7 @@ class TestMnistExperiment:
 
         manifest = json.loads(summary.manifest_path.read_text())
         assert set(manifest) == {
-            "spec", "csv_columns", "created_utc", "resolved_lr",
+            "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
             "reference", "test_metrics", "package_version", "warnings",
         }
         ref = manifest["reference"]["M2"]
@@ -526,6 +536,30 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "divergence" in capsys.readouterr().err
+
+    def test_failed_pool_cell_cancels_cells_not_started(self, tmp_path, monkeypatch):
+        # the first of 12 cells fails at once and each other cell takes a
+        # while; the error must not wait for the cells that had not started
+        log = tmp_path / "started.txt"
+        real_run_cell = runner._run_cell
+
+        def run_cell(spec, problem, algorithm, m, k):
+            with log.open("a") as handle:
+                handle.write(f"{algorithm}-M{m}-K{k}\n")
+            if k == 1:
+                raise RuntimeError("cell failed")
+            time.sleep(0.5)
+            return real_run_cell(spec, problem, algorithm, m, k)
+
+        # pool workers are forked, so they inherit the patched name
+        monkeypatch.setattr(runner, "_run_cell", run_cell)
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", "2")
+        cfg = base_config(algorithm=["local"], local_steps=list(range(1, 13)), seeds=[0])
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_experiment(spec_from_dict(cfg), out_dir=tmp_path / "out")
+        started = log.read_text().splitlines()
+        assert "local-M2-K1" in started
+        assert len(started) < 12
 
     def test_all_diverged_grid_exits_1_on_the_pool(self, tmp_path, capsys, monkeypatch):
         cfg = base_config(algorithm=["local", "minibatch"], lr="grid:[1000000.0]",
