@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,13 +29,18 @@ from slowcal_lab import load_spec, run_experiment
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "speedup.json"
 
 
-def tuned_output_means(spec, output_excess: dict[str, float]) -> dict:
+def tuned_output_means(spec, output_excess: dict[str, float | None]) -> dict:
     """Mean excess at x_output per (algorithm, machine count), over the
-    seeds, from the manifest's {run_id: excess} map."""
+    seeds, from the manifest's {run_id: excess} map, where null marks a
+    non-finite excess."""
     k = spec.local_steps[0]
     kind = spec.problem["kind"]
+
+    def excess(run_id: str) -> float:
+        value = output_excess[run_id]
+        return math.inf if value is None else value
     return {
-        (name, m): float(np.mean([output_excess[f"{name}-{kind}-M{m}-K{k}-s{seed}"]
+        (name, m): float(np.mean([excess(f"{name}-{kind}-M{m}-K{k}-s{seed}")
                                   for seed in spec.seeds]))
         for m in spec.machines for name in spec.algorithms
     }

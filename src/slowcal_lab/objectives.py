@@ -335,16 +335,13 @@ class LogisticEnsemble:
         """grad f at x of shape (..., d), one lane at a time over any leading
         (lane) axes."""
         x = np.asarray(x)
-        if x.ndim == 1:
-            return self._mean_gradient(x)
-        rows = [self._mean_gradient(p) for p in x.reshape(-1, self.dim)]
+        rows = []
+        for point in x.reshape(-1, self.dim):
+            acc = np.zeros(self.dim)
+            for i in range(self.num_machines):
+                acc += self.exact_gradient(i, point)
+            rows.append(acc / self.num_machines)
         return np.stack(rows).reshape(x.shape)
-
-    def _mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.dim)
-        for i in range(self.num_machines):
-            acc += self.exact_gradient(i, x)
-        return acc / self.num_machines
 
     def _example_gradient(self, machine: int, example: int, w: np.ndarray) -> np.ndarray:
         mat = self._matrix(w)

@@ -549,7 +549,8 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     write the outputs; ``manifest_extra(outputs)`` gives the kind-specific
     manifest entries from the {run_id: output point} map. The manifest's
     ``output_excess`` holds each run's excess loss at its output point
-    (+inf when not finite); the CSV's is at the round-end consensus point."""
+    (null when not finite, so the file stays strict JSON); the CSV's is at
+    the round-end consensus point."""
     jobs = _env_jobs()
     warnings = _theory_warnings(spec)
     cells = [(algorithm, m, k) for algorithm in spec.algorithms
@@ -557,7 +558,7 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     rows: list[dict] = []
     resolved_lr: dict[str, float] = {}
     outputs: dict[str, np.ndarray] = {}
-    output_excess: dict[str, float] = {}
+    output_excess: dict[str, float | None] = {}
     any_diverged = False
     for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged) in zip(
             cells, _cell_results(spec, problems, cells, jobs)):
@@ -567,7 +568,7 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
         with np.errstate(over="ignore", invalid="ignore"):
             for run_id, x in cell_outputs.items():
                 excess = excess_loss(problems[m], x)
-                output_excess[run_id] = excess if math.isfinite(excess) else math.inf
+                output_excess[run_id] = excess if math.isfinite(excess) else None
         any_diverged = any_diverged or diverged
     rows.sort(key=lambda row: (row["algorithm"], row["M"], row["K"], row["seed"], row["round"]))
     extra = {

@@ -11,8 +11,10 @@ from slowcal_lab.metrics import (
     momentum_residual,
     squared_norms,
 )
-from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
+from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM
+
+from lane_cases import LANE_SHAPES, lane_problems
 
 
 class TestDispersion:
@@ -65,25 +67,6 @@ class TestBiasIncrement:
         prob = QuadraticEnsemble(np.array([[[1.0]], [[2.0]]]), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="machine"):
             bias_increment(prob, np.zeros((3, 1)), alpha=1.0)
-
-
-# (lanes, machines, d); logistic d = num_classes * feature_dim, so d >= 2 there
-LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (5, 8, 2), (3, 4, 6),
-               (6, 16, 20)]
-
-
-def lane_problems(m, d, seed):
-    problems = [heterogeneous_quadratic(m, d, seed=seed)]
-    if d % 2 == 0:
-        rng = np.random.default_rng(seed)
-        sizes = [1 + 2 * i % 5 for i in range(m)]
-        problems.append(LogisticEnsemble(
-            features=tuple(rng.standard_normal((n, d // 2)) for n in sizes),
-            labels=tuple(rng.integers(0, 2, n) for n in sizes),
-            num_classes=2,
-            l2=0.2,
-        ))
-    return problems
 
 
 def reference_dispersion(pts, alpha):

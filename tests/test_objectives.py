@@ -14,6 +14,8 @@ from slowcal_lab.objectives import (
     heterogeneous_quadratic,
 )
 
+from lane_cases import LANE_SHAPES, lane_problems
+
 
 def two_machine_quadratic(sigma=0.0):
     # f_0 at center (3, 0) with curvature diag(2, 1); f_1 at (0, 3) with diag(1, 2)
@@ -390,39 +392,19 @@ class TestBatchedOracle:
         got = logistic.exact_gradients(pts)
         for i in range(2):
             np.testing.assert_array_equal(got[i], logistic.exact_gradient(i, pts[i]))
-
-
-# (lanes, machines, d); logistic d = num_classes * feature_dim, so d >= 2 there
-LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (5, 8, 2), (3, 4, 6),
-               (6, 16, 20)]
-
-
-def lane_logistic(m: int, d: int, seed: int) -> LogisticEnsemble:
-    """m machines of unequal sizes, two classes over d // 2 features."""
-    rng = np.random.default_rng(seed)
-    sizes = [2 + 3 * i % 7 for i in range(m)]
-    return LogisticEnsemble(
-        features=tuple(rng.standard_normal((n, d // 2)) for n in sizes),
-        labels=tuple(rng.integers(0, 2, n) for n in sizes),
-        num_classes=2,
-        l2=0.1,
-    )
-
-
-def lane_problems(m: int, d: int, seed: int):
-    problems = [heterogeneous_quadratic(m, d, sigma=0.3, seed=seed)]
-    if d % 2 == 0:
-        problems.append(lane_logistic(m, d, seed))
-    return problems
-
-
-class TestLaneAxes:
-    """global_gradient and exact_gradients over (lanes, ...) inputs: every
-    lane's row equals its own single-lane call, and the per-machine oracle,
-    bit for bit."""
+        # with leading lane axes, every lane's rows match too
+        for lanes, m, d in LANE_SHAPES:
+            points = 3.0 * rng.standard_normal((lanes, m, d))
+            for prob in lane_problems(m, d, seed=m):
+                got = prob.exact_gradients(points)
+                assert got.shape == points.shape
+                for lane in range(lanes):
+                    for i in range(m):
+                        np.testing.assert_array_equal(got[lane, i],
+                                                      prob.exact_gradient(i, points[lane, i]))
 
     @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
-    def test_global_gradient_rows_match_single_calls(self, lanes, m, d):
+    def test_global_gradient_lanes_match_single_calls(self, lanes, m, d):
         points = 3.0 * np.random.default_rng(lanes + m + d).standard_normal((lanes, d))
         for prob in lane_problems(m, d, seed=d):
             got = prob.global_gradient(points)
@@ -439,26 +421,3 @@ class TestLaneAxes:
                         want += prob.exact_gradient(i, points[lane])
                     want /= m
                 np.testing.assert_array_equal(single, want)
-
-    @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
-    def test_exact_gradients_rows_match_per_machine(self, lanes, m, d):
-        points = 3.0 * np.random.default_rng(lanes * m * d).standard_normal((lanes, m, d))
-        for prob in lane_problems(m, d, seed=m):
-            got = prob.exact_gradients(points)
-            assert got.shape == points.shape
-            for lane in range(lanes):
-                np.testing.assert_array_equal(got[lane], prob.exact_gradients(points[lane]))
-                for i in range(m):
-                    np.testing.assert_array_equal(got[lane, i],
-                                                  prob.exact_gradient(i, points[lane, i]))
-
-    def test_two_leading_axes(self):
-        points = np.random.default_rng(1).standard_normal((2, 3, 4, 6))
-        for prob in lane_problems(4, 6, seed=3):
-            grads = prob.exact_gradients(points)
-            means = prob.global_gradient(points[:, :, 0])
-            for a in range(2):
-                for b in range(3):
-                    np.testing.assert_array_equal(grads[a, b], prob.exact_gradients(points[a, b]))
-                    np.testing.assert_array_equal(means[a, b],
-                                                  prob.global_gradient(points[a, b, 0]))

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -201,13 +202,14 @@ class TestBuildProblem:
 
 
 class TestRunExperiment:
-    def test_overflowed_output_excess_is_inf(self, tmp_path):
+    def test_overflowed_output_excess_is_null(self, tmp_path):
         spec = spec_from_dict(base_config(lr="fixed:1e200", x0="ones:3"))
         summary = run_experiment(spec, out_dir=tmp_path)
         assert summary.any_diverged
-        manifest = json.loads(summary.manifest_path.read_text())
+        text = summary.manifest_path.read_text()
+        manifest = json.loads(text, parse_constant=pytest.fail)  # strict JSON: no Infinity/NaN
         assert len(manifest["output_excess"]) == 4
-        assert all(v == math.inf for v in manifest["output_excess"].values())
+        assert all(v is None for v in manifest["output_excess"].values())
 
     def test_csv_and_manifest_contract(self, tmp_path):
         spec = spec_from_dict(base_config())
@@ -537,6 +539,8 @@ class TestCli:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "divergence" in capsys.readouterr().err
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the counting wrapper reaches pool workers only when they are forked")
     def test_failed_pool_cell_cancels_cells_not_started(self, tmp_path, monkeypatch):
         # the first of 12 cells fails at once and each other cell takes a
         # while; the error must not wait for the cells that had not started
