@@ -44,8 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     x0 = problem.w_star + args.start_distance * np.ones(dim) / math.sqrt(dim)
     grid = np.logspace(-3, -1, 7)
     seeds = range(args.seeds)
-    template = RunConfig(M=args.machines, K=args.local_steps, R=args.rounds,
-                         eta=1.0, schedule=LINEAR, seed=0, x0=x0)
+    template = RunConfig(K=args.local_steps, R=args.rounds, eta=1.0, schedule=LINEAR,
+                         seed=0, x0=x0)
 
     tuned, tables = {}, {}
     print(f"grid-tuning on eta in [{grid[0]:.0e}, {grid[-1]:.0e}] "
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("slowcal", "local"):
         per_seed = []
         for seed in seeds:
-            cfg = RunConfig(M=args.machines, K=args.local_steps, R=args.rounds,
+            cfg = RunConfig(K=args.local_steps, R=args.rounds,
                             eta=tuned[name], schedule=LINEAR, seed=seed,
                             record_diagnostics=True, x0=x0)
             traj = ALGORITHMS[name](problem, cfg)

@@ -16,12 +16,7 @@ from .algorithms import (
     ServerAnchor,
     StepRecord,
     Trajectory,
-    run_anytime_single,
-    run_local,
     run_lanes,
-    run_local_weighted,
-    run_minibatch,
-    run_slowcal,
 )
 from .data import (
     IdxFormatError,
@@ -49,7 +44,6 @@ from .runner import (
     RunSummary,
     build_problem,
     load_spec,
-    mnist_experiment,
     run_experiment,
     spec_from_dict,
 )
@@ -62,7 +56,6 @@ from .weights import (
     averaging_coeff,
     parse_schedule,
     prefix_weight,
-    schedule_name,
     weight_at,
 )
 
@@ -101,21 +94,14 @@ __all__ = [
     "heterogeneous_quadratic",
     "load_mnist",
     "load_spec",
-    "mnist_experiment",
     "momentum_residual",
     "parse_idx_images",
     "parse_idx_labels",
     "parse_schedule",
     "prefix_weight",
     "rmin",
-    "run_anytime_single",
     "run_experiment",
     "run_lanes",
-    "run_local",
-    "run_local_weighted",
-    "run_minibatch",
-    "run_slowcal",
-    "schedule_name",
     "serialize_idx_images",
     "serialize_idx_labels",
     "spec_from_dict",

@@ -9,7 +9,10 @@ averaging. A method is a small ``Method`` spec (query slot, step weight,
 aggregation, output rule) and ``run_lanes`` is the one engine that runs
 them. It works on (lanes, machines, d) arrays of w and x, where a lane is
 one step size: grid tuning runs every candidate of a seed as the lanes of
-one call, and ``ALGORITHMS[name](problem, cfg)`` is the one-lane call.
+one call, and ``ALGORITHMS[name](problem, cfg)``, built from ``METHODS``,
+is the one-lane call and the way to run a single method. The machine count
+is the ensemble's, so a config carries none (``anytime`` pools every
+machine's draws into one logical worker).
 Stochastic draws are keyed by (seed, machine, round, step) and made once
 per round for all lanes and machines, so a trajectory is a pure function
 of (problem, config) whatever else runs beside it. One recorder keeps the
@@ -47,7 +50,6 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass
 class RunConfig:
-    M: int
     K: int
     R: int
     eta: float
@@ -89,20 +91,13 @@ class Trajectory:
     steps: list[StepRecord] | None = None
 
 
-def _validate(problem, cfg: RunConfig, single_worker: bool = False) -> None:
+def _validate(cfg: RunConfig) -> None:
     if cfg.K < 1 or cfg.R < 1:
         raise ValueError(f"K and R must be >= 1, got K={cfg.K} R={cfg.R}")
     if not (cfg.eta > 0 and math.isfinite(cfg.eta)):
         raise ValueError(f"eta must be a positive finite float, got {cfg.eta}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
-    if single_worker:
-        if cfg.M != 1:
-            raise ValueError(f"this runner drives one logical worker; cfg.M must be 1, got {cfg.M}")
-    elif cfg.M != problem.num_machines:
-        raise ValueError(
-            f"cfg.M={cfg.M} does not match the ensemble's {problem.num_machines} machines"
-        )
 
 
 def _start_point(problem, cfg: RunConfig) -> np.ndarray:
@@ -203,7 +198,15 @@ class _Recorder:
 
 @dataclass(frozen=True)
 class Method:
-    """One method as a specialisation of the shared two-slot recursion.
+    """One method as a specialisation of the shared two-slot recursion:
+
+        w_{t+1} = w_t - eta * alpha_t * g(x_t)
+        x_{t+1} = (1 - gamma_{t+1}) x_t + gamma_{t+1} w_{t+1}
+
+    ``anytime`` is exactly this on one logical worker whose oracle is the
+    machine-averaged stochastic gradient of the ensemble (with sigma=0, the
+    batch gradient of the global objective); the other methods change the
+    fields below.
 
     query      "x": gradients are taken at x, the alpha-weighted running
                average of w; "w": x is tied to w (plain SGD steps)
@@ -242,7 +245,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
     spec = METHODS[method]
     lane_cfgs = [replace(cfg, eta=float(eta)) for eta in etas]
     for lane_cfg in lane_cfgs:
-        _validate(problem, lane_cfg, single_worker=spec.aggregate == "step")
+        _validate(lane_cfg)
     m, k_steps, schedule = problem.num_machines, cfg.K, cfg.schedule
     start = _start_point(problem, cfg)
     copies = m if spec.aggregate == "round" else 1
@@ -336,49 +339,11 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
     return out
 
 
-def run_minibatch(problem, cfg: RunConfig) -> Trajectory:
-    """Synchronous minibatch SGD: one model step per round, each machine
-    contributing the mean of K stochastic gradients at the round anchor."""
-    return run_lanes(problem, "minibatch", cfg, [cfg.eta])[0]
+def _one_lane(name: str):
+    def run(problem, cfg: RunConfig) -> Trajectory:
+        """One run of the method at cfg.eta: the one-lane call of run_lanes."""
+        return run_lanes(problem, name, cfg, [cfg.eta])[0]
+    return run
 
 
-def run_local(problem, cfg: RunConfig, weighted: bool = False) -> Trajectory:
-    """Local SGD: machines run K SGD steps on their own objective, the
-    server averages iterates at round boundaries. The weighted variant
-    scales step t by alpha_t and outputs the alpha-weighted average of the
-    per-step machine means; the plain variant outputs the last anchor."""
-    return run_lanes(problem, "local-weighted" if weighted else "local", cfg, [cfg.eta])[0]
-
-
-def run_local_weighted(problem, cfg: RunConfig) -> Trajectory:
-    return run_local(problem, cfg, weighted=True)
-
-
-def run_anytime_single(problem, cfg: RunConfig) -> Trajectory:
-    """Single-worker query-averaging SGD. The iterate w descends along
-    gradients taken at the running weighted average x of all iterates:
-
-        w_{t+1} = w_t - eta * alpha_t * g(x_t)
-        x_{t+1} = (1 - gamma_{t+1}) x_t + gamma_{t+1} w_{t+1}
-
-    cfg.M must be 1 (one logical worker); the gradient oracle is the
-    machine-averaged stochastic gradient of the ensemble, which with
-    sigma=0 is exactly the batch gradient of the global objective."""
-    return run_lanes(problem, "anytime", cfg, [cfg.eta])[0]
-
-
-def run_slowcal(problem, cfg: RunConfig) -> Trajectory:
-    """Drift-corrected local SGD: every machine runs the query-averaging
-    recursion locally, querying gradients at its running weighted average
-    of iterates instead of at the iterates themselves; the server averages
-    both slots at round boundaries."""
-    return run_lanes(problem, "slowcal", cfg, [cfg.eta])[0]
-
-
-ALGORITHMS = {
-    "minibatch": run_minibatch,
-    "local": run_local,
-    "local-weighted": run_local_weighted,
-    "anytime": run_anytime_single,
-    "slowcal": run_slowcal,
-}
+ALGORITHMS = {name: _one_lane(name) for name in METHODS}

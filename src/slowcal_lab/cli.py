@@ -1,5 +1,9 @@
 """Command-line entry point.
 
+``run`` executes one experiment config, synthetic or MNIST; ``sweep`` and
+``mnist`` are its aliases, and ``--data`` names the MNIST directory of an
+mnist-logistic config.
+
 Exit codes: 0 ok, 1 divergence (any run, or an entirely-diverged grid),
 2 config error, 3 verification failure.
 """
@@ -9,7 +13,7 @@ import argparse
 import sys
 
 from .objectives import DegenerateProblemError
-from .runner import ConfigError, RunSummary, load_spec, mnist_experiment, run_experiment
+from .runner import ConfigError, RunSummary, load_spec, run_experiment
 from .tuning import GridSearchError
 from .verify import verify_suite
 
@@ -22,18 +26,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", aliases=["sweep"],
+    run_p = sub.add_parser("run", aliases=["sweep", "mnist"],
                            help="execute one experiment config (its full cartesian sweep)")
     run_p.add_argument("--config", required=True, help="JSON experiment config")
+    run_p.add_argument("--data", default=None,
+                       help="directory holding the four canonical MNIST IDX files "
+                            "(mnist-logistic configs only)")
     run_p.add_argument("--out", default=None, help="output directory override")
 
     sub.add_parser("verify", help="run the exact-identity self-check suite")
-
-    mnist_p = sub.add_parser("mnist", help="run an MNIST softmax-regression config")
-    mnist_p.add_argument("--config", required=True, help="JSON experiment config")
-    mnist_p.add_argument("--data", default=None,
-                         help="directory holding the four canonical MNIST IDX files")
-    mnist_p.add_argument("--out", default=None, help="output directory override")
     return parser
 
 
@@ -49,11 +50,9 @@ def _report(summary: RunSummary) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "sweep"):
-            return _report(run_experiment(load_spec(args.config), out_dir=args.out))
-        if args.command == "mnist":
-            return _report(mnist_experiment(load_spec(args.config),
-                                            data_dir=args.data, out_dir=args.out))
+        if args.command != "verify":
+            return _report(run_experiment(load_spec(args.config), out_dir=args.out,
+                                          data_dir=args.data))
         report = verify_suite()
         for line in report.lines():
             print(line)

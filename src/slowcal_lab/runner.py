@@ -7,11 +7,12 @@ the fully-resolved spec, the resolved step sizes, and the problem scalars,
 enough to re-run the experiment bit-identically (the wall_ms column and the
 manifest timestamp are the only nondeterministic outputs).
 
-Synthetic and MNIST experiments share one executor. Each machine count's
-problem is built once, in the parent; a cell, one (algorithm, M, K), then
-resolves its step size (fixed, theory or grid search) and runs every seed,
-either in this process or as one task of a process pool that was handed
-the built problems at start.
+``run_experiment`` runs every experiment, synthetic or MNIST, through one
+executor. Each machine count's problem is built once, in the parent; a
+cell, one (algorithm, M, K), then resolves its step size (fixed, theory or
+grid search) and runs every seed, either in this process or as one task of
+a process pool that was handed the built problems at start. Only the
+problem building and the kind-specific manifest entries differ by kind.
 
 Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
 directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
@@ -161,8 +162,10 @@ def _parse_lr_string(text: str, field: str) -> tuple[str, object]:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"field {field!r}: bad grid literal {text!r}") from exc
         if (not isinstance(grid, list) or not grid
-                or not all(isinstance(v, (int, float)) and v > 0 for v in grid)):
-            raise ConfigError(f"field {field!r}: grid must be a nonempty list of positive numbers")
+                or not all(isinstance(v, (int, float)) and v > 0 and math.isfinite(v)
+                           for v in grid)):
+            raise ConfigError(
+                f"field {field!r}: grid must be a nonempty list of positive finite numbers")
         return "grid", [float(v) for v in grid]
     raise ConfigError(
         f"field {field!r} must be 'theory', 'fixed:<v>' or 'grid:[...]', got {text!r}"
@@ -229,6 +232,9 @@ def _resolve_problem(raw, field: str = "problem") -> dict:
         prob["label_skew"] = _as_float(prob["label_skew"], "problem.label_skew")
         if prob["train_limit"] is not None:
             prob["train_limit"] = _as_int(prob["train_limit"], "problem.train_limit")
+            if prob["train_limit"] < 1:
+                raise ConfigError(f"field 'problem.train_limit' must be >= 1, "
+                                  f"got {prob['train_limit']}")
     return prob
 
 
@@ -322,10 +328,10 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 # ------------------------------------------------------------ experiment
 
 def build_problem(problem: dict, num_machines: int):
-    """Construct the ensemble a spec's problem block describes, for one
-    machine count; run_experiment calls it once per machine count. MNIST
-    problems are built by mnist_experiment instead (they need the data
-    directory and a reference optimum)."""
+    """Construct the synthetic ensemble a spec's problem block describes,
+    for one machine count; run_experiment calls it once per machine count.
+    MNIST problems need the data directory and a reference optimum, so
+    run_experiment builds them itself."""
     kind = problem["kind"]
     if kind == "quadratic":
         return heterogeneous_quadratic(
@@ -351,7 +357,8 @@ def build_problem(problem: dict, num_machines: int):
         return LogisticEnsemble.from_datasets(
             datasets, problem["num_classes"], l2=problem["l2"]
         )
-    raise ConfigError(f"cannot build problem kind {kind!r} here; use mnist_experiment")
+    raise ConfigError(f"cannot build problem kind {kind!r} without its data; "
+                      f"run it through run_experiment")
 
 
 def _build_problems(spec: ExperimentSpec, build) -> dict:
@@ -375,11 +382,6 @@ def _resolve_start(x0: str, dim: int) -> np.ndarray:
 
 def _rounds_for(spec: ExperimentSpec, k: int) -> int:
     return spec.rounds if spec.rounds is not None else spec.total_steps // k
-
-
-def _cfg_machines(algorithm: str, m: int) -> int:
-    # the single-worker method batches over the whole ensemble itself
-    return 1 if algorithm == "anytime" else m
 
 
 def _lr_directive(spec: ExperimentSpec, algorithm: str) -> str:
@@ -410,8 +412,8 @@ def _resolve_eta(problem, spec: ExperimentSpec, algorithm: str, m: int, k: int,
             smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
             b0=md.b0, M=m, K=k, R=r_rounds,
         ))
-    template = RunConfig(M=_cfg_machines(algorithm, m), K=k, R=r_rounds, eta=1.0,
-                         schedule=parse_schedule(spec.schedule), seed=0, x0=start)
+    template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=parse_schedule(spec.schedule),
+                         seed=0, x0=start)
     best, _ = grid_search(problem, algorithm, payload, template, spec.seeds)
     return best
 
@@ -454,8 +456,7 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     outputs: dict[str, np.ndarray] = {}
     any_diverged = False
     for seed in spec.seeds:
-        cfg = RunConfig(M=_cfg_machines(algorithm, m), K=k, R=r_rounds, eta=eta,
-                        schedule=schedule, seed=seed,
+        cfg = RunConfig(K=k, R=r_rounds, eta=eta, schedule=schedule, seed=seed,
                         record_diagnostics=spec.diagnostics, x0=start)
         started = time.perf_counter()
         traj = ALGORITHMS[algorithm](problem, cfg)
@@ -591,13 +592,20 @@ def _problem_scalars(problem, spec: ExperimentSpec) -> dict:
     }
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> RunSummary:
+def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
+                   data_dir: str | Path | None = None) -> RunSummary:
     """Execute every (algorithm, machines, local_steps, seed) combination of
-    the spec and persist runs.csv + manifest.json. Synthetic problems only;
-    MNIST goes through mnist_experiment."""
-    if spec.problem["kind"] == "mnist-logistic":
-        raise ConfigError("mnist-logistic specs must run through mnist_experiment / the "
-                          "'mnist' subcommand")
+    the spec and persist runs.csv + manifest.json. ``data_dir`` is the MNIST
+    directory, in place of the config's ``problem.data_dir``; it applies to
+    mnist-logistic specs only. Synthetic manifests add the per-M problem
+    scalars; MNIST ones add the reference optimum and per-run test metrics."""
+    kind = spec.problem["kind"]
+    if kind == "mnist-logistic":
+        problems, manifest_extra = _mnist_problems(spec, data_dir)
+        return _execute(spec, problems, out_dir, manifest_extra)
+    if data_dir is not None:
+        raise ConfigError(f"a data directory applies only to mnist-logistic problems, "
+                          f"not {kind!r}")
     problems = _build_problems(spec, lambda m: build_problem(spec.problem, m))
     # before any cell runs, so pool workers start with the optimum cached
     metadata = {f"M{m}": _problem_scalars(problems[m], spec) for m in spec.machines}
@@ -665,18 +673,13 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     }
 
 
-def mnist_experiment(spec: ExperimentSpec, data_dir: str | Path | None = None,
-                     out_dir: str | Path | None = None) -> RunSummary:
-    """MNIST softmax-regression pipeline: the data is loaded and each
-    machine count's problem built once (Dirichlet label-skew partition,
-    L-BFGS reference optimum for the excess-loss column), then the cells
-    run through the same executor as synthetic experiments, pooled under
-    SLOWCAL_LAB_JOBS. Same CSV contract as synthetic runs; the manifest
-    adds per-run test accuracy/loss at each run's output point."""
+def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
+    """Load the MNIST data and build each machine count's problem once
+    (Dirichlet label-skew partition, L-BFGS reference optimum for the
+    excess-loss column). Returns the problems and the manifest entries as a
+    function of the {run_id: output point} map: each machine count's
+    reference, and per-run test accuracy/loss at each run's output point."""
     prob = spec.problem
-    if prob["kind"] != "mnist-logistic":
-        raise ConfigError(f"mnist_experiment needs problem kind 'mnist-logistic', "
-                          f"got {prob['kind']!r}")
     root = data_dir if data_dir is not None else prob["data_dir"]
     if root is None:
         raise ConfigError("no MNIST directory: set problem.data_dir or pass --data")
@@ -690,8 +693,8 @@ def mnist_experiment(spec: ExperimentSpec, data_dir: str | Path | None = None,
 
     built = _build_problems(spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
     problems = {m: problem for m, (problem, _) in built.items()}
-    return _execute(spec, problems, out_dir, lambda outputs: {
+    return problems, lambda outputs: {
         "reference": {f"M{m}": info for m, (_, info) in built.items()},
         "test_metrics": {run_id: _softmax_test_metrics(x, _MNIST_CLASSES, test_x, test_y)
                          for run_id, x in outputs.items()},
-    })
+    }

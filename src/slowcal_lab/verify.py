@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, weights
-from .algorithms import RunConfig, run_anytime_single, run_local, run_minibatch, run_slowcal
+from .algorithms import ALGORITHMS, RunConfig
 from .objectives import QuadraticEnsemble, heterogeneous_quadratic, LogisticEnsemble
 from .data import synth_clusters
 
@@ -82,9 +82,8 @@ def _check_averaging_law() -> CheckResult:
     worst = 0.0
     for schedule in (weights.UNIFORM, weights.LINEAR):
         problem = _small_quadratic(sigma=0.5)
-        cfg = RunConfig(M=4, K=5, R=6, eta=0.05, schedule=schedule,
-                        seed=7, record_diagnostics=True)
-        traj = run_slowcal(problem, cfg)
+        cfg = RunConfig(K=5, R=6, eta=0.05, schedule=schedule, seed=7, record_diagnostics=True)
+        traj = ALGORITHMS["slowcal"](problem, cfg)
         steps = traj.steps
         for t in range(len(steps) - 1):
             gamma = weights.averaging_coeff(schedule, t)
@@ -98,9 +97,8 @@ def _check_momentum_residual() -> CheckResult:
     worst = 0.0
     problem = _small_quadratic(sigma=0.0)
     for schedule in (weights.UNIFORM, weights.LINEAR):
-        cfg = RunConfig(M=1, K=6, R=10, eta=0.05, schedule=schedule,
-                        seed=5, record_diagnostics=True)
-        traj = run_anytime_single(problem, cfg)
+        cfg = RunConfig(K=6, R=10, eta=0.05, schedule=schedule, seed=5, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](problem, cfg)
         worst = max(worst, metrics.momentum_residual(traj))
     return _leq("momentum-residual", worst, 1e-10)
 
@@ -110,10 +108,9 @@ def _check_reduction_anytime() -> CheckResult:
     single-worker query-averaging method driven by batch gradients."""
     problem = _small_quadratic(sigma=0.0)
     steps = 18
-    slow = run_slowcal(problem, RunConfig(M=4, K=1, R=steps, eta=0.08,
-                                          schedule=weights.LINEAR, seed=0))
-    single = run_anytime_single(problem, RunConfig(M=1, K=1, R=steps, eta=0.08,
-                                                   schedule=weights.LINEAR, seed=0))
+    cfg = RunConfig(K=1, R=steps, eta=0.08, schedule=weights.LINEAR, seed=0)
+    slow = ALGORITHMS["slowcal"](problem, cfg)
+    single = ALGORITHMS["anytime"](problem, cfg)
     worst = float(np.linalg.norm(slow.x_output - single.x_output))
     for a, b in zip(slow.anchors, single.anchors):
         worst = max(worst, float(np.linalg.norm(a.x - b.x)),
@@ -127,8 +124,8 @@ def _check_reduction_gd() -> CheckResult:
     homogeneous = QuadraticEnsemble(
         shared.curvatures, np.tile(shared.centers[0], (shared.num_machines, 1)), 0.0
     )
-    cfg = RunConfig(M=4, K=5, R=8, eta=0.1, schedule=weights.UNIFORM, seed=0)
-    traj = run_local(homogeneous, cfg)
+    cfg = RunConfig(K=5, R=8, eta=0.1, schedule=weights.UNIFORM, seed=0)
+    traj = ALGORITHMS["local"](homogeneous, cfg)
     x = np.zeros(homogeneous.dim)
     for _ in range(cfg.K * cfg.R):
         x = x - cfg.eta * homogeneous.global_gradient(x)
@@ -139,10 +136,9 @@ def _check_reduction_gd() -> CheckResult:
 def _check_reduction_minibatch_step0() -> CheckResult:
     """All methods agree on the first anchor when started together."""
     problem = _small_quadratic(sigma=0.0)
-    slow = run_slowcal(problem, RunConfig(M=4, K=1, R=1, eta=0.07,
-                                          schedule=weights.UNIFORM, seed=0))
-    mini = run_minibatch(problem, RunConfig(M=4, K=1, R=1, eta=0.07,
-                                            schedule=weights.UNIFORM, seed=0))
+    cfg = RunConfig(K=1, R=1, eta=0.07, schedule=weights.UNIFORM, seed=0)
+    slow = ALGORITHMS["slowcal"](problem, cfg)
+    mini = ALGORITHMS["minibatch"](problem, cfg)
     worst = float(np.linalg.norm(slow.anchors[1].w - mini.anchors[1].x))
     return _leq("reduction-minibatch-step0", worst, 1e-12)
 
@@ -151,8 +147,8 @@ def _check_zero_bias_shared() -> CheckResult:
     """Shared curvature cancels the query bias identically: the recorded
     bias increments of a noisy drift-corrected run are float dust."""
     problem = _small_quadratic(sigma=0.4, curvature="shared", seed=9)
-    cfg = RunConfig(M=4, K=6, R=8, eta=0.05, schedule=weights.LINEAR, seed=3)
-    traj = run_slowcal(problem, cfg)
+    cfg = RunConfig(K=6, R=8, eta=0.05, schedule=weights.LINEAR, seed=3)
+    traj = ALGORITHMS["slowcal"](problem, cfg)
     worst = max(rm.v_increment for rm in traj.rounds)
     return _leq("zero-bias-shared", worst, 1e-12)
 
@@ -200,9 +196,8 @@ def _check_certificate() -> CheckResult:
     problem = _small_quadratic(sigma=0.0)
     worst = 0.0
     for schedule in (weights.UNIFORM, weights.LINEAR):
-        cfg = RunConfig(M=1, K=8, R=10, eta=0.05, schedule=schedule,
-                        seed=0, record_diagnostics=True)
-        traj = run_anytime_single(problem, cfg)
+        cfg = RunConfig(K=8, R=10, eta=0.05, schedule=schedule, seed=0, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](problem, cfg)
         running = 0.0
         for t, rec in enumerate(traj.steps):
             lhs = weights.prefix_weight(schedule, t) * (

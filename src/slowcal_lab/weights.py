@@ -67,12 +67,6 @@ def parse_schedule(text: str) -> WeightSchedule:
     raise ValueError(f"unknown schedule {text!r}, expected uniform | linear | poly:<p>")
 
 
-def schedule_name(schedule: WeightSchedule) -> str:
-    if schedule.kind == "polynomial":
-        return f"poly:{schedule.power:g}"
-    return schedule.kind
-
-
 def _check_step(t: int) -> int:
     step = int(t)
     if step < 0:

@@ -141,7 +141,7 @@ def ordering_runs():
     started = time.perf_counter()
     prob = ordering_problem()
     x0 = prob.w_star + 30.0 * np.ones(20) / math.sqrt(20.0)
-    template = RunConfig(M=8, K=16, R=50, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
+    template = RunConfig(K=16, R=50, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
 
     tuned, final = {}, {}
     for name in ("slowcal", "local", "minibatch"):
@@ -153,7 +153,7 @@ def ordering_runs():
     for name in ("slowcal", "local"):
         per_seed = []
         for seed in SEEDS:
-            cfg = RunConfig(M=8, K=16, R=50, eta=tuned[name], schedule=LINEAR,
+            cfg = RunConfig(K=16, R=50, eta=tuned[name], schedule=LINEAR,
                             seed=seed, record_diagnostics=True, x0=x0)
             traj = ALGORITHMS[name](prob, cfg)
             tail = [rm.dispersion_q for rm in traj.rounds[38:]]
@@ -200,8 +200,7 @@ def speedup_ratios():
             m, 20, curvature="per-machine", eig_range=(0.02, 0.08),
             center_spread=0.0, sigma=5.0, seed=0,
         )
-        template = RunConfig(M=m, K=8, R=40, eta=1.0, schedule=LINEAR,
-                             seed=0, x0=x0)
+        template = RunConfig(K=8, R=40, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
         for name in means:
             best, table = grid_search(prob, name, SPEEDUP_GRID, template, SEEDS)
             means[name][m] = float(np.mean(table[best]))
@@ -285,14 +284,12 @@ class TestMnistOrdering:
         accuracy = {}
         for k in (4, 64):
             rounds = total_steps // k
-            template = RunConfig(M=16, K=k, R=rounds, eta=1.0,
-                                 schedule=LINEAR, seed=0)
+            template = RunConfig(K=k, R=rounds, eta=1.0, schedule=LINEAR, seed=0)
             for name in ("slowcal", "local", "minibatch"):
                 best, _ = grid_search(prob, name, [0.01, 0.1], template, (0, 1, 2))
                 accs = []
                 for seed in (0, 1, 2):
-                    cfg = RunConfig(M=16, K=k, R=rounds, eta=best,
-                                    schedule=LINEAR, seed=seed)
+                    cfg = RunConfig(K=k, R=rounds, eta=best, schedule=LINEAR, seed=seed)
                     traj = ALGORITHMS[name](prob, cfg)
                     accs.append(_accuracy(traj.x_output, test_x, test_y))
                 accuracy[(name, k)] = float(np.mean(accs))

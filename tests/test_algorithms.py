@@ -6,16 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import (
-    ALGORITHMS,
-    RunConfig,
-    run_anytime_single,
-    run_local,
-    run_local_weighted,
-    run_lanes,
-    run_minibatch,
-    run_slowcal,
-)
+from slowcal_lab.algorithms import ALGORITHMS, RunConfig, run_lanes
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM, averaging_coeff, prefix_weight, weight_at
@@ -41,7 +32,7 @@ class TestHandTraces:
         #   t=0: g=-1,    w: 0 -> 0.1,    gamma=1/2, x: 0 -> 0.05
         #   t=1: g=-0.95, w: 0.1 -> 0.195, gamma=1/3, x -> (2/3)0.05 + (1/3)0.195
         prob = scalar_problem()
-        traj = run_slowcal(prob, RunConfig(M=1, K=2, R=1, eta=0.1, schedule=UNIFORM))
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, eta=0.1, schedule=UNIFORM))
         assert traj.anchors[1].w[0] == pytest.approx(0.195, rel=1e-15)
         assert traj.anchors[1].x[0] == pytest.approx(59.0 / 600.0, rel=1e-15)
         assert traj.x_output[0] == traj.anchors[1].x[0]
@@ -50,7 +41,7 @@ class TestHandTraces:
         # mirrored centers drive exactly mirrored slots; the ascending mean
         # at every boundary is exactly 0.0, not just close
         prob = symmetric_pair()
-        traj = run_slowcal(prob, RunConfig(M=2, K=3, R=2, eta=0.1, schedule=LINEAR))
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, eta=0.1, schedule=LINEAR))
         for anchor in traj.anchors[1:]:
             assert anchor.w[0] == 0.0 and anchor.x[0] == 0.0
         assert traj.x_output[0] == 0.0
@@ -58,15 +49,15 @@ class TestHandTraces:
     def test_local_single_machine_two_steps(self):
         # x: 0 -> 0.1 -> 0.1 + 0.1*0.9 = 0.19; plain local outputs the anchor
         prob = scalar_problem()
-        traj = run_local(prob, RunConfig(M=1, K=2, R=1, eta=0.1))
+        traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, eta=0.1))
         assert traj.anchors[1].x[0] == pytest.approx(0.19, rel=1e-15)
         assert traj.x_output[0] == traj.anchors[1].x[0]
 
     def test_minibatch_two_rounds_and_anchor_average_output(self):
         # f = 0.5 x^2 from 1: anchors 0.9, 0.81; output their mean 0.855
         prob = scalar_problem(center=0.0)
-        traj = run_minibatch(
-            prob, RunConfig(M=1, K=4, R=2, eta=0.1, x0=np.array([1.0]))
+        traj = ALGORITHMS["minibatch"](
+            prob, RunConfig(K=4, R=2, eta=0.1, x0=np.array([1.0]))
         )
         assert traj.anchors[1].x[0] == pytest.approx(0.9, rel=1e-15)
         assert traj.anchors[2].x[0] == pytest.approx(0.81, rel=1e-15)
@@ -76,8 +67,8 @@ class TestHandTraces:
         # f = 0.5 x^2, eta=0.5, from 1: w 1 -> 0.5 -> 0.125,
         # x 1 -> 0.75 -> (2/3)0.75 + (1/3)0.125 = 13/24
         prob = scalar_problem(center=0.0)
-        traj = run_anytime_single(
-            prob, RunConfig(M=1, K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]))
+        traj = ALGORITHMS["anytime"](
+            prob, RunConfig(K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]))
         )
         assert traj.anchors[1].w[0] == pytest.approx(0.125, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(13.0 / 24.0, rel=1e-15)
@@ -85,8 +76,8 @@ class TestHandTraces:
     def test_anytime_linear_first_step(self):
         # gamma_1 = 2/3 under linear weights: x_1 = (1/3)*1 + (2/3)*0.5 = 2/3
         prob = scalar_problem(center=0.0)
-        traj = run_anytime_single(
-            prob, RunConfig(M=1, K=1, R=1, eta=0.5, schedule=LINEAR, x0=np.array([1.0]))
+        traj = ALGORITHMS["anytime"](
+            prob, RunConfig(K=1, R=1, eta=0.5, schedule=LINEAR, x0=np.array([1.0]))
         )
         assert traj.x_output[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
@@ -96,9 +87,9 @@ class TestReductions:
         # with K=1 on a single machine the round boundary is a no-op, so the
         # drift-corrected loop is the query-averaging recursion step for step
         prob = scalar_problem(sigma=0.4)
-        cfg = RunConfig(M=1, K=1, R=18, eta=0.08, schedule=LINEAR, seed=5)
-        slow = run_slowcal(prob, cfg)
-        anytime = run_anytime_single(prob, cfg)
+        cfg = RunConfig(K=1, R=18, eta=0.08, schedule=LINEAR, seed=5)
+        slow = ALGORITHMS["slowcal"](prob, cfg)
+        anytime = ALGORITHMS["anytime"](prob, cfg)
         for a, b in zip(slow.anchors, anytime.anchors):
             np.testing.assert_allclose(a.x, b.x, atol=1e-12)
             np.testing.assert_allclose(a.w, b.w, atol=1e-12)
@@ -111,8 +102,8 @@ class TestReductions:
         mats = np.tile(shared.curvatures, (5, 1, 1))
         centers = np.tile(shared.centers, (5, 1))
         prob = QuadraticEnsemble(mats, centers)
-        cfg = RunConfig(M=5, K=4, R=6, eta=0.15)
-        traj = run_local(prob, cfg)
+        cfg = RunConfig(K=4, R=6, eta=0.15)
+        traj = ALGORITHMS["local"](prob, cfg)
         x = np.zeros(4)
         for _ in range(cfg.K * cfg.R):
             x = x - cfg.eta * prob.global_gradient(x)
@@ -122,17 +113,17 @@ class TestReductions:
         # K=1: every machine queries the shared start, so the first server w
         # equals the first minibatch iterate, noise draws included
         prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=6)
-        cfg = RunConfig(M=3, K=1, R=1, eta=0.07, seed=8)
-        slow = run_slowcal(prob, cfg)
-        mini = run_minibatch(prob, cfg)
+        cfg = RunConfig(K=1, R=1, eta=0.07, seed=8)
+        slow = ALGORITHMS["slowcal"](prob, cfg)
+        mini = ALGORITHMS["minibatch"](prob, cfg)
         np.testing.assert_allclose(slow.anchors[1].w, mini.anchors[1].x, atol=1e-12)
 
     def test_anytime_follows_weighted_gradient_recursion(self):
         # sigma=0: the machine-averaged oracle is the global gradient, so the
         # recorded run must satisfy the two-slot recursion exactly
         prob = heterogeneous_quadratic(3, 4, seed=7)
-        cfg = RunConfig(M=1, K=5, R=4, eta=0.1, schedule=LINEAR, record_diagnostics=True)
-        traj = run_anytime_single(prob, cfg)
+        cfg = RunConfig(K=5, R=4, eta=0.1, schedule=LINEAR, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg)
         w = np.zeros(4)
         x = np.zeros(4)
         for t in range(cfg.K * cfg.R):
@@ -148,9 +139,8 @@ class TestAveragingLaw:
         # recorded machine means obey x_{t+1} = (1-gamma) x_t + gamma w_{t+1}
         # across every step, round boundaries included
         prob = heterogeneous_quadratic(3, 5, sigma=0.5, seed=10)
-        cfg = RunConfig(M=3, K=4, R=5, eta=0.05, schedule=schedule,
-                        seed=1, record_diagnostics=True)
-        traj = run_slowcal(prob, cfg)
+        cfg = RunConfig(K=4, R=5, eta=0.05, schedule=schedule, seed=1, record_diagnostics=True)
+        traj = ALGORITHMS["slowcal"](prob, cfg)
         steps = traj.steps
         for t in range(len(steps) - 1):
             gamma = averaging_coeff(schedule, steps[t].t)
@@ -160,9 +150,8 @@ class TestAveragingLaw:
 
     def test_local_weighted_output_is_weighted_mean_of_step_means(self):
         prob = heterogeneous_quadratic(2, 3, sigma=0.3, seed=11)
-        cfg = RunConfig(M=2, K=3, R=4, eta=0.05, schedule=LINEAR,
-                        seed=2, record_diagnostics=True)
-        traj = run_local_weighted(prob, cfg)
+        cfg = RunConfig(K=3, R=4, eta=0.05, schedule=LINEAR, seed=2, record_diagnostics=True)
+        traj = ALGORITHMS["local-weighted"](prob, cfg)
         total = cfg.K * cfg.R
         acc = np.zeros(3)
         for rec in traj.steps:
@@ -177,8 +166,8 @@ class TestCertificate:
         # 0 <= prefix(t) (f(x_t) - f*) <= sum_{tau<=t} alpha_tau <g_tau, w_tau - w*>
         # with w_tau taken before its update; pure convexity, any step size
         prob = heterogeneous_quadratic(4, 6, eig_range=(0.4, 1.2), seed=12)
-        cfg = RunConfig(M=1, K=6, R=8, eta=0.3, schedule=LINEAR, record_diagnostics=True)
-        traj = run_anytime_single(prob, cfg)
+        cfg = RunConfig(K=6, R=8, eta=0.3, schedule=LINEAR, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg)
         running = 0.0
         for rec in traj.steps:
             lhs = prefix_weight(LINEAR, rec.t) * excess_loss(prob, rec.x_mean)
@@ -193,26 +182,26 @@ class TestCertificate:
 class TestDeterminismAndShape:
     def test_stochastic_run_is_bitwise_reproducible(self):
         prob = heterogeneous_quadratic(3, 4, sigma=1.0, seed=13)
-        cfg = RunConfig(M=3, K=4, R=5, eta=0.05, seed=3)
-        a = run_slowcal(prob, cfg)
-        b = run_slowcal(prob, cfg)
+        cfg = RunConfig(K=4, R=5, eta=0.05, seed=3)
+        a = ALGORITHMS["slowcal"](prob, cfg)
+        b = ALGORITHMS["slowcal"](prob, cfg)
         np.testing.assert_array_equal(a.x_output, b.x_output)
         for ra, rb in zip(a.rounds, b.rounds):
             assert ra == rb
 
     def test_diagnostics_do_not_change_the_trajectory(self):
         prob = heterogeneous_quadratic(3, 4, sigma=1.0, seed=14)
-        plain = RunConfig(M=3, K=4, R=5, eta=0.05, seed=4)
-        probed = RunConfig(M=3, K=4, R=5, eta=0.05, seed=4, record_diagnostics=True)
-        for runner in (run_slowcal, run_local, run_minibatch):
-            a, b = runner(prob, plain), runner(prob, probed)
+        plain = RunConfig(K=4, R=5, eta=0.05, seed=4)
+        probed = RunConfig(K=4, R=5, eta=0.05, seed=4, record_diagnostics=True)
+        for name in ("slowcal", "local", "minibatch"):
+            a, b = ALGORITHMS[name](prob, plain), ALGORITHMS[name](prob, probed)
             np.testing.assert_array_equal(a.x_output, b.x_output)
             assert a.steps is None and b.steps is not None
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_round_and_anchor_bookkeeping(self, name):
         prob = heterogeneous_quadratic(3, 4, sigma=0.2, seed=15)
-        cfg = RunConfig(M=1 if name == "anytime" else 3, K=4, R=6, eta=0.01, seed=5)
+        cfg = RunConfig(K=4, R=6, eta=0.01, seed=5)
         traj = ALGORITHMS[name](prob, cfg)
         assert len(traj.rounds) == cfg.R
         assert len(traj.anchors) == cfg.R + 1
@@ -222,11 +211,10 @@ class TestDeterminismAndShape:
 
     def test_different_seeds_differ(self):
         prob = heterogeneous_quadratic(2, 3, sigma=1.0, seed=16)
-        base = RunConfig(M=2, K=3, R=3, eta=0.05, seed=0)
-        other = RunConfig(M=2, K=3, R=3, eta=0.05, seed=1)
-        assert not np.array_equal(
-            run_slowcal(prob, base).x_output, run_slowcal(prob, other).x_output
-        )
+        base = RunConfig(K=3, R=3, eta=0.05, seed=0)
+        other = RunConfig(K=3, R=3, eta=0.05, seed=1)
+        run = ALGORITHMS["slowcal"]
+        assert not np.array_equal(run(prob, base).x_output, run(prob, other).x_output)
 
 
 class TestDivergence:
@@ -234,8 +222,8 @@ class TestDivergence:
         # eta=3 on f=0.5 x^2 doubles the iterate each round; excess crosses
         # the 1e6 x initial threshold at round 9 and stays frozen after
         prob = scalar_problem(center=0.0)
-        traj = run_minibatch(
-            prob, RunConfig(M=1, K=1, R=15, eta=3.0, x0=np.array([1.0]))
+        traj = ALGORITHMS["minibatch"](
+            prob, RunConfig(K=1, R=15, eta=3.0, x0=np.array([1.0]))
         )
         assert traj.diverged
         assert len(traj.rounds) == 15
@@ -249,8 +237,8 @@ class TestDivergence:
 
     def test_overflowing_run_records_inf_never_nan(self):
         prob = scalar_problem(center=0.0)
-        for runner in (run_minibatch, run_local, run_slowcal):
-            traj = runner(prob, RunConfig(M=1, K=3, R=8, eta=1e8, x0=np.array([1.0])))
+        for name in ("minibatch", "local", "slowcal"):
+            traj = ALGORITHMS[name](prob, RunConfig(K=3, R=8, eta=1e8, x0=np.array([1.0])))
             assert traj.diverged
             for rec in traj.rounds:
                 for value in (rec.excess_loss, rec.grad_norm, rec.dispersion_q,
@@ -261,8 +249,8 @@ class TestDivergence:
         # starting 1e3 from the optimum scales the threshold accordingly;
         # a mildly contracting run must not trip it
         prob = scalar_problem(center=0.0)
-        traj = run_local(
-            prob, RunConfig(M=1, K=2, R=10, eta=0.01, x0=np.array([1e3]))
+        traj = ALGORITHMS["local"](
+            prob, RunConfig(K=2, R=10, eta=0.01, x0=np.array([1e3]))
         )
         assert not traj.diverged
 
@@ -271,32 +259,25 @@ class TestValidation:
     def test_bad_shape_counts_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            run_local(prob, RunConfig(M=2, K=0, R=1, eta=0.1))
+            ALGORITHMS["local"](prob, RunConfig(K=0, R=1, eta=0.1))
         with pytest.raises(ValueError):
-            run_local(prob, RunConfig(M=2, K=1, R=0, eta=0.1))
-        with pytest.raises(ValueError):
-            run_local(prob, RunConfig(M=3, K=1, R=1, eta=0.1))
+            ALGORITHMS["local"](prob, RunConfig(K=1, R=0, eta=0.1))
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, math.inf, math.nan])
     def test_bad_eta_rejected(self, eta):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            run_slowcal(prob, RunConfig(M=2, K=1, R=1, eta=eta))
+            ALGORITHMS["slowcal"](prob, RunConfig(K=1, R=1, eta=eta))
 
     def test_negative_seed_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            run_minibatch(prob, RunConfig(M=2, K=1, R=1, eta=0.1, seed=-1))
-
-    def test_anytime_requires_single_logical_worker(self):
-        prob = heterogeneous_quadratic(2, 3, seed=17)
-        with pytest.raises(ValueError, match="M must be 1"):
-            run_anytime_single(prob, RunConfig(M=2, K=1, R=1, eta=0.1))
+            ALGORITHMS["minibatch"](prob, RunConfig(K=1, R=1, eta=0.1, seed=-1))
 
     def test_wrong_x0_shape_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError, match="x0"):
-            run_local(prob, RunConfig(M=2, K=1, R=1, eta=0.1, x0=np.zeros(4)))
+            ALGORITHMS["local"](prob, RunConfig(K=1, R=1, eta=0.1, x0=np.zeros(4)))
 
 
 def small_logistic():
@@ -340,8 +321,8 @@ class TestLanes:
             etas, x0 = [0.05, 1e3, 0.2], np.ones(4)
         else:
             prob, etas, x0 = small_logistic(), [0.1, 1e9, 1.0], None
-        cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=3, R=5, eta=1.0,
-                        schedule=LINEAR, seed=2, record_diagnostics=True, x0=x0)
+        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=2, record_diagnostics=True,
+                        x0=x0)
         lanes = run_lanes(prob, algorithm, cfg, etas)
         assert lanes[1].diverged and not lanes[0].diverged
         for eta, lane in zip(etas, lanes):
@@ -349,9 +330,9 @@ class TestLanes:
 
     def test_no_lanes_no_trajectories(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
-        assert run_lanes(prob, "slowcal", RunConfig(M=2, K=1, R=2, eta=1.0), []) == []
+        assert run_lanes(prob, "slowcal", RunConfig(K=1, R=2, eta=1.0), []) == []
 
     def test_every_lane_is_validated(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
         with pytest.raises(ValueError, match="eta"):
-            run_lanes(prob, "local", RunConfig(M=2, K=1, R=2, eta=0.1), [0.1, -1.0])
+            run_lanes(prob, "local", RunConfig(K=1, R=2, eta=0.1), [0.1, -1.0])

@@ -3,7 +3,7 @@ momentum-form residual on recorded trajectories."""
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import RunConfig, StepRecord, Trajectory, run_anytime_single
+from slowcal_lab.algorithms import ALGORITHMS, RunConfig, StepRecord, Trajectory
 from slowcal_lab.metrics import (
     bias_increment,
     dispersion,
@@ -146,9 +146,8 @@ class TestMomentumResidual:
     @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["exact", "noisy"])
     def test_recorded_run_satisfies_momentum_form(self, schedule, sigma):
         prob = heterogeneous_quadratic(3, 4, eig_range=(0.4, 1.2), sigma=sigma, seed=9)
-        cfg = RunConfig(M=1, K=6, R=10, eta=0.05, schedule=schedule, seed=2,
-                        record_diagnostics=True)
-        traj = run_anytime_single(prob, cfg)
+        cfg = RunConfig(K=6, R=10, eta=0.05, schedule=schedule, seed=2, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg)
         assert momentum_residual(traj) <= 1e-10
 
     def test_missing_step_records_rejected(self):

@@ -21,7 +21,6 @@ from slowcal_lab.runner import (
     ExperimentSpec,
     build_problem,
     load_spec,
-    mnist_experiment,
     run_experiment,
     spec_from_dict,
 )
@@ -127,11 +126,17 @@ class TestSpecParsing:
     @pytest.mark.parametrize(
         "bad",
         ["adaptive", "fixed:-1", "fixed:xyz", "fixed:inf",
-         "grid:[]", "grid:[0.1, -2]", "grid:nonsense"],
+         "grid:[]", "grid:[0.1, -2]", "grid:nonsense", "grid:[0.1, Infinity]", "grid:[1e400]"],
     )
     def test_bad_lr_strings(self, bad):
         with pytest.raises(ConfigError):
             spec_from_dict(base_config(lr=bad))
+
+    @pytest.mark.parametrize("limit", [0, -55])
+    def test_train_limit_must_be_positive(self, limit):
+        # a negative limit would slice from the end and train on the wrong examples
+        with pytest.raises(ConfigError, match="train_limit"):
+            spec_from_dict(base_config(problem={"kind": "mnist-logistic", "train_limit": limit}))
 
     def test_lr_mapping_must_cover_every_algorithm(self):
         with pytest.raises(ConfigError, match="missing algorithm"):
@@ -197,7 +202,7 @@ class TestBuildProblem:
 
     def test_mnist_is_rejected_here(self):
         spec = spec_from_dict(base_config(problem={"kind": "mnist-logistic"}))
-        with pytest.raises(ConfigError, match="mnist_experiment"):
+        with pytest.raises(ConfigError, match="without its data"):
             build_problem(spec.problem, 2)
 
 
@@ -335,15 +340,13 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self, case, tmp_path, monkeypatch):
         # each cell tunes and runs as one pool task; the CSV and the whole
         # manifest (resolved step sizes, MNIST test metrics) match serial
+        data = None
         if case == "mnist-grid":
             data = tmp_path / "data"
             data.mkdir()
             write_idx_dir(data)
             spec = spec_from_dict(mnist_config(
                 algorithm=["local", "slowcal"], lr="grid:[0.01, 0.1]", seeds=[0, 1]))
-
-            def run(out):
-                return mnist_experiment(spec, data_dir=data, out_dir=out)
         else:
             cfg = base_config() if case == "quadratic-fixed" else base_config(
                 problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3,
@@ -352,13 +355,10 @@ class TestRunExperiment:
                 lr="grid:[0.03, 0.3, 30.0]")
             spec = spec_from_dict(cfg)
 
-            def run(out):
-                return run_experiment(spec, out_dir=out)
-
         monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
-        serial = run(tmp_path / "serial")
+        serial = run_experiment(spec, out_dir=tmp_path / "serial", data_dir=data)
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", "2")
-        parallel = run(tmp_path / "parallel")
+        parallel = run_experiment(spec, out_dir=tmp_path / "parallel", data_dir=data)
         assert strip_timing(read_rows(serial.csv_path)) == strip_timing(
             read_rows(parallel.csv_path))
         manifests = [json.loads(s.manifest_path.read_text()) for s in (serial, parallel)]
@@ -387,11 +387,6 @@ class TestRunExperiment:
         rows = read_rows(summary.csv_path)
         assert rows[-1]["diverged"] == "true"
         assert rows[-1]["excess_loss"] == "inf"
-
-    def test_mnist_kind_is_rejected(self, tmp_path):
-        spec = spec_from_dict(base_config(problem={"kind": "mnist-logistic"}))
-        with pytest.raises(ConfigError, match="mnist"):
-            run_experiment(spec, out_dir=tmp_path)
 
 
 class TestSweep:
@@ -436,13 +431,19 @@ def mnist_config(**overrides):
     return cfg
 
 
+MNIST_MANIFEST_KEYS = {
+    "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
+    "reference", "test_metrics", "package_version", "warnings",
+}
+
+
 class TestMnistExperiment:
     def test_full_pipeline_on_synthetic_idx(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
         write_idx_dir(data)
         spec = spec_from_dict(mnist_config())
-        summary = mnist_experiment(spec, data_dir=data, out_dir=tmp_path / "out")
+        summary = run_experiment(spec, out_dir=tmp_path / "out", data_dir=data)
         assert summary.num_runs == 1
 
         rows = read_rows(summary.csv_path)
@@ -451,10 +452,7 @@ class TestMnistExperiment:
         assert all(math.isfinite(float(r["excess_loss"])) for r in rows)
 
         manifest = json.loads(summary.manifest_path.read_text())
-        assert set(manifest) == {
-            "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
-            "reference", "test_metrics", "package_version", "warnings",
-        }
+        assert set(manifest) == MNIST_MANIFEST_KEYS
         ref = manifest["reference"]["M2"]
         assert ref["grad_norm"] <= 1e-4
         assert sum(ref["machine_sizes"]) == 60
@@ -465,7 +463,7 @@ class TestMnistExperiment:
     def test_data_dir_is_required(self, tmp_path):
         spec = spec_from_dict(mnist_config())
         with pytest.raises(ConfigError, match="no MNIST directory"):
-            mnist_experiment(spec, out_dir=tmp_path)
+            run_experiment(spec, out_dir=tmp_path)
 
     def test_missing_idx_file(self, tmp_path):
         data = tmp_path / "data"
@@ -474,7 +472,7 @@ class TestMnistExperiment:
         (data / "t10k-images-idx3-ubyte").unlink()
         spec = spec_from_dict(mnist_config())
         with pytest.raises(ConfigError, match="missing t10k-images"):
-            mnist_experiment(spec, data_dir=data, out_dir=tmp_path / "out")
+            run_experiment(spec, out_dir=tmp_path / "out", data_dir=data)
 
     def test_bad_label_skew_is_a_config_error(self, tmp_path):
         data = tmp_path / "data"
@@ -482,12 +480,14 @@ class TestMnistExperiment:
         write_idx_dir(data)
         spec = spec_from_dict(mnist_config(problem={"kind": "mnist-logistic", "label_skew": 0}))
         with pytest.raises(ConfigError, match="alpha"):
-            mnist_experiment(spec, data_dir=data, out_dir=tmp_path / "out")
+            run_experiment(spec, out_dir=tmp_path / "out", data_dir=data)
 
     def test_rejects_other_kinds(self, tmp_path):
+        # a data directory names MNIST files; with any other kind it is a mistake
         spec = spec_from_dict(base_config())
         with pytest.raises(ConfigError, match="mnist-logistic"):
-            mnist_experiment(spec, data_dir=tmp_path, out_dir=tmp_path)
+            run_experiment(spec, out_dir=tmp_path / "out", data_dir=tmp_path)
+        assert not (tmp_path / "out").exists()
 
 
 class TestShippedConfigs:
@@ -525,6 +525,9 @@ class TestCli:
         path = self.write_config(tmp_path, base_config(x0="ones:nan"))
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "x0" in capsys.readouterr().err
+        path = self.write_config(tmp_path, base_config(lr="grid:[0.1, Infinity]"))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "grid" in capsys.readouterr().err
 
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = base_config(algorithm=["local"], lr="fixed:10", seeds=[0], x0="ones:3")
@@ -606,6 +609,23 @@ class TestCli:
         assert done.returncode == 2, done.stderr
         assert "config error" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["run", "mnist"])
+    def test_mnist_config_runs_with_data(self, tmp_path, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_idx_dir(data)
+        path = self.write_config(tmp_path, mnist_config())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--data", str(data), "--out", str(out)]) == 0
+        assert set(json.loads((out / "manifest.json").read_text())) == MNIST_MANIFEST_KEYS
+
+    def test_data_with_a_synthetic_config_exits_2(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, base_config())
+        code = cli.main(["run", "--config", path, "--data", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "mnist-logistic" in capsys.readouterr().err
 
     def test_mnist_without_data_exits_2(self, tmp_path):
         path = self.write_config(tmp_path, mnist_config())

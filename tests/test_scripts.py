@@ -1,6 +1,7 @@
 """The experiment scripts, run end to end on tiny configs."""
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from slowcal_lab import (
     spec_from_dict,
 )
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -57,9 +59,18 @@ def test_speedup_script_reads_output_excess_equal_to_a_replay(tmp_path, capsys):
         for name in ("minibatch", "slowcal"):
             eta = manifest["resolved_lr"][f"{name}-M{m}-K3"]
             for seed in (0, 1, 2):
-                cfg = RunConfig(M=m, K=3, R=6, eta=eta, schedule=parse_schedule(spec.schedule),
+                cfg = RunConfig(K=3, R=6, eta=eta, schedule=parse_schedule(spec.schedule),
                                 seed=seed, x0=x0)
                 traj = ALGORITHMS[name](problem, cfg)
                 replayed[f"{name}-quadratic-M{m}-K3-s{seed}"] = excess_loss(problem, traj.x_output)
     # bitwise, after the JSON round trip
     assert manifest["output_excess"] == replayed
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(math.isfinite(float(v)) for v in printed)

@@ -73,7 +73,7 @@ class TestTheoreticalLr:
 class TestGridSearch:
     def test_singleton_grid_returns_that_step(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
-        cfg = RunConfig(M=2, K=2, R=3, eta=1.0)
+        cfg = RunConfig(K=2, R=3, eta=1.0)
         best, table = grid_search(prob, "local", [0.05], cfg, seeds=[0])
         assert best == 0.05
         assert set(table) == {0.05}
@@ -82,7 +82,7 @@ class TestGridSearch:
         # few-round regime: the one-step-per-round method needs the large
         # step, the drift-corrected method prefers the small one
         prob = heterogeneous_quadratic(4, 6, sigma=0.5, center_spread=1.0, seed=3)
-        cfg = RunConfig(M=4, K=4, R=10, eta=1.0)
+        cfg = RunConfig(K=4, R=10, eta=1.0)
         best_mini, _ = grid_search(prob, "minibatch", [0.01, 0.1], cfg, seeds=[0, 1])
         best_slow, _ = grid_search(prob, "slowcal", [0.01, 0.1], cfg, seeds=[0, 1])
         assert best_mini == 0.1
@@ -90,13 +90,13 @@ class TestGridSearch:
 
     def test_score_table_has_one_entry_per_seed(self):
         prob = heterogeneous_quadratic(2, 3, sigma=0.4, seed=2)
-        cfg = RunConfig(M=2, K=2, R=3, eta=1.0)
+        cfg = RunConfig(K=2, R=3, eta=1.0)
         _, table = grid_search(prob, "slowcal", [0.01, 0.02], cfg, seeds=[0, 1, 2])
         assert all(len(scores) == 3 for scores in table.values())
 
     def test_ties_break_toward_the_smaller_step(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
-        cfg = RunConfig(M=2, K=2, R=2, eta=1.0)
+        cfg = RunConfig(K=2, R=2, eta=1.0)
         best, _ = grid_search(
             prob, "local", [0.2, 0.01, 0.05], cfg, seeds=[0], score_fn=lambda p, t: 1.0
         )
@@ -104,7 +104,7 @@ class TestGridSearch:
 
     def test_custom_score_fn_changes_the_winner(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
-        cfg = RunConfig(M=2, K=2, R=2, eta=1.0)
+        cfg = RunConfig(K=2, R=2, eta=1.0)
         grid = [0.01, 0.05, 0.2]
         low, _ = grid_search(prob, "local", grid, cfg, seeds=[0],
                              score_fn=lambda p, t: t.eta)
@@ -114,26 +114,26 @@ class TestGridSearch:
 
     def test_diverged_candidates_are_skipped(self):
         prob = QuadraticEnsemble(np.array([[[1.0]]]), np.zeros((1, 1)))
-        cfg = RunConfig(M=1, K=1, R=15, eta=1.0, x0=np.array([1.0]))
+        cfg = RunConfig(K=1, R=15, eta=1.0, x0=np.array([1.0]))
         best, table = grid_search(prob, "minibatch", [0.1, 1e6], cfg, seeds=[0])
         assert best == 0.1
         assert table[1e6] == [math.inf]
 
     def test_all_diverged_raises_naming_the_grid(self):
         prob = QuadraticEnsemble(np.array([[[1.0]]]), np.zeros((1, 1)))
-        cfg = RunConfig(M=1, K=1, R=15, eta=1.0, x0=np.array([1.0]))
+        cfg = RunConfig(K=1, R=15, eta=1.0, x0=np.array([1.0]))
         with pytest.raises(GridSearchError, match="1000000"):
             grid_search(prob, "minibatch", [1e6, 1e7], cfg, seeds=[0])
 
     def test_empty_grid_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
         with pytest.raises(ValueError, match="empty"):
-            grid_search(prob, "local", [], RunConfig(M=2, K=1, R=1, eta=1.0), seeds=[0])
+            grid_search(prob, "local", [], RunConfig(K=1, R=1, eta=1.0), seeds=[0])
 
     def test_unknown_algorithm_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            grid_search(prob, "sgd", [0.1], RunConfig(M=2, K=1, R=1, eta=1.0), seeds=[0])
+            grid_search(prob, "sgd", [0.1], RunConfig(K=1, R=1, eta=1.0), seeds=[0])
 
 
 class TestRoundFloors:
@@ -168,8 +168,7 @@ def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
     """Lanes share draws, but the table and the winner are those of calling
     each runner once per (candidate, seed), diverging candidates included."""
     prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=5)
-    cfg = RunConfig(M=1 if algorithm == "anytime" else 3, K=3, R=6, eta=1.0,
-                    schedule=parse_schedule(schedule), x0=np.ones(4))
+    cfg = RunConfig(K=3, R=6, eta=1.0, schedule=parse_schedule(schedule), x0=np.ones(4))
     grid, seeds = [50.0, 0.001, 0.01, 0.1], [0, 1, 2]
     best, table = grid_search(prob, algorithm, grid, cfg, seeds)
 

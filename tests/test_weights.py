@@ -11,7 +11,6 @@ from slowcal_lab.weights import (
     averaging_coeff,
     parse_schedule,
     prefix_weight,
-    schedule_name,
     weight_at,
 )
 
@@ -82,7 +81,6 @@ class TestParsing:
         assert schedule.kind == kind
         if kind == "polynomial":
             assert schedule.power == power
-        assert parse_schedule(schedule_name(schedule)) == schedule
 
     @pytest.mark.parametrize("bad", ["", "quadratic", "poly:", "poly:abc", "linear2"])
     def test_parse_rejects_junk(self, bad):
