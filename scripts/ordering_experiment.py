@@ -2,9 +2,9 @@
 """Convergence-ordering experiment on a flat-spectrum heterogeneous quadratic.
 
 Each parameter-server method is tuned on the same log grid of step sizes and
-scored by mean final excess loss over the run seeds; the two local-update
-methods are then replayed at their tuned step with diagnostics on to compare
-the final-quarter query dispersion. The default constants match the
+scored by mean final excess loss over the run seeds; the tuned runs the grid
+search keeps then give the two local-update methods' final-quarter query
+dispersion. The default constants match the
 acceptance fixture: a spectrum flat enough that the unweighted baselines
 cannot contract the initial distance within the step budget, which is the
 regime where query averaging visibly wins.
@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from slowcal_lab import ALGORITHMS, LINEAR, RunConfig, grid_search, heterogeneous_quadratic
+from slowcal_lab import LINEAR, RunConfig, grid_search, heterogeneous_quadratic
+from slowcal_lab.algorithms import ROUND_COLUMNS
 
 METHODS = ("slowcal", "local", "minibatch")
 
@@ -47,28 +48,20 @@ def main(argv: list[str] | None = None) -> int:
     template = RunConfig(K=args.local_steps, R=args.rounds, eta=1.0, schedule=LINEAR,
                          seed=0, x0=x0)
 
-    tuned, tables = {}, {}
+    results = {}
     print(f"grid-tuning on eta in [{grid[0]:.0e}, {grid[-1]:.0e}] "
           f"({len(grid)} points, {args.seeds} seeds)")
     for name in METHODS:
-        best, table = grid_search(problem, name, grid, template, seeds)
-        tuned[name] = best
-        tables[name] = table
-        print(f"  {name:<10} eta={best:<10.4g} "
-              f"mean final excess = {np.mean(table[best]):.4g}")
+        result = results[name] = grid_search(problem, name, grid, template, seeds)
+        print(f"  {name:<10} eta={result.eta:<10.4g} "
+              f"mean final excess = {np.mean(result.table[result.eta]):.4g}")
 
     quarter_start = math.ceil(0.75 * args.rounds)
+    column = ROUND_COLUMNS.index("dispersion_q")
     dispersion = {}
     for name in ("slowcal", "local"):
-        per_seed = []
-        for seed in seeds:
-            cfg = RunConfig(K=args.local_steps, R=args.rounds,
-                            eta=tuned[name], schedule=LINEAR, seed=seed,
-                            record_diagnostics=True, x0=x0)
-            traj = ALGORITHMS[name](problem, cfg)
-            per_seed.append(np.mean([rm.dispersion_q
-                                     for rm in traj.rounds[quarter_start:]]))
-        dispersion[name] = float(np.mean(per_seed))
+        dispersion[name] = float(np.mean([np.mean(run.values[quarter_start:, column])
+                                          for run in results[name].runs]))
         print(f"  {name:<10} final-quarter query dispersion = {dispersion[name]:.4g}")
 
     ratio = dispersion["local"] / dispersion["slowcal"]
@@ -82,10 +75,10 @@ def main(argv: list[str] | None = None) -> int:
             writer = csv.writer(handle)
             writer.writerow(["algorithm", "eta", "seed", "final_excess", "tuned"])
             for name in METHODS:
-                for eta, scores in sorted(tables[name].items()):
+                for eta, scores in sorted(results[name].table.items()):
                     for seed, score in zip(seeds, scores):
                         writer.writerow([name, eta, seed, score,
-                                         "true" if eta == tuned[name] else "false"])
+                                         "true" if eta == results[name].eta else "false"])
         print(f"wrote {path}")
     return 0
 

@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .algorithms import (
     ALGORITHMS,
+    PackedRun,
     RunConfig,
     ServerAnchor,
     StepRecord,
@@ -47,7 +48,7 @@ from .runner import (
     run_experiment,
     spec_from_dict,
 )
-from .tuning import GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
+from .tuning import GridResult, GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
 from .verify import CheckResult, VerifyReport, verify_suite
 from .weights import (
     LINEAR,
@@ -65,12 +66,14 @@ __all__ = [
     "ConfigError",
     "DegenerateProblemError",
     "ExperimentSpec",
+    "GridResult",
     "GridSearchError",
     "IdxFormatError",
     "LINEAR",
     "LabeledDataset",
     "LogisticEnsemble",
     "LrInputs",
+    "PackedRun",
     "Partition",
     "ProblemMetadata",
     "QuadraticEnsemble",

@@ -20,7 +20,8 @@ records of every lane of a call, and each round close and step record
 measures all live lanes in one batched pass (``metrics.dispersion`` and
 ``bias_increment`` and the ensembles' ``global_gradient`` take lane axes;
 ``global_value`` stays one call per lane), each lane's values bitwise equal
-to a run of its own.
+to a run of its own. ``Trajectory.pack`` reduces a run to the ``PackedRun``
+the runner writes out: round values in arrays, no anchors or step records.
 
 Conventions shared by every method:
 
@@ -89,6 +90,29 @@ class Trajectory:
     x_output: np.ndarray
     diverged: bool
     steps: list[StepRecord] | None = None
+
+    def pack(self, wall_ms: float) -> "PackedRun":
+        """This run without its anchors and step records."""
+        return PackedRun(
+            np.array([(rm.excess_loss, rm.grad_norm, rm.dispersion_q, rm.v_increment, rm.d_t)
+                      for rm in self.rounds], dtype=np.float64),
+            np.array([rm.diverged for rm in self.rounds], dtype=bool),
+            self.x_output, wall_ms)
+
+
+ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
+
+
+@dataclass
+class PackedRun:
+    """A run reduced to what the runner writes out: its round values as an
+    (R, 5) array in ``ROUND_COLUMNS`` order, each round's divergence flag,
+    the output point, and the wall time charged to the run."""
+
+    values: np.ndarray
+    diverged: np.ndarray
+    x_output: np.ndarray
+    wall_ms: float
 
 
 def _validate(cfg: RunConfig) -> None:

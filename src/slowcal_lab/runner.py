@@ -3,16 +3,19 @@
 A JSON config resolves to an ``ExperimentSpec``; the engine runs the
 cartesian product algorithm x machines x local_steps x seeds, writes one
 long-format ``runs.csv`` row per round, and a ``manifest.json`` that echoes
-the fully-resolved spec, the resolved step sizes, and the problem scalars,
-enough to re-run the experiment bit-identically (the wall_ms column and the
-manifest timestamp are the only nondeterministic outputs).
+the fully-resolved spec, the resolved step sizes with each grid's score
+table, and the problem scalars, enough to re-run the experiment
+bit-identically (the wall_ms column and the manifest timestamp are the only
+nondeterministic outputs).
 
 ``run_experiment`` runs every experiment, synthetic or MNIST, through one
 executor. Each machine count's problem is built once, in the parent; a
 cell, one (algorithm, M, K), then resolves its step size (fixed, theory or
-grid search) and runs every seed, either in this process or as one task of
-a process pool that was handed the built problems at start. Only the
-problem building and the kind-specific manifest entries differ by kind.
+grid search) and emits every seed's run, either in this process or as one
+task of a process pool that was handed the built problems at start. A grid
+cell emits the winner's runs that tuning already made; the others run each
+seed. Only the problem building and the kind-specific manifest entries
+differ by kind.
 
 Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
 directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
@@ -28,18 +31,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunConfig
+from .algorithms import ALGORITHMS, PackedRun, RunConfig
 from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
 from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
-from .tuning import LrInputs, grid_search, theoretical_lr
+from .tuning import LrInputs, grid_search, mean_score, theoretical_lr
 from .weights import parse_schedule
 
 CSV_COLUMNS = [
@@ -162,8 +166,8 @@ def _parse_lr_string(text: str, field: str) -> tuple[str, object]:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"field {field!r}: bad grid literal {text!r}") from exc
         if (not isinstance(grid, list) or not grid
-                or not all(isinstance(v, (int, float)) and v > 0 and math.isfinite(v)
-                           for v in grid)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           and v > 0 and math.isfinite(v) for v in grid)):
             raise ConfigError(
                 f"field {field!r}: grid must be a nonempty list of positive finite numbers")
         return "grid", [float(v) for v in grid]
@@ -400,73 +404,66 @@ def _theory_warnings(spec: ExperimentSpec) -> list[str]:
     return [note]
 
 
-def _resolve_eta(problem, spec: ExperimentSpec, algorithm: str, m: int, k: int,
-                 r_rounds: int) -> float:
-    mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
-    if mode == "fixed":
-        return payload
-    start = _resolve_start(spec.x0, problem.dim)
-    if mode == "theory":
-        md = problem.metadata(start)
-        return theoretical_lr(LrInputs(
-            smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
-            b0=md.b0, M=m, K=k, R=r_rounds,
-        ))
-    template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=parse_schedule(spec.schedule),
-                         seed=0, x0=start)
-    best, _ = grid_search(problem, algorithm, payload, template, spec.seeds)
-    return best
+def _timed_run(problem, algorithm: str, cfg: RunConfig) -> PackedRun:
+    started = time.perf_counter()
+    traj = ALGORITHMS[algorithm](problem, cfg)
+    return traj.pack((time.perf_counter() - started) * 1e3)  # drops anchors and step records
 
 
-def _trajectory_rows(traj, run_id: str, problem_name: str, m: int, k: int,
-                     r_rounds: int, seed: int, eta: float, wall_ms: float) -> list[dict]:
-    rows = []
-    for rm in traj.rounds:
-        rows.append({
-            "run_id": run_id,
-            "algorithm": traj.algorithm,
-            "problem": problem_name,
-            "M": m,
-            "K": k,
-            "R": r_rounds,
-            "seed": seed,
-            "round": rm.round,
-            "t": rm.t,
-            "eta": float(eta),
-            "excess_loss": float(rm.excess_loss),
-            "grad_norm": float(rm.grad_norm),
-            "dispersion_q": float(rm.dispersion_q),
-            "v_increment": float(rm.v_increment),
-            "d_t": float(rm.d_t),
-            "diverged": "true" if rm.diverged else "false",
-            "wall_ms": float(wall_ms),
-        })
-    return rows
+def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m: int, k: int,
+              r_rounds: int, seed: int, eta: float) -> list[dict]:
+    eta, wall_ms = float(eta), float(run.wall_ms)
+    return [{"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m, "K": k,
+             "R": r_rounds, "seed": seed, "round": r, "t": (r + 1) * k, "eta": eta,
+             "excess_loss": excess, "grad_norm": grad_norm, "dispersion_q": spread,
+             "v_increment": bias, "d_t": d_t, "diverged": "true" if diverged else "false",
+             "wall_ms": wall_ms}
+            for r, ((excess, grad_norm, spread, bias, d_t), diverged)
+            in enumerate(zip(run.values.tolist(), run.diverged.tolist()))]
 
 
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
-    """One cell, one (algorithm, M, K): resolve its step size, then run
-    every seed. Returns (eta, rows, {run_id: output point}, any diverged)."""
+    """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
+    or grid search), then emit every seed's run. A grid cell emits the
+    winner's runs that the grid search already made, so it runs nothing
+    more, unless the spec asks for diagnostics: the grid runs without step
+    records, so such a cell runs each seed again at the winner. Returns
+    (eta, rows, {run_id: output point}, any diverged, the grid's score table
+    or None)."""
     r_rounds = _rounds_for(spec, k)
-    eta = _resolve_eta(problem, spec, algorithm, m, k, r_rounds)
     kind = spec.problem["kind"]
     schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem.dim)
+    mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
+    runs, table = None, None
+    if mode == "grid":
+        template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=schedule, seed=0, x0=start)
+        tuned = grid_search(problem, algorithm, payload, template, spec.seeds)
+        eta, table = tuned.eta, tuned.table
+        if not spec.diagnostics:
+            runs = tuned.runs
+    elif mode == "theory":
+        md = problem.metadata(start)
+        eta = theoretical_lr(LrInputs(
+            smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
+            b0=md.b0, M=m, K=k, R=r_rounds,
+        ))
+    else:
+        eta = payload
+    if runs is None:  # one run at a time, so each one's step records go before the next
+        runs = (_timed_run(problem, algorithm, RunConfig(
+                    K=k, R=r_rounds, eta=eta, schedule=schedule, seed=seed,
+                    record_diagnostics=spec.diagnostics, x0=start))
+                for seed in spec.seeds)
     rows: list[dict] = []
     outputs: dict[str, np.ndarray] = {}
     any_diverged = False
-    for seed in spec.seeds:
-        cfg = RunConfig(K=k, R=r_rounds, eta=eta, schedule=schedule, seed=seed,
-                        record_diagnostics=spec.diagnostics, x0=start)
-        started = time.perf_counter()
-        traj = ALGORITHMS[algorithm](problem, cfg)
-        wall_ms = (time.perf_counter() - started) * 1e3
+    for seed, run in zip(spec.seeds, runs):
         run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
-        rows.extend(_trajectory_rows(traj, run_id, kind, m, k, r_rounds, seed, eta, wall_ms))
-        outputs[run_id] = traj.x_output
-        any_diverged = any_diverged or traj.diverged
-        del traj  # free its step records before the next seed runs
-    return eta, rows, outputs, any_diverged
+        rows.extend(_run_rows(run, run_id, algorithm, kind, m, k, r_rounds, seed, eta))
+        outputs[run_id] = run.x_output
+        any_diverged = any_diverged or bool(run.diverged[-1])
+    return eta, rows, outputs, any_diverged, table
 
 
 _WORKER: dict = {}  # filled in each pool worker by _start_worker; the parent never reads it
@@ -484,21 +481,36 @@ def _cell_worker(algorithm: str, m: int, k: int):
 
 def _cell_results(spec: ExperimentSpec, problems: dict, cells: list, jobs: int):
     """Yield each cell's result in cell order: run here, or on a pool of
-    ``jobs`` workers when there is more than one job and one cell. When a
-    pooled cell raises, the cells that have not started are cancelled, so
-    the error is not held back until every other cell has run."""
+    ``jobs`` workers when there is more than one job and one cell. At most
+    ``jobs`` pooled cells are in flight at once, refilled as soon as any of
+    them completes, so when one raises, only the cells already running still
+    finish before the error surfaces; the rest never start."""
     if jobs == 1 or len(cells) == 1:
         for algorithm, m, k in cells:
             yield _run_cell(spec, problems[m], algorithm, m, k)
         return
     with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                              initargs=(spec, problems)) as pool:
-        futures = [pool.submit(_cell_worker, *cell) for cell in cells]
+        waiting = iter(enumerate(cells))
+        futures: dict[int, Future] = {}  # cell index -> future, until yielded
+
+        def in_flight() -> list[Future]:
+            return [future for future in futures.values() if not future.done()]
+
+        def refill() -> None:
+            for index, cell in islice(waiting, jobs - len(in_flight())):
+                futures[index] = pool.submit(_cell_worker, *cell)
+
         try:
-            while futures:
-                yield futures.pop(0).result()
+            for index in range(len(cells)):
+                refill()
+                while not futures[index].done():
+                    wait(in_flight(), return_when=FIRST_COMPLETED)
+                    if not futures[index].done():
+                        refill()
+                yield futures.pop(index).result()
         finally:
-            for future in futures:
+            for future in futures.values():
                 future.cancel()
 
 
@@ -544,36 +556,51 @@ def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: list[dict],
     return csv_path, manifest_path
 
 
+def _finite_or_null(value: float) -> float | None:
+    """A manifest number: non-finite values are written as null, so the
+    file stays strict JSON."""
+    return value if math.isfinite(value) else None
+
+
 def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
              manifest_extra) -> RunSummary:
     """Run every cell of the spec, merging each result as it arrives, and
     write the outputs; ``manifest_extra(outputs)`` gives the kind-specific
     manifest entries from the {run_id: output point} map. The manifest's
-    ``output_excess`` holds each run's excess loss at its output point
-    (null when not finite, so the file stays strict JSON); the CSV's is at
-    the round-end consensus point."""
+    ``output_excess`` holds each run's excess loss at its output point (the
+    CSV's is at the round-end consensus point), and ``tuning`` each grid
+    cell's score table: every candidate in ascending order, with its
+    per-seed scores in seed order and their mean. Non-finite numbers in
+    both are written as null."""
     jobs = _env_jobs()
     warnings = _theory_warnings(spec)
     cells = [(algorithm, m, k) for algorithm in spec.algorithms
              for m in spec.machines for k in spec.local_steps]
     rows: list[dict] = []
     resolved_lr: dict[str, float] = {}
+    tuning: dict[str, list[dict]] = {}
     outputs: dict[str, np.ndarray] = {}
     output_excess: dict[str, float | None] = {}
     any_diverged = False
-    for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged) in zip(
+    for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged, table) in zip(
             cells, _cell_results(spec, problems, cells, jobs)):
-        resolved_lr[f"{algorithm}-M{m}-K{k}"] = eta
+        cell = f"{algorithm}-M{m}-K{k}"
+        resolved_lr[cell] = eta
+        if table is not None:
+            tuning[cell] = [
+                {"eta": candidate, "scores": [_finite_or_null(v) for v in scores],
+                 "mean": _finite_or_null(mean_score(scores))}
+                for candidate, scores in table.items()]
         rows.extend(cell_rows)
         outputs.update(cell_outputs)
         with np.errstate(over="ignore", invalid="ignore"):
             for run_id, x in cell_outputs.items():
-                excess = excess_loss(problems[m], x)
-                output_excess[run_id] = excess if math.isfinite(excess) else None
+                output_excess[run_id] = _finite_or_null(excess_loss(problems[m], x))
         any_diverged = any_diverged or diverged
     rows.sort(key=lambda row: (row["algorithm"], row["M"], row["K"], row["seed"], row["round"]))
     extra = {
         "resolved_lr": resolved_lr,
+        "tuning": tuning,
         "output_excess": output_excess,
         **manifest_extra(outputs),
         "package_version": _package_version(),

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
-from .algorithms import ALGORITHMS, RunConfig, run_lanes
+from .algorithms import ALGORITHMS, PackedRun, RunConfig, run_lanes
 from .metrics import excess_loss
 
 
@@ -51,14 +52,33 @@ def theoretical_lr(inp: LrInputs) -> float:
     return eta
 
 
+@dataclass(frozen=True)
+class GridResult:
+    """A grid search's outcome: the winning step size, every candidate's
+    per-seed scores, and the winner's runs, one per seed in seed order."""
+
+    eta: float
+    table: dict[float, list[float]]
+    runs: list[PackedRun]
+
+
+def mean_score(scores: list[float]) -> float:
+    """A candidate's tuning score: the plain mean of its per-seed scores."""
+    return sum(scores) / len(scores)
+
+
 def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
-                score_fn=None) -> tuple[float, dict[float, list[float]]]:
+                score_fn=None) -> GridResult:
     """Tune eta by mean score over seeds (default score: final excess loss at
     the output point; diverged runs score +inf). Ties break toward the
-    smaller step size. Returns (best_eta, per-eta per-seed score table).
+    smaller step size.
 
     Each seed runs every candidate as one lane of a single batched run on
-    the same draws; the scores equal those of one run per step size."""
+    the same draws; the scores equal those of one run per step size, and
+    the winner's runs equal its own runs at that step size, so they need no
+    replay. Each kept run is charged the seed's batched call time divided
+    by its lane count. A candidate drops its runs as soon as it scores +inf
+    on a seed, since it can no longer win."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     candidates = sorted({float(v) for v in grid})
@@ -69,19 +89,28 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
             return excess_loss(prob, traj.x_output)
 
     table: dict[float, list[float]] = {eta: [] for eta in candidates}
+    kept: dict[float, list[PackedRun]] = {eta: [] for eta in candidates}
     for seed in seeds:
+        started = time.perf_counter()
         lanes = run_lanes(problem, algorithm, replace(cfg, seed=int(seed)), candidates)
-        for eta, traj in zip(candidates, lanes):
+        wall_ms = (time.perf_counter() - started) * 1e3 / len(candidates)
+        for j, eta in enumerate(candidates):
+            traj, lanes[j] = lanes[j], None  # its anchors and steps go once it is scored
             value = math.inf if traj.diverged else float(score_fn(problem, traj))
-            table[eta].append(value if math.isfinite(value) else math.inf)
+            if not math.isfinite(value):
+                value = math.inf
+                kept.pop(eta, None)
+            elif eta in kept:
+                kept[eta].append(traj.pack(wall_ms))
+            table[eta].append(value)
     best_eta, best_mean = None, math.inf
     for eta, scores in table.items():
-        mean = sum(scores) / len(scores)
+        mean = mean_score(scores)
         if mean < best_mean:
             best_eta, best_mean = eta, mean
     if best_eta is None:
         raise GridSearchError(f"every step size diverged on grid {candidates}")
-    return best_eta, table
+    return GridResult(best_eta, table, kept[best_eta])
 
 
 _RMIN_METHODS = ("minibatch", "accelerated-minibatch", "local", "slowcal")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import ALGORITHMS, RunConfig
+from slowcal_lab.algorithms import ROUND_COLUMNS, RunConfig
 from slowcal_lab.data import LabeledDataset, dirichlet_partition, load_mnist
 from slowcal_lab.objectives import LogisticEnsemble, heterogeneous_quadratic
 from slowcal_lab.tuning import grid_search, rmin
@@ -131,7 +131,7 @@ def ordering_problem():
 @pytest.fixture(scope="module")
 def ordering_runs():
     """Grid-tune each method on the flat-spectrum heterogeneous ensemble,
-    then replay the tuned runs with diagnostics for the dispersion record.
+    and read the dispersion record from the tuned runs the search keeps.
 
     The spectrum is deliberately flat: no step size on the pinned grid lets
     the unweighted baselines contract the initial distance within the step
@@ -143,22 +143,15 @@ def ordering_runs():
     x0 = prob.w_star + 30.0 * np.ones(20) / math.sqrt(20.0)
     template = RunConfig(K=16, R=50, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
 
-    tuned, final = {}, {}
+    tuned, final, quarter = {}, {}, {}
+    dispersion = ROUND_COLUMNS.index("dispersion_q")
     for name in ("slowcal", "local", "minibatch"):
-        best, table = grid_search(prob, name, ORDERING_GRID, template, SEEDS)
-        tuned[name] = best
-        final[name] = float(np.mean(table[best]))
-
-    quarter = {}
-    for name in ("slowcal", "local"):
-        per_seed = []
-        for seed in SEEDS:
-            cfg = RunConfig(K=16, R=50, eta=tuned[name], schedule=LINEAR,
-                            seed=seed, record_diagnostics=True, x0=x0)
-            traj = ALGORITHMS[name](prob, cfg)
-            tail = [rm.dispersion_q for rm in traj.rounds[38:]]
-            per_seed.append(float(np.mean(tail)))
-        quarter[name] = float(np.mean(per_seed))
+        result = grid_search(prob, name, ORDERING_GRID, template, SEEDS)
+        tuned[name] = result.eta
+        final[name] = float(np.mean(result.table[result.eta]))
+        # the winner's runs are its own runs at the tuned step size
+        quarter[name] = float(np.mean([np.mean(run.values[38:, dispersion])
+                                       for run in result.runs]))
 
     return {
         "tuned": tuned,
@@ -202,8 +195,8 @@ def speedup_ratios():
         )
         template = RunConfig(K=8, R=40, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
         for name in means:
-            best, table = grid_search(prob, name, SPEEDUP_GRID, template, SEEDS)
-            means[name][m] = float(np.mean(table[best]))
+            result = grid_search(prob, name, SPEEDUP_GRID, template, SEEDS)
+            means[name][m] = float(np.mean(result.table[result.eta]))
     ratios = {name: means[name][8] / means[name][16] for name in means}
     return {"ratios": ratios, "elapsed": time.perf_counter() - started}
 
@@ -286,12 +279,8 @@ class TestMnistOrdering:
             rounds = total_steps // k
             template = RunConfig(K=k, R=rounds, eta=1.0, schedule=LINEAR, seed=0)
             for name in ("slowcal", "local", "minibatch"):
-                best, _ = grid_search(prob, name, [0.01, 0.1], template, (0, 1, 2))
-                accs = []
-                for seed in (0, 1, 2):
-                    cfg = RunConfig(K=k, R=rounds, eta=best, schedule=LINEAR, seed=seed)
-                    traj = ALGORITHMS[name](prob, cfg)
-                    accs.append(_accuracy(traj.x_output, test_x, test_y))
+                result = grid_search(prob, name, [0.01, 0.1], template, (0, 1, 2))
+                accs = [_accuracy(run.x_output, test_x, test_y) for run in result.runs]
                 accuracy[(name, k)] = float(np.mean(accs))
 
         # ordering is asserted only in the many-local-steps regime; with few

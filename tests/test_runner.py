@@ -7,13 +7,16 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slowcal_lab import cli, runner
+from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig
 from slowcal_lab.data import serialize_idx_images, serialize_idx_labels
+from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble
 from slowcal_lab.runner import (
     CSV_COLUMNS,
@@ -24,7 +27,8 @@ from slowcal_lab.runner import (
     run_experiment,
     spec_from_dict,
 )
-from slowcal_lab.tuning import LrInputs, theoretical_lr
+from slowcal_lab.tuning import LrInputs, grid_search, theoretical_lr
+from slowcal_lab.weights import parse_schedule
 
 
 def base_config(**overrides):
@@ -126,7 +130,8 @@ class TestSpecParsing:
     @pytest.mark.parametrize(
         "bad",
         ["adaptive", "fixed:-1", "fixed:xyz", "fixed:inf",
-         "grid:[]", "grid:[0.1, -2]", "grid:nonsense", "grid:[0.1, Infinity]", "grid:[1e400]"],
+         "grid:[]", "grid:[0.1, -2]", "grid:nonsense", "grid:[0.1, Infinity]", "grid:[1e400]",
+         "grid:[true, 0.1]"],
     )
     def test_bad_lr_strings(self, bad):
         with pytest.raises(ConfigError):
@@ -237,9 +242,10 @@ class TestRunExperiment:
 
         manifest = json.loads(summary.manifest_path.read_text())
         assert set(manifest) == {
-            "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
+            "spec", "csv_columns", "created_utc", "resolved_lr", "tuning", "output_excess",
             "problem_metadata", "package_version", "warnings",
         }
+        assert manifest["tuning"] == {}
         assert set(manifest["output_excess"]) == {row["run_id"] for row in rows}
         assert manifest["csv_columns"] == CSV_COLUMNS
         assert manifest["resolved_lr"] == {"minibatch-M2-K2": 0.05, "local-M2-K2": 0.05}
@@ -389,6 +395,112 @@ class TestRunExperiment:
         assert rows[-1]["excess_loss"] == "inf"
 
 
+GRID_CASES = {
+    "quadratic-diverging-candidate": base_config(
+        problem={"kind": "quadratic", "dim": 4, "sigma": 0.5, "problem_seed": 2},
+        algorithm=["minibatch", "local", "slowcal"], machines=[2, 3], local_steps=[2],
+        rounds=6, lr="grid:[0.1, 1000.0, 0.01]", x0="ones:2", seeds=[0, 1]),
+    "logistic-unequal-machines": base_config(
+        problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
+                 "label_skew": 0.3, "problem_seed": 1},
+        algorithm=["minibatch", "local-weighted"], machines=[3], local_steps=[2, 3],
+        rounds=4, lr="grid:[0.03, 0.3, 3.0]", seeds=[0, 1]),
+    "duplicate-unsorted-seeds": base_config(
+        algorithm=["anytime", "slowcal"], lr="grid:[0.02, 0.2]", seeds=[3, 1, 1]),
+    "diagnostics": base_config(
+        algorithm=["local", "slowcal"], lr="grid:[0.02, 0.2]", diagnostics=True),
+}
+
+
+def one_run_per_seed(spec):
+    """What a grid-tuned experiment must write, from one direct grid_search
+    call per cell and one ALGORITHMS call per seed at its winner: the CSV
+    rows without wall_ms, resolved_lr, output_excess and the tuning table."""
+    kind = spec.problem["kind"]
+    rows, resolved, excess, tuning = [], {}, {}, {}
+    for algorithm in spec.algorithms:
+        for m in spec.machines:
+            problem = build_problem(spec.problem, m)
+            x0 = (np.zeros(problem.dim) if spec.x0 == "zeros"
+                  else float(spec.x0[len("ones:"):]) * np.ones(problem.dim)
+                  / math.sqrt(problem.dim))
+            for k in spec.local_steps:
+                cfg = RunConfig(K=k, R=spec.rounds, eta=1.0,
+                                schedule=parse_schedule(spec.schedule), x0=x0)
+                tuned = grid_search(problem, algorithm, json.loads(spec.lr[len("grid:"):]),
+                                    cfg, spec.seeds)
+                cell = f"{algorithm}-M{m}-K{k}"
+                resolved[cell] = tuned.eta
+                tuning[cell] = [
+                    {"eta": eta, "scores": [v if math.isfinite(v) else None for v in scores],
+                     "mean": sum(scores) / len(scores)
+                     if math.isfinite(sum(scores)) else None}
+                    for eta, scores in tuned.table.items()]
+                for seed in spec.seeds:
+                    traj = ALGORITHMS[algorithm](problem, replace(
+                        cfg, eta=tuned.eta, seed=seed, record_diagnostics=spec.diagnostics))
+                    run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
+                    value = excess_loss(problem, traj.x_output)
+                    excess[run_id] = value if math.isfinite(value) else None
+                    rows.extend({
+                        "run_id": run_id, "algorithm": algorithm, "problem": kind,
+                        "M": str(m), "K": str(k), "R": str(spec.rounds), "seed": str(seed),
+                        "round": str(rm.round), "t": str(rm.t), "eta": repr(tuned.eta),
+                        **{column: repr(float(getattr(rm, column))) for column in (
+                            "excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")},
+                        "diverged": "true" if rm.diverged else "false",
+                    } for rm in traj.rounds)
+    rows.sort(key=lambda row: (row["algorithm"], int(row["M"]), int(row["K"]),
+                               int(row["seed"]), int(row["round"])))
+    return rows, resolved, excess, tuning
+
+
+class TestGridCells:
+    """A grid cell emits the winner's runs that its grid search made, with
+    no replay (unless diagnostics are on); the outputs must be those of
+    running each seed on its own at the resolved step size."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_outputs_equal_one_run_per_seed(self, case, jobs, tmp_path, monkeypatch):
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
+        spec = spec_from_dict(GRID_CASES[case])
+        summary = run_experiment(spec, out_dir=tmp_path)
+        rows, resolved, excess, _ = one_run_per_seed(spec)
+        assert strip_timing(read_rows(summary.csv_path)) == rows
+        manifest = json.loads(summary.manifest_path.read_text())
+        assert manifest["resolved_lr"] == resolved
+        assert manifest["output_excess"] == excess
+        assert all(float(row["wall_ms"]) > 0 for row in read_rows(summary.csv_path))
+
+    def test_cases_cover_what_they_name(self):
+        quadratic = spec_from_dict(GRID_CASES["quadratic-diverging-candidate"])
+        _, _, _, tuning = one_run_per_seed(quadratic)
+        assert all(entry["scores"] == [None, None] for table in tuning.values()
+                   for entry in table if entry["eta"] == 1000.0)
+        logistic = spec_from_dict(GRID_CASES["logistic-unequal-machines"])
+        sizes = [len(labels) for labels in build_problem(logistic.problem, 3).labels]
+        assert len(set(sizes)) > 1
+        outputs = {METHODS[name].output for name in logistic.algorithms}
+        assert outputs == {"anchor-mean", "weighted-mean"}
+
+    def test_tuning_table_equals_grid_search_and_is_strict_json(self, tmp_path):
+        spec = spec_from_dict(GRID_CASES["quadratic-diverging-candidate"])
+        summary = run_experiment(spec, out_dir=tmp_path)
+        manifest = json.loads(summary.manifest_path.read_text(), parse_constant=pytest.fail)
+        _, _, _, tuning = one_run_per_seed(spec)
+        assert manifest["tuning"] == tuning
+        assert set(manifest["tuning"]) == set(manifest["resolved_lr"])
+
+    def test_only_grid_cells_have_a_tuning_table(self, tmp_path):
+        spec = spec_from_dict(base_config(lr={"minibatch": "fixed:0.05",
+                                              "local": "grid:[0.01, 0.1]"}))
+        manifest = json.loads(run_experiment(spec, out_dir=tmp_path)
+                              .manifest_path.read_text())
+        assert set(manifest["tuning"]) == {"local-M2-K2"}
+        assert [entry["eta"] for entry in manifest["tuning"]["local-M2-K2"]] == [0.01, 0.1]
+
+
 class TestSweep:
     def test_cartesian_product(self, tmp_path):
         spec = spec_from_dict(base_config(
@@ -432,7 +544,7 @@ def mnist_config(**overrides):
 
 
 MNIST_MANIFEST_KEYS = {
-    "spec", "csv_columns", "created_utc", "resolved_lr", "output_excess",
+    "spec", "csv_columns", "created_utc", "resolved_lr", "tuning", "output_excess",
     "reference", "test_metrics", "package_version", "warnings",
 }
 
@@ -528,6 +640,10 @@ class TestCli:
         path = self.write_config(tmp_path, base_config(lr="grid:[0.1, Infinity]"))
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "grid" in capsys.readouterr().err
+        path = self.write_config(tmp_path, base_config(lr="grid:[true, 0.1]"))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "grid" in err and "'lr'" in err
 
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = base_config(algorithm=["local"], lr="fixed:10", seeds=[0], x0="ones:3")
@@ -546,7 +662,8 @@ class TestCli:
                         reason="the counting wrapper reaches pool workers only when they are forked")
     def test_failed_pool_cell_cancels_cells_not_started(self, tmp_path, monkeypatch):
         # the first of 12 cells fails at once and each other cell takes a
-        # while; the error must not wait for the cells that had not started
+        # while; the error must not wait for the cells that had not started,
+        # and no more than `jobs` cells are ever in flight
         log = tmp_path / "started.txt"
         real_run_cell = runner._run_cell
 
@@ -560,13 +677,14 @@ class TestCli:
 
         # pool workers are forked, so they inherit the patched name
         monkeypatch.setattr(runner, "_run_cell", run_cell)
-        monkeypatch.setenv("SLOWCAL_LAB_JOBS", "2")
+        jobs = 2
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", str(jobs))
         cfg = base_config(algorithm=["local"], local_steps=list(range(1, 13)), seeds=[0])
         with pytest.raises(RuntimeError, match="cell failed"):
             run_experiment(spec_from_dict(cfg), out_dir=tmp_path / "out")
         started = log.read_text().splitlines()
         assert "local-M2-K1" in started
-        assert len(started) < 12
+        assert len(started) <= 2 * jobs
 
     def test_all_diverged_grid_exits_1_on_the_pool(self, tmp_path, capsys, monkeypatch):
         cfg = base_config(algorithm=["local", "minibatch"], lr="grid:[1000000.0]",

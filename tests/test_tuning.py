@@ -74,50 +74,48 @@ class TestGridSearch:
     def test_singleton_grid_returns_that_step(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
         cfg = RunConfig(K=2, R=3, eta=1.0)
-        best, table = grid_search(prob, "local", [0.05], cfg, seeds=[0])
-        assert best == 0.05
-        assert set(table) == {0.05}
+        result = grid_search(prob, "local", [0.05], cfg, seeds=[0])
+        assert result.eta == 0.05
+        assert set(result.table) == {0.05}
+        assert len(result.runs) == 1
 
     def test_two_methods_pick_opposite_ends_of_the_same_grid(self):
         # few-round regime: the one-step-per-round method needs the large
         # step, the drift-corrected method prefers the small one
         prob = heterogeneous_quadratic(4, 6, sigma=0.5, center_spread=1.0, seed=3)
         cfg = RunConfig(K=4, R=10, eta=1.0)
-        best_mini, _ = grid_search(prob, "minibatch", [0.01, 0.1], cfg, seeds=[0, 1])
-        best_slow, _ = grid_search(prob, "slowcal", [0.01, 0.1], cfg, seeds=[0, 1])
-        assert best_mini == 0.1
-        assert best_slow == 0.01
+        assert grid_search(prob, "minibatch", [0.01, 0.1], cfg, seeds=[0, 1]).eta == 0.1
+        assert grid_search(prob, "slowcal", [0.01, 0.1], cfg, seeds=[0, 1]).eta == 0.01
 
     def test_score_table_has_one_entry_per_seed(self):
         prob = heterogeneous_quadratic(2, 3, sigma=0.4, seed=2)
         cfg = RunConfig(K=2, R=3, eta=1.0)
-        _, table = grid_search(prob, "slowcal", [0.01, 0.02], cfg, seeds=[0, 1, 2])
-        assert all(len(scores) == 3 for scores in table.values())
+        result = grid_search(prob, "slowcal", [0.01, 0.02], cfg, seeds=[0, 1, 2])
+        assert all(len(scores) == 3 for scores in result.table.values())
+        assert len(result.runs) == 3
 
     def test_ties_break_toward_the_smaller_step(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
         cfg = RunConfig(K=2, R=2, eta=1.0)
-        best, _ = grid_search(
+        result = grid_search(
             prob, "local", [0.2, 0.01, 0.05], cfg, seeds=[0], score_fn=lambda p, t: 1.0
         )
-        assert best == 0.01
+        assert result.eta == 0.01
 
     def test_custom_score_fn_changes_the_winner(self):
         prob = heterogeneous_quadratic(2, 3, seed=4)
         cfg = RunConfig(K=2, R=2, eta=1.0)
         grid = [0.01, 0.05, 0.2]
-        low, _ = grid_search(prob, "local", grid, cfg, seeds=[0],
-                             score_fn=lambda p, t: t.eta)
-        high, _ = grid_search(prob, "local", grid, cfg, seeds=[0],
-                              score_fn=lambda p, t: -t.eta)
-        assert (low, high) == (0.01, 0.2)
+        low = grid_search(prob, "local", grid, cfg, seeds=[0], score_fn=lambda p, t: t.eta)
+        high = grid_search(prob, "local", grid, cfg, seeds=[0], score_fn=lambda p, t: -t.eta)
+        assert (low.eta, high.eta) == (0.01, 0.2)
 
     def test_diverged_candidates_are_skipped(self):
         prob = QuadraticEnsemble(np.array([[[1.0]]]), np.zeros((1, 1)))
         cfg = RunConfig(K=1, R=15, eta=1.0, x0=np.array([1.0]))
-        best, table = grid_search(prob, "minibatch", [0.1, 1e6], cfg, seeds=[0])
-        assert best == 0.1
-        assert table[1e6] == [math.inf]
+        result = grid_search(prob, "minibatch", [0.1, 1e6], cfg, seeds=[0])
+        assert result.eta == 0.1
+        assert result.table[1e6] == [math.inf]
 
     def test_all_diverged_raises_naming_the_grid(self):
         prob = QuadraticEnsemble(np.array([[[1.0]]]), np.zeros((1, 1)))
@@ -166,20 +164,29 @@ class TestRoundFloors:
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
     """Lanes share draws, but the table and the winner are those of calling
-    each runner once per (candidate, seed), diverging candidates included."""
+    each runner once per (candidate, seed), diverging candidates included,
+    and the winner's runs are bitwise its own runs."""
     prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=5)
     cfg = RunConfig(K=3, R=6, eta=1.0, schedule=parse_schedule(schedule), x0=np.ones(4))
     grid, seeds = [50.0, 0.001, 0.01, 0.1], [0, 1, 2]
-    best, table = grid_search(prob, algorithm, grid, cfg, seeds)
+    result = grid_search(prob, algorithm, grid, cfg, seeds)
 
-    want = {}
+    want, packed = {}, {}
     for eta in sorted(grid):
         scores = []
         for seed in seeds:
             traj = ALGORITHMS[algorithm](prob, replace(cfg, eta=eta, seed=seed))
             value = math.inf if traj.diverged else excess_loss(prob, traj.x_output)
             scores.append(value if math.isfinite(value) else math.inf)
+            packed.setdefault(eta, []).append(traj.pack(0.0))
         want[eta] = scores
-    assert table == want
-    assert best == min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
-    assert table[50.0] == [math.inf] * 3
+    assert result.table == want
+    best = min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
+    assert result.eta == best
+    assert result.table[50.0] == [math.inf] * 3
+    assert len(result.runs) == len(seeds)
+    for run, own in zip(result.runs, packed[best]):
+        assert run.values.tobytes() == own.values.tobytes()
+        assert run.diverged.tolist() == own.diverged.tolist()
+        assert run.x_output.tobytes() == own.x_output.tobytes()
+        assert run.wall_ms > 0
