@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -94,22 +95,25 @@ class Trajectory:
     def pack(self, wall_ms: float) -> "PackedRun":
         """This run without its anchors and step records."""
         return PackedRun(
-            np.array([(rm.excess_loss, rm.grad_norm, rm.dispersion_q, rm.v_increment, rm.d_t)
-                      for rm in self.rounds], dtype=np.float64),
+            np.array([_round_values(rm) for rm in self.rounds], dtype=np.float64),
+            np.array([rm.t for rm in self.rounds], dtype=np.int64),
             np.array([rm.diverged for rm in self.rounds], dtype=bool),
             self.x_output, wall_ms)
 
 
 ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
+_round_values = attrgetter(*ROUND_COLUMNS)
 
 
 @dataclass
 class PackedRun:
     """A run reduced to what the runner writes out: its round values as an
-    (R, 5) array in ``ROUND_COLUMNS`` order, each round's divergence flag,
-    the output point, and the wall time charged to the run."""
+    (R, 5) array in ``ROUND_COLUMNS`` order, each round's sample count ``t``
+    and divergence flag, the output point, and the wall time charged to the
+    run."""
 
     values: np.ndarray
+    t: np.ndarray
     diverged: np.ndarray
     x_output: np.ndarray
     wall_ms: float

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, PackedRun, RunConfig
+from .algorithms import ALGORITHMS, ROUND_COLUMNS, PackedRun, RunConfig
 from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
 from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
@@ -412,36 +412,33 @@ def _timed_run(problem, algorithm: str, cfg: RunConfig) -> PackedRun:
 
 def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m: int, k: int,
               r_rounds: int, seed: int, eta: float) -> list[dict]:
-    eta, wall_ms = float(eta), float(run.wall_ms)
-    return [{"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m, "K": k,
-             "R": r_rounds, "seed": seed, "round": r, "t": (r + 1) * k, "eta": eta,
-             "excess_loss": excess, "grad_norm": grad_norm, "dispersion_q": spread,
-             "v_increment": bias, "d_t": d_t, "diverged": "true" if diverged else "false",
-             "wall_ms": wall_ms}
-            for r, ((excess, grad_norm, spread, bias, d_t), diverged)
-            in enumerate(zip(run.values.tolist(), run.diverged.tolist()))]
+    run_fields = {"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m,
+                  "K": k, "R": r_rounds, "seed": seed, "eta": float(eta),
+                  "wall_ms": float(run.wall_ms)}
+    rows = [dict(run_fields, round=r, t=t, diverged="true" if diverged else "false")
+            for r, (t, diverged) in enumerate(zip(run.t.tolist(), run.diverged.tolist()))]
+    for column, values in zip(ROUND_COLUMNS, run.values.T.tolist()):
+        for row, value in zip(rows, values):
+            row[column] = value
+    return rows
 
 
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
     or grid search), then emit every seed's run. A grid cell emits the
     winner's runs that the grid search already made, so it runs nothing
-    more, unless the spec asks for diagnostics: the grid runs without step
-    records, so such a cell runs each seed again at the winner. Returns
-    (eta, rows, {run_id: output point}, any diverged, the grid's score table
-    or None)."""
+    more. Returns (eta, rows, {run_id: output point}, any diverged, the
+    grid's score table or None)."""
     r_rounds = _rounds_for(spec, k)
     kind = spec.problem["kind"]
     schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem.dim)
     mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
-    runs, table = None, None
+    table = None
     if mode == "grid":
         template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=schedule, seed=0, x0=start)
         tuned = grid_search(problem, algorithm, payload, template, spec.seeds)
-        eta, table = tuned.eta, tuned.table
-        if not spec.diagnostics:
-            runs = tuned.runs
+        eta, table, runs = tuned.eta, tuned.table, tuned.runs
     elif mode == "theory":
         md = problem.metadata(start)
         eta = theoretical_lr(LrInputs(
@@ -450,7 +447,7 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
         ))
     else:
         eta = payload
-    if runs is None:  # one run at a time, so each one's step records go before the next
+    if mode != "grid":  # one run at a time, so each one's step records go before the next
         runs = (_timed_run(problem, algorithm, RunConfig(
                     K=k, R=r_rounds, eta=eta, schedule=schedule, seed=seed,
                     record_diagnostics=spec.diagnostics, x0=start))

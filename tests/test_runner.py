@@ -457,8 +457,8 @@ def one_run_per_seed(spec):
 
 class TestGridCells:
     """A grid cell emits the winner's runs that its grid search made, with
-    no replay (unless diagnostics are on); the outputs must be those of
-    running each seed on its own at the resolved step size."""
+    no replay; the outputs must be those of running each seed on its own at
+    the resolved step size, with or without diagnostics."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
