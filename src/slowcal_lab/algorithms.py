@@ -18,9 +18,9 @@ per round for all lanes and machines, so a trajectory is a pure function
 of (problem, config) whatever else runs beside it. One recorder keeps the
 records of every lane of a call, and each round close and step record
 measures all live lanes in one batched pass (``metrics.dispersion`` and
-``bias_increment`` and the ensembles' ``global_gradient`` take lane axes;
-``global_value`` stays one call per lane), each lane's values bitwise equal
-to a run of its own. ``Trajectory.pack`` reduces a run to the ``PackedRun``
+``bias_increment`` and the ensembles' ``global_value`` and
+``global_gradient`` take lane axes), each lane's values bitwise equal to a
+run of its own. ``Trajectory.pack`` reduces a run to the ``PackedRun``
 the runner writes out: round values in arrays, no anchors or step records.
 
 Conventions shared by every method:
@@ -195,7 +195,7 @@ class _Recorder:
         x_mean = _ascending_mean(x_states)
         alpha = weight_at(self.cfg.schedule, t)
         columns = zip(
-            [problem.global_value(point) - f_star for point in x_mean],
+            [value - f_star for value in problem.global_value(x_mean).tolist()],
             np.sqrt(squared_norms(problem.global_gradient(x_mean))).tolist(),
             dispersion(x_states, alpha).tolist(),
             bias_increment(problem, x_states, alpha).tolist(),

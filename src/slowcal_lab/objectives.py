@@ -21,8 +21,14 @@ shape ``(..., M, d)``, row i on machine i, any leading (lane) axes. Row i of
 its result equals ``round_sampler(seed, i, rnd, steps)(k, points[..., i, :])``
 bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
 per-machine reference. ``exact_gradients(points)`` is the noise-free
-counterpart with one row per machine; it and ``global_gradient(x)`` take
-the same leading lane axes, so one call measures every lane of a round.
+counterpart with one row per machine; it, ``global_gradient(x)`` and
+``global_value(x)`` take the same leading lane axes, so one call measures
+every lane of a round (``global_value`` of a single point stays a float).
+Each lane's result is bitwise equal to a call of its own. The softmax
+oracle has one lane body: per machine, one strided matmul over every
+lane's weight matrix for the logits and one for the gradient, with the
+log-sum-exp and label picks on (lanes, n, C) arrays; the one-point methods
+(``machine_value``, ``exact_gradient``) are its one-lane calls.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .metrics import squared_norms
 from .rng import RngKey, index_rows, normal_rows
 
 GROWTH_SLACK_FLOOR = -1e-9
@@ -78,7 +85,7 @@ def _top_eigenvalue(mat: np.ndarray) -> float:
         if abs(fresh - rayleigh) <= _POWER_TOL * max(1.0, abs(fresh)):
             return fresh
         rayleigh = fresh
-    raise RuntimeError(
+    raise DegenerateProblemError(
         f"power iteration did not converge within {_POWER_MAX_ITERS} iterations"
     )
 
@@ -138,7 +145,15 @@ class QuadraticEnsemble:
         exact_gradient(i, .) bitwise."""
         return (self.curvatures @ (points - self.centers)[..., None])[..., 0]
 
-    def global_value(self, x: np.ndarray) -> float:
+    def global_value(self, x: np.ndarray) -> float | np.ndarray:
+        """f at x of shape (..., d): a float for one point, else one value
+        per lane, each its own einsum (a batched einsum is not bitwise
+        equal to the one-lane call)."""
+        return self._value(np.asarray(x))
+
+    def _value(self, x: np.ndarray) -> float | np.ndarray:
+        if x.ndim > 1:
+            return np.array([self._value(point) for point in x])
         diff = x[None, :] - self.centers
         vals = 0.5 * np.einsum("mi,mij,mj->m", diff, self.curvatures, diff)
         return float(vals.mean())
@@ -305,46 +320,66 @@ class LogisticEnsemble:
         return self.num_classes * self.feature_dim
 
     def _matrix(self, w: np.ndarray) -> np.ndarray:
-        return np.asarray(w).reshape(self.num_classes, self.feature_dim)
+        """(..., d) parameters as (..., num_classes, feature_dim) weight matrices."""
+        return w.reshape(*w.shape[:-1], self.num_classes, self.feature_dim)
 
-    def _log_probs(self, machine: int, weight_mat: np.ndarray) -> np.ndarray:
-        logits = self.features[machine] @ weight_mat.T
-        peak = logits.max(axis=1, keepdims=True)
-        lse = peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True))
+    @cached_property
+    def _label_picks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per machine, the (rows, labels) index pair of its true-class entries."""
+        return tuple((np.arange(l.shape[0]), l) for l in self.labels)
+
+    def _log_probs(self, machine: int, weight_mats: np.ndarray) -> np.ndarray:
+        """(..., n, C) log-probabilities of the machine's examples under
+        (..., C, f) weight matrices: one strided matmul over the lanes, so
+        each lane's slice is the same BLAS call as a one-lane call."""
+        logits = self.features[machine] @ weight_mats.swapaxes(-1, -2)
+        peak = logits.max(axis=-1, keepdims=True)
+        lse = peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True))
         return logits - lse
 
+    def _values(self, machine: int, w: np.ndarray) -> np.ndarray:
+        """f_i at w of shape (..., d), one value per lane."""
+        logp = self._log_probs(machine, self._matrix(w))
+        # contiguous picks, so each lane's mean is the pairwise sum of a 1-D one
+        picks = np.ascontiguousarray(logp[(..., *self._label_picks[machine])])
+        return -picks.mean(axis=-1) + 0.5 * self.l2 * squared_norms(w)
+
+    def _gradients(self, machine: int, w: np.ndarray) -> np.ndarray:
+        """grad f_i at w of shape (..., d), one row per lane."""
+        mats = self._matrix(w)
+        probs = np.exp(self._log_probs(machine, mats))
+        probs[(..., *self._label_picks[machine])] -= 1.0
+        feats = self.features[machine]
+        grad = probs.swapaxes(-1, -2) @ feats / feats.shape[0] + self.l2 * mats
+        return grad.reshape(w.shape)
+
     def machine_value(self, machine: int, w: np.ndarray) -> float:
-        mat = self._matrix(w)
-        logp = self._log_probs(machine, mat)
-        n = logp.shape[0]
-        ce = -logp[np.arange(n), self.labels[machine]].mean()
-        return float(ce + 0.5 * self.l2 * float(np.asarray(w) @ np.asarray(w)))
+        return float(self._values(machine, np.asarray(w)))
 
     def exact_gradient(self, machine: int, w: np.ndarray) -> np.ndarray:
-        mat = self._matrix(w)
-        probs = np.exp(self._log_probs(machine, mat))
-        n = probs.shape[0]
-        probs[np.arange(n), self.labels[machine]] -= 1.0
-        grad = probs.T @ self.features[machine] / n + self.l2 * mat
-        return grad.reshape(-1)
+        return self._gradients(machine, np.asarray(w))
 
-    def global_value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.machine_value(i, x) for i in range(self.num_machines)]))
+    def global_value(self, x: np.ndarray) -> float | np.ndarray:
+        """f at x of shape (..., d): a float for one point, else one value
+        per lane, each bitwise equal to its own call."""
+        x = np.asarray(x)
+        values = np.empty(x.shape[:-1] + (self.num_machines,))
+        for i in range(self.num_machines):
+            values[..., i] = self._values(i, x)
+        mean = values.mean(axis=-1)
+        return float(mean) if x.ndim == 1 else mean
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad f at x of shape (..., d), one lane at a time over any leading
-        (lane) axes."""
+        """grad f at x of shape (..., d), any leading (lane) axes; each
+        lane's row equals its own call bitwise."""
         x = np.asarray(x)
-        rows = []
-        for point in x.reshape(-1, self.dim):
-            acc = np.zeros(self.dim)
-            for i in range(self.num_machines):
-                acc += self.exact_gradient(i, point)
-            rows.append(acc / self.num_machines)
-        return np.stack(rows).reshape(x.shape)
+        acc = np.zeros(x.shape)
+        for i in range(self.num_machines):
+            acc += self._gradients(i, x)
+        return acc / self.num_machines
 
     def _example_gradient(self, machine: int, example: int, w: np.ndarray) -> np.ndarray:
-        mat = self._matrix(w)
+        mat = self._matrix(np.asarray(w))
         row = self.features[machine][example]
         logits = mat @ row
         logits -= logits.max()
@@ -365,12 +400,13 @@ class LogisticEnsemble:
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
 
     def exact_gradients(self, points: np.ndarray) -> np.ndarray:
-        """Full-batch gradients at points[..., i, :] on machine i, one lane at
-        a time over any leading (lane) axes."""
+        """Full-batch gradients at points[..., i, :] on machine i, any
+        leading (lane) axes; one oracle call per machine for all lanes."""
         points = np.asarray(points)
-        lanes = points.reshape(-1, self.num_machines, self.dim)
-        return np.array([[self.exact_gradient(i, p) for i, p in enumerate(lane)]
-                         for lane in lanes]).reshape(points.shape)
+        grads = np.empty(points.shape)
+        for i in range(self.num_machines):
+            grads[..., i, :] = self._gradients(i, points[..., i, :])
+        return grads
 
     @cached_property
     def _pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,7 +459,7 @@ class LogisticEnsemble:
             if np.linalg.norm(grad) <= _OPTIMUM_GRAD_TOL:
                 return w
             w = w - step * grad
-        raise RuntimeError(
+        raise DegenerateProblemError(
             f"optimum oracle did not reach gradient norm {_OPTIMUM_GRAD_TOL:g} "
             f"within {_OPTIMUM_MAX_ITERS} full-batch steps"
         )
@@ -462,9 +498,8 @@ class LogisticEnsemble:
         total = 0.0
         for i in range(self.num_machines):
             feats = self.features[i]
-            n = feats.shape[0]
             probs = np.exp(self._log_probs(i, mat))
-            probs[np.arange(n), self.labels[i]] -= 1.0
+            probs[self._label_picks[i]] -= 1.0
             qnorm = (probs ** 2).sum(axis=1)
             anorm = (feats ** 2).sum(axis=1)
             cross = (probs * (feats @ mat.T)).sum(axis=1)

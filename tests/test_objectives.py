@@ -404,6 +404,23 @@ class TestBatchedOracle:
                                                       prob.exact_gradient(i, points[lane, i]))
 
     @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
+    def test_global_value_lanes_match_single_calls(self, lanes, m, d):
+        points = 3.0 * np.random.default_rng(lanes * d + m).standard_normal((lanes, d))
+        for prob in lane_problems(m, d, seed=m + d):
+            got = prob.global_value(points)
+            assert got.shape == (lanes,)
+            for lane in range(lanes):
+                single = prob.global_value(points[lane])
+                assert isinstance(single, float)
+                assert got[lane] == single
+                if isinstance(prob, QuadraticEnsemble):
+                    diff = points[lane][None, :] - prob.centers
+                    want = 0.5 * np.einsum("mi,mij,mj->m", diff, prob.curvatures, diff)
+                else:
+                    want = np.array([prob.machine_value(i, points[lane]) for i in range(m)])
+                assert single == float(want.mean())
+
+    @pytest.mark.parametrize("lanes,m,d", LANE_SHAPES)
     def test_global_gradient_lanes_match_single_calls(self, lanes, m, d):
         points = 3.0 * np.random.default_rng(lanes + m + d).standard_normal((lanes, d))
         for prob in lane_problems(m, d, seed=d):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowcal_lab import cli, runner
+from slowcal_lab import cli, objectives, runner
 from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig
 from slowcal_lab.data import serialize_idx_images, serialize_idx_labels
 from slowcal_lab.metrics import excess_loss
@@ -657,6 +657,23 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,cap", [
+        pytest.param({"kind": "synth-logistic", "dim": 4, "num_classes": 3, "problem_seed": 1},
+                     "_OPTIMUM_MAX_ITERS", id="logistic-optimum"),
+        pytest.param({"kind": "quadratic", "dim": 5, "problem_seed": 3},
+                     "_POWER_MAX_ITERS", id="quadratic-power-iteration"),
+    ])
+    def test_unconverged_oracle_exits_2(self, tmp_path, capsys, monkeypatch, problem, cap):
+        # an oracle that exhausts its iteration cap is a degenerate problem,
+        # not a crash
+        monkeypatch.setattr(objectives, cap, 3)
+        path = self.write_config(tmp_path, base_config(problem=problem))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: degenerate problem" in err
+        assert "did not" in err
+        assert "Traceback" not in err
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the counting wrapper reaches pool workers only when they are forked")
