@@ -8,20 +8,24 @@ over R rounds of K local steps, with aggregation by ascending-machine-index
 averaging. A method is a small ``Method`` spec (query slot, step weight,
 aggregation, output rule) and ``run_lanes`` is the one engine that runs
 them. It works on (lanes, machines, d) arrays of w and x, where a lane is
-one step size: grid tuning runs every candidate of a seed as the lanes of
-one call, and ``ALGORITHMS[name](problem, cfg)``, built from ``METHODS``,
-is the one-lane call and the way to run a single method. The machine count
-is the ensemble's, so a config carries none (``anytime`` pools every
-machine's draws into one logical worker).
+one (seed, step size) pair: grid tuning runs every candidate of a seed as
+the lanes of one call, a fixed or theory cell runs every seed as the lanes
+of one call, and ``ALGORITHMS[name](problem, cfg)``, built from
+``METHODS``, is the one-lane call and the way to run a single method. The
+machine count is the ensemble's, so a config carries none (``anytime``
+pools every machine's draws into one logical worker).
 Stochastic draws are keyed by (seed, machine, round, step) and made once
-per round for all lanes and machines, so a trajectory is a pure function
-of (problem, config) whatever else runs beside it. One recorder keeps the
-records of every lane of a call, and each round close and step record
-measures all live lanes in one batched pass (``metrics.dispersion`` and
-``bias_increment`` and the ensembles' ``global_value`` and
-``global_gradient`` take lane axes), each lane's values bitwise equal to a
-run of its own. ``Trajectory.pack`` reduces a run to the ``PackedRun``
-the runner writes out: round values in arrays, no anchors or step records.
+per round for every distinct seed of the live lanes, each step gathering
+each lane's rows, so a trajectory is a pure function of (problem, config)
+whatever else runs beside it. One recorder keeps the records of every lane
+of a call in per-call arrays (round values, divergence flags, anchors),
+and each round close and step record measures all live lanes in one
+batched pass (``metrics.dispersion`` and ``bias_increment`` and the
+ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
+lane's values bitwise equal to a run of its own. A ``Trajectory`` holds
+its lane's rows of those arrays; ``rounds`` and ``anchors`` build the
+record objects on demand, and ``pack`` copies the round values into the
+``PackedRun`` the runner writes out.
 
 Conventions shared by every method:
 
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -82,27 +85,46 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
+    """One lane's run. ``values`` holds the round values as an (R, 5) array
+    in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
+    and ``round_diverged`` each round's divergence flag; ``anchor_w`` and
+    ``anchor_x`` hold the anchors as (completed rounds + 1, d) arrays, row
+    i placed after round i."""
+
     algorithm: str
     eta: float
     schedule: WeightSchedule
     seed: int
-    rounds: list[RoundMetrics]
-    anchors: list[ServerAnchor]
+    values: np.ndarray
+    t: np.ndarray
+    round_diverged: np.ndarray
+    anchor_w: np.ndarray
+    anchor_x: np.ndarray
     x_output: np.ndarray
     diverged: bool
     steps: list[StepRecord] | None = None
 
+    @property
+    def rounds(self) -> list[RoundMetrics]:
+        """The round records, built from the arrays."""
+        return [RoundMetrics(r, t, *values, diverged)
+                for r, (t, values, diverged) in enumerate(zip(
+                    self.t.tolist(), self.values.tolist(), self.round_diverged.tolist()))]
+
+    @property
+    def anchors(self) -> list[ServerAnchor]:
+        """The anchors, built from the arrays (rows of them, not copies)."""
+        return [ServerAnchor(i, w, x) for i, (w, x) in enumerate(zip(self.anchor_w, self.anchor_x))]
+
     def pack(self, wall_ms: float) -> "PackedRun":
-        """This run without its anchors and step records."""
-        return PackedRun(
-            np.array([_round_values(rm) for rm in self.rounds], dtype=np.float64),
-            np.array([rm.t for rm in self.rounds], dtype=np.int64),
-            np.array([rm.diverged for rm in self.rounds], dtype=bool),
-            self.x_output, wall_ms)
+        """This run's round values, copied, without its anchors and step
+        records."""
+        return PackedRun(self.values.copy(), self.t.copy(), self.round_diverged.copy(),
+                         self.x_output, wall_ms)
 
 
+# RoundMetrics's value fields, in its order: Trajectory.rounds unpacks rows of values into them
 ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
-_round_values = attrgetter(*ROUND_COLUMNS)
 
 
 @dataclass
@@ -147,26 +169,36 @@ def _ascending_mean(rows: np.ndarray) -> np.ndarray:
 
 
 class _Recorder:
-    """Shared bookkeeping for every lane of one run_lanes call: round
-    records, anchors, per-step records and the divergence freeze. Each
-    round close and step record measures all live lanes at once; row j of
-    the arrays passed in belongs to lane ``lanes[j]``."""
+    """Shared bookkeeping for every lane of one run_lanes call: per-call
+    arrays of round values, divergence flags and anchors, indexed (round,
+    lane), per-step records, and the divergence freeze. Each round close
+    and step record measures all live lanes at once; row j of the arrays
+    passed in belongs to lane ``lanes[j]``."""
 
     def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int):
         self.problem = problem
         self.cfg = cfg
-        self.lanes = list(range(num_lanes))  # the lane of each live row
-        self.rounds: list[list[RoundMetrics]] = [[] for _ in self.lanes]
-        self.anchors = [[ServerAnchor(0, x_start.copy(), x_start.copy())] for _ in self.lanes]
+        self.lanes = np.arange(num_lanes)  # the lane of each live row
+        self.live = slice(None)  # indexes the live lanes: all of them, until one freezes
+        self.values = np.empty((cfg.R, num_lanes, len(ROUND_COLUMNS)))
+        self.round_diverged = np.zeros((cfg.R, num_lanes), dtype=bool)
+        self.t = np.arange(1, cfg.R + 1, dtype=np.int64) * cfg.K
+        self.anchor_w = np.empty((cfg.R + 1, num_lanes, x_start.shape[0]))
+        self.anchor_x = np.empty_like(self.anchor_w)
+        self.anchor_w[0] = self.anchor_x[0] = x_start
         self.steps: list[list[StepRecord]] | None = (
-            [[] for _ in self.lanes] if cfg.record_diagnostics else None)
-        self.diverged = [False] * num_lanes
+            [[] for _ in range(num_lanes)] if cfg.record_diagnostics else None)
         initial = problem.global_value(x_start) - problem.f_star
         self.threshold = DIVERGENCE_FACTOR * initial if initial > 0 else DIVERGENCE_FACTOR
 
+    def drop(self, keep: list[int]) -> None:
+        """Keep only the live rows ``keep``."""
+        self.lanes = self.lanes[keep]
+        self.live = self.lanes
+
     def place_anchor(self, completed: int, w: np.ndarray, x: np.ndarray) -> None:
-        for row, lane in enumerate(self.lanes):
-            self.anchors[lane].append(ServerAnchor(completed, w[row].copy(), x[row].copy()))
+        self.anchor_w[completed, self.live] = w
+        self.anchor_x[completed, self.live] = x
 
     def record_step(self, t: int, w_mean: np.ndarray, x_mean: np.ndarray,
                     g_mean: np.ndarray | None, x_states: np.ndarray,
@@ -176,8 +208,9 @@ class _Recorder:
         alpha = weight_at(self.cfg.schedule, t)
         spreads = dispersion(x_states, alpha).tolist()
         biases = bias_increment(self.problem, x_states, alpha).tolist()
-        for j, row in enumerate(range(len(self.lanes)) if rows is None else rows):
-            self.steps[self.lanes[row]].append(StepRecord(
+        lanes = self.lanes if rows is None else self.lanes[rows]
+        for j, lane in enumerate(lanes.tolist()):
+            self.steps[lane].append(StepRecord(
                 t=t,
                 w_mean=w_mean[j].copy(),
                 x_mean=x_mean[j].copy(),
@@ -190,38 +223,40 @@ class _Recorder:
         """Record round r of every live lane from the (rows, M, d)
         pre-aggregation states and (rows, d) w means; returns the rows whose
         lanes just diverged and must freeze."""
-        problem, f_star = self.problem, self.problem.f_star
-        t = (r + 1) * self.cfg.K
+        problem = self.problem
         x_mean = _ascending_mean(x_states)
-        alpha = weight_at(self.cfg.schedule, t)
-        columns = zip(
-            [value - f_star for value in problem.global_value(x_mean).tolist()],
-            np.sqrt(squared_norms(problem.global_gradient(x_mean))).tolist(),
-            dispersion(x_states, alpha).tolist(),
-            bias_increment(problem, x_states, alpha).tolist(),
-            squared_norms(w_mean - problem.w_star).tolist(),
-        )
-        diverged = []
-        for row, (lane, values) in enumerate(zip(self.lanes, columns)):
-            if not all(map(math.isfinite, values)) or values[0] > self.threshold:
-                self.diverged[lane] = True
-                diverged.append(row)
-            excess, grad_norm, spread, bias, d_t = [
-                v if math.isfinite(v) else math.inf for v in values]
-            self.rounds[lane].append(RoundMetrics(
-                round=r, t=t, excess_loss=excess, grad_norm=grad_norm, dispersion_q=spread,
-                v_increment=bias, d_t=d_t, diverged=self.diverged[lane],
-            ))
-        return diverged
+        alpha = weight_at(self.cfg.schedule, (r + 1) * self.cfg.K)
+        values = np.empty((len(self.lanes), len(ROUND_COLUMNS)))
+        values[:, 0] = problem.global_value(x_mean) - problem.f_star
+        values[:, 1] = np.sqrt(squared_norms(problem.global_gradient(x_mean)))
+        values[:, 2] = dispersion(x_states, alpha)
+        values[:, 3] = bias_increment(problem, x_states, alpha)
+        values[:, 4] = squared_norms(w_mean - problem.w_star)
+        if np.isfinite(values).all() and values[:, 0].max() <= self.threshold:
+            self.values[r, self.live] = values
+            return []
+        finite = np.isfinite(values)
+        diverged = ~finite.all(axis=-1) | (values[:, 0] > self.threshold)
+        values[~finite] = math.inf
+        self.values[r, self.live] = values
+        self.round_diverged[r, self.live] = diverged
+        return np.flatnonzero(diverged).tolist()
 
     def freeze(self, rows: list[int], start_round: int) -> None:
         """Fill the remaining round records of the lanes of ``rows`` with +inf."""
-        for row in rows:
-            self.rounds[self.lanes[row]].extend(RoundMetrics(
-                round=r, t=(r + 1) * self.cfg.K,
-                excess_loss=math.inf, grad_norm=math.inf, dispersion_q=math.inf,
-                v_increment=math.inf, d_t=math.inf, diverged=True,
-            ) for r in range(start_round, self.cfg.R))
+        lanes = self.lanes[rows]
+        self.values[start_round:, lanes] = math.inf
+        self.round_diverged[start_round:, lanes] = True
+
+    def trajectory(self, lane: int, completed: int, spec: "Method", eta: float, seed: int,
+                   x_output: np.ndarray) -> Trajectory:
+        """Lane ``lane``'s run, ``completed`` rounds in; its arrays are
+        views of this recorder's."""
+        return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane], self.t,
+                          self.round_diverged[:, lane], self.anchor_w[:completed + 1, lane],
+                          self.anchor_x[:completed + 1, lane], x_output,
+                          bool(self.round_diverged[-1, lane]),
+                          None if self.steps is None else self.steps[lane])
 
 
 @dataclass(frozen=True)
@@ -264,28 +299,45 @@ METHODS = {spec.name: spec for spec in (
 )}
 
 
-def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
-    """Run `method` once per step size in `etas`, as the lanes of one
-    recursion over (lanes, machines, d) arrays of w and x. The lanes share
-    every round's draws, and lane j returns exactly the trajectory of a run
-    with cfg.eta = etas[j]; a lane that diverges freezes and leaves the batch
-    while the others go on."""
+def _draw_plan(seeds: list[int]) -> tuple[int | list[int], np.ndarray | None]:
+    """What each round draws for live lanes of these seeds: one seed and no
+    lane rows when they share it, else the distinct seeds and each lane's
+    row in their stack of draws."""
+    distinct = sorted(set(seeds))
+    if len(distinct) == 1:
+        return distinct[0], None
+    row = {seed: i for i, seed in enumerate(distinct)}
+    return distinct, np.array([row[seed] for seed in seeds])
+
+
+def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Trajectory]:
+    """Run `method` once per (seed, step size) pair, as the lanes of one
+    recursion over (lanes, machines, d) arrays of w and x; `seeds` is
+    aligned with `etas`, and by default every lane takes cfg.seed. Each
+    round draws once per distinct seed, lanes of one seed share those
+    draws, and lane j returns exactly the trajectory of a run with
+    cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
+    and leaves the batch while the others go on."""
     spec = METHODS[method]
-    lane_cfgs = [replace(cfg, eta=float(eta)) for eta in etas]
-    for lane_cfg in lane_cfgs:
-        _validate(lane_cfg)
+    etas = [float(eta) for eta in etas]
+    lane_seeds = [cfg.seed] * len(etas) if seeds is None else [int(seed) for seed in seeds]
+    if len(lane_seeds) != len(etas):
+        raise ValueError(f"got {len(lane_seeds)} seeds for {len(etas)} step sizes")
+    for eta, seed in zip(etas, lane_seeds):
+        _validate(replace(cfg, eta=eta, seed=seed))
     m, k_steps, schedule = problem.num_machines, cfg.K, cfg.schedule
     start = _start_point(problem, cfg)
     copies = m if spec.aggregate == "round" else 1
     tied = spec.query == "w"
-    w = np.tile(start, (len(lane_cfgs), copies, 1))
+    w = np.tile(start, (len(etas), copies, 1))
     x = w if tied else w.copy()
     acc = None
     if spec.output == "weighted-mean":
-        acc = np.tile(weight_at(schedule, 0) * start, (len(lane_cfgs), 1))
-    rec = _Recorder(problem, cfg, start, len(lane_cfgs))
-    lane_etas = np.array([lane_cfg.eta for lane_cfg in lane_cfgs])
-    out: list[Trajectory | None] = [None] * len(lane_cfgs)
+        acc = np.tile(weight_at(schedule, 0) * start, (len(etas), 1))
+    rec = _Recorder(problem, cfg, start, len(etas))
+    lane_etas = np.array(etas)
+    draw_seeds, draw_rows = _draw_plan(lane_seeds)
+    out: list[Trajectory | None] = [None] * len(etas)
 
     def machine_states(xs: np.ndarray) -> np.ndarray:
         return xs if copies == m else np.repeat(xs, m, axis=1)
@@ -294,30 +346,28 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
         if rec.steps is not None:
             rec.record_step(completed * k_steps, _ascending_mean(w[rows]), _ascending_mean(x[rows]),
                             None, machine_states(x[rows]), rows)
-        for row in rows:
-            lane = rec.lanes[row]
-            anchors = rec.anchors[lane]
-            if spec.output == "anchor-mean":
-                x_output = _ascending_mean(np.stack([a.x for a in anchors[1:]]))
-            elif spec.output == "weighted-mean":
-                x_output = acc[row] / prefix_weight(schedule, k_steps * cfg.R)
-            else:
-                x_output = anchors[-1].x.copy()
-            out[lane] = Trajectory(spec.name, lane_cfgs[lane].eta, schedule, cfg.seed,
-                                   rec.rounds[lane], anchors, x_output, rec.diverged[lane],
-                                   None if rec.steps is None else rec.steps[lane])
+        lanes = rec.lanes[rows]
+        if spec.output == "anchor-mean":  # each lane's anchors 1..completed, ascending
+            outputs = _ascending_mean(rec.anchor_x[1:completed + 1, lanes].swapaxes(0, 1))
+        elif spec.output == "weighted-mean":
+            outputs = acc[rows] / prefix_weight(schedule, k_steps * cfg.R)
+        else:
+            outputs = rec.anchor_x[completed, lanes]
+        for lane, x_output in zip(lanes.tolist(), outputs):
+            out[lane] = rec.trajectory(lane, completed, spec, etas[lane], lane_seeds[lane],
+                                       x_output)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(cfg.R):
-            if not rec.lanes:
+            if not len(rec.lanes):
                 break
-            draws = problem.round_draws(cfg.seed, r, k_steps)
+            draws = problem.round_draws(draw_seeds, r, k_steps)
             if spec.aggregate == "server":
                 pooled = np.empty((len(rec.lanes), k_steps, problem.dim))
             for k in range(k_steps):
                 t = r * k_steps + k
                 queries = machine_states(x)
-                grads = problem.sampled_gradients(queries, draws, k)
+                grads = problem.sampled_gradients(queries, draws, k, draw_rows)
                 if spec.aggregate == "server":
                     g_mean = np.zeros((len(rec.lanes), problem.dim))
                     for i in range(m):
@@ -355,14 +405,16 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas) -> list[Trajectory]:
                 rec.freeze(diverged, r + 1)
                 finish(diverged, r + 1)
                 keep = [row for row in range(len(rec.lanes)) if row not in diverged]
-                rec.lanes = [rec.lanes[row] for row in keep]
+                rec.drop(keep)
                 w = w[keep]
                 x = w if tied else x[keep]
                 lane_etas = lane_etas[keep]
                 if acc is not None:
                     acc = acc[keep]
+                if keep:
+                    draw_seeds, draw_rows = _draw_plan([lane_seeds[lane] for lane in rec.lanes])
 
-    if rec.lanes:
+    if len(rec.lanes):
         finish(list(range(len(rec.lanes))), cfg.R)
     return out
 

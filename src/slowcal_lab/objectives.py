@@ -20,7 +20,10 @@ quadratic, ``(M, steps)`` example rows for softmax regression), and
 shape ``(..., M, d)``, row i on machine i, any leading (lane) axes. Row i of
 its result equals ``round_sampler(seed, i, rnd, steps)(k, points[..., i, :])``
 bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
-per-machine reference. ``exact_gradients(points)`` is the noise-free
+per-machine reference. For lanes of several seeds, ``round_draws`` takes a
+seed list and stacks the draws of each seed once, with a leading seed
+axis, and ``sampled_gradients(points, draws, k, lanes)`` gathers step k's
+rows of lane j's seed from row ``lanes[j]`` of that stack. ``exact_gradients(points)`` is the noise-free
 counterpart with one row per machine; it, ``global_gradient(x)`` and
 ``global_value(x)`` take the same leading lane axes, so one call measures
 every lane of a round (``global_value`` of a single point stays a float).
@@ -147,16 +150,18 @@ class QuadraticEnsemble:
 
     def global_value(self, x: np.ndarray) -> float | np.ndarray:
         """f at x of shape (..., d): a float for one point, else one value
-        per lane, each its own einsum (a batched einsum is not bitwise
-        equal to the one-lane call)."""
-        return self._value(np.asarray(x))
+        per lane. Each lane's machine values are its own einsum (a batched
+        einsum is not bitwise equal to the one-lane call); their means are
+        one reduction over the machine axis, which is."""
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return float(self._machine_values(x).mean())
+        vals = np.array([self._machine_values(point) for point in x.reshape(-1, x.shape[-1])])
+        return (vals.sum(axis=-1) / self.num_machines).reshape(x.shape[:-1])
 
-    def _value(self, x: np.ndarray) -> float | np.ndarray:
-        if x.ndim > 1:
-            return np.array([self._value(point) for point in x])
+    def _machine_values(self, x: np.ndarray) -> np.ndarray:
         diff = x[None, :] - self.centers
-        vals = 0.5 * np.einsum("mi,mij,mj->m", diff, self.curvatures, diff)
-        return float(vals.mean())
+        return 0.5 * np.einsum("mi,mij,mj->m", diff, self.curvatures, diff)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f at x of shape (..., d), any leading (lane) axes; each
@@ -184,19 +189,22 @@ class QuadraticEnsemble:
         seed, _, rnd, step = _check_key(machine, rng_key)
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
 
-    def round_draws(self, seed: int, rnd: int, steps: int) -> np.ndarray | None:
-        """(M, steps, d) scaled noise for one round; None when sigma=0."""
+    def round_draws(self, seed, rnd: int, steps: int) -> np.ndarray | None:
+        """(M, steps, d) scaled noise for one round of one seed, or
+        (seeds, M, steps, d) for a sequence of seeds; None when sigma=0."""
         if self.sigma == 0.0:
             return None
         scale = self.sigma / math.sqrt(self.dim)
-        return np.stack([normal_rows(seed, i, rnd, steps, self.dim)
-                         for i in range(self.num_machines)]) * scale
+        return np.array([[normal_rows(s, i, rnd, steps, self.dim)
+                          for i in range(self.num_machines)]
+                         for s in _seed_list(seed)]).reshape(
+                             np.shape(seed) + (self.num_machines, steps, self.dim)) * scale
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray | None,
-                          k: int) -> np.ndarray:
+                          k: int, lanes: np.ndarray | None = None) -> np.ndarray:
         grads = self.exact_gradients(points)
         if draws is not None:
-            grads += draws[:, k]
+            grads += _step_draws(draws, k, lanes)
         return grads
 
     @cached_property
@@ -416,25 +424,31 @@ class LogisticEnsemble:
         offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
         return np.concatenate(self.features), np.concatenate(self.labels), offsets
 
-    def round_draws(self, seed: int, rnd: int, steps: int) -> np.ndarray:
+    def round_draws(self, seed, rnd: int, steps: int) -> np.ndarray:
         """(M, steps) rows of the pooled examples: machine i's step-k pick,
-        shifted by the machine's offset (machines hold unequal counts)."""
+        shifted by the machine's offset (machines hold unequal counts); for
+        a sequence of seeds, (seeds, M, steps)."""
         _, _, offsets = self._pooled
-        picks = np.stack([index_rows(seed, i, rnd, steps, f.shape[0])
-                          for i, f in enumerate(self.features)])
-        return picks + offsets[:, None]
+        picks = np.array([[index_rows(s, i, rnd, steps, f.shape[0])
+                           for i, f in enumerate(self.features)]
+                          for s in _seed_list(seed)])
+        return picks.reshape(np.shape(seed) + picks.shape[1:]) + offsets[:, None]
 
-    def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int) -> np.ndarray:
-        """Single-example gradients, the batched form of _example_gradient."""
+    def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int,
+                          lanes: np.ndarray | None = None) -> np.ndarray:
+        """Single-example gradients, the batched form of _example_gradient.
+        With per-lane picks, the lane's label is subtracted in its own lane."""
         feats, labels, _ = self._pooled
-        rows = feats[draws[:, k]]                      # (M, f)
+        picks = _step_draws(draws, k, lanes)           # (M,) or (lanes, M)
+        rows = feats[picks]                            # (..., M, f)
         mats = points.reshape(*points.shape[:-1], self.num_classes, self.feature_dim)
-        logits = (mats @ rows[:, :, None])[..., 0]     # (..., M, C)
+        logits = (mats @ rows[..., :, None])[..., 0]   # (..., M, C)
         logits -= logits.max(axis=-1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs[..., np.arange(rows.shape[0]), labels[draws[:, k]]] -= 1.0
-        grads = probs[..., :, None] * rows[:, None, :] + self.l2 * mats
+        lane_axis = () if picks.ndim == 1 else (np.arange(picks.shape[0])[:, None],)
+        probs[(..., *lane_axis, np.arange(picks.shape[-1]), labels[picks])] -= 1.0
+        grads = probs[..., :, None] * rows[..., None, :] + self.l2 * mats
         return grads.reshape(points.shape)
 
     @cached_property
@@ -525,6 +539,18 @@ class LogisticEnsemble:
             f_star=self.f_star,
             b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
         )
+
+
+def _seed_list(seed) -> list[int]:
+    """One seed, or a sequence of them, as a list."""
+    return [seed] if np.ndim(seed) == 0 else list(seed)
+
+
+def _step_draws(draws: np.ndarray, k: int, lanes: np.ndarray | None) -> np.ndarray:
+    """Step k's draws of every machine: the shared (M[, d]) rows of one
+    seed's round, or, from a (seeds, M, steps[, d]) stack, the (lanes,
+    M[, d]) rows of each lane's seed, ``lanes`` giving each lane's row."""
+    return draws[:, k] if lanes is None else draws[lanes, :, k]
 
 
 def _growth_slack(ensemble, x: np.ndarray) -> tuple[bool, float]:

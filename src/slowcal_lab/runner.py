@@ -13,9 +13,11 @@ executor. Each machine count's problem is built once, in the parent; a
 cell, one (algorithm, M, K), then resolves its step size (fixed, theory or
 grid search) and emits every seed's run, either in this process or as one
 task of a process pool that was handed the built problems at start. A grid
-cell emits the winner's runs that tuning already made; the others run each
-seed. Only the problem building and the kind-specific manifest entries
-differ by kind.
+cell emits the winner's runs that tuning already made; the others run all
+their seeds as the lanes of one engine call. Only the problem building and
+the kind-specific manifest entries differ by kind. The ``diagnostics``
+field is accepted for compatibility; no output holds per-step records, so
+a sweep never makes them.
 
 Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
 directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, ROUND_COLUMNS, PackedRun, RunConfig
+from .algorithms import ALGORITHMS, ROUND_COLUMNS, PackedRun, RunConfig, run_lanes
 from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
 from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
@@ -404,12 +406,6 @@ def _theory_warnings(spec: ExperimentSpec) -> list[str]:
     return [note]
 
 
-def _timed_run(problem, algorithm: str, cfg: RunConfig) -> PackedRun:
-    started = time.perf_counter()
-    traj = ALGORITHMS[algorithm](problem, cfg)
-    return traj.pack((time.perf_counter() - started) * 1e3)  # drops anchors and step records
-
-
 def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m: int, k: int,
               r_rounds: int, seed: int, eta: float) -> list[dict]:
     run_fields = {"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m,
@@ -427,7 +423,9 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
     or grid search), then emit every seed's run. A grid cell emits the
     winner's runs that the grid search already made, so it runs nothing
-    more. Returns (eta, rows, {run_id: output point}, any diverged, the
+    more; a fixed or theory cell runs its seeds as the lanes of one
+    run_lanes call, each run charged the call's time divided by the seed
+    count. Returns (eta, rows, {run_id: output point}, any diverged, the
     grid's score table or None)."""
     r_rounds = _rounds_for(spec, k)
     kind = spec.problem["kind"]
@@ -447,11 +445,13 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
         ))
     else:
         eta = payload
-    if mode != "grid":  # one run at a time, so each one's step records go before the next
-        runs = (_timed_run(problem, algorithm, RunConfig(
-                    K=k, R=r_rounds, eta=eta, schedule=schedule, seed=seed,
-                    record_diagnostics=spec.diagnostics, x0=start))
-                for seed in spec.seeds)
+    if mode != "grid":  # every seed is a lane of one call, with no step records
+        started = time.perf_counter()
+        lanes = run_lanes(problem, algorithm, RunConfig(
+            K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
+            [eta] * len(spec.seeds), spec.seeds)
+        wall_ms = (time.perf_counter() - started) * 1e3 / len(spec.seeds)
+        runs = [traj.pack(wall_ms) for traj in lanes]
     rows: list[dict] = []
     outputs: dict[str, np.ndarray] = {}
     any_diverged = False
@@ -649,15 +649,14 @@ def _package_version() -> str:
 _MNIST_CLASSES = 10
 
 
-def _softmax_test_metrics(w_flat: np.ndarray, num_classes: int,
-                          feats: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-    mat = np.asarray(w_flat).reshape(num_classes, -1)
-    logits = feats @ mat.T
-    peak = logits.max(axis=1, keepdims=True)
-    logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
-    ce = -float(logp[np.arange(feats.shape[0]), labels].mean())
-    acc = float((logits.argmax(axis=1) == labels).mean())
-    return {"test_accuracy": acc, "test_loss": ce}
+def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float]:
+    """Test accuracy and loss at w, through the softmax oracle: ``test_set``
+    is the test data as a one-machine ensemble with l2 = 0, so its machine
+    value is the test cross-entropy."""
+    w = np.asarray(w, dtype=np.float64)
+    logp = test_set._log_probs(0, test_set._matrix(w))
+    acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
+    return {"test_accuracy": acc, "test_loss": test_set.machine_value(0, w)}
 
 
 def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:
@@ -717,8 +716,9 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
 
     built = _build_problems(spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
     problems = {m: problem for m, (problem, _) in built.items()}
+    test_set = LogisticEnsemble((test_x,), (test_y,), _MNIST_CLASSES)
     return problems, lambda outputs: {
         "reference": {f"M{m}": info for m, (_, info) in built.items()},
-        "test_metrics": {run_id: _softmax_test_metrics(x, _MNIST_CLASSES, test_x, test_y)
+        "test_metrics": {run_id: _softmax_test_metrics(test_set, x)
                          for run_id, x in outputs.items()},
     }

@@ -11,6 +11,8 @@ from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM, averaging_coeff, prefix_weight, weight_at
 
+from lane_cases import lane_problems
+
 
 def scalar_problem(center=1.0, curvature=1.0, sigma=0.0):
     """One machine, f(x) = 0.5 * curvature * (x - center)^2."""
@@ -327,6 +329,30 @@ class TestLanes:
         assert lanes[1].diverged and not lanes[0].diverged
         for eta, lane in zip(etas, lanes):
             assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
+
+    @pytest.mark.parametrize("case", range(3), ids=["quadratic", "softmax-2", "softmax-4"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_per_lane_seeds_equal_one_run_per_seed_and_step(self, algorithm, case):
+        # unsorted, repeated seeds; seed 0 has only the diverging lane, so
+        # the draws of the rounds after it come from the other two seeds
+        prob = lane_problems(3, 4, seed=9)[case]
+        big = 1e3 if case == 0 else 1e9
+        etas, seeds = [0.05, 0.1, big, 0.2, 0.05], [5, 2, 0, 5, 2]
+        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=7, record_diagnostics=True,
+                        x0=np.ones(4))
+        lanes = run_lanes(prob, algorithm, cfg, etas, seeds)
+        assert [lane.diverged for lane in lanes] == [False, False, True, False, False]
+        for eta, seed, lane in zip(etas, seeds, lanes):
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta,
+                                                                              seed=seed)))
+
+    def test_seeds_align_with_step_sizes(self):
+        prob = heterogeneous_quadratic(2, 3, seed=1)
+        cfg = RunConfig(K=1, R=2, eta=0.1)
+        with pytest.raises(ValueError, match="seeds"):
+            run_lanes(prob, "local", cfg, [0.1, 0.2], [0])
+        with pytest.raises(ValueError, match="seed"):
+            run_lanes(prob, "local", cfg, [0.1, 0.2], [0, -1])
 
     def test_no_lanes_no_trajectories(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)

@@ -141,6 +141,14 @@ class TestExcessLoss:
         assert excess_loss(prob, prob.w_star + 1.0) > 0
 
 
+def no_round_trajectory(x, steps):
+    """A hand-built trajectory with no rounds, only the start anchor x."""
+    return Trajectory("anytime", 0.1, LINEAR, 0, values=np.empty((0, 5)),
+                      t=np.empty(0, dtype=np.int64), round_diverged=np.empty(0, dtype=bool),
+                      anchor_w=x[None], anchor_x=x[None], x_output=x, diverged=False,
+                      steps=steps)
+
+
 class TestMomentumResidual:
     @pytest.mark.parametrize("schedule", [UNIFORM, LINEAR], ids=["uniform", "linear"])
     @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["exact", "noisy"])
@@ -151,7 +159,7 @@ class TestMomentumResidual:
         assert momentum_residual(traj) <= 1e-10
 
     def test_missing_step_records_rejected(self):
-        traj = Trajectory("anytime", 0.1, LINEAR, 0, [], [], np.zeros(2), False, steps=[])
+        traj = no_round_trajectory(np.zeros(2), steps=[])
         with pytest.raises(ValueError, match="per-step"):
             momentum_residual(traj)
 
@@ -161,6 +169,6 @@ class TestMomentumResidual:
             StepRecord(0, x, x, None, 0.0, 0.0),
             StepRecord(1, x, x, None, 0.0, 0.0),
         ]
-        traj = Trajectory("anytime", 0.1, LINEAR, 0, [], [], x, False, steps=steps)
+        traj = no_round_trajectory(x, steps)
         with pytest.raises(ValueError, match="gradient"):
             momentum_residual(traj)

@@ -374,6 +374,24 @@ class TestBatchedOracle:
                 for lane in range(4):
                     np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
 
+    @pytest.mark.parametrize("case", range(3), ids=["quadratic", "softmax-2", "softmax-4"])
+    def test_per_lane_seed_draws_match_round_sampler_bitwise(self, case):
+        # a stack of three seeds' draws; each lane gathers its seed's rows
+        prob = lane_problems(5, 8, seed=4)[case]
+        seeds = [6, 2, 9]
+        draws = prob.round_draws(seeds, 3, 4)
+        for row, seed in enumerate(seeds):
+            np.testing.assert_array_equal(draws[row], prob.round_draws(seed, 3, 4))
+        lanes = np.array([2, 0, 2, 1, 0, 1, 2])
+        points = 2.0 * np.random.default_rng(case).standard_normal((7, 5, 8))
+        for k in range(4):
+            got = prob.sampled_gradients(points, draws, k, lanes)
+            assert got.shape == points.shape
+            for lane, row in enumerate(lanes):
+                for i in range(5):
+                    sample = prob.round_sampler(seeds[row], i, 3, 4)
+                    np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
+
     def test_exact_gradients_rows_match_bitwise(self):
         quad = heterogeneous_quadratic(4, 5, seed=6)
         rng = np.random.default_rng(8)

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowcal_lab import cli, objectives, runner
-from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig
-from slowcal_lab.data import serialize_idx_images, serialize_idx_labels
+from slowcal_lab import cli, objectives, runner, tuning
+from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig, run_lanes
+from slowcal_lab.data import load_mnist, serialize_idx_images, serialize_idx_labels
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble
 from slowcal_lab.runner import (
@@ -412,10 +412,31 @@ GRID_CASES = {
 }
 
 
+def cell_step_size(spec, algorithm, problem, cfg, m):
+    """A cell's step size, recomputed from its lr directive: a fixed value,
+    the theory formula, or one direct grid_search call. Returns the step
+    size and the grid's tuning table, or None."""
+    directive = spec.lr[algorithm] if isinstance(spec.lr, dict) else spec.lr
+    if directive.startswith("grid:"):
+        tuned = grid_search(problem, algorithm, json.loads(directive[len("grid:"):]),
+                            cfg, spec.seeds)
+        return tuned.eta, [
+            {"eta": eta, "scores": [v if math.isfinite(v) else None for v in scores],
+             "mean": sum(scores) / len(scores) if math.isfinite(sum(scores)) else None}
+            for eta, scores in tuned.table.items()]
+    if directive == "theory":
+        md = problem.metadata(cfg.x0)
+        return theoretical_lr(LrInputs(
+            smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar, b0=md.b0,
+            M=m, K=cfg.K, R=cfg.R)), None
+    return float(directive[len("fixed:"):]), None
+
+
 def one_run_per_seed(spec):
-    """What a grid-tuned experiment must write, from one direct grid_search
-    call per cell and one ALGORITHMS call per seed at its winner: the CSV
-    rows without wall_ms, resolved_lr, output_excess and the tuning table."""
+    """What an experiment must write, from each cell's step size recomputed
+    on its own (``cell_step_size``) and one ALGORITHMS call per seed at it:
+    the CSV rows without wall_ms, resolved_lr, output_excess and the grid
+    cells' tuning tables."""
     kind = spec.problem["kind"]
     rows, resolved, excess, tuning = [], {}, {}, {}
     for algorithm in spec.algorithms:
@@ -425,27 +446,24 @@ def one_run_per_seed(spec):
                   else float(spec.x0[len("ones:"):]) * np.ones(problem.dim)
                   / math.sqrt(problem.dim))
             for k in spec.local_steps:
-                cfg = RunConfig(K=k, R=spec.rounds, eta=1.0,
+                r_rounds = spec.rounds if spec.rounds is not None else spec.total_steps // k
+                cfg = RunConfig(K=k, R=r_rounds, eta=1.0,
                                 schedule=parse_schedule(spec.schedule), x0=x0)
-                tuned = grid_search(problem, algorithm, json.loads(spec.lr[len("grid:"):]),
-                                    cfg, spec.seeds)
                 cell = f"{algorithm}-M{m}-K{k}"
-                resolved[cell] = tuned.eta
-                tuning[cell] = [
-                    {"eta": eta, "scores": [v if math.isfinite(v) else None for v in scores],
-                     "mean": sum(scores) / len(scores)
-                     if math.isfinite(sum(scores)) else None}
-                    for eta, scores in tuned.table.items()]
+                resolved[cell], table = cell_step_size(spec, algorithm, problem, cfg, m)
+                if table is not None:
+                    tuning[cell] = table
                 for seed in spec.seeds:
                     traj = ALGORITHMS[algorithm](problem, replace(
-                        cfg, eta=tuned.eta, seed=seed, record_diagnostics=spec.diagnostics))
+                        cfg, eta=resolved[cell], seed=seed,
+                        record_diagnostics=spec.diagnostics))
                     run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
                     value = excess_loss(problem, traj.x_output)
                     excess[run_id] = value if math.isfinite(value) else None
                     rows.extend({
                         "run_id": run_id, "algorithm": algorithm, "problem": kind,
-                        "M": str(m), "K": str(k), "R": str(spec.rounds), "seed": str(seed),
-                        "round": str(rm.round), "t": str(rm.t), "eta": repr(tuned.eta),
+                        "M": str(m), "K": str(k), "R": str(r_rounds), "seed": str(seed),
+                        "round": str(rm.round), "t": str(rm.t), "eta": repr(resolved[cell]),
                         **{column: repr(float(getattr(rm, column))) for column in (
                             "excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")},
                         "diverged": "true" if rm.diverged else "false",
@@ -453,6 +471,16 @@ def one_run_per_seed(spec):
     rows.sort(key=lambda row: (row["algorithm"], int(row["M"]), int(row["K"]),
                                int(row["seed"]), int(row["round"])))
     return rows, resolved, excess, tuning
+
+
+def assert_outputs_equal_one_run_per_seed(spec, tmp_path):
+    summary = run_experiment(spec, out_dir=tmp_path)
+    rows, resolved, excess, _ = one_run_per_seed(spec)
+    assert strip_timing(read_rows(summary.csv_path)) == rows
+    manifest = json.loads(summary.manifest_path.read_text())
+    assert manifest["resolved_lr"] == resolved
+    assert manifest["output_excess"] == excess
+    assert all(float(row["wall_ms"]) > 0 for row in read_rows(summary.csv_path))
 
 
 class TestGridCells:
@@ -464,14 +492,7 @@ class TestGridCells:
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_outputs_equal_one_run_per_seed(self, case, jobs, tmp_path, monkeypatch):
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
-        spec = spec_from_dict(GRID_CASES[case])
-        summary = run_experiment(spec, out_dir=tmp_path)
-        rows, resolved, excess, _ = one_run_per_seed(spec)
-        assert strip_timing(read_rows(summary.csv_path)) == rows
-        manifest = json.loads(summary.manifest_path.read_text())
-        assert manifest["resolved_lr"] == resolved
-        assert manifest["output_excess"] == excess
-        assert all(float(row["wall_ms"]) > 0 for row in read_rows(summary.csv_path))
+        assert_outputs_equal_one_run_per_seed(spec_from_dict(GRID_CASES[case]), tmp_path)
 
     def test_cases_cover_what_they_name(self):
         quadratic = spec_from_dict(GRID_CASES["quadratic-diverging-candidate"])
@@ -499,6 +520,68 @@ class TestGridCells:
                               .manifest_path.read_text())
         assert set(manifest["tuning"]) == {"local-M2-K2"}
         assert [entry["eta"] for entry in manifest["tuning"]["local-M2-K2"]] == [0.01, 0.1]
+
+
+FIXED_CASES = {
+    "quadratic-fixed-and-theory": base_config(
+        problem={"kind": "quadratic", "dim": 4, "sigma": 0.5, "problem_seed": 2},
+        algorithm=sorted(METHODS), machines=[2, 3], local_steps=[1, 3], rounds=5,
+        lr={name: "theory" if name in ("anytime", "slowcal") else "fixed:0.05"
+            for name in METHODS},
+        x0="ones:2", seeds=[3, 1, 1]),
+    "logistic-unequal-machines": base_config(
+        problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
+                 "label_skew": 0.3, "problem_seed": 1},
+        algorithm=sorted(METHODS), machines=[3], local_steps=[2],
+        rounds=4, lr="fixed:0.3", seeds=[3, 1, 1]),
+    "diverging-seeds": base_config(
+        algorithm=["local", "minibatch"], lr="fixed:10", x0="ones:3", seeds=[3, 1, 1]),
+}
+
+
+class TestFixedCells:
+    """A fixed or theory cell runs its seeds as the lanes of one engine
+    call; the outputs must be those of one ALGORITHMS call per seed."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(FIXED_CASES))
+    def test_outputs_equal_one_run_per_seed(self, case, jobs, tmp_path, monkeypatch):
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
+        assert_outputs_equal_one_run_per_seed(spec_from_dict(FIXED_CASES[case]), tmp_path)
+
+    def test_cases_cover_what_they_name(self):
+        logistic = spec_from_dict(FIXED_CASES["logistic-unequal-machines"])
+        sizes = [len(labels) for labels in build_problem(logistic.problem, 3).labels]
+        assert len(set(sizes)) > 1
+        rows, _, _, _ = one_run_per_seed(spec_from_dict(FIXED_CASES["diverging-seeds"]))
+        assert {row["diverged"] for row in rows} == {"true", "false"}
+
+    def test_one_engine_call_per_fixed_cell_and_per_grid_seed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(problem, method, cfg, etas, seeds=None):
+            calls.append((method, cfg.record_diagnostics, seeds))
+            return run_lanes(problem, method, cfg, etas, seeds)
+
+        monkeypatch.setattr(runner, "run_lanes", counting)
+        monkeypatch.setattr(tuning, "run_lanes", counting)
+        spec = spec_from_dict(base_config(
+            lr={"minibatch": "fixed:0.05", "local": "grid:[0.01, 0.1]"},
+            seeds=[3, 1, 1], diagnostics=True))
+        run_experiment(spec, out_dir=tmp_path)
+        assert calls == [("minibatch", False, (3, 1, 1))] + [("local", False, None)] * 3
+
+    def test_diagnostics_change_no_output(self, tmp_path):
+        config = base_config(
+            algorithm=["minibatch", "local", "slowcal"],
+            lr={"minibatch": "fixed:0.05", "local": "theory", "slowcal": "grid:[0.01, 0.1]"})
+        summaries = [run_experiment(spec_from_dict(dict(config, diagnostics=flag)),
+                                    out_dir=tmp_path / str(flag)) for flag in (False, True)]
+        plain, probed = summaries
+        assert strip_timing(read_rows(plain.csv_path)) == strip_timing(read_rows(probed.csv_path))
+        manifests = [json.loads(s.manifest_path.read_text()) for s in summaries]
+        for key in ("resolved_lr", "output_excess"):
+            assert manifests[0][key] == manifests[1][key]
 
 
 class TestSweep:
@@ -571,6 +654,17 @@ class TestMnistExperiment:
         tm = manifest["test_metrics"]["local-mnist-logistic-M2-K2-s0"]
         assert 0.0 <= tm["test_accuracy"] <= 1.0
         assert tm["test_loss"] > 0.0
+
+        # the test loss goes through the softmax oracle; it must equal the
+        # closed-form cross-entropy at the run's output point bitwise
+        problems, _ = runner._mnist_problems(spec, data)
+        x = ALGORITHMS["local"](problems[2], RunConfig(K=2, R=2, eta=0.05, seed=0)).x_output
+        _, _, test_x, test_y = load_mnist(data)
+        logits = test_x @ x.reshape(10, -1).T
+        peak = logits.max(axis=1, keepdims=True)
+        logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+        assert tm["test_loss"] == -float(logp[np.arange(test_x.shape[0]), test_y].mean())
+        assert tm["test_accuracy"] == float((logits.argmax(axis=1) == test_y).mean())
 
     def test_data_dir_is_required(self, tmp_path):
         spec = spec_from_dict(mnist_config())
