@@ -25,7 +25,9 @@ ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
 lane's values bitwise equal to a run of its own. A ``Trajectory`` holds
 its lane's rows of those arrays; ``rounds`` and ``anchors`` build the
 record objects on demand, and ``pack`` copies the round values into the
-``PackedRun`` the runner writes out.
+``PackedRun`` the runner writes out. Outputs come from running state (the
+last anchor, or an ascending sum of anchors or of step means), so a call
+may keep no anchors: the runner, which never reads them, keeps none.
 
 Conventions shared by every method:
 
@@ -89,7 +91,7 @@ class Trajectory:
     in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
     and ``round_diverged`` each round's divergence flag; ``anchor_w`` and
     ``anchor_x`` hold the anchors as (completed rounds + 1, d) arrays, row
-    i placed after round i."""
+    i placed after round i, or are None when the run kept no anchors."""
 
     algorithm: str
     eta: float
@@ -98,8 +100,8 @@ class Trajectory:
     values: np.ndarray
     t: np.ndarray
     round_diverged: np.ndarray
-    anchor_w: np.ndarray
-    anchor_x: np.ndarray
+    anchor_w: np.ndarray | None
+    anchor_x: np.ndarray | None
     x_output: np.ndarray
     diverged: bool
     steps: list[StepRecord] | None = None
@@ -114,6 +116,8 @@ class Trajectory:
     @property
     def anchors(self) -> list[ServerAnchor]:
         """The anchors, built from the arrays (rows of them, not copies)."""
+        if self.anchor_w is None:
+            raise ValueError("this run kept no anchors")
         return [ServerAnchor(i, w, x) for i, (w, x) in enumerate(zip(self.anchor_w, self.anchor_x))]
 
     def pack(self, wall_ms: float) -> "PackedRun":
@@ -170,22 +174,24 @@ def _ascending_mean(rows: np.ndarray) -> np.ndarray:
 
 class _Recorder:
     """Shared bookkeeping for every lane of one run_lanes call: per-call
-    arrays of round values, divergence flags and anchors, indexed (round,
-    lane), per-step records, and the divergence freeze. Each round close
+    arrays of round values, divergence flags and (if kept) anchors, indexed
+    (round, lane), per-step records, and the divergence freeze. Each round close
     and step record measures all live lanes at once; row j of the arrays
     passed in belongs to lane ``lanes[j]``."""
 
-    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int):
+    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int,
+                 keep_anchors: bool):
         self.problem = problem
         self.cfg = cfg
         self.lanes = np.arange(num_lanes)  # the lane of each live row
-        self.live = slice(None)  # indexes the live lanes: all of them, until one freezes
         self.values = np.empty((cfg.R, num_lanes, len(ROUND_COLUMNS)))
         self.round_diverged = np.zeros((cfg.R, num_lanes), dtype=bool)
         self.t = np.arange(1, cfg.R + 1, dtype=np.int64) * cfg.K
-        self.anchor_w = np.empty((cfg.R + 1, num_lanes, x_start.shape[0]))
-        self.anchor_x = np.empty_like(self.anchor_w)
-        self.anchor_w[0] = self.anchor_x[0] = x_start
+        self.anchor_w = self.anchor_x = None
+        if keep_anchors:
+            self.anchor_w = np.empty((cfg.R + 1, num_lanes, x_start.shape[0]))
+            self.anchor_x = np.empty_like(self.anchor_w)
+            self.anchor_w[0] = self.anchor_x[0] = x_start
         self.steps: list[list[StepRecord]] | None = (
             [[] for _ in range(num_lanes)] if cfg.record_diagnostics else None)
         initial = problem.global_value(x_start) - problem.f_star
@@ -194,11 +200,12 @@ class _Recorder:
     def drop(self, keep: list[int]) -> None:
         """Keep only the live rows ``keep``."""
         self.lanes = self.lanes[keep]
-        self.live = self.lanes
 
     def place_anchor(self, completed: int, w: np.ndarray, x: np.ndarray) -> None:
-        self.anchor_w[completed, self.live] = w
-        self.anchor_x[completed, self.live] = x
+        if self.anchor_w is None:
+            return
+        self.anchor_w[completed, self.lanes] = w
+        self.anchor_x[completed, self.lanes] = x
 
     def record_step(self, t: int, w_mean: np.ndarray, x_mean: np.ndarray,
                     g_mean: np.ndarray | None, x_states: np.ndarray,
@@ -232,14 +239,11 @@ class _Recorder:
         values[:, 2] = dispersion(x_states, alpha)
         values[:, 3] = bias_increment(problem, x_states, alpha)
         values[:, 4] = squared_norms(w_mean - problem.w_star)
-        if np.isfinite(values).all() and values[:, 0].max() <= self.threshold:
-            self.values[r, self.live] = values
-            return []
         finite = np.isfinite(values)
         diverged = ~finite.all(axis=-1) | (values[:, 0] > self.threshold)
         values[~finite] = math.inf
-        self.values[r, self.live] = values
-        self.round_diverged[r, self.live] = diverged
+        self.values[r, self.lanes] = values
+        self.round_diverged[r, self.lanes] = diverged
         return np.flatnonzero(diverged).tolist()
 
     def freeze(self, rows: list[int], start_round: int) -> None:
@@ -252,9 +256,10 @@ class _Recorder:
                    x_output: np.ndarray) -> Trajectory:
         """Lane ``lane``'s run, ``completed`` rounds in; its arrays are
         views of this recorder's."""
+        anchors = (None, None) if self.anchor_w is None else (
+            self.anchor_w[:completed + 1, lane], self.anchor_x[:completed + 1, lane])
         return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane], self.t,
-                          self.round_diverged[:, lane], self.anchor_w[:completed + 1, lane],
-                          self.anchor_x[:completed + 1, lane], x_output,
+                          self.round_diverged[:, lane], *anchors, x_output,
                           bool(self.round_diverged[-1, lane]),
                           None if self.steps is None else self.steps[lane])
 
@@ -310,14 +315,17 @@ def _draw_plan(seeds: list[int]) -> tuple[int | list[int], np.ndarray | None]:
     return distinct, np.array([row[seed] for seed in seeds])
 
 
-def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Trajectory]:
+def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
+              keep_anchors: bool = True) -> list[Trajectory]:
     """Run `method` once per (seed, step size) pair, as the lanes of one
     recursion over (lanes, machines, d) arrays of w and x; `seeds` is
     aligned with `etas`, and by default every lane takes cfg.seed. Each
     round draws once per distinct seed, lanes of one seed share those
     draws, and lane j returns exactly the trajectory of a run with
     cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
-    and leaves the batch while the others go on."""
+    and leaves the batch while the others go on. With keep_anchors=False
+    the trajectories hold no anchors, which saves (R + 1) x lanes x 2d
+    floats and changes nothing else."""
     spec = METHODS[method]
     etas = [float(eta) for eta in etas]
     lane_seeds = [cfg.seed] * len(etas) if seeds is None else [int(seed) for seed in seeds]
@@ -331,10 +339,10 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Tr
     tied = spec.query == "w"
     w = np.tile(start, (len(etas), copies, 1))
     x = w if tied else w.copy()
-    acc = None
+    acc = None  # the output's running sum: of the step means of w, or of the anchors of x
     if spec.output == "weighted-mean":
         acc = np.tile(weight_at(schedule, 0) * start, (len(etas), 1))
-    rec = _Recorder(problem, cfg, start, len(etas))
+    rec = _Recorder(problem, cfg, start, len(etas), keep_anchors)
     lane_etas = np.array(etas)
     draw_seeds, draw_rows = _draw_plan(lane_seeds)
     out: list[Trajectory | None] = [None] * len(etas)
@@ -346,14 +354,13 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Tr
         if rec.steps is not None:
             rec.record_step(completed * k_steps, _ascending_mean(w[rows]), _ascending_mean(x[rows]),
                             None, machine_states(x[rows]), rows)
-        lanes = rec.lanes[rows]
-        if spec.output == "anchor-mean":  # each lane's anchors 1..completed, ascending
-            outputs = _ascending_mean(rec.anchor_x[1:completed + 1, lanes].swapaxes(0, 1))
+        if spec.output == "anchor-mean":  # _ascending_mean of anchors 1..completed
+            outputs = acc[rows] / completed
         elif spec.output == "weighted-mean":
             outputs = acc[rows] / prefix_weight(schedule, k_steps * cfg.R)
         else:
-            outputs = rec.anchor_x[completed, lanes]
-        for lane, x_output in zip(lanes.tolist(), outputs):
+            outputs = x_mean[rows]
+        for lane, x_output in zip(rec.lanes[rows].tolist(), outputs):
             out[lane] = rec.trajectory(lane, completed, spec, etas[lane], lane_seeds[lane],
                                        x_output)
 
@@ -389,7 +396,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Tr
                     gamma = averaging_coeff(schedule, t)
                     x *= 1.0 - gamma
                     x += gamma * w
-                if acc is not None:
+                if spec.output == "weighted-mean":
                     acc = acc + weight_at(schedule, t + 1) * _ascending_mean(w)
 
             if spec.aggregate == "server":
@@ -401,6 +408,8 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None) -> list[Tr
                 w = np.repeat(w_mean[:, None], copies, axis=1)
                 x = w if tied else np.repeat(x_mean[:, None], copies, axis=1)
             rec.place_anchor(r + 1, w_mean, x_mean)
+            if spec.output == "anchor-mean":
+                acc = x_mean.copy() if r == 0 else acc + x_mean
             if diverged:
                 rec.freeze(diverged, r + 1)
                 finish(diverged, r + 1)

@@ -154,10 +154,9 @@ class QuadraticEnsemble:
         einsum is not bitwise equal to the one-lane call); their means are
         one reduction over the machine axis, which is."""
         x = np.asarray(x)
-        if x.ndim == 1:
-            return float(self._machine_values(x).mean())
         vals = np.array([self._machine_values(point) for point in x.reshape(-1, x.shape[-1])])
-        return (vals.sum(axis=-1) / self.num_machines).reshape(x.shape[:-1])
+        values = (vals.sum(axis=-1) / self.num_machines).reshape(x.shape[:-1])
+        return float(values) if x.ndim == 1 else values
 
     def _machine_values(self, x: np.ndarray) -> np.ndarray:
         diff = x[None, :] - self.centers

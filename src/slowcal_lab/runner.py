@@ -445,11 +445,11 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
         ))
     else:
         eta = payload
-    if mode != "grid":  # every seed is a lane of one call, with no step records
+    if mode != "grid":  # every seed is a lane of one call, with no step records or anchors
         started = time.perf_counter()
         lanes = run_lanes(problem, algorithm, RunConfig(
             K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
-            [eta] * len(spec.seeds), spec.seeds)
+            [eta] * len(spec.seeds), spec.seeds, keep_anchors=False)
         wall_ms = (time.perf_counter() - started) * 1e3 / len(spec.seeds)
         runs = [traj.pack(wall_ms) for traj in lanes]
     rows: list[dict] = []

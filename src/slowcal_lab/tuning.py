@@ -95,7 +95,9 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
         lanes = run_lanes(problem, algorithm, replace(cfg, seed=int(seed)), candidates)
         wall_ms = (time.perf_counter() - started) * 1e3 / len(candidates)
         for j, eta in enumerate(candidates):
-            traj, lanes[j] = lanes[j], None  # its anchors and steps go once it is scored
+            # its step records go once it is scored; its anchors and round values
+            # are views of the call's arrays and live until its last lane is dropped
+            traj, lanes[j] = lanes[j], None
             value = math.inf if traj.diverged else float(score_fn(problem, traj))
             if not math.isfinite(value):
                 value = math.inf

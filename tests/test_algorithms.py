@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import ALGORITHMS, RunConfig, run_lanes
+from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig, _ascending_mean, run_lanes
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.weights import LINEAR, UNIFORM, averaging_coeff, prefix_weight, weight_at
@@ -345,6 +345,26 @@ class TestLanes:
         for eta, seed, lane in zip(etas, seeds, lanes):
             assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta,
                                                                               seed=seed)))
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_keeping_no_anchors_changes_nothing_else(self, algorithm):
+        prob = lane_problems(3, 4, seed=9)[0]
+        etas, seeds = [0.05, 1e3, 0.2], [5, 0, 2]
+        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=7, record_diagnostics=True,
+                        x0=np.ones(4))
+        kept = run_lanes(prob, algorithm, cfg, etas, seeds)
+        bare = run_lanes(prob, algorithm, cfg, etas, seeds, keep_anchors=False)
+        assert [lane.diverged for lane in bare] == [False, True, False]
+        for a, b in zip(kept, bare):
+            assert b.anchor_w is None and b.anchor_x is None
+            with pytest.raises(ValueError, match="no anchors"):
+                b.anchors
+            assert a.rounds == b.rounds and a.diverged == b.diverged
+            assert a.x_output.tobytes() == b.x_output.tobytes()
+            assert [(x.t, x.dispersion_q) for x in a.steps] == [
+                (y.t, y.dispersion_q) for y in b.steps]
+            if METHODS[algorithm].output == "anchor-mean":
+                assert b.x_output.tobytes() == _ascending_mean(a.anchor_x[1:]).tobytes()
 
     def test_seeds_align_with_step_sizes(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)

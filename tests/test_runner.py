@@ -557,11 +557,12 @@ class TestFixedCells:
         assert {row["diverged"] for row in rows} == {"true", "false"}
 
     def test_one_engine_call_per_fixed_cell_and_per_grid_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
         calls = []
 
-        def counting(problem, method, cfg, etas, seeds=None):
-            calls.append((method, cfg.record_diagnostics, seeds))
-            return run_lanes(problem, method, cfg, etas, seeds)
+        def counting(problem, method, cfg, etas, seeds=None, keep_anchors=True):
+            calls.append((method, cfg.record_diagnostics, seeds, keep_anchors))
+            return run_lanes(problem, method, cfg, etas, seeds, keep_anchors)
 
         monkeypatch.setattr(runner, "run_lanes", counting)
         monkeypatch.setattr(tuning, "run_lanes", counting)
@@ -569,7 +570,8 @@ class TestFixedCells:
             lr={"minibatch": "fixed:0.05", "local": "grid:[0.01, 0.1]"},
             seeds=[3, 1, 1], diagnostics=True))
         run_experiment(spec, out_dir=tmp_path)
-        assert calls == [("minibatch", False, (3, 1, 1))] + [("local", False, None)] * 3
+        assert calls == ([("minibatch", False, (3, 1, 1), False)]
+                         + [("local", False, None, True)] * 3)
 
     def test_diagnostics_change_no_output(self, tmp_path):
         config = base_config(
