@@ -8,10 +8,10 @@ over R rounds of K local steps, with aggregation by ascending-machine-index
 averaging. A method is a small ``Method`` spec (query slot, step weight,
 aggregation, output rule) and ``run_lanes`` is the one engine that runs
 them. It works on (lanes, machines, d) arrays of w and x, where a lane is
-one (seed, step size) pair: grid tuning runs every candidate of a seed as
-the lanes of one call, a fixed or theory cell runs every seed as the lanes
-of one call, and ``ALGORITHMS[name](problem, cfg)``, built from
-``METHODS``, is the one-lane call and the way to run a single method. The
+one (seed, step size) pair. A sweep runs each cell as one call: a grid
+cell's lanes are its (seed, candidate) pairs, a fixed or theory cell's its
+seeds. ``ALGORITHMS[name](problem, cfg)``, built from ``METHODS``, is the
+one-lane call and the way to run a single method. The
 machine count is the ensemble's, so a config carries none (``anytime``
 pools every machine's draws into one logical worker).
 Stochastic draws are keyed by (seed, machine, round, step) and made once
@@ -22,7 +22,9 @@ of a call in per-call arrays (round values, divergence flags, anchors),
 and each round close and step record measures all live lanes in one
 batched pass (``metrics.dispersion`` and ``bias_increment`` and the
 ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
-lane's values bitwise equal to a run of its own. A ``Trajectory`` holds
+lane's values bitwise equal to a run of its own; a round close evaluates
+the global gradient at the machine mean once, for its gradient norm and
+its bias increment. A ``Trajectory`` holds
 its lane's rows of those arrays; ``rounds`` and ``anchors`` build the
 record objects on demand, and ``pack`` copies the round values into the
 ``PackedRun`` the runner writes out. Outputs come from running state (the
@@ -234,10 +236,11 @@ class _Recorder:
         x_mean = _ascending_mean(x_states)
         alpha = weight_at(self.cfg.schedule, (r + 1) * self.cfg.K)
         values = np.empty((len(self.lanes), len(ROUND_COLUMNS)))
+        grad = problem.global_gradient(x_mean)
         values[:, 0] = problem.global_value(x_mean) - problem.f_star
-        values[:, 1] = np.sqrt(squared_norms(problem.global_gradient(x_mean)))
+        values[:, 1] = np.sqrt(squared_norms(grad))
         values[:, 2] = dispersion(x_states, alpha)
-        values[:, 3] = bias_increment(problem, x_states, alpha)
+        values[:, 3] = bias_increment(problem, x_states, alpha, (x_mean, grad))
         values[:, 4] = squared_norms(w_mean - problem.w_star)
         finite = np.isfinite(values)
         diverged = ~finite.all(axis=-1) | (values[:, 0] > self.threshold)

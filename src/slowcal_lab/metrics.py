@@ -50,10 +50,17 @@ def dispersion(states: np.ndarray, alpha: float) -> float | np.ndarray:
     return float(value) if pts.ndim == 2 else value
 
 
-def bias_increment(problem, states: np.ndarray, alpha: float) -> float | np.ndarray:
+def bias_increment(problem, states: np.ndarray, alpha: float,
+                   known: tuple[np.ndarray, np.ndarray] | None = None) -> float | np.ndarray:
     """alpha^2 ||mean_i grad_i(x_i) - grad f(mean_i x_i)||^2 for one step's
     per-machine query points (one row per machine). Like ``dispersion``, an
-    (M, d) input gives a float and (lanes, M, d) one value per lane."""
+    (M, d) input gives a float and (lanes, M, d) one value per lane.
+
+    ``known`` is an optional (mean, grad f(mean)) pair the caller already
+    holds. It replaces the global-gradient evaluation only where ``mean`` is
+    bitwise the machine mean taken here; otherwise (numpy sums a machine
+    axis pairwise when it is the innermost one, as for d = 1 and M >= 8) the
+    gradient is evaluated anyway, so the result never depends on it."""
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
     m = pts.shape[-2]
     if m != problem.num_machines:
@@ -63,7 +70,12 @@ def bias_increment(problem, states: np.ndarray, alpha: float) -> float | np.ndar
     for i in range(m):
         mean_grad += grads[..., i, :]
     mean_grad /= m
-    gap = mean_grad - problem.global_gradient(pts.sum(axis=-2) / m)
+    mean = pts.sum(axis=-2) / m
+    if known is not None and known[0].shape == mean.shape and known[0].tobytes() == mean.tobytes():
+        global_grad = known[1]
+    else:
+        global_grad = problem.global_gradient(mean)
+    gap = mean_grad - global_grad
     value = alpha ** 2 * squared_norms(gap)
     return float(value) if pts.ndim == 2 else value
 

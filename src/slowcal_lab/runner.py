@@ -12,9 +12,10 @@ nondeterministic outputs).
 executor. Each machine count's problem is built once, in the parent; a
 cell, one (algorithm, M, K), then resolves its step size (fixed, theory or
 grid search) and emits every seed's run, either in this process or as one
-task of a process pool that was handed the built problems at start. A grid
-cell emits the winner's runs that tuning already made; the others run all
-their seeds as the lanes of one engine call. Only the problem building and
+task of a process pool that was handed the built problems at start. Every
+cell is one engine call: a grid cell emits the winner's runs from its
+tuning call, whose lanes are every (seed, candidate) pair; a fixed or
+theory cell's lanes are its seeds. Only the problem building and
 the kind-specific manifest entries differ by kind. The ``diagnostics``
 field is accepted for compatibility; no output holds per-step records, so
 a sweep never makes them.
@@ -33,10 +34,12 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +409,10 @@ def _theory_warnings(spec: ExperimentSpec) -> list[str]:
     return [note]
 
 
+def _run_id(algorithm: str, kind: str, m: int, k: int, seed: int) -> str:
+    return f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
+
+
 def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m: int, k: int,
               r_rounds: int, seed: int, eta: float) -> list[dict]:
     run_fields = {"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m,
@@ -419,25 +426,50 @@ def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m:
     return rows
 
 
+class _CsvRows:
+    """The sweep's runs.csv rows, built from the packed runs as they are
+    written, so only one run's rows (or a repeated run's) exist at a time.
+    ``runs`` holds ((algorithm, M, K, seed), eta, run) triples in cell and
+    seed order. Rows come sorted by that key, rounds ascending; runs that
+    share a key (a repeated seed or cell) interleave by round in that order,
+    as a stable sort of all rows would place them."""
+
+    def __init__(self, spec: ExperimentSpec, runs: list):
+        self.spec = spec
+        self.runs = sorted(runs, key=itemgetter(0))
+
+    def __len__(self) -> int:
+        return sum(len(run.t) for _, _, run in self.runs)
+
+    def __iter__(self):
+        kind = self.spec.problem["kind"]
+        for (algorithm, m, k, seed), group in groupby(self.runs, key=itemgetter(0)):
+            run_id = _run_id(algorithm, kind, m, k, seed)
+            r_rounds = _rounds_for(self.spec, k)
+            tables = [_run_rows(run, run_id, algorithm, kind, m, k, r_rounds, seed, eta)
+                      for _, eta, run in group]
+            for same_round in zip(*tables):
+                yield from same_round
+
+
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
-    or grid search), then emit every seed's run. A grid cell emits the
-    winner's runs that the grid search already made, so it runs nothing
-    more; a fixed or theory cell runs its seeds as the lanes of one
-    run_lanes call, each run charged the call's time divided by the seed
-    count. Returns (eta, rows, {run_id: output point}, any diverged, the
-    grid's score table or None)."""
+    or grid search), then run every seed, all in one run_lanes call with no
+    anchors kept. A grid cell's call is the grid search's, over every (seed,
+    candidate) pair, and it emits the winner's runs from it, so it runs
+    nothing more; each run is charged the call's time divided by seeds x
+    candidates. A fixed or theory cell's call has one lane per seed, each
+    run charged the call's time divided by the seed count. Returns (eta,
+    the runs in ``spec.seeds`` order, the grid's score table or None)."""
     r_rounds = _rounds_for(spec, k)
-    kind = spec.problem["kind"]
     schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem.dim)
     mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
-    table = None
     if mode == "grid":
         template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=schedule, seed=0, x0=start)
         tuned = grid_search(problem, algorithm, payload, template, spec.seeds)
-        eta, table, runs = tuned.eta, tuned.table, tuned.runs
-    elif mode == "theory":
+        return tuned.eta, tuned.runs, tuned.table
+    if mode == "theory":
         md = problem.metadata(start)
         eta = theoretical_lr(LrInputs(
             smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
@@ -445,22 +477,13 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
         ))
     else:
         eta = payload
-    if mode != "grid":  # every seed is a lane of one call, with no step records or anchors
-        started = time.perf_counter()
-        lanes = run_lanes(problem, algorithm, RunConfig(
-            K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
-            [eta] * len(spec.seeds), spec.seeds, keep_anchors=False)
-        wall_ms = (time.perf_counter() - started) * 1e3 / len(spec.seeds)
-        runs = [traj.pack(wall_ms) for traj in lanes]
-    rows: list[dict] = []
-    outputs: dict[str, np.ndarray] = {}
-    any_diverged = False
-    for seed, run in zip(spec.seeds, runs):
-        run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
-        rows.extend(_run_rows(run, run_id, algorithm, kind, m, k, r_rounds, seed, eta))
-        outputs[run_id] = run.x_output
-        any_diverged = any_diverged or bool(run.diverged[-1])
-    return eta, rows, outputs, any_diverged, table
+    # every seed is a lane of one call, with no step records or anchors
+    started = time.perf_counter()
+    lanes = run_lanes(problem, algorithm, RunConfig(
+        K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
+        [eta] * len(spec.seeds), spec.seeds, keep_anchors=False)
+    wall_ms = (time.perf_counter() - started) * 1e3 / len(spec.seeds)
+    return eta, [traj.pack(wall_ms) for traj in lanes], None
 
 
 _WORKER: dict = {}  # filled in each pool worker by _start_worker; the parent never reads it
@@ -531,7 +554,7 @@ def _resolve_out_dir(spec: ExperimentSpec, override: str | Path | None) -> Path:
     return Path(env) if env else Path(spec.out_dir)
 
 
-def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: list[dict],
+def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[dict],
                    manifest_extra: dict) -> tuple[Path, Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -573,13 +596,14 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     warnings = _theory_warnings(spec)
     cells = [(algorithm, m, k) for algorithm in spec.algorithms
              for m in spec.machines for k in spec.local_steps]
-    rows: list[dict] = []
+    kind = spec.problem["kind"]
+    sweep_runs: list = []
     resolved_lr: dict[str, float] = {}
     tuning: dict[str, list[dict]] = {}
     outputs: dict[str, np.ndarray] = {}
     output_excess: dict[str, float | None] = {}
     any_diverged = False
-    for (algorithm, m, k), (eta, cell_rows, cell_outputs, diverged, table) in zip(
+    for (algorithm, m, k), (eta, runs, table) in zip(
             cells, _cell_results(spec, problems, cells, jobs)):
         cell = f"{algorithm}-M{m}-K{k}"
         resolved_lr[cell] = eta
@@ -588,13 +612,13 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
                 {"eta": candidate, "scores": [_finite_or_null(v) for v in scores],
                  "mean": _finite_or_null(mean_score(scores))}
                 for candidate, scores in table.items()]
-        rows.extend(cell_rows)
-        outputs.update(cell_outputs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run_id, x in cell_outputs.items():
-                output_excess[run_id] = _finite_or_null(excess_loss(problems[m], x))
-        any_diverged = any_diverged or diverged
-    rows.sort(key=lambda row: (row["algorithm"], row["M"], row["K"], row["seed"], row["round"]))
+        for seed, run in zip(spec.seeds, runs):
+            sweep_runs.append(((algorithm, m, k, seed), eta, run))
+            run_id = _run_id(algorithm, kind, m, k, seed)
+            outputs[run_id] = run.x_output
+            with np.errstate(over="ignore", invalid="ignore"):
+                output_excess[run_id] = _finite_or_null(excess_loss(problems[m], run.x_output))
+            any_diverged = any_diverged or bool(run.diverged[-1])
     extra = {
         "resolved_lr": resolved_lr,
         "tuning": tuning,
@@ -604,7 +628,7 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
         "warnings": warnings,
     }
     resolved = _resolve_out_dir(spec, out_dir)
-    csv_path, manifest_path = _write_outputs(resolved, spec, rows, extra)
+    csv_path, manifest_path = _write_outputs(resolved, spec, _CsvRows(spec, sweep_runs), extra)
     return RunSummary(resolved, csv_path, manifest_path, len(outputs), any_diverged)
 
 

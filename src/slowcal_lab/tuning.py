@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algorithms import ALGORITHMS, PackedRun, RunConfig, run_lanes
 from .metrics import excess_loss
@@ -73,12 +73,14 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
     the output point; diverged runs score +inf). Ties break toward the
     smaller step size.
 
-    Each seed runs every candidate as one lane of a single batched run on
-    the same draws; the scores equal those of one run per step size, and
-    the winner's runs equal its own runs at that step size, so they need no
-    replay. Each kept run is charged the seed's batched call time divided
-    by its lane count. A candidate drops its runs as soon as it scores +inf
-    on a seed, since it can no longer win."""
+    Every (seed, candidate) pair is one lane of a single batched run, seed
+    by seed: lanes of one seed share its draws, each lane's run equals its
+    own run at that seed and step size, and the winner's runs need no
+    replay. The run keeps no anchors, so ``score_fn`` receives trajectories
+    whose ``anchor_w``/``anchor_x`` are None. Each kept run is charged the
+    call's time divided by its lane count (seeds x candidates). A candidate
+    drops its runs as soon as it scores +inf on a seed, since it can no
+    longer win."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     candidates = sorted({float(v) for v in grid})
@@ -88,23 +90,24 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
         def score_fn(prob, traj):
             return excess_loss(prob, traj.x_output)
 
+    etas = candidates * len(seeds)  # seed-major lanes: scores come out in seed order
+    started = time.perf_counter()
+    lanes = run_lanes(problem, algorithm, cfg, etas,
+                      [seed for seed in seeds for _ in candidates], keep_anchors=False)
+    wall_ms = (time.perf_counter() - started) * 1e3 / len(lanes)
     table: dict[float, list[float]] = {eta: [] for eta in candidates}
     kept: dict[float, list[PackedRun]] = {eta: [] for eta in candidates}
-    for seed in seeds:
-        started = time.perf_counter()
-        lanes = run_lanes(problem, algorithm, replace(cfg, seed=int(seed)), candidates)
-        wall_ms = (time.perf_counter() - started) * 1e3 / len(candidates)
-        for j, eta in enumerate(candidates):
-            # its step records go once it is scored; its anchors and round values
-            # are views of the call's arrays and live until its last lane is dropped
-            traj, lanes[j] = lanes[j], None
-            value = math.inf if traj.diverged else float(score_fn(problem, traj))
-            if not math.isfinite(value):
-                value = math.inf
-                kept.pop(eta, None)
-            elif eta in kept:
-                kept[eta].append(traj.pack(wall_ms))
-            table[eta].append(value)
+    for j, eta in enumerate(etas):
+        # its step records go once it is scored; its round values are views
+        # of the call's arrays and live until its last lane is dropped
+        traj, lanes[j] = lanes[j], None
+        value = math.inf if traj.diverged else float(score_fn(problem, traj))
+        if not math.isfinite(value):
+            value = math.inf
+            kept.pop(eta, None)
+        elif eta in kept:
+            kept[eta].append(traj.pack(wall_ms))
+        table[eta].append(value)
     best_eta, best_mean = None, math.inf
     for eta, scores in table.items():
         mean = mean_score(scores)

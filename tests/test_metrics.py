@@ -3,7 +3,7 @@ momentum-form residual on recorded trajectories."""
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import ALGORITHMS, RunConfig, StepRecord, Trajectory
+from slowcal_lab.algorithms import ALGORITHMS, RunConfig, StepRecord, Trajectory, _ascending_mean
 from slowcal_lab.metrics import (
     bias_increment,
     dispersion,
@@ -119,6 +119,32 @@ class TestLaneDiagnostics:
                 for b in range(3):
                     assert spreads[a, b] == dispersion(states[a, b], 0.9)
                     assert biases[a, b] == bias_increment(prob, states[a, b], 0.9)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 9, 16, 17])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_known_global_gradient_changes_nothing(self, d, lead, m, monkeypatch):
+        """A round close passes the global gradient at the ascending machine
+        mean. For d >= 2 that mean is bitwise the one bias_increment takes,
+        so the gradient is reused; for d = 1 numpy sums the machine axis
+        pairwise from M = 8 on, the means differ, and it is evaluated again.
+        Either way the value equals a call without it."""
+        states = 3.0 * np.random.default_rng(m + d).standard_normal(lead + (m, d))
+        mean = _ascending_mean(states)
+        for prob in lane_problems(m, d, seed=m):
+            known = (mean, prob.global_gradient(mean))
+            plain = bias_increment(prob, states, 0.7)
+            calls = []
+            real = type(prob).global_gradient
+            monkeypatch.setattr(type(prob), "global_gradient",
+                                lambda self, x: calls.append(x) or real(self, x))
+            shared = bias_increment(prob, states, 0.7, known)
+            monkeypatch.undo()
+            assert np.asarray(shared).tobytes() == np.asarray(plain).tobytes()
+            same_mean = mean.tobytes() == (states.sum(axis=-2) / m).tobytes()
+            assert len(calls) == (0 if same_mean else 1)
+            if d > 1:
+                assert same_mean
 
     def test_lane_row_count_must_match_machines(self):
         prob = heterogeneous_quadratic(3, 2, seed=1)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -556,22 +557,30 @@ class TestFixedCells:
         rows, _, _, _ = one_run_per_seed(spec_from_dict(FIXED_CASES["diverging-seeds"]))
         assert {row["diverged"] for row in rows} == {"true", "false"}
 
-    def test_one_engine_call_per_fixed_cell_and_per_grid_seed(self, tmp_path, monkeypatch):
+    def test_one_engine_call_per_cell(self, tmp_path, monkeypatch):
+        """Every lr mode runs a cell as one run_lanes call with no anchors:
+        one lane per seed, or per (seed, candidate) pair, seed-major, for a
+        grid."""
         monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
         calls = []
 
         def counting(problem, method, cfg, etas, seeds=None, keep_anchors=True):
-            calls.append((method, cfg.record_diagnostics, seeds, keep_anchors))
+            calls.append((method, cfg.record_diagnostics, list(etas), list(seeds), keep_anchors))
             return run_lanes(problem, method, cfg, etas, seeds, keep_anchors)
 
         monkeypatch.setattr(runner, "run_lanes", counting)
         monkeypatch.setattr(tuning, "run_lanes", counting)
         spec = spec_from_dict(base_config(
-            lr={"minibatch": "fixed:0.05", "local": "grid:[0.01, 0.1]"},
+            algorithm=["minibatch", "local", "slowcal"],
+            lr={"minibatch": "fixed:0.05", "local": "grid:[0.1, 0.01]", "slowcal": "theory"},
             seeds=[3, 1, 1], diagnostics=True))
-        run_experiment(spec, out_dir=tmp_path)
-        assert calls == ([("minibatch", False, (3, 1, 1), False)]
-                         + [("local", False, None, True)] * 3)
+        summary = run_experiment(spec, out_dir=tmp_path)
+        theory = json.loads(summary.manifest_path.read_text())["resolved_lr"]["slowcal-M2-K2"]
+        assert calls == [
+            ("minibatch", False, [0.05] * 3, [3, 1, 1], False),
+            ("local", False, [0.01, 0.1] * 3, [3, 3, 1, 1, 1, 1], False),
+            ("slowcal", False, [theory] * 3, [3, 1, 1], False),
+        ]
 
     def test_diagnostics_change_no_output(self, tmp_path):
         config = base_config(
@@ -600,6 +609,23 @@ class TestSweep:
                 for r in rows]
         assert keys == sorted(keys)
 
+
+    def test_repeated_seeds_and_cells_interleave_by_round(self, tmp_path):
+        """Runs that share (algorithm, M, K, seed), from a repeated seed or a
+        repeated cell, write their rows interleaved by round, as one stable
+        sort of every row would place them."""
+        spec = spec_from_dict(base_config(
+            algorithm=["local", "minibatch", "local"], machines=[3, 2, 3], rounds=3,
+            lr="grid:[0.01, 0.1]", seeds=[2, 0, 2]))
+        rows = read_rows(run_experiment(spec, out_dir=tmp_path).csv_path)
+        keys = [(r["algorithm"], int(r["M"]), int(r["K"]), int(r["seed"]), int(r["round"]))
+                for r in rows]
+        assert keys == sorted(keys)
+        assert Counter(keys)[("local", 3, 2, 2, 0)] == 8
+        assert Counter(keys)[("minibatch", 2, 2, 0, 2)] == 1
+        first: dict = {}
+        for key, row in zip(keys, strip_timing(rows)):
+            assert first.setdefault(key, row) == row
 
 def write_idx_dir(root, n_train=80, n_test=20):
     rng = np.random.default_rng(5)

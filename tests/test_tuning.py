@@ -14,6 +14,8 @@ from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.tuning import GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
 from slowcal_lab.weights import parse_schedule
 
+from lane_cases import lane_problems
+
 
 class TestTheoreticalLr:
     def test_all_ones_worked_example(self):
@@ -190,3 +192,41 @@ def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
         assert run.diverged.tolist() == own.diverged.tolist()
         assert run.x_output.tobytes() == own.x_output.tobytes()
         assert run.wall_ms > 0
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_one_call_grid_search_equals_one_run_per_seed_and_step(algorithm, case):
+    """The whole grid is one engine call over (seed, candidate) lanes. On
+    unsorted, repeated seeds, the noisy quadratic and both softmax ensembles,
+    its table, winner and the winner's runs are those of one call per (seed,
+    candidate); the diverging candidate is dropped, and no score_fn sees
+    anchors."""
+    prob = lane_problems(3, 4, seed=7)[case]
+    cfg = RunConfig(K=2, R=5, eta=1.0, x0=np.ones(4))
+    grid, seeds = [1e3, 0.1, 0.001, 0.01], [3, 1, 1]
+    no_anchors = []
+
+    def score(problem, traj):
+        no_anchors.append(traj.anchor_w is None and traj.anchor_x is None)
+        return excess_loss(problem, traj.x_output)
+
+    result = grid_search(prob, algorithm, grid, cfg, seeds, score_fn=score)
+    assert no_anchors and all(no_anchors)
+
+    want, own = {}, {}
+    for eta in sorted(grid):
+        for seed in seeds:
+            traj = ALGORITHMS[algorithm](prob, replace(cfg, eta=eta, seed=seed))
+            value = math.inf if traj.diverged else excess_loss(prob, traj.x_output)
+            want.setdefault(eta, []).append(value if math.isfinite(value) else math.inf)
+            own.setdefault(eta, []).append(traj.pack(0.0))
+    assert result.table == want
+    assert result.table[1e3] == [math.inf] * 3
+    assert result.eta == min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
+    assert len(result.runs) == len(seeds)
+    for run, mine in zip(result.runs, own[result.eta]):
+        assert run.values.tobytes() == mine.values.tobytes()
+        assert run.t.tolist() == mine.t.tolist()
+        assert run.diverged.tolist() == mine.diverged.tolist()
+        assert run.x_output.tobytes() == mine.x_output.tobytes()
