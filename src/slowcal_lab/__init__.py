@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .algorithms import (
     ALGORITHMS,
-    PackedRun,
     RunConfig,
     ServerAnchor,
     StepRecord,
@@ -73,7 +72,6 @@ __all__ = [
     "LabeledDataset",
     "LogisticEnsemble",
     "LrInputs",
-    "PackedRun",
     "Partition",
     "ProblemMetadata",
     "QuadraticEnsemble",

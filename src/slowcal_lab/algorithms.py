@@ -25,11 +25,11 @@ ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
 lane's values bitwise equal to a run of its own; a round close evaluates
 the global gradient at the machine mean once, for its gradient norm and
 its bias increment. A ``Trajectory`` holds
-its lane's rows of those arrays; ``rounds`` and ``anchors`` build the
-record objects on demand, and ``pack`` copies the round values into the
-``PackedRun`` the runner writes out. Outputs come from running state (the
-last anchor, or an ascending sum of anchors or of step means), so a call
-may keep no anchors: the runner, which never reads them, keeps none.
+a copy of its lane's rows of those arrays, taken when the lane finishes,
+and ``wall_ms``, the call's time divided by its lane count; it is the one
+run record, which the tuner scores and the runner writes out. Outputs come
+from running state (the last anchor, or an ascending sum of anchors or of
+step means), so a call may keep no anchors: the runner keeps none.
 
 Conventions shared by every method:
 
@@ -47,6 +47,7 @@ Conventions shared by every method:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,9 +92,10 @@ class StepRecord:
 class Trajectory:
     """One lane's run. ``values`` holds the round values as an (R, 5) array
     in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
-    and ``round_diverged`` each round's divergence flag; ``anchor_w`` and
-    ``anchor_x`` hold the anchors as (completed rounds + 1, d) arrays, row
-    i placed after round i, or are None when the run kept no anchors."""
+    and ``round_diverged`` each round's divergence flag, all three its own;
+    ``anchor_w`` and ``anchor_x`` hold the anchors as (completed rounds + 1,
+    d) views of the call's arrays, row i placed after round i, or are None
+    when the run kept no anchors. ``wall_ms``: see run_lanes."""
 
     algorithm: str
     eta: float
@@ -107,6 +109,7 @@ class Trajectory:
     x_output: np.ndarray
     diverged: bool
     steps: list[StepRecord] | None = None
+    wall_ms: float = 0.0
 
     @property
     def rounds(self) -> list[RoundMetrics]:
@@ -122,29 +125,9 @@ class Trajectory:
             raise ValueError("this run kept no anchors")
         return [ServerAnchor(i, w, x) for i, (w, x) in enumerate(zip(self.anchor_w, self.anchor_x))]
 
-    def pack(self, wall_ms: float) -> "PackedRun":
-        """This run's round values, copied, without its anchors and step
-        records."""
-        return PackedRun(self.values.copy(), self.t.copy(), self.round_diverged.copy(),
-                         self.x_output, wall_ms)
-
 
 # RoundMetrics's value fields, in its order: Trajectory.rounds unpacks rows of values into them
 ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
-
-
-@dataclass
-class PackedRun:
-    """A run reduced to what the runner writes out: its round values as an
-    (R, 5) array in ``ROUND_COLUMNS`` order, each round's sample count ``t``
-    and divergence flag, the output point, and the wall time charged to the
-    run."""
-
-    values: np.ndarray
-    t: np.ndarray
-    diverged: np.ndarray
-    x_output: np.ndarray
-    wall_ms: float
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -257,12 +240,12 @@ class _Recorder:
 
     def trajectory(self, lane: int, completed: int, spec: "Method", eta: float, seed: int,
                    x_output: np.ndarray) -> Trajectory:
-        """Lane ``lane``'s run, ``completed`` rounds in; its arrays are
-        views of this recorder's."""
+        """Lane ``lane``'s run, ``completed`` rounds in; its anchors are views
+        of this recorder's arrays, its other arrays copies."""
         anchors = (None, None) if self.anchor_w is None else (
             self.anchor_w[:completed + 1, lane], self.anchor_x[:completed + 1, lane])
-        return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane], self.t,
-                          self.round_diverged[:, lane], *anchors, x_output,
+        return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane].copy(),
+                          self.t.copy(), self.round_diverged[:, lane].copy(), *anchors, x_output,
                           bool(self.round_diverged[-1, lane]),
                           None if self.steps is None else self.steps[lane])
 
@@ -307,13 +290,10 @@ METHODS = {spec.name: spec for spec in (
 )}
 
 
-def _draw_plan(seeds: list[int]) -> tuple[int | list[int], np.ndarray | None]:
-    """What each round draws for live lanes of these seeds: one seed and no
-    lane rows when they share it, else the distinct seeds and each lane's
-    row in their stack of draws."""
+def _draw_plan(seeds: list[int]) -> tuple[list[int], np.ndarray]:
+    """What each round draws for live lanes of these seeds: the distinct
+    seeds, and each lane's row in their stack of draws."""
     distinct = sorted(set(seeds))
-    if len(distinct) == 1:
-        return distinct[0], None
     row = {seed: i for i, seed in enumerate(distinct)}
     return distinct, np.array([row[seed] for seed in seeds])
 
@@ -326,9 +306,11 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
     round draws once per distinct seed, lanes of one seed share those
     draws, and lane j returns exactly the trajectory of a run with
     cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
-    and leaves the batch while the others go on. With keep_anchors=False
-    the trajectories hold no anchors, which saves (R + 1) x lanes x 2d
-    floats and changes nothing else."""
+    and leaves the batch while the others go on. Every trajectory is
+    charged the call's wall time divided by the lane count. With
+    keep_anchors=False the trajectories hold no anchors, which saves
+    (R + 1) x lanes x 2d floats and changes nothing else."""
+    started = time.perf_counter()
     spec = METHODS[method]
     etas = [float(eta) for eta in etas]
     lane_seeds = [cfg.seed] * len(etas) if seeds is None else [int(seed) for seed in seeds]
@@ -428,6 +410,9 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
 
     if len(rec.lanes):
         finish(list(range(len(rec.lanes))), cfg.R)
+    elapsed_ms = (time.perf_counter() - started) * 1e3
+    for traj in out:
+        traj.wall_ms = elapsed_ms / len(out)
     return out
 
 

@@ -13,19 +13,18 @@ key so trajectories are reproducible under any execution interleaving; see
 ``rng`` for the block convention: one stream per (seed, machine, round),
 step k's draw is its k-th row.
 
-The runners use the batched oracle. ``round_draws(seed, rnd, steps)`` stacks
-one round's draws for every machine (scaled noise ``(M, steps, d)`` for the
-quadratic, ``(M, steps)`` example rows for softmax regression), and
-``sampled_gradients(points, draws, k)`` evaluates step k at query points of
-shape ``(..., M, d)``, row i on machine i, any leading (lane) axes. Row i of
-its result equals ``round_sampler(seed, i, rnd, steps)(k, points[..., i, :])``
+The runners use the batched oracle. ``round_draws(seeds, rnd, steps)``
+stacks one round's draws for every machine of every seed in the list
+(scaled noise ``(seeds, M, steps, d)`` for the quadratic, ``(seeds, M,
+steps)`` example rows for softmax regression), and
+``sampled_gradients(points, draws, k, lanes)`` evaluates step k at query
+points of shape ``(lanes, M, d)``, row i on machine i, lane j taking the
+draws of row ``lanes[j]`` of that stack. Row i of lane j's result equals
+``round_sampler(seeds[lanes[j]], i, rnd, steps)(k, points[j, i])``
 bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
-per-machine reference. For lanes of several seeds, ``round_draws`` takes a
-seed list and stacks the draws of each seed once, with a leading seed
-axis, and ``sampled_gradients(points, draws, k, lanes)`` gathers step k's
-rows of lane j's seed from row ``lanes[j]`` of that stack. ``exact_gradients(points)`` is the noise-free
+per-machine reference. ``exact_gradients(points)`` is the noise-free
 counterpart with one row per machine; it, ``global_gradient(x)`` and
-``global_value(x)`` take the same leading lane axes, so one call measures
+``global_value(x)`` take any leading lane axes, so one call measures
 every lane of a round (``global_value`` of a single point stays a float).
 Each lane's result is bitwise equal to a call of its own. The softmax
 oracle has one lane body: per machine, one strided matmul over every
@@ -188,22 +187,21 @@ class QuadraticEnsemble:
         seed, _, rnd, step = _check_key(machine, rng_key)
         return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
 
-    def round_draws(self, seed, rnd: int, steps: int) -> np.ndarray | None:
-        """(M, steps, d) scaled noise for one round of one seed, or
-        (seeds, M, steps, d) for a sequence of seeds; None when sigma=0."""
+    def round_draws(self, seeds, rnd: int, steps: int) -> np.ndarray | None:
+        """(seeds, M, steps, d) scaled noise for one round of every seed;
+        None when sigma=0."""
         if self.sigma == 0.0:
             return None
         scale = self.sigma / math.sqrt(self.dim)
-        return np.array([[normal_rows(s, i, rnd, steps, self.dim)
+        return np.array([[normal_rows(seed, i, rnd, steps, self.dim)
                           for i in range(self.num_machines)]
-                         for s in _seed_list(seed)]).reshape(
-                             np.shape(seed) + (self.num_machines, steps, self.dim)) * scale
+                         for seed in seeds]) * scale
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray | None,
-                          k: int, lanes: np.ndarray | None = None) -> np.ndarray:
+                          k: int, lanes: np.ndarray) -> np.ndarray:
         grads = self.exact_gradients(points)
         if draws is not None:
-            grads += _step_draws(draws, k, lanes)
+            grads += draws[lanes, :, k]
         return grads
 
     @cached_property
@@ -423,37 +421,37 @@ class LogisticEnsemble:
         offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
         return np.concatenate(self.features), np.concatenate(self.labels), offsets
 
-    def round_draws(self, seed, rnd: int, steps: int) -> np.ndarray:
-        """(M, steps) rows of the pooled examples: machine i's step-k pick,
-        shifted by the machine's offset (machines hold unequal counts); for
-        a sequence of seeds, (seeds, M, steps)."""
+    def round_draws(self, seeds, rnd: int, steps: int) -> np.ndarray:
+        """(seeds, M, steps) rows of the pooled examples: machine i's step-k
+        pick of each seed, shifted by the machine's offset (machines hold
+        unequal counts)."""
         _, _, offsets = self._pooled
-        picks = np.array([[index_rows(s, i, rnd, steps, f.shape[0])
+        picks = np.array([[index_rows(seed, i, rnd, steps, f.shape[0])
                            for i, f in enumerate(self.features)]
-                          for s in _seed_list(seed)])
-        return picks.reshape(np.shape(seed) + picks.shape[1:]) + offsets[:, None]
+                          for seed in seeds])
+        return picks + offsets[:, None]
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int,
-                          lanes: np.ndarray | None = None) -> np.ndarray:
-        """Single-example gradients, the batched form of _example_gradient.
-        With per-lane picks, the lane's label is subtracted in its own lane."""
+                          lanes: np.ndarray) -> np.ndarray:
+        """Single-example gradients, the batched form of _example_gradient;
+        each lane's label is subtracted in its own lane."""
         feats, labels, _ = self._pooled
-        picks = _step_draws(draws, k, lanes)           # (M,) or (lanes, M)
-        rows = feats[picks]                            # (..., M, f)
+        picks = draws[lanes, :, k]                     # (lanes, M)
+        rows = feats[picks]                            # (lanes, M, f)
         mats = points.reshape(*points.shape[:-1], self.num_classes, self.feature_dim)
-        logits = (mats @ rows[..., :, None])[..., 0]   # (..., M, C)
+        logits = (mats @ rows[..., :, None])[..., 0]   # (lanes, M, C)
         logits -= logits.max(axis=-1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=-1, keepdims=True)
-        lane_axis = () if picks.ndim == 1 else (np.arange(picks.shape[0])[:, None],)
-        probs[(..., *lane_axis, np.arange(picks.shape[-1]), labels[picks])] -= 1.0
+        probs[np.arange(len(picks))[:, None], np.arange(picks.shape[1]), labels[picks]] -= 1.0
         grads = probs[..., :, None] * rows[..., None, :] + self.l2 * mats
         return grads.reshape(points.shape)
 
     @cached_property
     def _smoothness(self) -> float:
         # softmax cross-entropy curvature in the logits is at most 1/2
-        sq = max(float((f ** 2).sum(axis=1).max()) for f in self.features)
+        with np.errstate(over="ignore"):  # +inf for huge features; the optimum rejects it
+            sq = max(float((f ** 2).sum(axis=1).max()) for f in self.features)
         return 0.5 * sq + self.l2
 
     def smoothness(self) -> float:
@@ -465,12 +463,17 @@ class LogisticEnsemble:
             raise DegenerateProblemError(
                 "unregularized logistic optimum may be unattained; set l2 > 0"
             )
+        if not math.isfinite(self.smoothness()):  # the step 1/L would be 0
+            raise DegenerateProblemError(f"smoothness {self.smoothness():g} is not finite")
         step = 1.0 / self.smoothness()
         w = np.zeros(self.dim)
         for _ in range(_OPTIMUM_MAX_ITERS):
             grad = self.global_gradient(w)
-            if np.linalg.norm(grad) <= _OPTIMUM_GRAD_TOL:
+            norm = np.linalg.norm(grad)
+            if norm <= _OPTIMUM_GRAD_TOL:
                 return w
+            if not math.isfinite(norm):
+                raise DegenerateProblemError(f"optimum oracle met gradient norm {norm:g}")
             w = w - step * grad
         raise DegenerateProblemError(
             f"optimum oracle did not reach gradient norm {_OPTIMUM_GRAD_TOL:g} "
@@ -538,18 +541,6 @@ class LogisticEnsemble:
             f_star=self.f_star,
             b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
         )
-
-
-def _seed_list(seed) -> list[int]:
-    """One seed, or a sequence of them, as a list."""
-    return [seed] if np.ndim(seed) == 0 else list(seed)
-
-
-def _step_draws(draws: np.ndarray, k: int, lanes: np.ndarray | None) -> np.ndarray:
-    """Step k's draws of every machine: the shared (M[, d]) rows of one
-    seed's round, or, from a (seeds, M, steps[, d]) stack, the (lanes,
-    M[, d]) rows of each lane's seed, ``lanes`` giving each lane's row."""
-    return draws[:, k] if lanes is None else draws[lanes, :, k]
 
 
 def _growth_slack(ensemble, x: np.ndarray) -> tuple[bool, float]:

@@ -11,14 +11,15 @@ nondeterministic outputs).
 ``run_experiment`` runs every experiment, synthetic or MNIST, through one
 executor. Each machine count's problem is built once, in the parent; a
 cell, one (algorithm, M, K), then resolves its step size (fixed, theory or
-grid search) and emits every seed's run, either in this process or as one
-task of a process pool that was handed the built problems at start. Every
-cell is one engine call: a grid cell emits the winner's runs from its
-tuning call, whose lanes are every (seed, candidate) pair; a fixed or
-theory cell's lanes are its seeds. Only the problem building and
-the kind-specific manifest entries differ by kind. The ``diagnostics``
-field is accepted for compatibility; no output holds per-step records, so
-a sweep never makes them.
+grid search) and emits every seed's ``Trajectory``, either in this process
+or as one task of a process pool that was handed the built problems at
+start. Every cell is one engine call: a grid cell emits the winner's
+trajectories from its tuning call, whose lanes are every (seed, candidate)
+pair; a fixed or theory cell's lanes are its seeds. The CSV rows are tuples
+built from the trajectories' arrays as they are written. Only the problem
+building and the kind-specific manifest entries differ by kind. The
+``diagnostics`` field is accepted for compatibility; no output holds
+per-step records, so a sweep never makes them.
 
 Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
 directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
@@ -33,7 +34,6 @@ import json
 import math
 import os
 import sys
-import time
 from collections.abc import Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -44,17 +44,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, ROUND_COLUMNS, PackedRun, RunConfig, run_lanes
+from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig, Trajectory, run_lanes
 from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
 from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
 from .tuning import LrInputs, grid_search, mean_score, theoretical_lr
-from .weights import parse_schedule
+from .weights import parse_schedule, weight_at
 
 CSV_COLUMNS = [
     "run_id", "algorithm", "problem", "M", "K", "R", "seed", "round", "t",
-    "eta", "excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t",
-    "diverged", "wall_ms",
+    "eta", *ROUND_COLUMNS, "diverged", "wall_ms",
 ]
 
 OUT_ENV = "SLOWCAL_LAB_OUT"
@@ -127,7 +126,13 @@ def _as_int(value, field: str) -> int:
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field {field!r} must be a finite number, got {number!r}")
+    return number
 
 
 def _as_str(value, field: str) -> str:
@@ -266,7 +271,7 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
             )
     schedule = _as_str(raw.get("schedule", "linear"), "schedule")
     try:
-        parse_schedule(schedule)
+        weights = parse_schedule(schedule)
     except ValueError as exc:
         raise ConfigError(f"field 'schedule': {exc}") from exc
 
@@ -287,6 +292,13 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
                     f"field 'total_steps' ({total_steps}) must be a positive multiple "
                     f"of every local_steps entry (offender: {k})"
                 )
+    # the round metrics square alpha_t, which grows with t, up to the longest run's last step
+    longest = total_steps if rounds is None else rounds * max(local_steps)
+    try:
+        weight_at(weights, longest) ** 2
+    except OverflowError as exc:
+        raise ConfigError(f"field 'schedule': {schedule!r} weights overflow when squared "
+                          f"by step {longest}") from exc
 
     x0 = _as_str(raw.get("x0", "zeros"), "x0")
     if x0 != "zeros" and not x0.startswith("ones:"):
@@ -329,7 +341,7 @@ def load_spec(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return spec_from_dict(raw)
 
@@ -370,16 +382,22 @@ def build_problem(problem: dict, num_machines: int):
                       f"run it through run_experiment")
 
 
-def _build_problems(spec: ExperimentSpec, build) -> dict:
-    """``build(m)`` once for every machine count of the spec. The problem
-    constructors reject out-of-range fields with a ValueError that names
-    the field; that is a config error, not a crash."""
+def _build_problems(spec: ExperimentSpec, build) -> tuple[dict, dict]:
+    """``build(m)``, one machine count's problem and its manifest entry,
+    for every machine count of the spec; returns the problems by M and the
+    entries by "M<m>". The problem constructors reject out-of-range fields
+    with a ValueError that names the field, and a field too large for float
+    arithmetic overflows; both are config errors, not crashes."""
     try:
-        return {m: build(m) for m in spec.machines}
+        built = {m: build(m) for m in spec.machines}
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"problem: {spec.problem['kind']} is out of float range: {exc}") from exc
+    return ({m: problem for m, (problem, _) in built.items()},
+            {f"M{m}": entry for m, (_, entry) in built.items()})
 
 
 def _resolve_start(x0: str, dim: int) -> np.ndarray:
@@ -413,23 +431,19 @@ def _run_id(algorithm: str, kind: str, m: int, k: int, seed: int) -> str:
     return f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
 
 
-def _run_rows(run: PackedRun, run_id: str, algorithm: str, problem_name: str, m: int, k: int,
-              r_rounds: int, seed: int, eta: float) -> list[dict]:
-    run_fields = {"run_id": run_id, "algorithm": algorithm, "problem": problem_name, "M": m,
-                  "K": k, "R": r_rounds, "seed": seed, "eta": float(eta),
-                  "wall_ms": float(run.wall_ms)}
-    rows = [dict(run_fields, round=r, t=t, diverged="true" if diverged else "false")
-            for r, (t, diverged) in enumerate(zip(run.t.tolist(), run.diverged.tolist()))]
-    for column, values in zip(ROUND_COLUMNS, run.values.T.tolist()):
-        for row, value in zip(rows, values):
-            row[column] = value
-    return rows
+def _run_rows(head: tuple, run: Trajectory) -> list[tuple]:
+    """One run's runs.csv rows in ``CSV_COLUMNS`` order: ``head`` holds the
+    columns up to ``seed``, the rest come from the trajectory."""
+    eta, wall_ms = float(run.eta), float(run.wall_ms)
+    return [(*head, r, t, eta, *values, "true" if diverged else "false", wall_ms)
+            for r, (t, values, diverged) in enumerate(zip(
+                run.t.tolist(), run.values.tolist(), run.round_diverged.tolist()))]
 
 
 class _CsvRows:
-    """The sweep's runs.csv rows, built from the packed runs as they are
+    """The sweep's runs.csv rows, built from the trajectories as they are
     written, so only one run's rows (or a repeated run's) exist at a time.
-    ``runs`` holds ((algorithm, M, K, seed), eta, run) triples in cell and
+    ``runs`` holds ((algorithm, M, K, seed), trajectory) pairs in cell and
     seed order. Rows come sorted by that key, rounds ascending; runs that
     share a key (a repeated seed or cell) interleave by round in that order,
     as a stable sort of all rows would place them."""
@@ -439,15 +453,14 @@ class _CsvRows:
         self.runs = sorted(runs, key=itemgetter(0))
 
     def __len__(self) -> int:
-        return sum(len(run.t) for _, _, run in self.runs)
+        return sum(len(run.t) for _, run in self.runs)
 
     def __iter__(self):
         kind = self.spec.problem["kind"]
         for (algorithm, m, k, seed), group in groupby(self.runs, key=itemgetter(0)):
-            run_id = _run_id(algorithm, kind, m, k, seed)
-            r_rounds = _rounds_for(self.spec, k)
-            tables = [_run_rows(run, run_id, algorithm, kind, m, k, r_rounds, seed, eta)
-                      for _, eta, run in group]
+            head = (_run_id(algorithm, kind, m, k, seed), algorithm, kind, m, k,
+                    _rounds_for(self.spec, k), seed)
+            tables = [_run_rows(head, run) for _, run in group]
             for same_round in zip(*tables):
                 yield from same_round
 
@@ -456,11 +469,11 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
     or grid search), then run every seed, all in one run_lanes call with no
     anchors kept. A grid cell's call is the grid search's, over every (seed,
-    candidate) pair, and it emits the winner's runs from it, so it runs
-    nothing more; each run is charged the call's time divided by seeds x
-    candidates. A fixed or theory cell's call has one lane per seed, each
-    run charged the call's time divided by the seed count. Returns (eta,
-    the runs in ``spec.seeds`` order, the grid's score table or None)."""
+    candidate) pair, and it emits the winner's trajectories from it, so it
+    runs nothing more; a fixed or theory cell's call has one lane per seed.
+    Each trajectory's ``wall_ms`` is its call's time divided by the call's
+    lane count. Returns (eta, the trajectories in ``spec.seeds`` order, the
+    grid's score table or None)."""
     r_rounds = _rounds_for(spec, k)
     schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem.dim)
@@ -471,19 +484,20 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
         return tuned.eta, tuned.runs, tuned.table
     if mode == "theory":
         md = problem.metadata(start)
-        eta = theoretical_lr(LrInputs(
-            smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
-            b0=md.b0, M=m, K=k, R=r_rounds,
-        ))
+        try:
+            eta = theoretical_lr(LrInputs(
+                smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
+                b0=md.b0, M=m, K=k, R=r_rounds,
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"field 'lr': theory step for {algorithm}-M{m}-K{k}: {exc}") from exc
     else:
         eta = payload
     # every seed is a lane of one call, with no step records or anchors
-    started = time.perf_counter()
-    lanes = run_lanes(problem, algorithm, RunConfig(
+    runs = run_lanes(problem, algorithm, RunConfig(
         K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
         [eta] * len(spec.seeds), spec.seeds, keep_anchors=False)
-    wall_ms = (time.perf_counter() - started) * 1e3 / len(spec.seeds)
-    return eta, [traj.pack(wall_ms) for traj in lanes], None
+    return eta, runs, None
 
 
 _WORKER: dict = {}  # filled in each pool worker by _start_worker; the parent never reads it
@@ -554,14 +568,14 @@ def _resolve_out_dir(spec: ExperimentSpec, override: str | Path | None) -> Path:
     return Path(env) if env else Path(spec.out_dir)
 
 
-def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[dict],
+def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[tuple],
                    manifest_extra: dict) -> tuple[Path, Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "runs.csv"
         with csv_path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
             writer.writerows(rows)
         manifest = {
             "spec": dataclasses.asdict(spec),
@@ -613,12 +627,12 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
                  "mean": _finite_or_null(mean_score(scores))}
                 for candidate, scores in table.items()]
         for seed, run in zip(spec.seeds, runs):
-            sweep_runs.append(((algorithm, m, k, seed), eta, run))
+            sweep_runs.append(((algorithm, m, k, seed), run))
             run_id = _run_id(algorithm, kind, m, k, seed)
             outputs[run_id] = run.x_output
             with np.errstate(over="ignore", invalid="ignore"):
                 output_excess[run_id] = _finite_or_null(excess_loss(problems[m], run.x_output))
-            any_diverged = any_diverged or bool(run.diverged[-1])
+            any_diverged = any_diverged or run.diverged
     extra = {
         "resolved_lr": resolved_lr,
         "tuning": tuning,
@@ -632,9 +646,12 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     return RunSummary(resolved, csv_path, manifest_path, len(outputs), any_diverged)
 
 
-def _problem_scalars(problem, spec: ExperimentSpec) -> dict:
+def _synthetic_problem(spec: ExperimentSpec, m: int):
+    """One machine count's synthetic problem and its scalars. Computing them
+    caches the optimum before any cell runs, so pool workers start with it."""
+    problem = build_problem(spec.problem, m)
     md = problem.metadata(_resolve_start(spec.x0, problem.dim))
-    return {
+    return problem, {
         "smoothness": md.smoothness, "sigma": md.sigma, "gstar": md.gstar,
         "f_star": md.f_star, "b0": md.b0,
     }
@@ -654,9 +671,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
     if data_dir is not None:
         raise ConfigError(f"a data directory applies only to mnist-logistic problems, "
                           f"not {kind!r}")
-    problems = _build_problems(spec, lambda m: build_problem(spec.problem, m))
-    # before any cell runs, so pool workers start with the optimum cached
-    metadata = {f"M{m}": _problem_scalars(problems[m], spec) for m in spec.machines}
+    problems, metadata = _build_problems(spec, lambda m: _synthetic_problem(spec, m))
     return _execute(spec, problems, out_dir, lambda outputs: {"problem_metadata": metadata})
 
 
@@ -738,11 +753,11 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
     if limit is not None:
         train_x, train_y = train_x[:limit], train_y[:limit]
 
-    built = _build_problems(spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
-    problems = {m: problem for m, (problem, _) in built.items()}
+    problems, references = _build_problems(
+        spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
     test_set = LogisticEnsemble((test_x,), (test_y,), _MNIST_CLASSES)
     return problems, lambda outputs: {
-        "reference": {f"M{m}": info for m, (_, info) in built.items()},
+        "reference": references,
         "test_metrics": {run_id: _softmax_test_metrics(test_set, x)
                          for run_id, x in outputs.items()},
     }

@@ -1,11 +1,11 @@
-"""Step-size selection and round-complexity floors."""
+"""Step-size selection (the theory's worst-case step, or a grid search that
+keeps the winner's trajectories) and round-complexity floors."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
-from .algorithms import ALGORITHMS, PackedRun, RunConfig, run_lanes
+from .algorithms import ALGORITHMS, RunConfig, Trajectory, run_lanes
 from .metrics import excess_loss
 
 
@@ -28,10 +28,10 @@ def theoretical_lr(inp: LrInputs) -> float:
     """Worst-case step size for the drift-corrected method under linear
     weights: the minimum of five caps over T = K*R total local steps.
     Noise- or heterogeneity-free caps degenerate to +inf and drop out."""
-    if inp.smoothness <= 0:
-        raise ValueError(f"smoothness must be positive, got {inp.smoothness}")
-    if min(inp.sigma, inp.gstar, inp.b0) < 0:
-        raise ValueError("sigma, gstar and b0 must be nonnegative")
+    if not 0 < inp.smoothness < math.inf:
+        raise ValueError(f"smoothness must be positive and finite, got {inp.smoothness}")
+    if not all(0 <= v < math.inf for v in (inp.sigma, inp.gstar, inp.b0)):
+        raise ValueError("sigma, gstar and b0 must be nonnegative and finite")
     if min(inp.M, inp.K, inp.R) < 1:
         raise ValueError(f"M, K, R must be >= 1, got {(inp.M, inp.K, inp.R)}")
     big_l, sigma, gstar, b0 = inp.smoothness, inp.sigma, inp.gstar, inp.b0
@@ -55,11 +55,12 @@ def theoretical_lr(inp: LrInputs) -> float:
 @dataclass(frozen=True)
 class GridResult:
     """A grid search's outcome: the winning step size, every candidate's
-    per-seed scores, and the winner's runs, one per seed in seed order."""
+    per-seed scores, and the winner's trajectories, one per seed in seed
+    order, with no anchors or step records."""
 
     eta: float
     table: dict[float, list[float]]
-    runs: list[PackedRun]
+    runs: list[Trajectory]
 
 
 def mean_score(scores: list[float]) -> float:
@@ -73,40 +74,40 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
     the output point; diverged runs score +inf). Ties break toward the
     smaller step size.
 
-    Every (seed, candidate) pair is one lane of a single batched run, seed
-    by seed: lanes of one seed share its draws, each lane's run equals its
-    own run at that seed and step size, and the winner's runs need no
-    replay. The run keeps no anchors, so ``score_fn`` receives trajectories
-    whose ``anchor_w``/``anchor_x`` are None. Each kept run is charged the
-    call's time divided by its lane count (seeds x candidates). A candidate
-    drops its runs as soon as it scores +inf on a seed, since it can no
-    longer win."""
+    Every (seed, candidate) pair is one lane of a single run_lanes call,
+    seed by seed: lanes of one seed share its draws, each lane's run equals
+    its own run at that seed and step size, and the winner's trajectories
+    need no replay. The call keeps no anchors, so ``score_fn`` receives
+    trajectories whose ``anchor_w``/``anchor_x`` are None, and each
+    trajectory's ``wall_ms`` is the call's time divided by seeds x
+    candidates. A trajectory's step records go once it is scored, and a
+    candidate drops its trajectories as soon as it scores +inf on a seed,
+    since it can no longer win."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     candidates = sorted({float(v) for v in grid})
     if not candidates:
         raise ValueError("empty step-size grid")
+    if not len(seeds):
+        raise ValueError("grid search needs at least one seed")
     if score_fn is None:
         def score_fn(prob, traj):
             return excess_loss(prob, traj.x_output)
 
     etas = candidates * len(seeds)  # seed-major lanes: scores come out in seed order
-    started = time.perf_counter()
     lanes = run_lanes(problem, algorithm, cfg, etas,
                       [seed for seed in seeds for _ in candidates], keep_anchors=False)
-    wall_ms = (time.perf_counter() - started) * 1e3 / len(lanes)
     table: dict[float, list[float]] = {eta: [] for eta in candidates}
-    kept: dict[float, list[PackedRun]] = {eta: [] for eta in candidates}
+    kept: dict[float, list[Trajectory]] = {eta: [] for eta in candidates}
     for j, eta in enumerate(etas):
-        # its step records go once it is scored; its round values are views
-        # of the call's arrays and live until its last lane is dropped
         traj, lanes[j] = lanes[j], None
         value = math.inf if traj.diverged else float(score_fn(problem, traj))
         if not math.isfinite(value):
             value = math.inf
             kept.pop(eta, None)
         elif eta in kept:
-            kept[eta].append(traj.pack(wall_ms))
+            traj.steps = None
+            kept[eta].append(traj)
         table[eta].append(value)
     best_eta, best_mean = None, math.inf
     for eta, scores in table.items():

@@ -13,6 +13,7 @@ the weighted running average of the iterates exactly.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -63,6 +64,8 @@ def parse_schedule(text: str) -> WeightSchedule:
             power = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad polynomial power in schedule {text!r}") from exc
+        if not math.isfinite(power):
+            raise ValueError(f"polynomial power must be finite, got {text!r}")
         return WeightSchedule("polynomial", power)
     raise ValueError(f"unknown schedule {text!r}, expected uniform | linear | poly:<p>")
 

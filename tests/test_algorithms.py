@@ -1,5 +1,6 @@
 """Optimizer loops: hand-traced updates, exact reductions between methods,
 output conventions, divergence handling, and determinism."""
+import itertools
 import math
 from dataclasses import replace
 
@@ -365,6 +366,20 @@ class TestLanes:
                 (y.t, y.dispersion_q) for y in b.steps]
             if METHODS[algorithm].output == "anchor-mean":
                 assert b.x_output.tobytes() == _ascending_mean(a.anchor_x[1:]).tobytes()
+
+    def test_every_lane_owns_its_rows_and_shares_the_call_time(self):
+        # the middle lane diverges in an early round and leaves the batch
+        prob = lane_problems(3, 4, seed=9)[0]
+        cfg = RunConfig(K=3, R=5, eta=1.0, x0=np.ones(4))
+        lanes = run_lanes(prob, "slowcal", cfg, [0.05, 1e3, 0.2], [5, 0, 2], keep_anchors=False)
+        assert [lane.diverged for lane in lanes] == [False, True, False]
+        assert lanes[1].round_diverged[:cfg.R - 1].any()
+        assert lanes[0].wall_ms > 0
+        assert all(lane.wall_ms == lanes[0].wall_ms for lane in lanes)
+        for a, b in itertools.combinations(lanes, 2):
+            for x in (a.values, a.t, a.round_diverged, a.x_output):
+                for y in (b.values, b.t, b.round_diverged, b.x_output):
+                    assert not np.shares_memory(x, y)
 
     def test_seeds_align_with_step_sizes(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)

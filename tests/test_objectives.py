@@ -279,6 +279,15 @@ class TestLogisticOracles:
         with pytest.raises(DegenerateProblemError):
             prob.optimum()
 
+    def test_infinite_smoothness_optimum_is_degenerate_at_once(self):
+        # features too large to square: the step 1/L would be 0 and the
+        # oracle would spin to its iteration cap
+        prob = LogisticEnsemble((np.array([[1e200, 0.0], [0.0, -1e200]]),), (np.array([0, 1]),),
+                                num_classes=2, l2=0.1)
+        assert prob.smoothness() == math.inf
+        with pytest.raises(DegenerateProblemError, match="smoothness"):
+            prob.optimum()
+
     def test_reference_point_short_circuits_the_oracle(self):
         ref = np.full(6, 0.25)
         prob = LogisticEnsemble(
@@ -344,11 +353,13 @@ class TestBatchedOracle:
     def test_quadratic_matches_round_sampler_bitwise(self, sigma):
         prob = heterogeneous_quadratic(5, 7, sigma=sigma, seed=2)
         points = np.random.default_rng(0).standard_normal((3, 5, 7))  # lanes, machines, d
-        draws = prob.round_draws(4, 2, 6)
+        draws = prob.round_draws([4], 2, 6)
         if sigma == 0.0:
             assert draws is None
+        else:
+            assert draws.shape == (1, 5, 6, 7)
         for k in range(6):
-            got = prob.sampled_gradients(points, draws, k)
+            got = prob.sampled_gradients(points, draws, k, np.zeros(3, dtype=int))
             assert got.shape == points.shape
             for i in range(5):
                 sample = prob.round_sampler(4, i, 2, 6)
@@ -365,9 +376,10 @@ class TestBatchedOracle:
             l2=0.05,
         )
         points = 2.0 * rng.standard_normal((4, 3, prob.dim))
-        draws = prob.round_draws(7, 1, 9)
+        draws = prob.round_draws([7], 1, 9)
+        assert draws.shape == (1, 3, 9)
         for k in range(9):
-            got = prob.sampled_gradients(points, draws, k)
+            got = prob.sampled_gradients(points, draws, k, np.zeros(4, dtype=int))
             assert got.shape == points.shape
             for i in range(3):
                 sample = prob.round_sampler(7, i, 1, 9)
@@ -381,7 +393,7 @@ class TestBatchedOracle:
         seeds = [6, 2, 9]
         draws = prob.round_draws(seeds, 3, 4)
         for row, seed in enumerate(seeds):
-            np.testing.assert_array_equal(draws[row], prob.round_draws(seed, 3, 4))
+            np.testing.assert_array_equal(draws[row], prob.round_draws([seed], 3, 4)[0])
         lanes = np.array([2, 0, 2, 1, 0, 1, 2])
         points = 2.0 * np.random.default_rng(case).standard_normal((7, 5, 8))
         for k in range(4):

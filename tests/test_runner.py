@@ -189,6 +189,13 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_spec(path)
 
+    def test_integer_literal_too_long_to_parse(self, tmp_path):
+        # Python caps int-from-string conversion at 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(base_config(seeds=[0])).replace("[0]", "[" + "1" * 5000 + "]"))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_spec(path)
+
 
 class TestBuildProblem:
     def test_quadratic(self):
@@ -852,10 +859,36 @@ class TestCli:
         pytest.param({"kind": "synth-logistic", "dim": 6, "l2": -1}, id="logistic-l2"),
         pytest.param({"kind": "synth-logistic", "dim": 1, "num_classes": 4},
                      id="logistic-dim-too-small"),
+        # numbers out of float range: 1e400 reaches the config as Infinity
+        pytest.param({"kind": "quadratic", "dim": 3, "eig_range": [0.5, 1e400]},
+                     id="quadratic-eig_range-inf"),
+        pytest.param({"kind": "quadratic", "dim": 3, "sigma": 10 ** 400},
+                     id="quadratic-sigma-int-overflow"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "l2": 1e300},
+                     id="logistic-l2-overflow"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e200},
+                     id="logistic-spread-overflow"),
     ])
     def test_invalid_problem_field_exits_2(self, tmp_path, problem):
+        self.assert_exits_2(tmp_path, base_config(problem=problem))
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"schedule": "poly:nan"}, id="schedule-nan"),
+        pytest.param({"schedule": "poly:inf"}, id="schedule-inf"),
+        # (10 + 1) ** 400 overflows at the last of the 5 x 2 steps
+        pytest.param({"schedule": "poly:400"}, id="schedule-weight-overflow"),
+        pytest.param({"problem": {"kind": "quadratic", "dim": 3, "sigma": 1e400},
+                      "lr": "theory"}, id="theory-sigma-inf"),
+        # centers at 0 put the optimum at the start, so b0 = 0 and the noise cap is 0
+        pytest.param({"problem": {"kind": "quadratic", "dim": 3, "sigma": 0.3, "target_gstar": 0},
+                      "lr": "theory"}, id="theory-degenerate-step"),
+    ])
+    def test_out_of_range_config_exits_2(self, tmp_path, overrides):
+        self.assert_exits_2(tmp_path, base_config(**overrides))
+
+    def assert_exits_2(self, tmp_path, cfg):
         # through a real process, so an uncaught exception would show as a traceback
-        path = self.write_config(tmp_path, base_config(problem=problem))
+        path = self.write_config(tmp_path, cfg)
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

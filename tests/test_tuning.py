@@ -70,6 +70,13 @@ class TestTheoreticalLr:
             theoretical_lr(LrInputs(1.0, -1.0, 1.0, 1.0, 1, 1, 1))
         with pytest.raises(ValueError):
             theoretical_lr(LrInputs(1.0, 1.0, 1.0, 1.0, 0, 1, 1))
+        # a NaN compares false with every bound, so a sign check alone lets
+        # it through to a finite step
+        for field in ("smoothness", "sigma", "gstar", "b0"):
+            for value in (math.nan, math.inf):
+                inp = replace(LrInputs(1.0, 1.0, 1.0, 1.0, 4, 4, 10), **{field: value})
+                with pytest.raises(ValueError, match="finite"):
+                    theoretical_lr(inp)
 
 
 class TestGridSearch:
@@ -135,6 +142,11 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="unknown algorithm"):
             grid_search(prob, "sgd", [0.1], RunConfig(K=1, R=1, eta=1.0), seeds=[0])
 
+    def test_no_seeds_rejected(self):
+        prob = heterogeneous_quadratic(2, 3, seed=4)
+        with pytest.raises(ValueError, match="seed"):
+            grid_search(prob, "local", [0.1], RunConfig(K=1, R=1, eta=1.0), seeds=[])
+
 
 class TestRoundFloors:
     def test_frozen_values_at_m4_k16(self):
@@ -173,24 +185,26 @@ def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
     grid, seeds = [50.0, 0.001, 0.01, 0.1], [0, 1, 2]
     result = grid_search(prob, algorithm, grid, cfg, seeds)
 
-    want, packed = {}, {}
+    want, runs = {}, {}
     for eta in sorted(grid):
         scores = []
         for seed in seeds:
             traj = ALGORITHMS[algorithm](prob, replace(cfg, eta=eta, seed=seed))
             value = math.inf if traj.diverged else excess_loss(prob, traj.x_output)
             scores.append(value if math.isfinite(value) else math.inf)
-            packed.setdefault(eta, []).append(traj.pack(0.0))
+            runs.setdefault(eta, []).append(traj)
         want[eta] = scores
     assert result.table == want
     best = min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
     assert result.eta == best
     assert result.table[50.0] == [math.inf] * 3
     assert len(result.runs) == len(seeds)
-    for run, own in zip(result.runs, packed[best]):
+    for run, own, seed in zip(result.runs, runs[best], seeds):
+        assert (run.algorithm, run.eta, run.seed) == (algorithm, best, seed)
         assert run.values.tobytes() == own.values.tobytes()
-        assert run.diverged.tolist() == own.diverged.tolist()
+        assert run.round_diverged.tolist() == own.round_diverged.tolist()
         assert run.x_output.tobytes() == own.x_output.tobytes()
+        assert run.anchor_w is None and run.steps is None
         assert run.wall_ms > 0
 
 
@@ -220,7 +234,7 @@ def test_one_call_grid_search_equals_one_run_per_seed_and_step(algorithm, case):
             traj = ALGORITHMS[algorithm](prob, replace(cfg, eta=eta, seed=seed))
             value = math.inf if traj.diverged else excess_loss(prob, traj.x_output)
             want.setdefault(eta, []).append(value if math.isfinite(value) else math.inf)
-            own.setdefault(eta, []).append(traj.pack(0.0))
+            own.setdefault(eta, []).append(traj)
     assert result.table == want
     assert result.table[1e3] == [math.inf] * 3
     assert result.eta == min(sorted(want), key=lambda eta: sum(want[eta]) / len(want[eta]))
@@ -228,5 +242,5 @@ def test_one_call_grid_search_equals_one_run_per_seed_and_step(algorithm, case):
     for run, mine in zip(result.runs, own[result.eta]):
         assert run.values.tobytes() == mine.values.tobytes()
         assert run.t.tolist() == mine.t.tolist()
-        assert run.diverged.tolist() == mine.diverged.tolist()
+        assert run.round_diverged.tolist() == mine.round_diverged.tolist()
         assert run.x_output.tobytes() == mine.x_output.tobytes()

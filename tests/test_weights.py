@@ -82,7 +82,8 @@ class TestParsing:
         if kind == "polynomial":
             assert schedule.power == power
 
-    @pytest.mark.parametrize("bad", ["", "quadratic", "poly:", "poly:abc", "linear2"])
+    @pytest.mark.parametrize("bad", ["", "quadratic", "poly:", "poly:abc", "linear2", "poly:nan",
+                                     "poly:inf", "poly:-inf"])
     def test_parse_rejects_junk(self, bad):
         with pytest.raises(ValueError):
             parse_schedule(bad)
