@@ -7,7 +7,14 @@ Two ensemble families share one oracle surface:
 * ``LogisticEnsemble`` -- per-machine softmax regression with L2 weight decay;
   stochastic gradients sample one local example uniformly.
 
-The global objective is always the machine average f = (1/M) sum_i f_i.
+The global objective is always the machine average f = (1/M) sum_i f_i. The
+``_Ensemble`` base derives the problem scalars (f*, G*, the smoothness L,
+the growth and dissimilarity probes, ``metadata``) from each class's
+oracles. The quadratic L is exact: the largest curvature eigenvalue, from the
+one batched eigen-solve that also checks every matrix is PSD. The softmax
+optimum is full-batch gradient descent to gradient norm 1e-10; it raises
+``DegenerateProblemError`` when a step leaves the iterate unchanged or its
+iteration cap runs out.
 Stochastic gradients are addressed by an explicit (seed, machine, round, step)
 key so trajectories are reproducible under any execution interleaving; see
 ``rng`` for the block convention: one stream per (seed, machine, round),
@@ -45,8 +52,6 @@ from .metrics import squared_norms
 from .rng import RngKey, index_rows, normal_rows
 
 GROWTH_SLACK_FLOOR = -1e-9
-_POWER_TOL = 1e-9
-_POWER_MAX_ITERS = 10_000
 _PSD_EIG_FLOOR = -1e-10
 _OPTIMUM_GRAD_TOL = 1e-10
 _OPTIMUM_MAX_ITERS = 4_000_000
@@ -70,39 +75,81 @@ class ProblemMetadata:
     b0: float
 
 
-def _top_eigenvalue(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    dim = mat.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    vec = rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    rayleigh = float(vec @ mat @ vec)
-    for _ in range(_POWER_MAX_ITERS):
-        nxt = mat @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0
-        vec = nxt / norm
-        fresh = float(vec @ mat @ vec)
-        if abs(fresh - rayleigh) <= _POWER_TOL * max(1.0, abs(fresh)):
-            return fresh
-        rayleigh = fresh
-    raise DegenerateProblemError(
-        f"power iteration did not converge within {_POWER_MAX_ITERS} iterations"
-    )
+class _Ensemble:
+    """What both ensembles derive from their oracles. A subclass supplies
+    ``num_machines``, ``sigma`` (the gradient-noise std the step-size theory
+    reads), ``_smoothness``, ``w_star``, ``exact_gradient``, ``global_value``,
+    ``global_gradient``, ``round_sampler`` and its own ``_optimum_point``
+    cached_property."""
 
+    @cached_property
+    def f_star(self) -> float:
+        return self.global_value(self.w_star)
 
-def _check_key(machine: int, rng_key: RngKey) -> tuple[int, int, int, int]:
-    seed, key_machine, rnd, step = (int(v) for v in rng_key)
-    if key_machine != machine:
-        raise ValueError(f"rng_key names machine {key_machine}, oracle called for {machine}")
-    if step < 0:
-        raise ValueError(f"step must be nonnegative, got {step}")
-    return seed, key_machine, rnd, step
+    def optimum(self) -> np.ndarray:
+        return self._optimum_point.copy()
+
+    def smoothness(self) -> float:
+        return self._smoothness
+
+    def _mean_squared_gradient(self, x: np.ndarray) -> float:
+        """mean_i ||grad f_i(x)||^2, one machine at a time."""
+        return np.mean(
+            [float(g @ g) for g in (self.exact_gradient(i, x) for i in range(self.num_machines))]
+        )
+
+    @cached_property
+    def _gstar(self) -> float:
+        return math.sqrt(2.0 * self._mean_squared_gradient(self.w_star))
+
+    def gstar(self) -> float:
+        """G* = sqrt(2 mean_i ||grad f_i(w*)||^2)."""
+        return self._gstar
+
+    def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
+        seed, key_machine, rnd, step = (int(v) for v in rng_key)
+        if key_machine != machine:
+            raise ValueError(f"rng_key names machine {key_machine}, oracle called for {machine}")
+        if step < 0:
+            raise ValueError(f"step must be nonnegative, got {step}")
+        return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
+
+    def check_growth_bound(self, x: np.ndarray) -> tuple[bool, float]:
+        """Slack in mean_i ||grad_i(x)||^2 <= gstar^2 + 4 L (f(x) - f*)."""
+        point = np.asarray(x, dtype=np.float64)
+        mean_sq = self._mean_squared_gradient(point)
+        bound = self.gstar() ** 2 + 4.0 * self.smoothness() * (
+            self.global_value(point) - self.f_star
+        )
+        slack = float(bound - mean_sq)
+        return slack >= GROWTH_SLACK_FLOOR, slack
+
+    def g_dissimilarity(self, probes: np.ndarray) -> float:
+        """Probe-point estimate of the uniform gradient-dissimilarity constant:
+        sqrt(2 max_p mean_i ||grad_i - grad||^2). A lower bound on the true sup;
+        reported for diagnostics only, never fed into step-size formulas."""
+        pts = np.atleast_2d(np.asarray(probes, dtype=np.float64))
+        worst = 0.0
+        for point in pts:
+            grads = [self.exact_gradient(i, point) for i in range(self.num_machines)]
+            mean_grad = self.global_gradient(point)
+            spread = float(np.mean([(g - mean_grad) @ (g - mean_grad) for g in grads]))
+            worst = max(worst, spread)
+        return math.sqrt(2.0 * worst)
+
+    def metadata(self, x0: np.ndarray) -> ProblemMetadata:
+        return ProblemMetadata(
+            smoothness=self.smoothness(),
+            sigma=self.sigma,
+            gstar=self.gstar(),
+            w_star=self.w_star.copy(),
+            f_star=self.f_star,
+            b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticEnsemble:
+class QuadraticEnsemble(_Ensemble):
     curvatures: np.ndarray  # (M, d, d), symmetric PSD
     centers: np.ndarray     # (M, d)
     sigma: float = 0.0
@@ -110,18 +157,22 @@ class QuadraticEnsemble:
     def __post_init__(self) -> None:
         mats = np.asarray(self.curvatures, dtype=np.float64)
         cents = np.asarray(self.centers, dtype=np.float64)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"curvatures must be (M, d, d), got {mats.shape}")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.size == 0:
+            raise ValueError(f"curvatures must be a nonempty (M, d, d) stack, got {mats.shape}")
+        if not np.isfinite(mats).all():  # eigvalsh turns inf into nan, which passes the PSD test
+            raise ValueError("curvatures must be finite")
         if cents.shape != mats.shape[:2]:
             raise ValueError(f"centers shape {cents.shape} does not match {mats.shape[:2]}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        eigs = np.linalg.eigvalsh(mats)  # (M, d); one batched solve, bitwise per matrix
         for i, mat in enumerate(mats):
             if not np.allclose(mat, mat.T, atol=1e-10):
                 raise ValueError(f"curvature matrix {i} is not symmetric")
-            floor = float(np.linalg.eigvalsh(mat).min())
+            floor = float(eigs[i].min())
             if floor < _PSD_EIG_FLOOR:
                 raise ValueError(f"curvature matrix {i} is not PSD: min eigenvalue {floor:g}")
+        object.__setattr__(self, "_smoothness", float(eigs.max()))
         object.__setattr__(self, "curvatures", mats)
         object.__setattr__(self, "centers", cents)
         object.__setattr__(self, "sigma", float(self.sigma))
@@ -183,10 +234,6 @@ class QuadraticEnsemble:
             return mat @ (x - center) + noise[k]
         return sample
 
-    def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
-        seed, _, rnd, step = _check_key(machine, rng_key)
-        return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
-
     def round_draws(self, seeds, rnd: int, steps: int) -> np.ndarray | None:
         """(seeds, M, steps, d) scaled noise for one round of every seed;
         None when sigma=0."""
@@ -224,47 +271,17 @@ class QuadraticEnsemble:
         return self._optimum_point
 
     @cached_property
-    def f_star(self) -> float:
-        return self.global_value(self._optimum_point)
-
-    def optimum(self) -> np.ndarray:
-        return self._optimum_point.copy()
-
-    @cached_property
-    def _smoothness(self) -> float:
-        return max(_top_eigenvalue(mat) for mat in self.curvatures)
-
-    def smoothness(self) -> float:
-        return self._smoothness
-
-    @cached_property
     def _gstar(self) -> float:
+        # one einsum over the machines, not the base's per-machine dot
+        # products: target_gstar rescales the centers by this value, and the
+        # two forms differ in the last bits
         diff = self.w_star[None, :] - self.centers
         grads = np.einsum("mij,mj->mi", self.curvatures, diff)
         return math.sqrt(2.0 * float((grads ** 2).sum(axis=1).mean()))
 
-    def gstar(self) -> float:
-        return self._gstar
-
-    def check_growth_bound(self, x: np.ndarray) -> tuple[bool, float]:
-        return _growth_slack(self, x)
-
-    def g_dissimilarity(self, probes: np.ndarray) -> float:
-        return _dissimilarity_estimate(self, probes)
-
-    def metadata(self, x0: np.ndarray) -> ProblemMetadata:
-        return ProblemMetadata(
-            smoothness=self.smoothness(),
-            sigma=self.sigma,
-            gstar=self.gstar(),
-            w_star=self.optimum(),
-            f_star=self.f_star,
-            b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class LogisticEnsemble:
+class LogisticEnsemble(_Ensemble):
     """Softmax regression over per-machine datasets, parameters flattened
     from a (num_classes, d) weight matrix. With l2 > 0 the global optimum
     is unique and found by full-batch gradient descent to tiny gradient
@@ -400,10 +417,6 @@ class LogisticEnsemble:
             return self._example_gradient(machine, int(picks[k]), x)
         return sample
 
-    def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
-        seed, _, rnd, step = _check_key(machine, rng_key)
-        return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
-
     def exact_gradients(self, points: np.ndarray) -> np.ndarray:
         """Full-batch gradients at points[..., i, :] on machine i, any
         leading (lane) axes; one oracle call per machine for all lanes."""
@@ -454,9 +467,6 @@ class LogisticEnsemble:
             sq = max(float((f ** 2).sum(axis=1).max()) for f in self.features)
         return 0.5 * sq + self.l2
 
-    def smoothness(self) -> float:
-        return self._smoothness
-
     @cached_property
     def _optimum_point(self) -> np.ndarray:
         if self.l2 <= 0:
@@ -474,7 +484,13 @@ class LogisticEnsemble:
                 return w
             if not math.isfinite(norm):
                 raise DegenerateProblemError(f"optimum oracle met gradient norm {norm:g}")
-            w = w - step * grad
+            nxt = w - step * grad
+            if np.array_equal(nxt, w):  # a fixed point of the float map: no later step moves
+                raise DegenerateProblemError(
+                    f"optimum oracle stalled at gradient norm {norm:g}: a full-batch step "
+                    f"leaves the iterate unchanged, so {_OPTIMUM_GRAD_TOL:g} is out of reach"
+                )
+            w = nxt
         raise DegenerateProblemError(
             f"optimum oracle did not reach gradient norm {_OPTIMUM_GRAD_TOL:g} "
             f"within {_OPTIMUM_MAX_ITERS} full-batch steps"
@@ -487,22 +503,8 @@ class LogisticEnsemble:
         return self._optimum_point
 
     @cached_property
-    def f_star(self) -> float:
-        return self.global_value(self.w_star)
-
-    def optimum(self) -> np.ndarray:
-        return self._optimum_point.copy()
-
-    @cached_property
-    def _gstar(self) -> float:
-        w = self.w_star
-        mean_sq = np.mean(
-            [float(g @ g) for g in (self.exact_gradient(i, w) for i in range(self.num_machines))]
-        )
-        return math.sqrt(2.0 * mean_sq)
-
-    def gstar(self) -> float:
-        return self._gstar
+    def sigma(self) -> float:
+        return self.sampling_noise_std()
 
     def sampling_noise_std(self, at: np.ndarray | None = None) -> float:
         """Single-example gradient noise std sqrt(mean_i E_n ||g_n - grad_i||^2),
@@ -526,50 +528,6 @@ class LogisticEnsemble:
             total += second_moment - float(mean_grad @ mean_grad)
         return math.sqrt(max(total / self.num_machines, 0.0))
 
-    def check_growth_bound(self, x: np.ndarray) -> tuple[bool, float]:
-        return _growth_slack(self, x)
-
-    def g_dissimilarity(self, probes: np.ndarray) -> float:
-        return _dissimilarity_estimate(self, probes)
-
-    def metadata(self, x0: np.ndarray) -> ProblemMetadata:
-        return ProblemMetadata(
-            smoothness=self.smoothness(),
-            sigma=self.sampling_noise_std(),
-            gstar=self.gstar(),
-            w_star=np.array(self.w_star, copy=True),
-            f_star=self.f_star,
-            b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
-        )
-
-
-def _growth_slack(ensemble, x: np.ndarray) -> tuple[bool, float]:
-    """Slack in mean_i ||grad_i(x)||^2 <= gstar^2 + 4 L (f(x) - f*)."""
-    point = np.asarray(x, dtype=np.float64)
-    mean_sq = np.mean(
-        [float(g @ g) for g in (ensemble.exact_gradient(i, point)
-                                for i in range(ensemble.num_machines))]
-    )
-    bound = ensemble.gstar() ** 2 + 4.0 * ensemble.smoothness() * (
-        ensemble.global_value(point) - ensemble.f_star
-    )
-    slack = float(bound - mean_sq)
-    return slack >= GROWTH_SLACK_FLOOR, slack
-
-
-def _dissimilarity_estimate(ensemble, probes: np.ndarray) -> float:
-    """Probe-point estimate of the uniform gradient-dissimilarity constant:
-    sqrt(2 max_p mean_i ||grad_i - grad||^2). A lower bound on the true sup;
-    reported for diagnostics only, never fed into step-size formulas."""
-    pts = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    worst = 0.0
-    for point in pts:
-        grads = [ensemble.exact_gradient(i, point) for i in range(ensemble.num_machines)]
-        mean_grad = ensemble.global_gradient(point)
-        spread = float(np.mean([(g - mean_grad) @ (g - mean_grad) for g in grads]))
-        worst = max(worst, spread)
-    return math.sqrt(2.0 * worst)
-
 
 def heterogeneous_quadratic(
     num_machines: int,
@@ -590,6 +548,8 @@ def heterogeneous_quadratic(
     linearly, so ``target_gstar`` rescales them to hit a requested value
     exactly (requires a heterogeneous start, i.e. center_spread > 0).
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if curvature not in ("shared", "per-machine"):
         raise ValueError(f"curvature must be 'shared' or 'per-machine', got {curvature!r}")
     lo, hi = eig_range

@@ -220,6 +220,8 @@ def _resolve_problem(raw, field: str = "problem") -> dict:
         if prob["dim"] is None:
             raise ConfigError(f"field '{field}.dim' is required for {kind} problems")
         prob["dim"] = _as_int(prob["dim"], "problem.dim")
+        if prob["dim"] < 1:
+            raise ConfigError(f"field '{field}.dim' must be >= 1, got {prob['dim']}")
     prob["problem_seed"] = _as_int(prob["problem_seed"], "problem.problem_seed")
     if kind == "quadratic":
         if prob["curvature"] not in ("shared", "per-machine"):

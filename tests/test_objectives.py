@@ -76,7 +76,15 @@ class TestQuadraticOracles:
     def test_smoothness_matches_dense_eigensolver(self):
         prob = heterogeneous_quadratic(4, 6, eig_range=(0.3, 1.7), seed=3)
         want = max(float(np.linalg.eigvalsh(a).max()) for a in prob.curvatures)
-        assert prob.smoothness() == pytest.approx(want, rel=1e-6)
+        assert prob.smoothness() == want
+
+    def test_construction_makes_one_eigen_solve(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        prob = heterogeneous_quadratic(4, 6, seed=3)
+        prob.smoothness()
+        assert calls == [(4, 6, 6)]
 
     def test_metadata_b0_is_start_distance(self):
         prob = two_machine_quadratic()
@@ -139,6 +147,15 @@ class TestQuadraticValidation:
         with pytest.raises(ValueError, match="PSD"):
             QuadraticEnsemble(bad, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("mats", [
+        pytest.param(np.array([np.diag([1.0, np.inf])]), id="inf"),
+        pytest.param(np.zeros((0, 2, 2)), id="no-machines"),
+        pytest.param(np.zeros((1, 0, 0)), id="dim0"),
+    ])
+    def test_nonfinite_or_empty_curvature_rejected(self, mats):
+        with pytest.raises(ValueError, match="curvatures must be"):
+            QuadraticEnsemble(mats, np.zeros(mats.shape[:2]))
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             QuadraticEnsemble(np.eye(2)[None], np.zeros((1, 2)), sigma=-1.0)
@@ -191,6 +208,11 @@ class TestGenerator:
     def test_bad_eig_range_rejected(self):
         with pytest.raises(ValueError):
             heterogeneous_quadratic(2, 3, eig_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_nonpositive_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            heterogeneous_quadratic(2, dim)
 
 
 def tiny_logistic(l2=0.5):

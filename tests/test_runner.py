@@ -790,8 +790,6 @@ class TestCli:
     @pytest.mark.parametrize("problem,cap", [
         pytest.param({"kind": "synth-logistic", "dim": 4, "num_classes": 3, "problem_seed": 1},
                      "_OPTIMUM_MAX_ITERS", id="logistic-optimum"),
-        pytest.param({"kind": "quadratic", "dim": 5, "problem_seed": 3},
-                     "_POWER_MAX_ITERS", id="quadratic-power-iteration"),
     ])
     def test_unconverged_oracle_exits_2(self, tmp_path, capsys, monkeypatch, problem, cap):
         # an oracle that exhausts its iteration cap is a degenerate problem,
@@ -868,9 +866,15 @@ class TestCli:
                      id="logistic-l2-overflow"),
         pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e200},
                      id="logistic-spread-overflow"),
+        # finite features so large that gradient descent stalls far above its tolerance
+        pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e10},
+                     id="logistic-spread-stall"),
+        pytest.param({"kind": "synth-logistic", "dim": 0}, id="logistic-dim0"),
     ])
     def test_invalid_problem_field_exits_2(self, tmp_path, problem):
-        self.assert_exits_2(tmp_path, base_config(problem=problem))
+        err = self.assert_exits_2(tmp_path, base_config(problem=problem))
+        if problem["dim"] < 1:  # named as a field, not as a numpy error
+            assert "'problem.dim'" in err
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"schedule": "poly:nan"}, id="schedule-nan"),
@@ -899,6 +903,7 @@ class TestCli:
         assert done.returncode == 2, done.stderr
         assert "config error" in done.stderr
         assert "Traceback" not in done.stderr
+        return done.stderr
 
     @pytest.mark.parametrize("command", ["run", "mnist"])
     def test_mnist_config_runs_with_data(self, tmp_path, command):
