@@ -44,6 +44,19 @@ LOGISTIC_GRID = {
     "seeds": [0, 1],
 }
 
+# ten classes take the softmax oracle's C >= 8 reductions; problem_seed 2
+# deals the machines [1, 21, 17, 1] examples, so two hold a single row
+LOGISTIC10_GRID = {
+    "problem": {"kind": "synth-logistic", "dim": 11, "num_classes": 10,
+                "n_per_machine": 10, "label_skew": 0.3, "problem_seed": 2},
+    "algorithm": ["minibatch", "local", "slowcal"],
+    "machines": [4],
+    "local_steps": [2, 3],
+    "total_steps": 12,
+    "lr": "grid:[0.03, 0.3, 3.0, 300.0]",
+    "seeds": [0, 1],
+}
+
 QUAD_DIAG = {
     "problem": {"kind": "quadratic", "dim": 4, "sigma": 0.0, "problem_seed": 1},
     "algorithm": ["minibatch", "local", "local-weighted", "anytime", "slowcal"],
@@ -69,6 +82,13 @@ GOLDEN = {
         {"anytime-M3-K2": 0.3, "anytime-M3-K4": 0.3,
          "local-M3-K2": 3.0, "local-M3-K4": 3.0,
          "local-weighted-M3-K2": 0.3, "local-weighted-M3-K4": 0.3},
+    ),
+    "logistic10-grid": (
+        LOGISTIC10_GRID,
+        "e6314561025269b455e584524f3b6d24d8b1bfb4226efe0c9eba9323c0fb8993",
+        {"local-M4-K2": 3.0, "local-M4-K3": 3.0,
+         "minibatch-M4-K2": 3.0, "minibatch-M4-K3": 3.0,
+         "slowcal-M4-K2": 0.3, "slowcal-M4-K3": 0.3},
     ),
     "quad-diag": (
         QUAD_DIAG,
