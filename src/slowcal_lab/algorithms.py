@@ -355,7 +355,13 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
                 break
             draws = problem.round_draws(draw_seeds, r, k_steps)
             if spec.aggregate == "server":
-                pooled = np.empty((len(rec.lanes), k_steps, problem.dim))
+                # the round's step means, summed in pooled.mean(axis=1)'s
+                # order: a running sum from +0.0 for d >= 2; for d = 1 numpy
+                # sums the K steps pairwise, so keep them all
+                if problem.dim == 1:
+                    pooled = np.empty((len(rec.lanes), k_steps, 1))
+                else:
+                    step_sum = np.zeros((len(rec.lanes), problem.dim))
             for k in range(k_steps):
                 t = r * k_steps + k
                 queries = machine_states(x)
@@ -365,7 +371,10 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
                     for i in range(m):
                         g_mean += grads[:, i]
                     g_mean /= m
-                    pooled[:, k] = g_mean
+                    if problem.dim == 1:
+                        pooled[:, k] = g_mean
+                    else:
+                        step_sum += g_mean
                 elif spec.aggregate == "step" or cfg.record_diagnostics:
                     g_mean = _ascending_mean(grads)
                 if cfg.record_diagnostics:
@@ -385,7 +394,8 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
                     acc = acc + weight_at(schedule, t + 1) * _ascending_mean(w)
 
             if spec.aggregate == "server":
-                w = x = x - (lane_etas[:, None] * pooled.mean(axis=1))[:, None]
+                step_mean = pooled.mean(axis=1) if problem.dim == 1 else step_sum / k_steps
+                w = x = x - (lane_etas[:, None] * step_mean)[:, None]
             w_mean = _ascending_mean(w)
             diverged = rec.close_round(r, machine_states(x), w_mean)
             x_mean = w_mean if tied else _ascending_mean(x)

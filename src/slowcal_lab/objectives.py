@@ -37,7 +37,16 @@ Each lane's result is bitwise equal to a call of its own. The softmax
 oracle has one lane body: per machine, one strided matmul over every
 lane's weight matrix for the logits and one for the gradient, with the
 log-sum-exp and label picks on (lanes, n, C) arrays; the one-point methods
-(``machine_value``, ``exact_gradient``) are its one-lane calls.
+(``machine_value``, ``exact_gradient``) are its one-lane calls. A one-point
+``global_value`` or ``global_gradient`` (the optimum's descent, ``f_star``,
+output points, MNIST's L-BFGS reference) pools instead: each machine's
+logits, still its own matmul, fill one (N, C) buffer in ``_pooled`` row
+order, and the log-softmax, exp and label picks run once on it; the pick
+means and gradient products stay per machine, summed in machine order. Lane
+calls stay per machine, where pooled (lanes, N, C) temporaries cost more
+than the saved calls. The class-axis max and sum chain whole columns below
+8 classes, where numpy's reduce walks the short axis once per row, and keep
+numpy's reduce from 8, where its sum is pairwise.
 """
 from __future__ import annotations
 
@@ -55,8 +64,41 @@ GROWTH_SLACK_FLOOR = -1e-9
 _PSD_EIG_FLOOR = -1e-10
 _OPTIMUM_GRAD_TOL = 1e-10
 _OPTIMUM_MAX_ITERS = 4_000_000
+_PAIRWISE_BLOCK = 8  # numpy sums 8 or more contiguous values pairwise
 
 GradSampler = Callable[[int, np.ndarray], np.ndarray]
+
+
+def _class_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True). Below numpy's 8-wide pairwise block
+    its reduce walks a short class axis once per row, so chain whole columns
+    instead; the maximum of non-NaN values is exact, only the sign of a
+    zero or a NaN can differ from the reduce's pick."""
+    if a.shape[-1] >= _PAIRWISE_BLOCK:
+        return a.max(axis=-1, keepdims=True)
+    peak = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(peak, a[..., j:j + 1], out=peak)
+    return peak
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True). Below numpy's 8-wide pairwise block
+    its reduce adds the columns in ascending order, one row at a time; this
+    adds whole columns in that order (a row of zeros may sum to another zero
+    sign). From 8 columns numpy's sum is pairwise, so keep its reduce."""
+    if a.shape[-1] >= _PAIRWISE_BLOCK:
+        return a.sum(axis=-1, keepdims=True)
+    total = a[..., :1] + a[..., 1:2]
+    for j in range(2, a.shape[-1]):
+        total += a[..., j:j + 1]
+    return total
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last (class) axis, shifted by each row's peak."""
+    peak = _class_max(logits)
+    return logits - (peak + np.log(_class_sum(np.exp(logits - peak))))
 
 
 class DegenerateProblemError(RuntimeError):
@@ -80,7 +122,7 @@ class _Ensemble:
     ``num_machines``, ``sigma`` (the gradient-noise std the step-size theory
     reads), ``_smoothness``, ``w_star``, ``exact_gradient``, ``global_value``,
     ``global_gradient``, ``round_sampler`` and its own ``_optimum_point``
-    cached_property."""
+    cached_property, which also sets ``_optimum_report``."""
 
     @cached_property
     def f_star(self) -> float:
@@ -88,6 +130,12 @@ class _Ensemble:
 
     def optimum(self) -> np.ndarray:
         return self._optimum_point.copy()
+
+    def optimum_report(self) -> dict:
+        """How exact the optimum is: the method and its convergence measure,
+        recorded by ``_optimum_point`` as it computed the point."""
+        self._optimum_point  # computes the point and its report, once
+        return dict(self._optimum_report)
 
     def smoothness(self) -> float:
         return self._smoothness
@@ -264,6 +312,7 @@ class QuadraticEnsemble(_Ensemble):
             raise DegenerateProblemError(
                 f"optimum solve is unreliable (residual {residual:g}); problem is degenerate"
             )
+        object.__setattr__(self, "_optimum_report", {"method": "solve", "residual": float(residual)})
         return sol
 
     @property
@@ -354,10 +403,32 @@ class LogisticEnsemble(_Ensemble):
         """(..., n, C) log-probabilities of the machine's examples under
         (..., C, f) weight matrices: one strided matmul over the lanes, so
         each lane's slice is the same BLAS call as a one-lane call."""
-        logits = self.features[machine] @ weight_mats.swapaxes(-1, -2)
-        peak = logits.max(axis=-1, keepdims=True)
-        lse = peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True))
-        return logits - lse
+        return _log_softmax(self.features[machine] @ weight_mats.swapaxes(-1, -2))
+
+    def _pooled_log_probs(self, mat: np.ndarray) -> np.ndarray:
+        """(N, C) log-probabilities of every machine's examples under one
+        (C, f) weight matrix, rows in ``_pooled`` order. Each machine's
+        logits are its own matmul, as in ``_log_probs``: one product over
+        all N rows is not bitwise equal when a machine holds one example."""
+        _, labels, _ = self._pooled
+        logits = np.empty((labels.shape[0], self.num_classes))
+        for f, rows in zip(self.features, self._pooled_spans):
+            logits[rows] = f @ mat.T
+        return _log_softmax(logits)
+
+    @cached_property
+    def _pooled_spans(self) -> tuple[slice, ...]:
+        """Each machine's rows of the pooled examples."""
+        _, _, offsets = self._pooled
+        return tuple(slice(start, start + f.shape[0])
+                     for start, f in zip(offsets.tolist(), self.features))
+
+    @cached_property
+    def _pooled_picks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, labels) index pair of every pooled example's
+        true-class entry."""
+        _, labels, _ = self._pooled
+        return np.arange(labels.shape[0]), labels
 
     def _values(self, machine: int, w: np.ndarray) -> np.ndarray:
         """f_i at w of shape (..., d), one value per lane."""
@@ -366,14 +437,17 @@ class LogisticEnsemble(_Ensemble):
         picks = np.ascontiguousarray(logp[(..., *self._label_picks[machine])])
         return -picks.mean(axis=-1) + 0.5 * self.l2 * squared_norms(w)
 
+    def _gradient(self, probs: np.ndarray, feats: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """A machine's (..., C, f) gradient from its (..., n, C) probabilities
+        with the true-class entries already less one."""
+        return probs.swapaxes(-1, -2) @ feats / feats.shape[0] + self.l2 * mats
+
     def _gradients(self, machine: int, w: np.ndarray) -> np.ndarray:
         """grad f_i at w of shape (..., d), one row per lane."""
         mats = self._matrix(w)
         probs = np.exp(self._log_probs(machine, mats))
         probs[(..., *self._label_picks[machine])] -= 1.0
-        feats = self.features[machine]
-        grad = probs.swapaxes(-1, -2) @ feats / feats.shape[0] + self.l2 * mats
-        return grad.reshape(w.shape)
+        return self._gradient(probs, self.features[machine], mats).reshape(w.shape)
 
     def machine_value(self, machine: int, w: np.ndarray) -> float:
         return float(self._values(machine, np.asarray(w)))
@@ -383,21 +457,35 @@ class LogisticEnsemble(_Ensemble):
 
     def global_value(self, x: np.ndarray) -> float | np.ndarray:
         """f at x of shape (..., d): a float for one point, else one value
-        per lane, each bitwise equal to its own call."""
+        per lane, each bitwise equal to its own call. One point runs one
+        log-softmax over the pooled rows; lanes run one per machine."""
         x = np.asarray(x)
         values = np.empty(x.shape[:-1] + (self.num_machines,))
+        if x.ndim == 1:
+            picks = self._pooled_log_probs(self._matrix(x))[self._pooled_picks]
+            decay = 0.5 * self.l2 * squared_norms(x)
+            for i, rows in enumerate(self._pooled_spans):
+                values[i] = -picks[rows].mean() + decay
+            return float(values.mean())
         for i in range(self.num_machines):
             values[..., i] = self._values(i, x)
-        mean = values.mean(axis=-1)
-        return float(mean) if x.ndim == 1 else mean
+        return values.mean(axis=-1)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f at x of shape (..., d), any leading (lane) axes; each
-        lane's row equals its own call bitwise."""
+        lane's row equals its own call bitwise. One point runs one
+        log-softmax over the pooled rows; lanes run one per machine."""
         x = np.asarray(x)
         acc = np.zeros(x.shape)
-        for i in range(self.num_machines):
-            acc += self._gradients(i, x)
+        if x.ndim == 1:
+            mat = self._matrix(x)
+            probs = np.exp(self._pooled_log_probs(mat))
+            probs[self._pooled_picks] -= 1.0
+            for feats, rows in zip(self.features, self._pooled_spans):
+                acc += self._gradient(probs[rows], feats, mat).reshape(x.shape)
+        else:
+            for i in range(self.num_machines):
+                acc += self._gradients(i, x)
         return acc / self.num_machines
 
     def _example_gradient(self, machine: int, example: int, w: np.ndarray) -> np.ndarray:
@@ -453,9 +541,9 @@ class LogisticEnsemble(_Ensemble):
         rows = feats[picks]                            # (lanes, M, f)
         mats = points.reshape(*points.shape[:-1], self.num_classes, self.feature_dim)
         logits = (mats @ rows[..., :, None])[..., 0]   # (lanes, M, C)
-        logits -= logits.max(axis=-1, keepdims=True)
+        logits -= _class_max(logits)
         probs = np.exp(logits)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs /= _class_sum(probs)
         probs[np.arange(len(picks))[:, None], np.arange(picks.shape[1]), labels[picks]] -= 1.0
         grads = probs[..., :, None] * rows[..., None, :] + self.l2 * mats
         return grads.reshape(points.shape)
@@ -477,10 +565,12 @@ class LogisticEnsemble(_Ensemble):
             raise DegenerateProblemError(f"smoothness {self.smoothness():g} is not finite")
         step = 1.0 / self.smoothness()
         w = np.zeros(self.dim)
-        for _ in range(_OPTIMUM_MAX_ITERS):
+        for steps in range(_OPTIMUM_MAX_ITERS):
             grad = self.global_gradient(w)
             norm = np.linalg.norm(grad)
             if norm <= _OPTIMUM_GRAD_TOL:
+                object.__setattr__(self, "_optimum_report", {
+                    "method": "gradient-descent", "steps": steps, "grad_norm": float(norm)})
                 return w
             if not math.isfinite(norm):
                 raise DegenerateProblemError(f"optimum oracle met gradient norm {norm:g}")

@@ -649,13 +649,14 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
 
 
 def _synthetic_problem(spec: ExperimentSpec, m: int):
-    """One machine count's synthetic problem and its scalars. Computing them
-    caches the optimum before any cell runs, so pool workers start with it."""
+    """One machine count's synthetic problem, its scalars and how exact its
+    optimum is. Computing them caches the optimum before any cell runs, so
+    pool workers start with it."""
     problem = build_problem(spec.problem, m)
     md = problem.metadata(_resolve_start(spec.x0, problem.dim))
     return problem, {
         "smoothness": md.smoothness, "sigma": md.sigma, "gstar": md.gstar,
-        "f_star": md.f_star, "b0": md.b0,
+        "f_star": md.f_star, "b0": md.b0, "optimum": problem.optimum_report(),
     }
 
 

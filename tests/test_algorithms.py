@@ -66,6 +66,28 @@ class TestHandTraces:
         assert traj.anchors[2].x[0] == pytest.approx(0.81, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(0.855, rel=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("k_steps", [3, 9, 16])
+    def test_minibatch_server_step_is_the_mean_of_the_step_means(self, k_steps, dim):
+        # the round's step means averaged as one (K, d) mean over the steps:
+        # pairwise for d = 1 (at K = 16 a running sum differs in the last
+        # bits), in step order for d >= 2
+        prob = heterogeneous_quadratic(3, dim, sigma=4.0, seed=k_steps)
+        etas = [0.05, 0.2, 0.01, 0.1]
+        cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0))
+        for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas)):
+            x = cfg.x0
+            for r in range(cfg.R):
+                samplers = [prob.round_sampler(cfg.seed, i, r, k_steps) for i in range(3)]
+                step_means = []
+                for k in range(k_steps):
+                    g_mean = np.zeros(dim)
+                    for sample in samplers:
+                        g_mean += sample(k, x)
+                    step_means.append(g_mean / 3)
+                x = x - eta * np.array(step_means).mean(axis=0)
+                np.testing.assert_array_equal(traj.anchors[r + 1].x, x)
+
     def test_anytime_uniform_two_steps(self):
         # f = 0.5 x^2, eta=0.5, from 1: w 1 -> 0.5 -> 0.125,
         # x 1 -> 0.75 -> (2/3)0.75 + (1/3)0.125 = 13/24

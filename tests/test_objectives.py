@@ -1,5 +1,6 @@
 """Objective ensembles: oracle values against hand-computed examples,
 noise conventions, optimum oracles, and the scalar bounds."""
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from slowcal_lab.objectives import (
     DegenerateProblemError,
     LogisticEnsemble,
     QuadraticEnsemble,
+    _class_max,
+    _class_sum,
+    _log_softmax,
     heterogeneous_quadratic,
 )
 
@@ -296,6 +300,29 @@ class TestLogisticOracles:
         w = prob.optimum()
         assert float(np.linalg.norm(prob.global_gradient(w))) <= 1e-10
 
+    def test_optimum_report_comes_from_the_descent_itself(self, monkeypatch):
+        # one global gradient per step plus the one that stops the descent:
+        # the report costs no oracle call of its own
+        calls = []
+        inner = LogisticEnsemble.global_gradient
+        monkeypatch.setattr(LogisticEnsemble, "global_gradient",
+                            lambda self, x: calls.append(1) or inner(self, x))
+        prob = tiny_logistic(l2=0.5)
+        report = prob.optimum_report()
+        assert report["method"] == "gradient-descent"
+        assert len(calls) == report["steps"] + 1 and report["steps"] > 0
+        assert report["grad_norm"] == float(np.linalg.norm(prob.global_gradient(prob.w_star)))
+        assert report["grad_norm"] <= 1e-10
+        assert prob.optimum_report() == report and len(calls) == report["steps"] + 2
+
+    def test_quadratic_optimum_report_is_the_solve_residual(self):
+        prob = heterogeneous_quadratic(3, 4, seed=2)
+        report = prob.optimum_report()
+        total = prob.curvatures.sum(axis=0)
+        rhs = np.einsum("mij,mj->i", prob.curvatures, prob.centers)
+        assert report == {"method": "solve",
+                          "residual": float(np.linalg.norm(total @ prob.w_star - rhs))}
+
     def test_unregularized_optimum_is_degenerate(self):
         prob = tiny_logistic(l2=0.0)
         with pytest.raises(DegenerateProblemError):
@@ -490,3 +517,123 @@ class TestBatchedOracle:
                         want += prob.exact_gradient(i, points[lane])
                     want /= m
                 np.testing.assert_array_equal(single, want)
+
+
+def _reduce_max(a):
+    return a.max(axis=-1, keepdims=True)
+
+
+def _reduce_sum(a):
+    return a.sum(axis=-1, keepdims=True)
+
+
+def _reference_log_softmax(logits):
+    """The log-softmax as numpy's reduces compute it."""
+    peak = _reduce_max(logits)
+    return logits - (peak + np.log(_reduce_sum(np.exp(logits - peak))))
+
+
+def one_example_logistic(sizes, features, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    return LogisticEnsemble(
+        features=tuple(rng.standard_normal((n, features)) for n in sizes),
+        labels=tuple(rng.integers(0, num_classes, n) for n in sizes),
+        num_classes=num_classes,
+        l2=0.05,
+    )
+
+
+class TestClassReductions:
+    """The class-axis helpers must give numpy's own reduce bytes: chained
+    columns below the 8-wide pairwise block, the reduce itself from 8."""
+
+    SPECIALS = np.array([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 2.5e-310,
+                         -800.0, -746.0, -745.5, 3.0, 3.0, -3.0])
+
+    @pytest.mark.parametrize("lanes", [(1,), (20,), (2, 5)], ids=str)
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7, 8, 10])
+    def test_helpers_match_numpy_reduce_bytewise(self, num_classes, lanes):
+        rng = np.random.default_rng(num_classes * 31 + len(lanes))
+        for trial in range(8):
+            shape = lanes + (33, num_classes)
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+            # ties: whole rows of one value, and repeated specials
+            a[..., 0, :] = 2.0
+            special = rng.random(shape) < 0.3
+            a[special] = rng.choice(self.SPECIALS, int(special.sum()))
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert _class_max(a).tobytes() == _reduce_max(a).tobytes()
+                assert _class_sum(a).tobytes() == _reduce_sum(a).tobytes()
+                assert _log_softmax(a).tobytes() == _reference_log_softmax(a).tobytes()
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7])
+    def test_zero_signs_leave_log_softmax_bytes_unchanged(self, num_classes):
+        # mixed-sign zeros are where a chained peak may pick the other zero;
+        # the shifted logits then differ in zero sign only, and exp of
+        # either is 1, so the log-probabilities keep numpy's bytes
+        rows = np.array([[-0.0, 0.0] * num_classes, [0.0, -0.0] * num_classes,
+                         [-0.0] * (2 * num_classes), [-0.0, -5.0] * num_classes,
+                         [-800.0, -0.0] * num_classes])[:, :num_classes]
+        np.testing.assert_array_equal(_class_max(rows), _reduce_max(rows))
+        assert _log_softmax(rows).tobytes() == _reference_log_softmax(rows).tobytes()
+        # the oracle at W = 0 on a row whose features are all negative
+        feats = -np.arange(1.0, 4.0)[None, :]
+        prob = LogisticEnsemble((feats,), (np.array([0]),), num_classes)
+        for mats in (np.zeros((num_classes, 3)), np.full((num_classes, 3), -0.0)):
+            logits = feats @ mats.T
+            assert prob._log_probs(0, mats).tobytes() == _reference_log_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 4])
+    def test_nan_rows_stay_nan_where_numpy_puts_nan(self, num_classes):
+        # a row holding NaNs of both signs may shift by another NaN than
+        # numpy's reduce picks, so only a NaN's sign bit can differ: every
+        # entry is NaN exactly where numpy's is, and every other entry keeps
+        # its bytes (round closes write non-finite values as inf anyway)
+        nan = np.nan
+        values = [nan, -nan, 0.0, -0.0, 1.0, -2.0]
+        rows = np.array(list(itertools.product(values, repeat=num_classes)))
+        with np.errstate(invalid="ignore"):
+            got, want = _log_softmax(rows), _reference_log_softmax(rows)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+
+ONE_POINT_CASES = {
+    # machines holding a single example take another BLAS path when pooled
+    "one-example": ((1, 15, 20), 2, 3),
+    # one feature: the logits are outer products
+    "feature-dim-1": ((1, 4, 7, 2), 1, 4),
+    # ten classes take numpy's pairwise reduce
+    "ten-classes": ((3, 1, 12, 30), 5, 10),
+}
+
+
+class TestPooledOnePoint:
+    """A one-point global_value/global_gradient runs one log-softmax over
+    the pooled rows; it must keep the bytes of its row of a lane call and
+    of the per-machine oracle sum."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_POINT_CASES))
+    def test_one_point_equals_lane_row_and_machine_sum(self, case):
+        sizes, features, num_classes = ONE_POINT_CASES[case]
+        prob = one_example_logistic(sizes, features, num_classes, seed=len(case))
+        m = len(sizes)
+        rng = np.random.default_rng(5)
+        points = 3.0 * rng.standard_normal((20, prob.dim))
+        points[0] = 0.0
+        for lanes in (points, points[:10].reshape(2, 5, prob.dim)):
+            values = prob.global_value(lanes)
+            grads = prob.global_gradient(lanes)
+            for idx in np.ndindex(lanes.shape[:-1]):
+                x = lanes[idx]
+                value = prob.global_value(x)
+                assert isinstance(value, float)
+                assert value == values[idx]
+                assert value == float(np.array([prob.machine_value(i, x) for i in range(m)]).mean())
+                grad = prob.global_gradient(x)
+                np.testing.assert_array_equal(grad, grads[idx])
+                want = np.zeros(prob.dim)
+                for i in range(m):
+                    want += prob.exact_gradient(i, x)
+                np.testing.assert_array_equal(grad, want / m)

@@ -258,10 +258,23 @@ class TestRunExperiment:
         assert manifest["csv_columns"] == CSV_COLUMNS
         assert manifest["resolved_lr"] == {"minibatch-M2-K2": 0.05, "local-M2-K2": 0.05}
         assert set(manifest["problem_metadata"]["M2"]) == {
-            "smoothness", "sigma", "gstar", "f_star", "b0",
+            "smoothness", "sigma", "gstar", "f_star", "b0", "optimum",
         }
+        optimum = manifest["problem_metadata"]["M2"]["optimum"]
+        assert optimum == build_problem(spec.problem, 2).optimum_report()
+        assert set(optimum) == {"method", "residual"} and optimum["method"] == "solve"
         assert manifest["warnings"] == []
         assert manifest["spec"]["problem"]["kind"] == "quadratic"
+
+    def test_softmax_manifest_reports_the_descent_optimum(self, tmp_path):
+        spec = spec_from_dict(base_config(problem={
+            "kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
+            "problem_seed": 1}))
+        summary = run_experiment(spec, out_dir=tmp_path)
+        optimum = json.loads(summary.manifest_path.read_text())["problem_metadata"]["M2"]["optimum"]
+        assert optimum == build_problem(spec.problem, 2).optimum_report()
+        assert optimum["method"] == "gradient-descent" and optimum["steps"] > 0
+        assert 0.0 < optimum["grad_norm"] <= 1e-10
 
     def test_reruns_are_identical_up_to_timing(self, tmp_path):
         spec = spec_from_dict(base_config())
