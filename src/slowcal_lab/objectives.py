@@ -44,9 +44,9 @@ logits, still its own matmul, fill one (N, C) buffer in ``_pooled`` row
 order, and the log-softmax, exp and label picks run once on it; the pick
 means and gradient products stay per machine, summed in machine order. Lane
 calls stay per machine, where pooled (lanes, N, C) temporaries cost more
-than the saved calls. The class-axis max and sum chain whole columns below
-8 classes, where numpy's reduce walks the short axis once per row, and keep
-numpy's reduce from 8, where its sum is pairwise.
+than the saved calls. The class-axis max chains whole columns, where
+numpy's reduce walks the short axis once per row; the sum chains them below
+8 classes and keeps numpy's reduce from 8, where its sum is pairwise.
 """
 from __future__ import annotations
 
@@ -70,12 +70,10 @@ GradSampler = Callable[[int, np.ndarray], np.ndarray]
 
 
 def _class_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True). Below numpy's 8-wide pairwise block
-    its reduce walks a short class axis once per row, so chain whole columns
-    instead; the maximum of non-NaN values is exact, only the sign of a
-    zero or a NaN can differ from the reduce's pick."""
-    if a.shape[-1] >= _PAIRWISE_BLOCK:
-        return a.max(axis=-1, keepdims=True)
+    """a.max(axis=-1, keepdims=True). numpy's reduce walks a short class
+    axis once per row, so chain whole columns instead; the maximum of
+    non-NaN values is exact in any order, only the sign of a zero or a NaN
+    can differ from the reduce's pick."""
     peak = a[..., :1].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(peak, a[..., j:j + 1], out=peak)

@@ -544,8 +544,9 @@ def one_example_logistic(sizes, features, num_classes, seed):
 
 
 class TestClassReductions:
-    """The class-axis helpers must give numpy's own reduce bytes: chained
-    columns below the 8-wide pairwise block, the reduce itself from 8."""
+    """The class-axis helpers must give numpy's own reduce bytes: the max
+    chains columns at every class count, the sum below the 8-wide pairwise
+    block and through the reduce itself from 8."""
 
     SPECIALS = np.array([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 2.5e-310,
                          -800.0, -746.0, -745.5, 3.0, 3.0, -3.0])
@@ -566,7 +567,7 @@ class TestClassReductions:
                 assert _class_sum(a).tobytes() == _reduce_sum(a).tobytes()
                 assert _log_softmax(a).tobytes() == _reference_log_softmax(a).tobytes()
 
-    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7, 8, 10])
     def test_zero_signs_leave_log_softmax_bytes_unchanged(self, num_classes):
         # mixed-sign zeros are where a chained peak may pick the other zero;
         # the shifted logits then differ in zero sign only, and exp of
@@ -583,7 +584,7 @@ class TestClassReductions:
             logits = feats @ mats.T
             assert prob._log_probs(0, mats).tobytes() == _reference_log_softmax(logits).tobytes()
 
-    @pytest.mark.parametrize("num_classes", [2, 3, 4])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 8, 10])
     def test_nan_rows_stay_nan_where_numpy_puts_nan(self, num_classes):
         # a row holding NaNs of both signs may shift by another NaN than
         # numpy's reduce picks, so only a NaN's sign bit can differ: every
@@ -591,7 +592,10 @@ class TestClassReductions:
         # its bytes (round closes write non-finite values as inf anyway)
         nan = np.nan
         values = [nan, -nan, 0.0, -0.0, 1.0, -2.0]
-        rows = np.array(list(itertools.product(values, repeat=num_classes)))
+        if num_classes <= 4:
+            rows = np.array(list(itertools.product(values, repeat=num_classes)))
+        else:
+            rows = np.random.default_rng(num_classes).choice(values, (5000, num_classes))
         with np.errstate(invalid="ignore"):
             got, want = _log_softmax(rows), _reference_log_softmax(rows)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -604,7 +608,7 @@ ONE_POINT_CASES = {
     "one-example": ((1, 15, 20), 2, 3),
     # one feature: the logits are outer products
     "feature-dim-1": ((1, 4, 7, 2), 1, 4),
-    # ten classes take numpy's pairwise reduce
+    # ten classes take numpy's pairwise sum
     "ten-classes": ((3, 1, 12, 30), 5, 10),
 }
 
