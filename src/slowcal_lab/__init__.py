@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .algorithms import (
     ALGORITHMS,
     RunConfig,
-    ServerAnchor,
     StepRecord,
     Trajectory,
     run_lanes,
@@ -78,7 +77,6 @@ __all__ = [
     "RoundMetrics",
     "RunConfig",
     "RunSummary",
-    "ServerAnchor",
     "StepRecord",
     "Trajectory",
     "UNIFORM",

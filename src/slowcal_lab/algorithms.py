@@ -70,15 +70,6 @@ class RunConfig:
 
 
 @dataclass
-class ServerAnchor:
-    """State broadcast at a round boundary; round = completed rounds."""
-
-    round: int
-    w: np.ndarray
-    x: np.ndarray
-
-
-@dataclass
 class StepRecord:
     t: int
     w_mean: np.ndarray
@@ -94,8 +85,9 @@ class Trajectory:
     in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
     and ``round_diverged`` each round's divergence flag, all three its own;
     ``anchor_w`` and ``anchor_x`` hold the anchors as (completed rounds + 1,
-    d) views of the call's arrays, row i placed after round i, or are None
-    when the run kept no anchors. ``wall_ms``: see run_lanes."""
+    d) views of the call's arrays, row 0 the start point and row i the
+    anchor placed after round i, or are None when the run kept no anchors.
+    ``wall_ms``: see run_lanes."""
 
     algorithm: str
     eta: float
@@ -117,13 +109,6 @@ class Trajectory:
         return [RoundMetrics(r, t, *values, diverged)
                 for r, (t, values, diverged) in enumerate(zip(
                     self.t.tolist(), self.values.tolist(), self.round_diverged.tolist()))]
-
-    @property
-    def anchors(self) -> list[ServerAnchor]:
-        """The anchors, built from the arrays (rows of them, not copies)."""
-        if self.anchor_w is None:
-            raise ValueError("this run kept no anchors")
-        return [ServerAnchor(i, w, x) for i, (w, x) in enumerate(zip(self.anchor_w, self.anchor_x))]
 
 
 # RoundMetrics's value fields, in its order: Trajectory.rounds unpacks rows of values into them
@@ -298,11 +283,11 @@ def _draw_plan(seeds: list[int]) -> tuple[list[int], np.ndarray]:
     return distinct, np.array([row[seed] for seed in seeds])
 
 
-def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
+def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
               keep_anchors: bool = True) -> list[Trajectory]:
     """Run `method` once per (seed, step size) pair, as the lanes of one
     recursion over (lanes, machines, d) arrays of w and x; `seeds` is
-    aligned with `etas`, and by default every lane takes cfg.seed. Each
+    aligned with `etas`, and cfg.eta and cfg.seed are not read. Each
     round draws once per distinct seed, lanes of one seed share those
     draws, and lane j returns exactly the trajectory of a run with
     cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
@@ -313,7 +298,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
     started = time.perf_counter()
     spec = METHODS[method]
     etas = [float(eta) for eta in etas]
-    lane_seeds = [cfg.seed] * len(etas) if seeds is None else [int(seed) for seed in seeds]
+    lane_seeds = [int(seed) for seed in seeds]
     if len(lane_seeds) != len(etas):
         raise ValueError(f"got {len(lane_seeds)} seeds for {len(etas)} step sizes")
     for eta, seed in zip(etas, lane_seeds):
@@ -429,7 +414,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds=None,
 def _one_lane(name: str):
     def run(problem, cfg: RunConfig) -> Trajectory:
         """One run of the method at cfg.eta: the one-lane call of run_lanes."""
-        return run_lanes(problem, name, cfg, [cfg.eta])[0]
+        return run_lanes(problem, name, cfg, [cfg.eta], [cfg.seed])[0]
     return run
 
 

@@ -5,7 +5,7 @@
 mnist-logistic config.
 
 Exit codes: 0 ok, 1 divergence (any run, or an entirely-diverged grid),
-2 config error, 3 verification failure.
+2 config error (out of memory included), 3 verification failure.
 """
 from __future__ import annotations
 
@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DegenerateProblemError as exc:
         print(f"config error: degenerate problem: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except GridSearchError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

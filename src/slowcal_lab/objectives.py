@@ -28,9 +28,9 @@ steps)`` example rows for softmax regression), and
 points of shape ``(lanes, M, d)``, row i on machine i, lane j taking the
 draws of row ``lanes[j]`` of that stack. Row i of lane j's result equals
 ``round_sampler(seeds[lanes[j]], i, rnd, steps)(k, points[j, i])``
-bitwise; ``round_sampler`` and ``stochastic_gradient`` stay as that
-per-machine reference. ``exact_gradients(points)`` is the noise-free
-counterpart with one row per machine; it, ``global_gradient(x)`` and
+bitwise; ``round_sampler`` stays as that per-machine reference.
+``exact_gradients(points)`` is the noise-free counterpart with one row
+per machine; it, ``global_gradient(x)`` and
 ``global_value(x)`` take any leading lane axes, so one call measures
 every lane of a round (``global_value`` of a single point stays a float).
 Each lane's result is bitwise equal to a call of its own. The softmax
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import squared_norms
-from .rng import RngKey, index_rows, normal_rows
+from .rng import index_rows, normal_rows
 
 GROWTH_SLACK_FLOOR = -1e-9
 _PSD_EIG_FLOOR = -1e-10
@@ -151,14 +151,6 @@ class _Ensemble:
     def gstar(self) -> float:
         """G* = sqrt(2 mean_i ||grad f_i(w*)||^2)."""
         return self._gstar
-
-    def stochastic_gradient(self, machine: int, x: np.ndarray, rng_key: RngKey) -> np.ndarray:
-        seed, key_machine, rnd, step = (int(v) for v in rng_key)
-        if key_machine != machine:
-            raise ValueError(f"rng_key names machine {key_machine}, oracle called for {machine}")
-        if step < 0:
-            raise ValueError(f"step must be nonnegative, got {step}")
-        return self.round_sampler(seed, machine, rnd, step + 1)(step, x)
 
     def check_growth_bound(self, x: np.ndarray) -> tuple[bool, float]:
         """Slack in mean_i ||grad_i(x)||^2 <= gstar^2 + 4 L (f(x) - f*)."""
@@ -592,13 +584,9 @@ class LogisticEnsemble(_Ensemble):
 
     @cached_property
     def sigma(self) -> float:
-        return self.sampling_noise_std()
-
-    def sampling_noise_std(self, at: np.ndarray | None = None) -> float:
-        """Single-example gradient noise std sqrt(mean_i E_n ||g_n - grad_i||^2),
-        evaluated at the optimum unless another point is given. Closed form;
-        no sampling involved."""
-        w = self.w_star if at is None else np.asarray(at, dtype=np.float64)
+        """Single-example gradient noise std sqrt(mean_i E_n ||g_n - grad_i||^2)
+        at the optimum. Closed form; no sampling involved."""
+        w = self.w_star
         mat = self._matrix(w)
         sq_l2w = float((mat ** 2).sum())
         total = 0.0

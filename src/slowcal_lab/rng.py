@@ -6,15 +6,12 @@ Every stochastic draw in a run is addressed by the 4-tuple
 pulled from that stream. numpy Generators fill requested arrays in
 stream order, so a block of `steps` rows extends a block of fewer rows
 without changing the shared prefix: row k is a pure function of the full
-4-tuple no matter how many rows are materialized. That lets the inner
-loops pre-draw one block per machine-round while the per-step oracle
-stays reproducible on its own.
+4-tuple no matter how many rows are materialized. That lets the oracles
+pre-draw one block per machine-round.
 """
 from __future__ import annotations
 
 import numpy as np
-
-RngKey = tuple[int, int, int, int]
 
 
 def machine_round_stream(seed: int, machine: int, rnd: int) -> np.random.Generator:

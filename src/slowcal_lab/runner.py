@@ -223,6 +223,8 @@ def _resolve_problem(raw, field: str = "problem") -> dict:
         if prob["dim"] < 1:
             raise ConfigError(f"field '{field}.dim' must be >= 1, got {prob['dim']}")
     prob["problem_seed"] = _as_int(prob["problem_seed"], "problem.problem_seed")
+    if prob["problem_seed"] < 0:
+        raise ConfigError(f"field '{field}.problem_seed' must be >= 0, got {prob['problem_seed']}")
     if kind == "quadratic":
         if prob["curvature"] not in ("shared", "per-machine"):
             raise ConfigError("field 'problem.curvature' must be 'shared' or 'per-machine'")
@@ -517,11 +519,13 @@ def _cell_worker(algorithm: str, m: int, k: int):
 
 def _cell_results(spec: ExperimentSpec, problems: dict, cells: list, jobs: int):
     """Yield each cell's result in cell order: run here, or on a pool of
-    ``jobs`` workers when there is more than one job and one cell. At most
-    ``jobs`` pooled cells are in flight at once, refilled as soon as any of
-    them completes, so when one raises, only the cells already running still
-    finish before the error surfaces; the rest never start."""
-    if jobs == 1 or len(cells) == 1:
+    ``jobs`` workers, never more than there are cells, when that leaves
+    more than one. At most ``jobs`` pooled cells are in flight at once,
+    refilled as soon as any of them completes, so when one raises, only the
+    cells already running still finish before the error surfaces; the rest
+    never start."""
+    jobs = min(jobs, len(cells))
+    if jobs == 1:
         for algorithm, m, k in cells:
             yield _run_cell(spec, problems[m], algorithm, m, k)
         return
@@ -645,7 +649,7 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
     }
     resolved = _resolve_out_dir(spec, out_dir)
     csv_path, manifest_path = _write_outputs(resolved, spec, _CsvRows(spec, sweep_runs), extra)
-    return RunSummary(resolved, csv_path, manifest_path, len(outputs), any_diverged)
+    return RunSummary(resolved, csv_path, manifest_path, len(sweep_runs), any_diverged)
 
 
 def _synthetic_problem(spec: ExperimentSpec, m: int):

@@ -68,21 +68,19 @@ def mean_score(scores: list[float]) -> float:
     return sum(scores) / len(scores)
 
 
-def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
-                score_fn=None) -> GridResult:
-    """Tune eta by mean score over seeds (default score: final excess loss at
+def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds) -> GridResult:
+    """Tune eta by mean score over seeds (a run's score: its excess loss at
     the output point; diverged runs score +inf). Ties break toward the
     smaller step size.
 
     Every (seed, candidate) pair is one lane of a single run_lanes call,
     seed by seed: lanes of one seed share its draws, each lane's run equals
     its own run at that seed and step size, and the winner's trajectories
-    need no replay. The call keeps no anchors, so ``score_fn`` receives
-    trajectories whose ``anchor_w``/``anchor_x`` are None, and each
-    trajectory's ``wall_ms`` is the call's time divided by seeds x
-    candidates. A trajectory's step records go once it is scored, and a
-    candidate drops its trajectories as soon as it scores +inf on a seed,
-    since it can no longer win."""
+    need no replay. The call keeps no anchors, and each trajectory's
+    ``wall_ms`` is the call's time divided by seeds x candidates. A
+    trajectory's step records go once it is scored, and a candidate drops
+    its trajectories as soon as it scores +inf on a seed, since it can no
+    longer win."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     candidates = sorted({float(v) for v in grid})
@@ -90,9 +88,6 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
         raise ValueError("empty step-size grid")
     if not len(seeds):
         raise ValueError("grid search needs at least one seed")
-    if score_fn is None:
-        def score_fn(prob, traj):
-            return excess_loss(prob, traj.x_output)
 
     etas = candidates * len(seeds)  # seed-major lanes: scores come out in seed order
     lanes = run_lanes(problem, algorithm, cfg, etas,
@@ -101,7 +96,7 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds,
     kept: dict[float, list[Trajectory]] = {eta: [] for eta in candidates}
     for j, eta in enumerate(etas):
         traj, lanes[j] = lanes[j], None
-        value = math.inf if traj.diverged else float(score_fn(problem, traj))
+        value = math.inf if traj.diverged else excess_loss(problem, traj.x_output)
         if not math.isfinite(value):
             value = math.inf
             kept.pop(eta, None)

@@ -63,7 +63,7 @@ def _check_weights_fold() -> CheckResult:
     running average of an arbitrary sequence."""
     rng = np.random.default_rng(3)
     worst = 0.0
-    for schedule in (weights.UNIFORM, weights.LINEAR, weights.WeightSchedule("polynomial", 2.0)):
+    for schedule in (weights.UNIFORM, weights.LINEAR, weights.WeightSchedule(2.0)):
         seq = rng.standard_normal((40, 3))
         folded = seq[0].copy()
         acc = weights.weight_at(schedule, 0) * seq[0]
@@ -112,9 +112,8 @@ def _check_reduction_anytime() -> CheckResult:
     slow = ALGORITHMS["slowcal"](problem, cfg)
     single = ALGORITHMS["anytime"](problem, cfg)
     worst = float(np.linalg.norm(slow.x_output - single.x_output))
-    for a, b in zip(slow.anchors, single.anchors):
-        worst = max(worst, float(np.linalg.norm(a.x - b.x)),
-                    float(np.linalg.norm(a.w - b.w)))
+    for xa, xb, wa, wb in zip(slow.anchor_x, single.anchor_x, slow.anchor_w, single.anchor_w):
+        worst = max(worst, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(wa - wb)))
     return _leq("reduction-anytime", worst, 1e-12)
 
 
@@ -139,7 +138,7 @@ def _check_reduction_minibatch_step0() -> CheckResult:
     cfg = RunConfig(K=1, R=1, eta=0.07, schedule=weights.UNIFORM, seed=0)
     slow = ALGORITHMS["slowcal"](problem, cfg)
     mini = ALGORITHMS["minibatch"](problem, cfg)
-    worst = float(np.linalg.norm(slow.anchors[1].w - mini.anchors[1].x))
+    worst = float(np.linalg.norm(slow.anchor_w[1] - mini.anchor_x[1]))
     return _leq("reduction-minibatch-step0", worst, 1e-12)
 
 

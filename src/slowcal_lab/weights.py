@@ -1,11 +1,11 @@
 """Step-weight schedules for weighted-averaging SGD variants.
 
-A schedule assigns a positive weight alpha_t to every global step t >= 0.
-Three families are supported:
+A schedule assigns a positive weight alpha_t to every global step t >= 0,
+and is nothing but its power p >= 0:
 
-    uniform      alpha_t = 1
-    linear       alpha_t = t + 1
-    poly:<p>     alpha_t = (t + 1) ** p   (uniform is p=0, linear is p=1)
+    poly:<p>     alpha_t = (t + 1) ** p
+    uniform      p = 0, alpha_t = 1        (``UNIFORM``)
+    linear       p = 1, alpha_t = t + 1    (``LINEAR``)
 
 The averaging coefficient gamma_{t+1} = alpha_{t+1} / alpha_{0:t+1} is what
 the query-averaging recursions consume: folding it step by step reproduces
@@ -17,8 +17,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-_KINDS = ("uniform", "linear", "polynomial")
-
 # Kahan-compensated partial sums per polynomial power, grown on demand.
 # Closed forms cover p in {0, 1}; anything else lands here.
 _prefix_cache: dict[float, list[float]] = {}
@@ -28,28 +26,17 @@ _prefix_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Immutable description of one weight family."""
+    """alpha_t = (t + 1) ** power."""
 
-    kind: str
-    power: float = 0.0
+    power: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {_KINDS}")
-        if self.kind == "polynomial" and self.power < 0:
-            raise ValueError(f"polynomial power must be nonnegative, got {self.power}")
-
-    @property
-    def effective_power(self) -> float:
-        if self.kind == "uniform":
-            return 0.0
-        if self.kind == "linear":
-            return 1.0
-        return float(self.power)
+        if not (self.power >= 0 and math.isfinite(self.power)):
+            raise ValueError(f"schedule power must be nonnegative and finite, got {self.power}")
 
 
-UNIFORM = WeightSchedule("uniform")
-LINEAR = WeightSchedule("linear")
+UNIFORM = WeightSchedule(0.0)
+LINEAR = WeightSchedule(1.0)
 
 
 def parse_schedule(text: str) -> WeightSchedule:
@@ -64,9 +51,7 @@ def parse_schedule(text: str) -> WeightSchedule:
             power = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad polynomial power in schedule {text!r}") from exc
-        if not math.isfinite(power):
-            raise ValueError(f"polynomial power must be finite, got {text!r}")
-        return WeightSchedule("polynomial", power)
+        return WeightSchedule(power)
     raise ValueError(f"unknown schedule {text!r}, expected uniform | linear | poly:<p>")
 
 
@@ -80,7 +65,7 @@ def _check_step(t: int) -> int:
 def weight_at(schedule: WeightSchedule, t: int) -> float:
     """alpha_t."""
     step = _check_step(t)
-    p = schedule.effective_power
+    p = schedule.power
     if p == 0.0:
         return 1.0
     if p == 1.0:
@@ -96,7 +81,7 @@ def prefix_weight(schedule: WeightSchedule, t: int) -> float:
     running sums so repeated queries stay O(1) amortized and drift-free.
     """
     step = _check_step(t)
-    p = schedule.effective_power
+    p = schedule.power
     if p == 0.0:
         return float(step + 1)
     if p == 1.0:

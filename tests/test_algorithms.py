@@ -36,25 +36,24 @@ class TestHandTraces:
         #   t=1: g=-0.95, w: 0.1 -> 0.195, gamma=1/3, x -> (2/3)0.05 + (1/3)0.195
         prob = scalar_problem()
         traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, eta=0.1, schedule=UNIFORM))
-        assert traj.anchors[1].w[0] == pytest.approx(0.195, rel=1e-15)
-        assert traj.anchors[1].x[0] == pytest.approx(59.0 / 600.0, rel=1e-15)
-        assert traj.x_output[0] == traj.anchors[1].x[0]
+        assert traj.anchor_w[1, 0] == pytest.approx(0.195, rel=1e-15)
+        assert traj.anchor_x[1, 0] == pytest.approx(59.0 / 600.0, rel=1e-15)
+        assert traj.x_output[0] == traj.anchor_x[1, 0]
 
     def test_slowcal_mirrored_machines_cancel_exactly(self):
         # mirrored centers drive exactly mirrored slots; the ascending mean
         # at every boundary is exactly 0.0, not just close
         prob = symmetric_pair()
         traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, eta=0.1, schedule=LINEAR))
-        for anchor in traj.anchors[1:]:
-            assert anchor.w[0] == 0.0 and anchor.x[0] == 0.0
+        assert (traj.anchor_w[1:] == 0.0).all() and (traj.anchor_x[1:] == 0.0).all()
         assert traj.x_output[0] == 0.0
 
     def test_local_single_machine_two_steps(self):
         # x: 0 -> 0.1 -> 0.1 + 0.1*0.9 = 0.19; plain local outputs the anchor
         prob = scalar_problem()
         traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, eta=0.1))
-        assert traj.anchors[1].x[0] == pytest.approx(0.19, rel=1e-15)
-        assert traj.x_output[0] == traj.anchors[1].x[0]
+        assert traj.anchor_x[1, 0] == pytest.approx(0.19, rel=1e-15)
+        assert traj.x_output[0] == traj.anchor_x[1, 0]
 
     def test_minibatch_two_rounds_and_anchor_average_output(self):
         # f = 0.5 x^2 from 1: anchors 0.9, 0.81; output their mean 0.855
@@ -62,8 +61,8 @@ class TestHandTraces:
         traj = ALGORITHMS["minibatch"](
             prob, RunConfig(K=4, R=2, eta=0.1, x0=np.array([1.0]))
         )
-        assert traj.anchors[1].x[0] == pytest.approx(0.9, rel=1e-15)
-        assert traj.anchors[2].x[0] == pytest.approx(0.81, rel=1e-15)
+        assert traj.anchor_x[1, 0] == pytest.approx(0.9, rel=1e-15)
+        assert traj.anchor_x[2, 0] == pytest.approx(0.81, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(0.855, rel=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -75,7 +74,7 @@ class TestHandTraces:
         prob = heterogeneous_quadratic(3, dim, sigma=4.0, seed=k_steps)
         etas = [0.05, 0.2, 0.01, 0.1]
         cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0))
-        for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas)):
+        for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas, [cfg.seed] * 4)):
             x = cfg.x0
             for r in range(cfg.R):
                 samplers = [prob.round_sampler(cfg.seed, i, r, k_steps) for i in range(3)]
@@ -86,7 +85,7 @@ class TestHandTraces:
                         g_mean += sample(k, x)
                     step_means.append(g_mean / 3)
                 x = x - eta * np.array(step_means).mean(axis=0)
-                np.testing.assert_array_equal(traj.anchors[r + 1].x, x)
+                np.testing.assert_array_equal(traj.anchor_x[r + 1], x)
 
     def test_anytime_uniform_two_steps(self):
         # f = 0.5 x^2, eta=0.5, from 1: w 1 -> 0.5 -> 0.125,
@@ -95,7 +94,7 @@ class TestHandTraces:
         traj = ALGORITHMS["anytime"](
             prob, RunConfig(K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]))
         )
-        assert traj.anchors[1].w[0] == pytest.approx(0.125, rel=1e-15)
+        assert traj.anchor_w[1, 0] == pytest.approx(0.125, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(13.0 / 24.0, rel=1e-15)
 
     def test_anytime_linear_first_step(self):
@@ -115,9 +114,8 @@ class TestReductions:
         cfg = RunConfig(K=1, R=18, eta=0.08, schedule=LINEAR, seed=5)
         slow = ALGORITHMS["slowcal"](prob, cfg)
         anytime = ALGORITHMS["anytime"](prob, cfg)
-        for a, b in zip(slow.anchors, anytime.anchors):
-            np.testing.assert_allclose(a.x, b.x, atol=1e-12)
-            np.testing.assert_allclose(a.w, b.w, atol=1e-12)
+        np.testing.assert_allclose(slow.anchor_x, anytime.anchor_x, atol=1e-12)
+        np.testing.assert_allclose(slow.anchor_w, anytime.anchor_w, atol=1e-12)
         np.testing.assert_allclose(slow.x_output, anytime.x_output, atol=1e-12)
 
     def test_homogeneous_local_matches_sequential_gd(self):
@@ -141,7 +139,7 @@ class TestReductions:
         cfg = RunConfig(K=1, R=1, eta=0.07, seed=8)
         slow = ALGORITHMS["slowcal"](prob, cfg)
         mini = ALGORITHMS["minibatch"](prob, cfg)
-        np.testing.assert_allclose(slow.anchors[1].w, mini.anchors[1].x, atol=1e-12)
+        np.testing.assert_allclose(slow.anchor_w[1], mini.anchor_x[1], atol=1e-12)
 
     def test_anytime_follows_weighted_gradient_recursion(self):
         # sigma=0: the machine-averaged oracle is the global gradient, so the
@@ -229,8 +227,8 @@ class TestDeterminismAndShape:
         cfg = RunConfig(K=4, R=6, eta=0.01, seed=5)
         traj = ALGORITHMS[name](prob, cfg)
         assert len(traj.rounds) == cfg.R
-        assert len(traj.anchors) == cfg.R + 1
-        assert traj.anchors[0].round == 0
+        assert traj.anchor_w.shape == traj.anchor_x.shape == (cfg.R + 1, prob.dim)
+        assert (traj.anchor_w[0] == 0.0).all() and (traj.anchor_x[0] == 0.0).all()
         assert [rec.t for rec in traj.rounds] == [(r + 1) * cfg.K for r in range(cfg.R)]
         assert not traj.diverged
 
@@ -320,11 +318,8 @@ def assert_same_trajectory(a, b):
     assert (a.algorithm, a.eta, a.schedule, a.seed, a.diverged) == (
         b.algorithm, b.eta, b.schedule, b.seed, b.diverged)
     assert a.rounds == b.rounds
-    assert len(a.anchors) == len(b.anchors)
-    for x, y in zip(a.anchors, b.anchors):
-        assert x.round == y.round
-        np.testing.assert_array_equal(x.w, y.w)
-        np.testing.assert_array_equal(x.x, y.x)
+    np.testing.assert_array_equal(a.anchor_w, b.anchor_w)
+    np.testing.assert_array_equal(a.anchor_x, b.anchor_x)
     np.testing.assert_array_equal(a.x_output, b.x_output)
     assert len(a.steps) == len(b.steps)
     for x, y in zip(a.steps, b.steps):
@@ -348,7 +343,7 @@ class TestLanes:
             prob, etas, x0 = small_logistic(), [0.1, 1e9, 1.0], None
         cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=2, record_diagnostics=True,
                         x0=x0)
-        lanes = run_lanes(prob, algorithm, cfg, etas)
+        lanes = run_lanes(prob, algorithm, cfg, etas, [cfg.seed] * len(etas))
         assert lanes[1].diverged and not lanes[0].diverged
         for eta, lane in zip(etas, lanes):
             assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
@@ -380,8 +375,6 @@ class TestLanes:
         assert [lane.diverged for lane in bare] == [False, True, False]
         for a, b in zip(kept, bare):
             assert b.anchor_w is None and b.anchor_x is None
-            with pytest.raises(ValueError, match="no anchors"):
-                b.anchors
             assert a.rounds == b.rounds and a.diverged == b.diverged
             assert a.x_output.tobytes() == b.x_output.tobytes()
             assert [(x.t, x.dispersion_q) for x in a.steps] == [
@@ -413,9 +406,9 @@ class TestLanes:
 
     def test_no_lanes_no_trajectories(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
-        assert run_lanes(prob, "slowcal", RunConfig(K=1, R=2, eta=1.0), []) == []
+        assert run_lanes(prob, "slowcal", RunConfig(K=1, R=2, eta=1.0), [], []) == []
 
     def test_every_lane_is_validated(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
         with pytest.raises(ValueError, match="eta"):
-            run_lanes(prob, "local", RunConfig(K=1, R=2, eta=0.1), [0.1, -1.0])
+            run_lanes(prob, "local", RunConfig(K=1, R=2, eta=0.1), [0.1, -1.0], [0, 0])

@@ -106,16 +106,17 @@ class TestQuadraticNoise:
     def test_same_key_same_noise_bitwise(self):
         prob = two_machine_quadratic(sigma=0.7)
         x = np.array([1.0, 1.0])
-        a = prob.stochastic_gradient(0, x, (5, 0, 3, 2))
-        b = prob.stochastic_gradient(0, x, (5, 0, 3, 2))
+        a = prob.round_sampler(5, 0, 3, 3)(2, x)
+        b = prob.round_sampler(5, 0, 3, 3)(2, x)
         np.testing.assert_array_equal(a, b)
 
-    def test_sampler_agrees_with_keyed_oracle(self):
+    def test_sampler_step_is_independent_of_block_length(self):
+        # step 3 of a 6-step block is step 3 of a 4-step block: a longer
+        # round extends the shorter one's draws without changing them
         prob = two_machine_quadratic(sigma=0.7)
         x = np.array([-0.5, 2.0])
-        sample = prob.round_sampler(9, 1, 4, 6)
         np.testing.assert_array_equal(
-            sample(3, x), prob.stochastic_gradient(1, x, (9, 1, 4, 3))
+            prob.round_sampler(9, 1, 4, 6)(3, x), prob.round_sampler(9, 1, 4, 4)(3, x)
         )
 
     def test_noise_total_power_convention(self):
@@ -128,16 +129,6 @@ class TestQuadraticNoise:
         noise = np.stack([sample(k, x) for k in range(0, n, 100)])
         power = float((noise ** 2).sum(axis=1).mean())
         assert power == pytest.approx(sigma ** 2, rel=0.05)
-
-    def test_key_machine_mismatch_rejected(self):
-        prob = two_machine_quadratic(sigma=0.1)
-        with pytest.raises(ValueError):
-            prob.stochastic_gradient(0, np.zeros(2), (0, 1, 0, 0))
-
-    def test_negative_step_rejected(self):
-        prob = two_machine_quadratic(sigma=0.1)
-        with pytest.raises(ValueError):
-            prob.stochastic_gradient(0, np.zeros(2), (0, 0, 0, -1))
 
 
 class TestQuadraticValidation:
@@ -285,15 +276,22 @@ class TestLogisticOracles:
             assert any(np.array_equal(got, row) for row in per_example)
 
     def test_sampling_noise_std_matches_brute_force(self):
+        # sigma, the closed-form noise std at the optimum, against the
+        # spread of every single-example gradient there; with two machines
+        # neither machine's mean gradient vanishes at the optimum
         rng = np.random.default_rng(2)
-        feats = rng.standard_normal((6, 3))
-        labs = rng.integers(0, 3, size=6)
-        prob = LogisticEnsemble((feats,), (labs,), num_classes=3, l2=0.2)
-        w = 0.1 * rng.standard_normal(prob.dim)
-        grads = np.stack([prob._example_gradient(0, k, w) for k in range(6)])
-        mean = prob.exact_gradient(0, w)
-        want = math.sqrt(float(((grads - mean) ** 2).sum(axis=1).mean()))
-        assert prob.sampling_noise_std(at=w) == pytest.approx(want, rel=1e-10)
+        sizes = (6, 4)
+        prob = LogisticEnsemble(tuple(rng.standard_normal((n, 3)) for n in sizes),
+                                tuple(rng.integers(0, 3, size=n) for n in sizes),
+                                num_classes=3, l2=0.2)
+        w = prob.w_star
+        spreads = []
+        for i, n in enumerate(sizes):
+            grads = np.stack([prob._example_gradient(i, k, w) for k in range(n)])
+            mean = prob.exact_gradient(i, w)
+            assert np.linalg.norm(mean) > 1e-3
+            spreads.append(float(((grads - mean) ** 2).sum(axis=1).mean()))
+        assert prob.sigma == pytest.approx(math.sqrt(np.mean(spreads)), rel=1e-10)
 
     def test_optimum_oracle_reaches_tiny_gradient(self):
         prob = tiny_logistic(l2=0.5)

@@ -396,6 +396,22 @@ class TestRunExperiment:
         if case == "mnist-grid":
             assert len(manifests[0]["test_metrics"]) == 4
 
+    def test_pool_is_never_wider_than_the_cells(self, tmp_path, monkeypatch):
+        widths = []
+
+        class RecordingPool(runner.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("SLOWCAL_LAB_JOBS", "3")
+        two = run_experiment(spec_from_dict(base_config()), out_dir=tmp_path / "two")
+        one = run_experiment(spec_from_dict(base_config(algorithm=["local"])),
+                             out_dir=tmp_path / "one")
+        assert widths == [2]  # two cells on two workers; one cell runs here
+        assert two.num_runs == 4 and one.num_runs == 2
+
     def test_bad_jobs_env(self, tmp_path, monkeypatch):
         spec = spec_from_dict(base_config())
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", "two")
@@ -584,7 +600,7 @@ class TestFixedCells:
         monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
         calls = []
 
-        def counting(problem, method, cfg, etas, seeds=None, keep_anchors=True):
+        def counting(problem, method, cfg, etas, seeds, keep_anchors=True):
             calls.append((method, cfg.record_diagnostics, list(etas), list(seeds), keep_anchors))
             return run_lanes(problem, method, cfg, etas, seeds, keep_anchors)
 
@@ -637,7 +653,10 @@ class TestSweep:
         spec = spec_from_dict(base_config(
             algorithm=["local", "minibatch", "local"], machines=[3, 2, 3], rounds=3,
             lr="grid:[0.01, 0.1]", seeds=[2, 0, 2]))
-        rows = read_rows(run_experiment(spec, out_dir=tmp_path).csv_path)
+        summary = run_experiment(spec, out_dir=tmp_path)
+        rows = read_rows(summary.csv_path)
+        # 3 x 3 cells of 3 seeds each, repeats counted: the runs written, 3 rows each
+        assert summary.num_runs == 27 and len(rows) == 27 * 3
         keys = [(r["algorithm"], int(r["M"]), int(r["K"]), int(r["seed"]), int(r["round"]))
                 for r in rows]
         assert keys == sorted(keys)
@@ -787,6 +806,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "grid" in err and "'lr'" in err
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def run_cell(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(runner, "_run_cell", run_cell)
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
+        path = self.write_config(tmp_path, base_config())
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: out of memory: Unable to allocate" in capsys.readouterr().err
+
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = base_config(algorithm=["local"], lr="fixed:10", seeds=[0], x0="ones:3")
         path = self.write_config(tmp_path, cfg)
@@ -883,11 +912,18 @@ class TestCli:
         pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e10},
                      id="logistic-spread-stall"),
         pytest.param({"kind": "synth-logistic", "dim": 0}, id="logistic-dim0"),
+        pytest.param({"kind": "quadratic", "dim": 3, "problem_seed": -1},
+                     id="quadratic-problem_seed"),
+        pytest.param({"kind": "synth-logistic", "dim": 6, "problem_seed": -1},
+                     id="logistic-problem_seed"),
     ])
     def test_invalid_problem_field_exits_2(self, tmp_path, problem):
         err = self.assert_exits_2(tmp_path, base_config(problem=problem))
-        if problem["dim"] < 1:  # named as a field, not as a numpy error
+        # named as a field, not as a numpy error
+        if problem["dim"] < 1:
             assert "'problem.dim'" in err
+        if problem.get("problem_seed", 0) < 0:
+            assert "'problem.problem_seed'" in err
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"schedule": "poly:nan"}, id="schedule-nan"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowcal_lab import tuning
 from slowcal_lab.algorithms import ALGORITHMS, RunConfig
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
@@ -103,21 +104,14 @@ class TestGridSearch:
         assert all(len(scores) == 3 for scores in result.table.values())
         assert len(result.runs) == 3
 
-    def test_ties_break_toward_the_smaller_step(self):
+    def test_ties_break_toward_the_smaller_step(self, monkeypatch):
+        # every run scores the same, so every candidate ties
+        monkeypatch.setattr(tuning, "excess_loss", lambda problem, x: 1.0)
         prob = heterogeneous_quadratic(2, 3, seed=4)
         cfg = RunConfig(K=2, R=2, eta=1.0)
-        result = grid_search(
-            prob, "local", [0.2, 0.01, 0.05], cfg, seeds=[0], score_fn=lambda p, t: 1.0
-        )
+        result = grid_search(prob, "local", [0.2, 0.01, 0.05], cfg, seeds=[0])
+        assert result.table == {0.01: [1.0], 0.05: [1.0], 0.2: [1.0]}
         assert result.eta == 0.01
-
-    def test_custom_score_fn_changes_the_winner(self):
-        prob = heterogeneous_quadratic(2, 3, seed=4)
-        cfg = RunConfig(K=2, R=2, eta=1.0)
-        grid = [0.01, 0.05, 0.2]
-        low = grid_search(prob, "local", grid, cfg, seeds=[0], score_fn=lambda p, t: t.eta)
-        high = grid_search(prob, "local", grid, cfg, seeds=[0], score_fn=lambda p, t: -t.eta)
-        assert (low.eta, high.eta) == (0.01, 0.2)
 
     def test_diverged_candidates_are_skipped(self):
         prob = QuadraticEnsemble(np.array([[[1.0]]]), np.zeros((1, 1)))
@@ -214,19 +208,13 @@ def test_one_call_grid_search_equals_one_run_per_seed_and_step(algorithm, case):
     """The whole grid is one engine call over (seed, candidate) lanes. On
     unsorted, repeated seeds, the noisy quadratic and both softmax ensembles,
     its table, winner and the winner's runs are those of one call per (seed,
-    candidate); the diverging candidate is dropped, and no score_fn sees
-    anchors."""
+    candidate); the diverging candidate is dropped, and the winner's runs
+    keep no anchors."""
     prob = lane_problems(3, 4, seed=7)[case]
     cfg = RunConfig(K=2, R=5, eta=1.0, x0=np.ones(4))
     grid, seeds = [1e3, 0.1, 0.001, 0.01], [3, 1, 1]
-    no_anchors = []
-
-    def score(problem, traj):
-        no_anchors.append(traj.anchor_w is None and traj.anchor_x is None)
-        return excess_loss(problem, traj.x_output)
-
-    result = grid_search(prob, algorithm, grid, cfg, seeds, score_fn=score)
-    assert no_anchors and all(no_anchors)
+    result = grid_search(prob, algorithm, grid, cfg, seeds)
+    assert all(run.anchor_w is None and run.anchor_x is None for run in result.runs)
 
     want, own = {}, {}
     for eta in sorted(grid):

@@ -1,4 +1,6 @@
 """Weight schedules: frozen oracle values and algebraic properties."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from slowcal_lab.weights import (
     weight_at,
 )
 
-POLY2 = WeightSchedule("polynomial", 2.0)
-POLY_HALF = WeightSchedule("polynomial", 0.5)
+POLY2 = WeightSchedule(2.0)
+POLY_HALF = WeightSchedule(0.5)
 
 
 class TestWeightAt:
@@ -70,17 +72,22 @@ class TestAveragingCoeff:
 
 
 class TestParsing:
-    @pytest.mark.parametrize("text, kind, power", [
+    @pytest.mark.parametrize("text, family, power", [
         ("uniform", "uniform", 0.0),
-        ("linear", "linear", 0.0),
+        ("linear", "linear", 1.0),
         ("poly:2", "polynomial", 2.0),
         ("poly:0.5", "polynomial", 0.5),
     ])
-    def test_parse_round_trip(self, text, kind, power):
+    def test_parse_round_trip(self, text, family, power):
+        # a schedule is its power; the named families parse to their constants
         schedule = parse_schedule(text)
-        assert schedule.kind == kind
-        if kind == "polynomial":
-            assert schedule.power == power
+        assert schedule == WeightSchedule(power) and schedule.power == power
+        if family != "polynomial":
+            assert schedule is {"uniform": UNIFORM, "linear": LINEAR}[family]
+
+    def test_named_powers_equal_their_families(self):
+        assert parse_schedule("poly:0") == UNIFORM
+        assert parse_schedule("poly:1") == LINEAR
 
     @pytest.mark.parametrize("bad", ["", "quadratic", "poly:", "poly:abc", "linear2", "poly:nan",
                                      "poly:inf", "poly:-inf"])
@@ -88,13 +95,14 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_schedule(bad)
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            WeightSchedule("exponential")
-
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            WeightSchedule("polynomial", -1.0)
+            WeightSchedule(-1.0)
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            WeightSchedule(power)
 
 
 @given(t=st.integers(min_value=1, max_value=10 ** 6))
@@ -113,7 +121,7 @@ def test_prefix_diff_identity_exact_for_closed_forms(t):
 def test_prefix_diff_identity_general_power(power, t):
     """General powers use compensated summation; the telescoping residual
     stays within 1e-12 of the prefix magnitude."""
-    schedule = WeightSchedule("polynomial", power)
+    schedule = WeightSchedule(power)
     prefix = prefix_weight(schedule, t)
     residual = abs(prefix - prefix_weight(schedule, t - 1) - weight_at(schedule, t))
     assert residual <= 1e-12 * prefix
@@ -125,7 +133,7 @@ def test_prefix_diff_identity_general_power(power, t):
     t=st.integers(min_value=0, max_value=2_000),
 )
 def test_positivity_and_monotonicity(power, t):
-    schedule = WeightSchedule("polynomial", power)
+    schedule = WeightSchedule(power)
     assert weight_at(schedule, t) > 0
     assert prefix_weight(schedule, t) > 0
     if t > 0:
@@ -143,7 +151,7 @@ def test_positivity_and_monotonicity(power, t):
 def test_fold_reproduces_explicit_weighted_average(seed, length, power):
     """Folding gamma_{t+1} step by step equals the explicit weighted mean of
     the whole sequence to 1e-10, for any inputs."""
-    schedule = WeightSchedule("polynomial", power)
+    schedule = WeightSchedule(power)
     values = np.random.default_rng(seed).standard_normal(length)
     folded = values[0]
     numer = weight_at(schedule, 0) * values[0]
