@@ -24,7 +24,10 @@ batched pass (``metrics.dispersion`` and ``bias_increment`` and the
 ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
 lane's values bitwise equal to a run of its own; a round close evaluates
 the global gradient at the machine mean once, for its gradient norm and
-its bias increment. A ``Trajectory`` holds
+its bias increment. Rounds are measured in blocks: the loop keeps each
+round's pre-aggregation states, and one round close measures a block of as
+many rounds as ``_BLOCK_BYTES`` of states hold (at least one; one with
+step records), every block size giving the same bits. A ``Trajectory`` holds
 a copy of its lane's rows of those arrays, taken when the lane finishes,
 and ``wall_ms``, the call's time divided by its lane count; it is the one
 run record, which the tuner scores and the runner writes out. Outputs come
@@ -38,7 +41,8 @@ Conventions shared by every method:
   states (post-aggregation they are identically zero);
 * divergence (non-finite round excess, or round excess above 1e6 x the
   initial excess) freezes the run: the flag is sticky and the remaining
-  round records carry +inf, never NaN; a frozen lane leaves the batch;
+  round records carry +inf, never NaN; a frozen lane leaves the batch at
+  its block's end, its records and output those of its diverging round;
 * with record_diagnostics, per-step records store the post-aggregation
   machine means and the mean gradient actually applied at each step;
 * the weight helpers are looked up in this module at run time, so the
@@ -56,6 +60,8 @@ from .metrics import RoundMetrics, bias_increment, dispersion, squared_norms
 from .weights import LINEAR, WeightSchedule, averaging_coeff, prefix_weight, weight_at
 
 DIVERGENCE_FACTOR = 1e6
+# one round close measures a block of as many rounds as fit in this many bytes of states
+_BLOCK_BYTES = 1 << 14
 
 
 @dataclass
@@ -146,8 +152,8 @@ class _Recorder:
     """Shared bookkeeping for every lane of one run_lanes call: per-call
     arrays of round values, divergence flags and (if kept) anchors, indexed
     (round, lane), per-step records, and the divergence freeze. Each round close
-    and step record measures all live lanes at once; row j of the arrays
-    passed in belongs to lane ``lanes[j]``."""
+    (of a block of rounds) and step record measures all live lanes at once;
+    row j of the arrays passed in belongs to lane ``lanes[j]``."""
 
     def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int,
                  keep_anchors: bool):
@@ -196,14 +202,19 @@ class _Recorder:
                 bias_increment=biases[j],
             ))
 
-    def close_round(self, r: int, x_states: np.ndarray, w_mean: np.ndarray) -> list[int]:
-        """Record round r of every live lane from the (rows, M, d)
-        pre-aggregation states and (rows, d) w means; returns the rows whose
-        lanes just diverged and must freeze."""
+    def close_round(self, r0: int, x_states: np.ndarray, w_mean: np.ndarray) -> dict[int, int]:
+        """Record rounds r0, r0 + 1, ... of every live lane from their
+        (block x rows, M, d) pre-aggregation states and (block x rows, d) w
+        means, row i x rows + j being round r0 + i of live row j, in one
+        batched pass. Returns each diverged row's first diverged round, from
+        which on its lane is frozen: the rest of its records are +inf."""
         problem = self.problem
+        rows = len(self.lanes)
+        block = len(x_states) // rows
         x_mean = _ascending_mean(x_states)
-        alpha = weight_at(self.cfg.schedule, (r + 1) * self.cfg.K)
-        values = np.empty((len(self.lanes), len(ROUND_COLUMNS)))
+        alpha = np.repeat([weight_at(self.cfg.schedule, (r + 1) * self.cfg.K)
+                           for r in range(r0, r0 + block)], rows)
+        values = np.empty((len(x_states), len(ROUND_COLUMNS)))
         grad = problem.global_gradient(x_mean)
         values[:, 0] = problem.global_value(x_mean) - problem.f_star
         values[:, 1] = np.sqrt(squared_norms(grad))
@@ -213,15 +224,15 @@ class _Recorder:
         finite = np.isfinite(values)
         diverged = ~finite.all(axis=-1) | (values[:, 0] > self.threshold)
         values[~finite] = math.inf
-        self.values[r, self.lanes] = values
-        self.round_diverged[r, self.lanes] = diverged
-        return np.flatnonzero(diverged).tolist()
-
-    def freeze(self, rows: list[int], start_round: int) -> None:
-        """Fill the remaining round records of the lanes of ``rows`` with +inf."""
-        lanes = self.lanes[rows]
-        self.values[start_round:, lanes] = math.inf
-        self.round_diverged[start_round:, lanes] = True
+        self.values[r0:r0 + block, self.lanes] = values.reshape(block, rows, -1)
+        self.round_diverged[r0:r0 + block, self.lanes] = diverged.reshape(block, rows)
+        first: dict[int, int] = {}
+        for i in np.flatnonzero(diverged).tolist():  # in round order
+            first.setdefault(i % rows, r0 + i // rows)
+        for row, r in first.items():
+            self.values[r + 1:, self.lanes[row]] = math.inf
+            self.round_diverged[r + 1:, self.lanes[row]] = True
+        return first
 
     def trajectory(self, lane: int, completed: int, spec: "Method", eta: float, seed: int,
                    x_output: np.ndarray) -> Trajectory:
@@ -291,7 +302,10 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
     round draws once per distinct seed, lanes of one seed share those
     draws, and lane j returns exactly the trajectory of a run with
     cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
-    and leaves the batch while the others go on. Every trajectory is
+    and leaves the batch while the others go on. Rounds are closed in blocks
+    of as many rounds as _BLOCK_BYTES of pre-aggregation states hold: a lane
+    that diverges inside a block steps on to its end, then leaves with the
+    records and output of its diverging round. Every trajectory is
     charged the call's wall time divided by the lane count. With
     keep_anchors=False the trajectories hold no anchors, which saves
     (R + 1) x lanes x 2d floats and changes nothing else."""
@@ -318,26 +332,30 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
     out: list[Trajectory | None] = [None] * len(etas)
 
     def machine_states(xs: np.ndarray) -> np.ndarray:
-        return xs if copies == m else np.repeat(xs, m, axis=1)
+        # blocks hold these: xs itself only where the aggregation rebinds it
+        return xs if copies > 1 else np.repeat(xs, m, axis=1)
 
-    def finish(rows: list[int], completed: int) -> None:
-        if rec.steps is not None:
-            rec.record_step(completed * k_steps, _ascending_mean(w[rows]), _ascending_mean(x[rows]),
-                            None, machine_states(x[rows]), rows)
+    def finish(rows: list[int], completed: list[int], sums: np.ndarray) -> None:
+        """Finish rows, completed[j] rounds in, from their output sums then."""
+        if rec.steps is not None:  # one-round blocks: every row ends this round
+            rec.record_step(completed[0] * k_steps, _ascending_mean(w[rows]),
+                            _ascending_mean(x[rows]), None, machine_states(x[rows]), rows)
         if spec.output == "anchor-mean":  # _ascending_mean of anchors 1..completed
-            outputs = acc[rows] / completed
+            sums = sums / np.array(completed)[:, None]
         elif spec.output == "weighted-mean":
-            outputs = acc[rows] / prefix_weight(schedule, k_steps * cfg.R)
-        else:
-            outputs = x_mean[rows]
-        for lane, x_output in zip(rec.lanes[rows].tolist(), outputs):
-            out[lane] = rec.trajectory(lane, completed, spec, etas[lane], lane_seeds[lane],
-                                       x_output)
+            sums = sums / prefix_weight(schedule, k_steps * cfg.R)
+        for lane, done, x_output in zip(rec.lanes[rows].tolist(), completed, sums):
+            out[lane] = rec.trajectory(lane, done, spec, etas[lane], lane_seeds[lane], x_output)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        sums: list[np.ndarray] = []  # per round of the open block: the output's running sum
         for r in range(cfg.R):
             if not len(rec.lanes):
                 break
+            if not sums:  # a block opens: as many rounds as fit in _BLOCK_BYTES, at least one
+                r0, states, w_means = r, [], []
+                block = 1 if cfg.record_diagnostics else max(1, min(
+                    cfg.R - r, _BLOCK_BYTES // (len(rec.lanes) * m * problem.dim * 8)))
             draws = problem.round_draws(draw_seeds, r, k_steps)
             if spec.aggregate == "server":
                 # the round's step means, summed in pooled.mean(axis=1)'s
@@ -382,7 +400,12 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
                 step_mean = pooled.mean(axis=1) if problem.dim == 1 else step_sum / k_steps
                 w = x = x - (lane_etas[:, None] * step_mean)[:, None]
             w_mean = _ascending_mean(w)
-            diverged = rec.close_round(r, machine_states(x), w_mean)
+            states.append(machine_states(x))
+            w_means.append(w_mean)
+            if r == r0 + block - 1:  # before the aggregation, so old and new states never coexist
+                first = rec.close_round(r0, *(
+                    held[0] if block == 1 else np.concatenate(held) for held in (states, w_means)))
+                states.clear()
             x_mean = w_mean if tied else _ascending_mean(x)
             if copies > 1:
                 w = np.repeat(w_mean[:, None], copies, axis=1)
@@ -390,10 +413,18 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
             rec.place_anchor(r + 1, w_mean, x_mean)
             if spec.output == "anchor-mean":
                 acc = x_mean.copy() if r == 0 else acc + x_mean
-            if diverged:
-                rec.freeze(diverged, r + 1)
-                finish(diverged, r + 1)
-                keep = [row for row in range(len(rec.lanes)) if row not in diverged]
+            sums.append(x_mean if acc is None else acc)  # both are rebound, never mutated
+            if len(sums) < block:
+                continue
+            # the block ends: a diverged lane ends at its first diverged round; at R, every lane does
+            ended = {row: diverged + 1 for row, diverged in first.items()}
+            if r == cfg.R - 1:
+                ended = {row: ended.get(row, cfg.R) for row in range(len(rec.lanes))}
+            if ended:
+                rows = sorted(ended)
+                finish(rows, [ended[row] for row in rows],
+                       np.array([sums[ended[row] - 1 - r0][row] for row in rows]))
+                keep = [row for row in range(len(rec.lanes)) if row not in ended]
                 rec.drop(keep)
                 w = w[keep]
                 x = w if tied else x[keep]
@@ -402,9 +433,8 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
                     acc = acc[keep]
                 if keep:
                     draw_seeds, draw_rows = _draw_plan([lane_seeds[lane] for lane in rec.lanes])
+            sums = []
 
-    if len(rec.lanes):
-        finish(list(range(len(rec.lanes))), cfg.R)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     for traj in out:
         traj.wall_ms = elapsed_ms / len(out)

@@ -34,27 +34,34 @@ def squared_norms(vecs: np.ndarray) -> np.ndarray:
     return (vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0]
 
 
-def dispersion(states: np.ndarray, alpha: float) -> float | np.ndarray:
+def _squared(alpha: float | np.ndarray) -> float | np.ndarray:
+    """alpha ** 2; an array's alphas each squared as a Python float (libm's
+    pow), which numpy's arr ** 2 (x * x) is not always bitwise equal to."""
+    return alpha ** 2 if np.ndim(alpha) == 0 else np.array([a ** 2 for a in alpha.tolist()])
+
+
+def dispersion(states: np.ndarray, alpha: float | np.ndarray) -> float | np.ndarray:
     """(alpha^2 / M^2) * sum over ordered pairs (i, j) of ||x_i - x_j||^2.
 
     Computed through the centered identity sum_ij ||x_i - x_j||^2
     = 2 M sum_i ||x_i - mean||^2. ``states`` is (M, d), one row per
-    machine, giving a float, or (lanes, M, d), giving one value per lane,
-    each bitwise equal to that lane's own call.
+    machine, giving a float, or (lanes, M, d), giving one value per lane
+    (``alpha`` may be one per lane), each bitwise equal to its own call.
     """
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
     m = pts.shape[-2]
     centered = pts - pts.sum(axis=-2, keepdims=True) / m  # what np.mean computes
     total = (centered ** 2).reshape(*pts.shape[:-2], -1).sum(axis=-1)
-    value = alpha ** 2 * 2.0 / m * total
+    value = _squared(alpha) * 2.0 / m * total
     return float(value) if pts.ndim == 2 else value
 
 
-def bias_increment(problem, states: np.ndarray, alpha: float,
+def bias_increment(problem, states: np.ndarray, alpha: float | np.ndarray,
                    known: tuple[np.ndarray, np.ndarray] | None = None) -> float | np.ndarray:
     """alpha^2 ||mean_i grad_i(x_i) - grad f(mean_i x_i)||^2 for one step's
     per-machine query points (one row per machine). Like ``dispersion``, an
-    (M, d) input gives a float and (lanes, M, d) one value per lane.
+    (M, d) input gives a float and (lanes, M, d) one value per lane; alpha
+    may be one per lane.
 
     ``known`` is an optional (mean, grad f(mean)) pair the caller already
     holds. It replaces the global-gradient evaluation only where ``mean`` is
@@ -76,7 +83,7 @@ def bias_increment(problem, states: np.ndarray, alpha: float,
     else:
         global_grad = problem.global_gradient(mean)
     gap = mean_grad - global_grad
-    value = alpha ** 2 * squared_norms(gap)
+    value = _squared(alpha) * squared_norms(gap)
     return float(value) if pts.ndim == 2 else value
 
 

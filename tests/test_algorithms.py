@@ -7,10 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slowcal_lab import algorithms, metrics
 from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig, _ascending_mean, run_lanes
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
-from slowcal_lab.weights import LINEAR, UNIFORM, averaging_coeff, prefix_weight, weight_at
+from slowcal_lab.tuning import grid_search
+from slowcal_lab.weights import (LINEAR, UNIFORM, WeightSchedule, averaging_coeff, prefix_weight,
+                                 weight_at)
 
 from lane_cases import lane_problems
 
@@ -318,9 +321,15 @@ def assert_same_trajectory(a, b):
     assert (a.algorithm, a.eta, a.schedule, a.seed, a.diverged) == (
         b.algorithm, b.eta, b.schedule, b.seed, b.diverged)
     assert a.rounds == b.rounds
-    np.testing.assert_array_equal(a.anchor_w, b.anchor_w)
-    np.testing.assert_array_equal(a.anchor_x, b.anchor_x)
-    np.testing.assert_array_equal(a.x_output, b.x_output)
+    assert a.values.tobytes() == b.values.tobytes()
+    for x, y in ((a.anchor_w, b.anchor_w), (a.anchor_x, b.anchor_x)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.tobytes() == y.tobytes()
+    assert a.x_output.tobytes() == b.x_output.tobytes()
+    if a.steps is None:
+        assert b.steps is None
+        return
     assert len(a.steps) == len(b.steps)
     for x, y in zip(a.steps, b.steps):
         assert (x.t, x.dispersion_q, x.bias_increment) == (y.t, y.dispersion_q, y.bias_increment)
@@ -396,6 +405,21 @@ class TestLanes:
                 for y in (b.values, b.t, b.round_diverged, b.x_output):
                     assert not np.shares_memory(x, y)
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("machines", [1, 3])
+    def test_a_lane_diverging_on_the_last_round_leaves_the_others_alone(self, algorithm,
+                                                                        machines):
+        # the diverging lane comes first, so its row precedes the survivor's
+        prob = heterogeneous_quadratic(machines, 2, sigma=0.3, seed=1)
+        cfg = RunConfig(K=2, R=30, eta=3.0, seed=4)
+        last = ALGORITHMS[algorithm](prob, cfg).round_diverged.tolist().index(True)
+        cfg = replace(cfg, R=last + 1)
+        lanes = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)
+        assert lanes[0].round_diverged.tolist().index(True) == cfg.R - 1
+        assert not lanes[1].diverged
+        for eta, lane in zip((cfg.eta, 0.01), lanes):
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
+
     def test_seeds_align_with_step_sizes(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
         cfg = RunConfig(K=1, R=2, eta=0.1)
@@ -412,3 +436,128 @@ class TestLanes:
         prob = heterogeneous_quadratic(2, 3, seed=1)
         with pytest.raises(ValueError, match="eta"):
             run_lanes(prob, "local", RunConfig(K=1, R=2, eta=0.1), [0.1, -1.0], [0, 0])
+
+
+def block_spy(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (first round, rounds) of every block a round close measures."""
+    blocks = []
+    close = algorithms._Recorder.close_round
+
+    def spy(self, r0, x_states, w_mean):
+        blocks.append((r0, len(x_states) // len(self.lanes)))
+        return close(self, r0, x_states, w_mean)
+    monkeypatch.setattr(algorithms._Recorder, "close_round", spy)
+    return blocks
+
+
+class TestRoundBlocks:
+    """Rounds are measured in blocks sized by _BLOCK_BYTES; a budget of 0
+    gives one-round blocks. Every lane of every block size is bitwise the
+    run measured round by round."""
+
+    budget = algorithms._BLOCK_BYTES
+
+    def runs(self, monkeypatch, budget, run):
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", budget)
+        return run()
+
+    @pytest.mark.parametrize("case,machines,keep_anchors", [
+        (0, 3, True), (0, 3, False), (0, 1, True), (1, 3, False), (2, 3, True)],
+        ids=["quadratic", "quadratic-no-anchors", "quadratic-1-machine", "softmax-2", "softmax-4"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_blocks_equal_one_round_blocks_bitwise(self, algorithm, case, machines, keep_anchors,
+                                                   monkeypatch):
+        # one machine: the loop steps its one state in place, and a block
+        # must hold each round's own copy
+        prob = lane_problems(machines, 4, seed=9)[case]
+        etas, seeds = [0.005, 0.01, 1e3 if case == 0 else 1e9, 0.02, 0.005], [5, 2, 0, 5, 2]
+        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR, x0=np.ones(4))
+
+        def run():
+            return run_lanes(prob, algorithm, cfg, etas, seeds, keep_anchors)
+        one_round = self.runs(monkeypatch, 0, run)
+        blocks = block_spy(monkeypatch)
+        for budget in (self.budget, 7 * len(etas) * machines * 4 * 8):
+            blocks.clear()
+            for a, b in zip(self.runs(monkeypatch, budget, run), one_round):
+                assert_same_trajectory(a, b)
+            assert max(size for _, size in blocks) > 1
+        assert [lane.diverged for lane in one_round] == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_divergence_mid_block_and_on_a_block_end(self, algorithm, monkeypatch):
+        # step sizes whose lanes diverge at rounds spread over the run, in
+        # blocks of 4 rounds at the full lane count (longer as lanes drop)
+        prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=11)
+        etas = np.geomspace(0.01, 10, 25).tolist()
+        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR)
+
+        def run():
+            return run_lanes(prob, algorithm, cfg, etas, [1] * len(etas))
+        one_round = self.runs(monkeypatch, 0, run)
+        blocks = block_spy(monkeypatch)
+        blocked = self.runs(monkeypatch, 4 * len(etas) * 3 * 2 * 8, run)
+        for a, b in zip(blocked, one_round):
+            assert_same_trajectory(a, b)
+        first = {lane.round_diverged.tolist().index(True) for lane in one_round if lane.diverged}
+        ends = {r0 + size - 1 for r0, size in blocks if size > 1}
+        inside = {r for r0, size in blocks for r in range(r0, r0 + size - 1)}
+        assert first & ends and first & inside
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_poly_weights_past_round_337(self, algorithm, monkeypatch):
+        # the quad-diag shape: at round 337, alpha = 339 ** 1.5 squares
+        # differently as a Python float and as a numpy array. The reference
+        # measures every row with its own scalar-alpha call
+        prob = heterogeneous_quadratic(4, 6, sigma=0.0, seed=0)
+        cfg = RunConfig(K=1, R=400, eta=2e-6, schedule=WeightSchedule(1.5))
+
+        def run():
+            return run_lanes(prob, algorithm, cfg, [cfg.eta] * 2, [0, 1])
+
+        def per_row_dispersion(states, alphas):
+            return np.array([metrics.dispersion(row, alpha)
+                             for row, alpha in zip(states, alphas.tolist())])
+
+        def per_row_bias_increment(prob, states, alphas, known):
+            return np.array([metrics.bias_increment(prob, row, alpha, (mean, grad))
+                             for row, alpha, mean, grad in zip(states, alphas.tolist(), *known)])
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "dispersion", per_row_dispersion)
+            patch.setattr(algorithms, "bias_increment", per_row_bias_increment)
+            one_round = self.runs(patch, 0, run)
+        blocks = block_spy(monkeypatch)
+        for a, b in zip(self.runs(monkeypatch, self.budget, run), one_round):
+            assert_same_trajectory(a, b)
+        assert any(r0 < 337 < r0 + size for r0, size in blocks)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_step_records_use_one_round_blocks(self, algorithm, monkeypatch):
+        prob = heterogeneous_quadratic(3, 4, sigma=0.4, seed=7)
+        etas = [0.05, 1e3, 0.2]
+        cfg = RunConfig(K=3, R=6, eta=1.0, schedule=LINEAR, seed=2, record_diagnostics=True,
+                        x0=np.ones(4))
+
+        def run():
+            return run_lanes(prob, algorithm, cfg, etas, [cfg.seed] * len(etas))
+        one_round = self.runs(monkeypatch, 0, run)
+        blocks = block_spy(monkeypatch)
+        for a, b in zip(self.runs(monkeypatch, self.budget, run), one_round):
+            assert_same_trajectory(a, b)
+        assert {size for _, size in blocks} == {1}
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_grid_search_tables_and_winners(self, algorithm, monkeypatch):
+        prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=11)
+        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR)
+        grid = np.geomspace(0.01, 10, 13).tolist()
+
+        def run():
+            return grid_search(prob, algorithm, grid, cfg, seeds=[0, 3])
+        one_round = self.runs(monkeypatch, 0, run)
+        blocked = self.runs(monkeypatch, self.budget, run)
+        assert blocked.eta == one_round.eta
+        assert blocked.table == one_round.table
+        assert any(math.isinf(scores[0]) for scores in one_round.table.values())
+        for a, b in zip(blocked.runs, one_round.runs, strict=True):
+            assert_same_trajectory(a, b)

@@ -12,7 +12,7 @@ from slowcal_lab.metrics import (
     squared_norms,
 )
 from slowcal_lab.objectives import QuadraticEnsemble, heterogeneous_quadratic
-from slowcal_lab.weights import LINEAR, UNIFORM
+from slowcal_lab.weights import LINEAR, UNIFORM, WeightSchedule, weight_at
 
 from lane_cases import LANE_SHAPES, lane_problems
 
@@ -145,6 +145,19 @@ class TestLaneDiagnostics:
             assert len(calls) == (0 if same_mean else 1)
             if d > 1:
                 assert same_mean
+
+    def test_per_row_alphas_square_as_python_floats(self):
+        """A block of round closes passes one alpha per row. Under poly:1.5,
+        alpha_338 = 339 ** 1.5, whose Python square (libm's pow) is not
+        numpy's arr ** 2 (x * x); every row must equal its own scalar call."""
+        alphas = np.array([weight_at(WeightSchedule(1.5), t) for t in (337, 338, 339, 2194)])
+        assert (alphas ** 2).tolist() != [a ** 2 for a in alphas.tolist()]
+        states = np.random.default_rng(3).standard_normal((4, 4, 6))
+        for prob in lane_problems(4, 6, seed=2):
+            spreads, biases = dispersion(states, alphas), bias_increment(prob, states, alphas)
+            for row, alpha in enumerate(alphas.tolist()):
+                assert spreads[row] == dispersion(states[row], alpha)
+                assert biases[row] == bias_increment(prob, states[row], alpha)
 
     def test_lane_row_count_must_match_machines(self):
         prob = heterogeneous_quadratic(3, 2, seed=1)
