@@ -29,7 +29,7 @@ from .data import (
     serialize_idx_labels,
     synth_clusters,
 )
-from .metrics import RoundMetrics, bias_increment, dispersion, excess_loss, momentum_residual
+from .metrics import bias_increment, dispersion, excess_loss, momentum_residual
 from .objectives import (
     DegenerateProblemError,
     LogisticEnsemble,
@@ -74,7 +74,6 @@ __all__ = [
     "Partition",
     "ProblemMetadata",
     "QuadraticEnsemble",
-    "RoundMetrics",
     "RunConfig",
     "RunSummary",
     "StepRecord",

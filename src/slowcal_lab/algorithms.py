@@ -18,11 +18,11 @@ Stochastic draws are keyed by (seed, machine, round, step) and made once
 per round for every distinct seed of the live lanes, each step gathering
 each lane's rows, so a trajectory is a pure function of (problem, config)
 whatever else runs beside it. One recorder keeps the records of every lane
-of a call in per-call arrays (round values, divergence flags, anchors),
-and each round close and step record measures all live lanes in one
-batched pass (``metrics.dispersion`` and ``bias_increment`` and the
-ensembles' ``global_value`` and ``global_gradient`` take lane axes), each
-lane's values bitwise equal to a run of its own; a round close evaluates
+of a call in per-call arrays (round values and divergence flags), and each
+round close and step record measures all live lanes in one batched pass
+(``metrics.dispersion`` and ``bias_increment`` and the ensembles'
+``global_value`` and ``global_gradient`` take lane axes), each lane's
+values bitwise equal to a run of its own; a round close evaluates
 the global gradient at the machine mean once, for its gradient norm and
 its bias increment. Rounds are measured in blocks: the loop keeps each
 round's pre-aggregation states, and one round close measures a block of as
@@ -31,8 +31,8 @@ step records), every block size giving the same bits. A ``Trajectory`` holds
 a copy of its lane's rows of those arrays, taken when the lane finishes,
 and ``wall_ms``, the call's time divided by its lane count; it is the one
 run record, which the tuner scores and the runner writes out. Outputs come
-from running state (the last anchor, or an ascending sum of anchors or of
-step means), so a call may keep no anchors: the runner keeps none.
+from running state: the last anchor (the round-end machine mean), or an
+ascending sum of anchors or of step means.
 
 Conventions shared by every method:
 
@@ -44,7 +44,10 @@ Conventions shared by every method:
   round records carry +inf, never NaN; a frozen lane leaves the batch at
   its block's end, its records and output those of its diverging round;
 * with record_diagnostics, per-step records store the post-aggregation
-  machine means and the mean gradient actually applied at each step;
+  machine means and the mean gradient actually applied at each step; they
+  are the one view of a run's intermediate iterates, the record at t = rK
+  holding round r's anchor as the mean of the machines' copies of it
+  (bitwise the anchor with one state or one machine);
 * the weight helpers are looked up in this module at run time, so the
   verify suite's mutation probes can patch them here.
 """
@@ -56,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import RoundMetrics, bias_increment, dispersion, squared_norms
+from .metrics import bias_increment, dispersion, squared_norms
 from .weights import LINEAR, WeightSchedule, averaging_coeff, prefix_weight, weight_at
 
 DIVERGENCE_FACTOR = 1e6
@@ -89,11 +92,9 @@ class StepRecord:
 class Trajectory:
     """One lane's run. ``values`` holds the round values as an (R, 5) array
     in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
-    and ``round_diverged`` each round's divergence flag, all three its own;
-    ``anchor_w`` and ``anchor_x`` hold the anchors as (completed rounds + 1,
-    d) views of the call's arrays, row 0 the start point and row i the
-    anchor placed after round i, or are None when the run kept no anchors.
-    ``wall_ms``: see run_lanes."""
+    and ``round_diverged`` each round's divergence flag, all three its own.
+    ``steps``: with record_diagnostics, one record per step t = 0, ...,
+    completed rounds x K, else None. ``wall_ms``: see run_lanes."""
 
     algorithm: str
     eta: float
@@ -102,22 +103,13 @@ class Trajectory:
     values: np.ndarray
     t: np.ndarray
     round_diverged: np.ndarray
-    anchor_w: np.ndarray | None
-    anchor_x: np.ndarray | None
     x_output: np.ndarray
     diverged: bool
     steps: list[StepRecord] | None = None
     wall_ms: float = 0.0
 
-    @property
-    def rounds(self) -> list[RoundMetrics]:
-        """The round records, built from the arrays."""
-        return [RoundMetrics(r, t, *values, diverged)
-                for r, (t, values, diverged) in enumerate(zip(
-                    self.t.tolist(), self.values.tolist(), self.round_diverged.tolist()))]
 
-
-# RoundMetrics's value fields, in its order: Trajectory.rounds unpacks rows of values into them
+# the columns of Trajectory.values, named as in runs.csv
 ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
 
 
@@ -150,24 +142,18 @@ def _ascending_mean(rows: np.ndarray) -> np.ndarray:
 
 class _Recorder:
     """Shared bookkeeping for every lane of one run_lanes call: per-call
-    arrays of round values, divergence flags and (if kept) anchors, indexed
-    (round, lane), per-step records, and the divergence freeze. Each round close
-    (of a block of rounds) and step record measures all live lanes at once;
-    row j of the arrays passed in belongs to lane ``lanes[j]``."""
+    arrays of round values and divergence flags, indexed (round, lane),
+    per-step records, and the divergence freeze. Each round close (of a
+    block of rounds) and step record measures all live lanes at once; row j
+    of the arrays passed in belongs to lane ``lanes[j]``."""
 
-    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int,
-                 keep_anchors: bool):
+    def __init__(self, problem, cfg: RunConfig, x_start: np.ndarray, num_lanes: int):
         self.problem = problem
         self.cfg = cfg
         self.lanes = np.arange(num_lanes)  # the lane of each live row
         self.values = np.empty((cfg.R, num_lanes, len(ROUND_COLUMNS)))
         self.round_diverged = np.zeros((cfg.R, num_lanes), dtype=bool)
         self.t = np.arange(1, cfg.R + 1, dtype=np.int64) * cfg.K
-        self.anchor_w = self.anchor_x = None
-        if keep_anchors:
-            self.anchor_w = np.empty((cfg.R + 1, num_lanes, x_start.shape[0]))
-            self.anchor_x = np.empty_like(self.anchor_w)
-            self.anchor_w[0] = self.anchor_x[0] = x_start
         self.steps: list[list[StepRecord]] | None = (
             [[] for _ in range(num_lanes)] if cfg.record_diagnostics else None)
         initial = problem.global_value(x_start) - problem.f_star
@@ -176,12 +162,6 @@ class _Recorder:
     def drop(self, keep: list[int]) -> None:
         """Keep only the live rows ``keep``."""
         self.lanes = self.lanes[keep]
-
-    def place_anchor(self, completed: int, w: np.ndarray, x: np.ndarray) -> None:
-        if self.anchor_w is None:
-            return
-        self.anchor_w[completed, self.lanes] = w
-        self.anchor_x[completed, self.lanes] = x
 
     def record_step(self, t: int, w_mean: np.ndarray, x_mean: np.ndarray,
                     g_mean: np.ndarray | None, x_states: np.ndarray,
@@ -234,14 +214,11 @@ class _Recorder:
             self.round_diverged[r + 1:, self.lanes[row]] = True
         return first
 
-    def trajectory(self, lane: int, completed: int, spec: "Method", eta: float, seed: int,
+    def trajectory(self, lane: int, spec: "Method", eta: float, seed: int,
                    x_output: np.ndarray) -> Trajectory:
-        """Lane ``lane``'s run, ``completed`` rounds in; its anchors are views
-        of this recorder's arrays, its other arrays copies."""
-        anchors = (None, None) if self.anchor_w is None else (
-            self.anchor_w[:completed + 1, lane], self.anchor_x[:completed + 1, lane])
+        """Lane ``lane``'s run, with copies of this recorder's arrays."""
         return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane].copy(),
-                          self.t.copy(), self.round_diverged[:, lane].copy(), *anchors, x_output,
+                          self.t.copy(), self.round_diverged[:, lane].copy(), x_output,
                           bool(self.round_diverged[-1, lane]),
                           None if self.steps is None else self.steps[lane])
 
@@ -294,8 +271,7 @@ def _draw_plan(seeds: list[int]) -> tuple[list[int], np.ndarray]:
     return distinct, np.array([row[seed] for seed in seeds])
 
 
-def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
-              keep_anchors: bool = True) -> list[Trajectory]:
+def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Trajectory]:
     """Run `method` once per (seed, step size) pair, as the lanes of one
     recursion over (lanes, machines, d) arrays of w and x; `seeds` is
     aligned with `etas`, and cfg.eta and cfg.seed are not read. Each
@@ -306,9 +282,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
     of as many rounds as _BLOCK_BYTES of pre-aggregation states hold: a lane
     that diverges inside a block steps on to its end, then leaves with the
     records and output of its diverging round. Every trajectory is
-    charged the call's wall time divided by the lane count. With
-    keep_anchors=False the trajectories hold no anchors, which saves
-    (R + 1) x lanes x 2d floats and changes nothing else."""
+    charged the call's wall time divided by the lane count."""
     started = time.perf_counter()
     spec = METHODS[method]
     etas = [float(eta) for eta in etas]
@@ -326,7 +300,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
     acc = None  # the output's running sum: of the step means of w, or of the anchors of x
     if spec.output == "weighted-mean":
         acc = np.tile(weight_at(schedule, 0) * start, (len(etas), 1))
-    rec = _Recorder(problem, cfg, start, len(etas), keep_anchors)
+    rec = _Recorder(problem, cfg, start, len(etas))
     lane_etas = np.array(etas)
     draw_seeds, draw_rows = _draw_plan(lane_seeds)
     out: list[Trajectory | None] = [None] * len(etas)
@@ -344,8 +318,8 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
             sums = sums / np.array(completed)[:, None]
         elif spec.output == "weighted-mean":
             sums = sums / prefix_weight(schedule, k_steps * cfg.R)
-        for lane, done, x_output in zip(rec.lanes[rows].tolist(), completed, sums):
-            out[lane] = rec.trajectory(lane, done, spec, etas[lane], lane_seeds[lane], x_output)
+        for lane, x_output in zip(rec.lanes[rows].tolist(), sums):
+            out[lane] = rec.trajectory(lane, spec, etas[lane], lane_seeds[lane], x_output)
 
     with np.errstate(over="ignore", invalid="ignore"):
         sums: list[np.ndarray] = []  # per round of the open block: the output's running sum
@@ -410,7 +384,6 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds,
             if copies > 1:
                 w = np.repeat(w_mean[:, None], copies, axis=1)
                 x = w if tied else np.repeat(x_mean[:, None], copies, axis=1)
-            rec.place_anchor(r + 1, w_mean, x_mean)
             if spec.output == "anchor-mean":
                 acc = x_mean.copy() if r == 0 else acc + x_mean
             sums.append(x_mean if acc is None else acc)  # both are rebound, never mutated

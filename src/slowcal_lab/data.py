@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,8 @@ _LABEL_HEADER = struct.Struct(">II")
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX payload (bad magic or truncated body)."""
+    """Malformed IDX data: a payload with a bad magic or a truncated body, a
+    file that cannot be read, or MNIST files that do not fit together."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,29 +187,35 @@ def _read_maybe_gzip(path: Path) -> bytes:
     return raw
 
 
+def _load_idx(root: Path, stem: str, parse) -> np.ndarray:
+    """Parse the IDX file ``stem`` (plain, else ``stem.gz``) under root."""
+    for path in (root / stem, root / (stem + ".gz")):
+        if path.exists():
+            try:
+                return parse(_read_maybe_gzip(path))
+            except (OSError, EOFError, zlib.error, IdxFormatError) as exc:
+                raise IdxFormatError(f"{path}: {exc}") from exc
+    raise FileNotFoundError(f"missing {stem}[.gz] under {root}")
+
+
 def load_mnist(data_dir: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Load the four canonical MNIST IDX files (plain or gzipped) from a
-    local directory. Returns (train_x, train_y, test_x, test_y)."""
+    local directory. Returns (train_x, train_y, test_x, test_y). A file that
+    cannot be read or parsed raises IdxFormatError naming it, and so does a
+    split whose image and label counts differ, or test images whose width
+    differs from the train images'."""
     root = Path(data_dir)
-    names = {
-        "train_x": "train-images-idx3-ubyte",
-        "train_y": "train-labels-idx1-ubyte",
-        "test_x": "t10k-images-idx3-ubyte",
-        "test_y": "t10k-labels-idx1-ubyte",
-    }
-    blobs: dict[str, bytes] = {}
-    for key, stem in names.items():
-        plain = root / stem
-        gz = root / (stem + ".gz")
-        if plain.exists():
-            blobs[key] = _read_maybe_gzip(plain)
-        elif gz.exists():
-            blobs[key] = _read_maybe_gzip(gz)
-        else:
-            raise FileNotFoundError(f"missing {stem}[.gz] under {root}")
-    return (
-        parse_idx_images(blobs["train_x"]),
-        parse_idx_labels(blobs["train_y"]),
-        parse_idx_images(blobs["test_x"]),
-        parse_idx_labels(blobs["test_y"]),
-    )
+    arrays = []
+    for images, labels in (("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+                           ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
+        x = _load_idx(root, images, parse_idx_images)
+        y = _load_idx(root, labels, parse_idx_labels)
+        if len(x) != len(y):
+            raise IdxFormatError(f"{images} holds {len(x)} images but {labels} holds "
+                                 f"{len(y)} labels under {root}")
+        arrays += [x, y]
+    train_x, _, test_x, _ = arrays
+    if test_x.shape[1] != train_x.shape[1]:
+        raise IdxFormatError(f"test images have {test_x.shape[1]} pixels but train images "
+                             f"have {train_x.shape[1]} under {root}")
+    return tuple(arrays)

@@ -2,25 +2,9 @@
 momentum-form residual of the query-averaging recursion."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .weights import prefix_weight, weight_at
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    """One CSV row worth of per-round measurements."""
-
-    round: int
-    t: int                 # per-machine sample count consumed after this round
-    excess_loss: float
-    grad_norm: float
-    dispersion_q: float    # weighted query spread at the round end, pre-aggregation
-    v_increment: float     # weighted squared bias of the mean queried gradient
-    d_t: float             # squared distance of the averaged iterate to the optimum
-    diverged: bool
 
 
 def excess_loss(problem, x: np.ndarray) -> float:

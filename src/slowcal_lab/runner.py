@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig, Trajectory, run_lanes
-from .data import LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
+from .data import IdxFormatError, LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
 from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
 from .tuning import LrInputs, grid_search, mean_score, theoretical_lr
@@ -471,13 +471,13 @@ class _CsvRows:
 
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     """One cell, one (algorithm, M, K): resolve its step size (fixed, theory
-    or grid search), then run every seed, all in one run_lanes call with no
-    anchors kept. A grid cell's call is the grid search's, over every (seed,
-    candidate) pair, and it emits the winner's trajectories from it, so it
-    runs nothing more; a fixed or theory cell's call has one lane per seed.
-    Each trajectory's ``wall_ms`` is its call's time divided by the call's
-    lane count. Returns (eta, the trajectories in ``spec.seeds`` order, the
-    grid's score table or None)."""
+    or grid search), then run every seed, all in one run_lanes call. A grid
+    cell's call is the grid search's, over every (seed, candidate) pair, and
+    it emits the winner's trajectories from it, so it runs nothing more; a
+    fixed or theory cell's call has one lane per seed. Each trajectory's
+    ``wall_ms`` is its call's time divided by the call's lane count. Returns
+    (eta, the trajectories in ``spec.seeds`` order, the grid's score table
+    or None)."""
     r_rounds = _rounds_for(spec, k)
     schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem.dim)
@@ -497,10 +497,10 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
             raise ConfigError(f"field 'lr': theory step for {algorithm}-M{m}-K{k}: {exc}") from exc
     else:
         eta = payload
-    # every seed is a lane of one call, with no step records or anchors
+    # every seed is a lane of one call, with no step records
     runs = run_lanes(problem, algorithm, RunConfig(
         K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
-        [eta] * len(spec.seeds), spec.seeds, keep_anchors=False)
+        [eta] * len(spec.seeds), spec.seeds)
     return eta, runs, None
 
 
@@ -743,26 +743,30 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
 
 
 def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
-    """Load the MNIST data and build each machine count's problem once
-    (Dirichlet label-skew partition, L-BFGS reference optimum for the
-    excess-loss column). Returns the problems and the manifest entries as a
-    function of the {run_id: output point} map: each machine count's
-    reference, and per-run test accuracy/loss at each run's output point."""
+    """Load the MNIST data, check it and build the test set, then build
+    each machine count's problem once (Dirichlet label-skew partition,
+    L-BFGS reference optimum for the excess-loss column), all before any
+    cell runs. Returns the problems and the manifest entries as a function
+    of the {run_id: output point} map: each machine count's reference, and
+    per-run test accuracy/loss at each run's output point."""
     prob = spec.problem
     root = data_dir if data_dir is not None else prob["data_dir"]
     if root is None:
         raise ConfigError("no MNIST directory: set problem.data_dir or pass --data")
     try:
         train_x, train_y, test_x, test_y = load_mnist(root)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IdxFormatError) as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        test_set = LogisticEnsemble((test_x,), (test_y,), _MNIST_CLASSES)
+    except ValueError as exc:
+        raise ConfigError(f"MNIST test set under {root}: {exc}") from exc
     limit = prob["train_limit"]
     if limit is not None:
         train_x, train_y = train_x[:limit], train_y[:limit]
 
     problems, references = _build_problems(
         spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
-    test_set = LogisticEnsemble((test_x,), (test_y,), _MNIST_CLASSES)
     return problems, lambda outputs: {
         "reference": references,
         "test_metrics": {run_id: _softmax_test_metrics(test_set, x)

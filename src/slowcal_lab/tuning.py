@@ -76,11 +76,10 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds) -> GridRes
     Every (seed, candidate) pair is one lane of a single run_lanes call,
     seed by seed: lanes of one seed share its draws, each lane's run equals
     its own run at that seed and step size, and the winner's trajectories
-    need no replay. The call keeps no anchors, and each trajectory's
-    ``wall_ms`` is the call's time divided by seeds x candidates. A
-    trajectory's step records go once it is scored, and a candidate drops
-    its trajectories as soon as it scores +inf on a seed, since it can no
-    longer win."""
+    need no replay. Each trajectory's ``wall_ms`` is the call's time
+    divided by seeds x candidates. A trajectory's step records go once it is
+    scored, and a candidate drops its trajectories as soon as it scores +inf
+    on a seed, since it can no longer win."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     candidates = sorted({float(v) for v in grid})
@@ -91,7 +90,7 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds) -> GridRes
 
     etas = candidates * len(seeds)  # seed-major lanes: scores come out in seed order
     lanes = run_lanes(problem, algorithm, cfg, etas,
-                      [seed for seed in seeds for _ in candidates], keep_anchors=False)
+                      [seed for seed in seeds for _ in candidates])
     table: dict[float, list[float]] = {eta: [] for eta in candidates}
     kept: dict[float, list[Trajectory]] = {eta: [] for eta in candidates}
     for j, eta in enumerate(etas):

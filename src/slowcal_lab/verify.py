@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, weights
-from .algorithms import ALGORITHMS, RunConfig
+from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig
 from .objectives import QuadraticEnsemble, heterogeneous_quadratic, LogisticEnsemble
 from .data import synth_clusters
 
@@ -108,12 +108,14 @@ def _check_reduction_anytime() -> CheckResult:
     single-worker query-averaging method driven by batch gradients."""
     problem = _small_quadratic(sigma=0.0)
     steps = 18
-    cfg = RunConfig(K=1, R=steps, eta=0.08, schedule=weights.LINEAR, seed=0)
+    cfg = RunConfig(K=1, R=steps, eta=0.08, schedule=weights.LINEAR, seed=0,
+                    record_diagnostics=True)
     slow = ALGORITHMS["slowcal"](problem, cfg)
     single = ALGORITHMS["anytime"](problem, cfg)
     worst = float(np.linalg.norm(slow.x_output - single.x_output))
-    for xa, xb, wa, wb in zip(slow.anchor_x, single.anchor_x, slow.anchor_w, single.anchor_w):
-        worst = max(worst, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(wa - wb)))
+    for a, b in zip(slow.steps, single.steps, strict=True):
+        worst = max(worst, float(np.linalg.norm(a.x_mean - b.x_mean)),
+                    float(np.linalg.norm(a.w_mean - b.w_mean)))
     return _leq("reduction-anytime", worst, 1e-12)
 
 
@@ -133,12 +135,14 @@ def _check_reduction_gd() -> CheckResult:
 
 
 def _check_reduction_minibatch_step0() -> CheckResult:
-    """All methods agree on the first anchor when started together."""
+    """All methods agree on the first anchor when started together: the
+    step records at t = K = 1."""
     problem = _small_quadratic(sigma=0.0)
-    cfg = RunConfig(K=1, R=1, eta=0.07, schedule=weights.UNIFORM, seed=0)
+    cfg = RunConfig(K=1, R=1, eta=0.07, schedule=weights.UNIFORM, seed=0,
+                    record_diagnostics=True)
     slow = ALGORITHMS["slowcal"](problem, cfg)
     mini = ALGORITHMS["minibatch"](problem, cfg)
-    worst = float(np.linalg.norm(slow.anchor_w[1] - mini.anchor_x[1]))
+    worst = float(np.linalg.norm(slow.steps[1].w_mean - mini.steps[1].x_mean))
     return _leq("reduction-minibatch-step0", worst, 1e-12)
 
 
@@ -148,7 +152,7 @@ def _check_zero_bias_shared() -> CheckResult:
     problem = _small_quadratic(sigma=0.4, curvature="shared", seed=9)
     cfg = RunConfig(K=6, R=8, eta=0.05, schedule=weights.LINEAR, seed=3)
     traj = ALGORITHMS["slowcal"](problem, cfg)
-    worst = max(rm.v_increment for rm in traj.rounds)
+    worst = traj.values[:, ROUND_COLUMNS.index("v_increment")].max()
     return _leq("zero-bias-shared", worst, 1e-12)
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from slowcal_lab import algorithms, metrics
-from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig, _ascending_mean, run_lanes
+from slowcal_lab.algorithms import (ALGORITHMS, METHODS, ROUND_COLUMNS, RunConfig,
+                                    _ascending_mean, run_lanes)
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble, heterogeneous_quadratic
 from slowcal_lab.tuning import grid_search
@@ -33,39 +34,47 @@ def symmetric_pair(sigma=0.0):
 
 
 class TestHandTraces:
+    """Round-end iterates are read from the step records at t = rK: with one
+    state (minibatch, anytime), one machine or mirrored machines, each is
+    bitwise the round's anchor."""
+
     def test_slowcal_single_machine_uniform_two_steps(self):
         # f = 0.5 (x-1)^2, eta=0.1, uniform weights, from 0:
         #   t=0: g=-1,    w: 0 -> 0.1,    gamma=1/2, x: 0 -> 0.05
         #   t=1: g=-0.95, w: 0.1 -> 0.195, gamma=1/3, x -> (2/3)0.05 + (1/3)0.195
         prob = scalar_problem()
-        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, eta=0.1, schedule=UNIFORM))
-        assert traj.anchor_w[1, 0] == pytest.approx(0.195, rel=1e-15)
-        assert traj.anchor_x[1, 0] == pytest.approx(59.0 / 600.0, rel=1e-15)
-        assert traj.x_output[0] == traj.anchor_x[1, 0]
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, eta=0.1, schedule=UNIFORM,
+                                                     record_diagnostics=True))
+        assert traj.steps[2].w_mean[0] == pytest.approx(0.195, rel=1e-15)
+        assert traj.steps[2].x_mean[0] == pytest.approx(59.0 / 600.0, rel=1e-15)
+        assert traj.x_output[0] == traj.steps[2].x_mean[0]
 
     def test_slowcal_mirrored_machines_cancel_exactly(self):
         # mirrored centers drive exactly mirrored slots; the ascending mean
         # at every boundary is exactly 0.0, not just close
         prob = symmetric_pair()
-        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, eta=0.1, schedule=LINEAR))
-        assert (traj.anchor_w[1:] == 0.0).all() and (traj.anchor_x[1:] == 0.0).all()
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, eta=0.1, schedule=LINEAR,
+                                                     record_diagnostics=True))
+        boundaries = traj.steps[3::3]
+        assert [rec.t for rec in boundaries] == [3, 6]
+        assert all((rec.w_mean == 0.0).all() and (rec.x_mean == 0.0).all() for rec in boundaries)
         assert traj.x_output[0] == 0.0
 
     def test_local_single_machine_two_steps(self):
         # x: 0 -> 0.1 -> 0.1 + 0.1*0.9 = 0.19; plain local outputs the anchor
         prob = scalar_problem()
-        traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, eta=0.1))
-        assert traj.anchor_x[1, 0] == pytest.approx(0.19, rel=1e-15)
-        assert traj.x_output[0] == traj.anchor_x[1, 0]
+        traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, eta=0.1, record_diagnostics=True))
+        assert traj.steps[2].x_mean[0] == pytest.approx(0.19, rel=1e-15)
+        assert traj.x_output[0] == traj.steps[2].x_mean[0]
 
     def test_minibatch_two_rounds_and_anchor_average_output(self):
         # f = 0.5 x^2 from 1: anchors 0.9, 0.81; output their mean 0.855
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["minibatch"](
-            prob, RunConfig(K=4, R=2, eta=0.1, x0=np.array([1.0]))
+            prob, RunConfig(K=4, R=2, eta=0.1, x0=np.array([1.0]), record_diagnostics=True)
         )
-        assert traj.anchor_x[1, 0] == pytest.approx(0.9, rel=1e-15)
-        assert traj.anchor_x[2, 0] == pytest.approx(0.81, rel=1e-15)
+        assert traj.steps[4].x_mean[0] == pytest.approx(0.9, rel=1e-15)
+        assert traj.steps[8].x_mean[0] == pytest.approx(0.81, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(0.855, rel=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -76,7 +85,8 @@ class TestHandTraces:
         # bits), in step order for d >= 2
         prob = heterogeneous_quadratic(3, dim, sigma=4.0, seed=k_steps)
         etas = [0.05, 0.2, 0.01, 0.1]
-        cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0))
+        cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0),
+                        record_diagnostics=True)
         for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas, [cfg.seed] * 4)):
             x = cfg.x0
             for r in range(cfg.R):
@@ -88,16 +98,17 @@ class TestHandTraces:
                         g_mean += sample(k, x)
                     step_means.append(g_mean / 3)
                 x = x - eta * np.array(step_means).mean(axis=0)
-                np.testing.assert_array_equal(traj.anchor_x[r + 1], x)
+                np.testing.assert_array_equal(traj.steps[(r + 1) * k_steps].x_mean, x)
 
     def test_anytime_uniform_two_steps(self):
         # f = 0.5 x^2, eta=0.5, from 1: w 1 -> 0.5 -> 0.125,
         # x 1 -> 0.75 -> (2/3)0.75 + (1/3)0.125 = 13/24
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["anytime"](
-            prob, RunConfig(K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]))
+            prob, RunConfig(K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]),
+                            record_diagnostics=True)
         )
-        assert traj.anchor_w[1, 0] == pytest.approx(0.125, rel=1e-15)
+        assert traj.steps[2].w_mean[0] == pytest.approx(0.125, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(13.0 / 24.0, rel=1e-15)
 
     def test_anytime_linear_first_step(self):
@@ -114,11 +125,13 @@ class TestReductions:
         # with K=1 on a single machine the round boundary is a no-op, so the
         # drift-corrected loop is the query-averaging recursion step for step
         prob = scalar_problem(sigma=0.4)
-        cfg = RunConfig(K=1, R=18, eta=0.08, schedule=LINEAR, seed=5)
+        cfg = RunConfig(K=1, R=18, eta=0.08, schedule=LINEAR, seed=5, record_diagnostics=True)
         slow = ALGORITHMS["slowcal"](prob, cfg)
         anytime = ALGORITHMS["anytime"](prob, cfg)
-        np.testing.assert_allclose(slow.anchor_x, anytime.anchor_x, atol=1e-12)
-        np.testing.assert_allclose(slow.anchor_w, anytime.anchor_w, atol=1e-12)
+        assert len(slow.steps) == len(anytime.steps) == cfg.R + 1
+        for a, b in zip(slow.steps, anytime.steps):
+            np.testing.assert_allclose(a.x_mean, b.x_mean, atol=1e-12)
+            np.testing.assert_allclose(a.w_mean, b.w_mean, atol=1e-12)
         np.testing.assert_allclose(slow.x_output, anytime.x_output, atol=1e-12)
 
     def test_homogeneous_local_matches_sequential_gd(self):
@@ -139,10 +152,10 @@ class TestReductions:
         # K=1: every machine queries the shared start, so the first server w
         # equals the first minibatch iterate, noise draws included
         prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=6)
-        cfg = RunConfig(K=1, R=1, eta=0.07, seed=8)
+        cfg = RunConfig(K=1, R=1, eta=0.07, seed=8, record_diagnostics=True)
         slow = ALGORITHMS["slowcal"](prob, cfg)
         mini = ALGORITHMS["minibatch"](prob, cfg)
-        np.testing.assert_allclose(slow.anchor_w[1], mini.anchor_x[1], atol=1e-12)
+        np.testing.assert_allclose(slow.steps[1].w_mean, mini.steps[1].x_mean, atol=1e-12)
 
     def test_anytime_follows_weighted_gradient_recursion(self):
         # sigma=0: the machine-averaged oracle is the global gradient, so the
@@ -212,8 +225,8 @@ class TestDeterminismAndShape:
         a = ALGORITHMS["slowcal"](prob, cfg)
         b = ALGORITHMS["slowcal"](prob, cfg)
         np.testing.assert_array_equal(a.x_output, b.x_output)
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert ra == rb
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.round_diverged.tolist() == b.round_diverged.tolist()
 
     def test_diagnostics_do_not_change_the_trajectory(self):
         prob = heterogeneous_quadratic(3, 4, sigma=1.0, seed=14)
@@ -225,14 +238,15 @@ class TestDeterminismAndShape:
             assert a.steps is None and b.steps is not None
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_round_and_anchor_bookkeeping(self, name):
+    def test_round_and_step_bookkeeping(self, name):
         prob = heterogeneous_quadratic(3, 4, sigma=0.2, seed=15)
-        cfg = RunConfig(K=4, R=6, eta=0.01, seed=5)
+        cfg = RunConfig(K=4, R=6, eta=0.01, seed=5, record_diagnostics=True)
         traj = ALGORITHMS[name](prob, cfg)
-        assert len(traj.rounds) == cfg.R
-        assert traj.anchor_w.shape == traj.anchor_x.shape == (cfg.R + 1, prob.dim)
-        assert (traj.anchor_w[0] == 0.0).all() and (traj.anchor_x[0] == 0.0).all()
-        assert [rec.t for rec in traj.rounds] == [(r + 1) * cfg.K for r in range(cfg.R)]
+        assert traj.values.shape == (cfg.R, len(ROUND_COLUMNS))
+        assert traj.round_diverged.shape == (cfg.R,)
+        assert traj.t.tolist() == [(r + 1) * cfg.K for r in range(cfg.R)]
+        assert [rec.t for rec in traj.steps] == list(range(cfg.K * cfg.R + 1))
+        assert (traj.steps[0].w_mean == 0.0).all() and (traj.steps[0].x_mean == 0.0).all()
         assert not traj.diverged
 
     def test_different_seeds_differ(self):
@@ -252,24 +266,21 @@ class TestDivergence:
             prob, RunConfig(K=1, R=15, eta=3.0, x0=np.array([1.0]))
         )
         assert traj.diverged
-        assert len(traj.rounds) == 15
-        flags = [rec.diverged for rec in traj.rounds]
+        assert traj.values.shape[0] == 15
+        flags = traj.round_diverged.tolist()
         first = flags.index(True)
         assert first == 9
         assert all(flags[first:])
         assert not any(flags[:first])
-        for rec in traj.rounds[first + 1:]:
-            assert rec.excess_loss == math.inf
+        excess = traj.values[:, ROUND_COLUMNS.index("excess_loss")]
+        assert (excess[first + 1:] == math.inf).all()
 
     def test_overflowing_run_records_inf_never_nan(self):
         prob = scalar_problem(center=0.0)
         for name in ("minibatch", "local", "slowcal"):
             traj = ALGORITHMS[name](prob, RunConfig(K=3, R=8, eta=1e8, x0=np.array([1.0])))
             assert traj.diverged
-            for rec in traj.rounds:
-                for value in (rec.excess_loss, rec.grad_norm, rec.dispersion_q,
-                              rec.v_increment, rec.d_t):
-                    assert not math.isnan(value)
+            assert not np.isnan(traj.values).any()
 
     def test_divergence_threshold_uses_initial_excess(self):
         # starting 1e3 from the optimum scales the threshold accordingly;
@@ -320,12 +331,9 @@ def small_logistic():
 def assert_same_trajectory(a, b):
     assert (a.algorithm, a.eta, a.schedule, a.seed, a.diverged) == (
         b.algorithm, b.eta, b.schedule, b.seed, b.diverged)
-    assert a.rounds == b.rounds
     assert a.values.tobytes() == b.values.tobytes()
-    for x, y in ((a.anchor_w, b.anchor_w), (a.anchor_x, b.anchor_x)):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert x.tobytes() == y.tobytes()
+    assert a.t.tolist() == b.t.tolist()
+    assert a.round_diverged.tolist() == b.round_diverged.tolist()
     assert a.x_output.tobytes() == b.x_output.tobytes()
     if a.steps is None:
         assert b.steps is None
@@ -373,29 +381,31 @@ class TestLanes:
             assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta,
                                                                               seed=seed)))
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_keeping_no_anchors_changes_nothing_else(self, algorithm):
+    def test_anchor_mean_output_is_the_mean_of_the_round_end_step_means(self):
+        # the output's running sum against the ascending mean of the step
+        # records at t = rK, r = 1..completed rounds, the diverging lane's
+        # completed rounds ending at its first diverged round
         prob = lane_problems(3, 4, seed=9)[0]
         etas, seeds = [0.05, 1e3, 0.2], [5, 0, 2]
         cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=7, record_diagnostics=True,
                         x0=np.ones(4))
-        kept = run_lanes(prob, algorithm, cfg, etas, seeds)
-        bare = run_lanes(prob, algorithm, cfg, etas, seeds, keep_anchors=False)
-        assert [lane.diverged for lane in bare] == [False, True, False]
-        for a, b in zip(kept, bare):
-            assert b.anchor_w is None and b.anchor_x is None
-            assert a.rounds == b.rounds and a.diverged == b.diverged
-            assert a.x_output.tobytes() == b.x_output.tobytes()
-            assert [(x.t, x.dispersion_q) for x in a.steps] == [
-                (y.t, y.dispersion_q) for y in b.steps]
-            if METHODS[algorithm].output == "anchor-mean":
-                assert b.x_output.tobytes() == _ascending_mean(a.anchor_x[1:]).tobytes()
+        names = [name for name, spec in METHODS.items() if spec.output == "anchor-mean"]
+        assert names == ["minibatch"]
+        lanes = run_lanes(prob, "minibatch", cfg, etas, seeds)
+        assert [lane.diverged for lane in lanes] == [False, True, False]
+        for lane in lanes:
+            completed = (lane.round_diverged.tolist().index(True) + 1 if lane.diverged
+                         else cfg.R)
+            assert lane.steps[-1].t == completed * cfg.K
+            ends = np.array([rec.x_mean for rec in lane.steps[cfg.K::cfg.K]])
+            assert len(ends) == completed
+            assert lane.x_output.tobytes() == _ascending_mean(ends).tobytes()
 
     def test_every_lane_owns_its_rows_and_shares_the_call_time(self):
         # the middle lane diverges in an early round and leaves the batch
         prob = lane_problems(3, 4, seed=9)[0]
         cfg = RunConfig(K=3, R=5, eta=1.0, x0=np.ones(4))
-        lanes = run_lanes(prob, "slowcal", cfg, [0.05, 1e3, 0.2], [5, 0, 2], keep_anchors=False)
+        lanes = run_lanes(prob, "slowcal", cfg, [0.05, 1e3, 0.2], [5, 0, 2])
         assert [lane.diverged for lane in lanes] == [False, True, False]
         assert lanes[1].round_diverged[:cfg.R - 1].any()
         assert lanes[0].wall_ms > 0
@@ -461,12 +471,10 @@ class TestRoundBlocks:
         monkeypatch.setattr(algorithms, "_BLOCK_BYTES", budget)
         return run()
 
-    @pytest.mark.parametrize("case,machines,keep_anchors", [
-        (0, 3, True), (0, 3, False), (0, 1, True), (1, 3, False), (2, 3, True)],
-        ids=["quadratic", "quadratic-no-anchors", "quadratic-1-machine", "softmax-2", "softmax-4"])
+    @pytest.mark.parametrize("case,machines", [(0, 3), (0, 1), (1, 3), (2, 3)],
+                             ids=["quadratic", "quadratic-1-machine", "softmax-2", "softmax-4"])
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_blocks_equal_one_round_blocks_bitwise(self, algorithm, case, machines, keep_anchors,
-                                                   monkeypatch):
+    def test_blocks_equal_one_round_blocks_bitwise(self, algorithm, case, machines, monkeypatch):
         # one machine: the loop steps its one state in place, and a block
         # must hold each round's own copy
         prob = lane_problems(machines, 4, seed=9)[case]
@@ -474,7 +482,7 @@ class TestRoundBlocks:
         cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR, x0=np.ones(4))
 
         def run():
-            return run_lanes(prob, algorithm, cfg, etas, seeds, keep_anchors)
+            return run_lanes(prob, algorithm, cfg, etas, seeds)
         one_round = self.runs(monkeypatch, 0, run)
         blocks = block_spy(monkeypatch)
         for budget in (self.budget, 7 * len(etas) * machines * 4 * 8):

@@ -1,9 +1,11 @@
 """Config parsing, experiment orchestration, output contract, and CLI."""
 import csv
+import gzip
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from slowcal_lab import cli, objectives, runner, tuning
-from slowcal_lab.algorithms import ALGORITHMS, METHODS, RunConfig, run_lanes
+from slowcal_lab.algorithms import ALGORITHMS, METHODS, ROUND_COLUMNS, RunConfig, run_lanes
 from slowcal_lab.data import load_mnist, serialize_idx_images, serialize_idx_labels
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble
@@ -500,11 +502,11 @@ def one_run_per_seed(spec):
                     rows.extend({
                         "run_id": run_id, "algorithm": algorithm, "problem": kind,
                         "M": str(m), "K": str(k), "R": str(r_rounds), "seed": str(seed),
-                        "round": str(rm.round), "t": str(rm.t), "eta": repr(resolved[cell]),
-                        **{column: repr(float(getattr(rm, column))) for column in (
-                            "excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")},
-                        "diverged": "true" if rm.diverged else "false",
-                    } for rm in traj.rounds)
+                        "round": str(r), "t": str(t), "eta": repr(resolved[cell]),
+                        **{column: repr(value) for column, value in zip(ROUND_COLUMNS, values)},
+                        "diverged": "true" if diverged else "false",
+                    } for r, (t, values, diverged) in enumerate(zip(
+                        traj.t.tolist(), traj.values.tolist(), traj.round_diverged.tolist())))
     rows.sort(key=lambda row: (row["algorithm"], int(row["M"]), int(row["K"]),
                                int(row["seed"]), int(row["round"])))
     return rows, resolved, excess, tuning
@@ -594,15 +596,15 @@ class TestFixedCells:
         assert {row["diverged"] for row in rows} == {"true", "false"}
 
     def test_one_engine_call_per_cell(self, tmp_path, monkeypatch):
-        """Every lr mode runs a cell as one run_lanes call with no anchors:
-        one lane per seed, or per (seed, candidate) pair, seed-major, for a
-        grid."""
+        """Every lr mode runs a cell as one run_lanes call with no step
+        records: one lane per seed, or per (seed, candidate) pair,
+        seed-major, for a grid."""
         monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
         calls = []
 
-        def counting(problem, method, cfg, etas, seeds, keep_anchors=True):
-            calls.append((method, cfg.record_diagnostics, list(etas), list(seeds), keep_anchors))
-            return run_lanes(problem, method, cfg, etas, seeds, keep_anchors)
+        def counting(problem, method, cfg, etas, seeds):
+            calls.append((method, cfg.record_diagnostics, list(etas), list(seeds)))
+            return run_lanes(problem, method, cfg, etas, seeds)
 
         monkeypatch.setattr(runner, "run_lanes", counting)
         monkeypatch.setattr(tuning, "run_lanes", counting)
@@ -613,9 +615,9 @@ class TestFixedCells:
         summary = run_experiment(spec, out_dir=tmp_path)
         theory = json.loads(summary.manifest_path.read_text())["resolved_lr"]["slowcal-M2-K2"]
         assert calls == [
-            ("minibatch", False, [0.05] * 3, [3, 1, 1], False),
-            ("local", False, [0.01, 0.1] * 3, [3, 3, 1, 1, 1, 1], False),
-            ("slowcal", False, [theory] * 3, [3, 1, 1], False),
+            ("minibatch", False, [0.05] * 3, [3, 1, 1]),
+            ("local", False, [0.01, 0.1] * 3, [3, 3, 1, 1, 1, 1]),
+            ("slowcal", False, [theory] * 3, [3, 1, 1]),
         ]
 
     def test_diagnostics_change_no_output(self, tmp_path):
@@ -676,6 +678,47 @@ def write_idx_dir(root, n_train=80, n_test=20):
     (root / "train-labels-idx1-ubyte").write_bytes(serialize_idx_labels(train_y))
     (root / "t10k-images-idx3-ubyte").write_bytes(serialize_idx_images(test, rows=2, cols=3))
     (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(test_y))
+
+
+MALFORMED_MNIST = ("bad-magic", "truncated-gz", "idx-path-is-a-directory", "more-labels",
+                   "fewer-labels", "test-label-out-of-range", "empty-test-set", "test-width")
+
+
+def write_malformed_idx_dir(root, case):
+    """A synthetic IDX directory of 60 train and 20 test images, broken as
+    ``case`` names; returns a piece of the error it must give."""
+    write_idx_dir(root, n_train=60)
+    if case == "bad-magic":
+        path = root / "train-labels-idx1-ubyte"
+        path.write_bytes(b"\0\0\0\7" + path.read_bytes()[4:])
+        return "train-labels-idx1-ubyte: bad magic"
+    if case == "truncated-gz":
+        path = root / "train-images-idx3-ubyte"
+        (root / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(path.read_bytes())[:-10])
+        path.unlink()
+        return "train-images-idx3-ubyte.gz"
+    if case == "idx-path-is-a-directory":
+        path = root / "t10k-labels-idx1-ubyte"
+        path.unlink()
+        path.mkdir()
+        return "t10k-labels-idx1-ubyte"
+    if case in ("more-labels", "fewer-labels"):
+        count = 70 if case == "more-labels" else 50
+        (root / "train-labels-idx1-ubyte").write_bytes(
+            serialize_idx_labels(np.arange(count) % 10))
+        return f"60 images but train-labels-idx1-ubyte holds {count} labels"
+    if case == "test-label-out-of-range":
+        (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(np.full(20, 10)))
+        return f"MNIST test set under {root}: machine 0 labels outside [0, 10)"
+    if case == "empty-test-set":
+        (root / "t10k-images-idx3-ubyte").write_bytes(
+            serialize_idx_images(np.empty((0, 6)), rows=2, cols=3))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(np.empty(0)))
+        return f"MNIST test set under {root}: machine 0 has no examples"
+    assert case == "test-width"
+    (root / "t10k-images-idx3-ubyte").write_bytes(
+        serialize_idx_images(np.zeros((20, 4)), rows=2, cols=2))
+    return "test images have 4 pixels but train images have 6"
 
 
 def mnist_config(**overrides):
@@ -754,6 +797,21 @@ class TestMnistExperiment:
         spec = spec_from_dict(mnist_config(problem={"kind": "mnist-logistic", "label_skew": 0}))
         with pytest.raises(ConfigError, match="alpha"):
             run_experiment(spec, out_dir=tmp_path / "out", data_dir=data)
+
+    @pytest.mark.parametrize("case", MALFORMED_MNIST)
+    def test_malformed_data_is_a_config_error_before_any_cell(self, tmp_path, monkeypatch,
+                                                              case):
+        def run_cell(*args):
+            raise AssertionError("a cell ran on malformed data")
+
+        monkeypatch.setattr(runner, "_run_cell", run_cell)
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
+        data = tmp_path / "data"
+        data.mkdir()
+        message = write_malformed_idx_dir(data, case)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(spec_from_dict(mnist_config()), out_dir=tmp_path / "out",
+                           data_dir=data)
 
     def test_rejects_other_kinds(self, tmp_path):
         # a data directory names MNIST files; with any other kind it is a mistake
@@ -970,6 +1028,15 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "mnist-logistic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", MALFORMED_MNIST)
+    def test_malformed_mnist_data_exits_2(self, tmp_path, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        message = write_malformed_idx_dir(data, case)
+        cfg = mnist_config()
+        cfg["problem"] = dict(cfg["problem"], data_dir=str(data))
+        assert message in self.assert_exits_2(tmp_path, cfg)
 
     def test_mnist_without_data_exits_2(self, tmp_path):
         path = self.write_config(tmp_path, mnist_config())

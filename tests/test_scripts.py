@@ -1,4 +1,5 @@
 """The experiment scripts, run end to end on tiny configs."""
+import csv
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ from slowcal_lab import (
     RunConfig,
     build_problem,
     excess_loss,
+    grid_search,
     parse_schedule,
     spec_from_dict,
 )
@@ -74,3 +76,34 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and all(math.isfinite(float(v)) for v in printed)
+
+
+def test_ordering_script_writes_the_grid_search_tables(tmp_path, capsys):
+    script = load_script("ordering_experiment")
+    results = {}
+
+    def recording(problem, name, grid, cfg, seeds):
+        results[name] = grid_search(problem, name, grid, cfg, seeds)
+        return results[name]
+
+    script.grid_search = recording
+    out = tmp_path / "out"
+    assert script.main(["--machines", "2", "--local-steps", "2", "--rounds", "4",
+                        "--seeds", "2", "--out", str(out)]) == 0
+    assert "dispersion ratio" in capsys.readouterr().out
+
+    with (out / "ordering_scores.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3 * 7 * 2
+    assert sorted(results) == sorted(script.METHODS)
+    for name, result in results.items():
+        mine = [row for row in rows if row["algorithm"] == name]
+        tuned = {float(row["eta"]) for row in mine if row["tuned"] == "true"}
+        assert tuned == {result.eta}
+        assert sum(row["tuned"] == "true" for row in mine) == 2  # one row per seed
+        # bitwise, after the CSV round trip
+        table: dict[float, list[float]] = {}
+        for row in mine:
+            assert int(row["seed"]) == len(table.setdefault(float(row["eta"]), []))
+            table[float(row["eta"])].append(float(row["final_excess"]))
+        assert table == result.table

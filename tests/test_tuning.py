@@ -198,7 +198,7 @@ def test_grid_search_equals_one_run_per_candidate(algorithm, schedule):
         assert run.values.tobytes() == own.values.tobytes()
         assert run.round_diverged.tolist() == own.round_diverged.tolist()
         assert run.x_output.tobytes() == own.x_output.tobytes()
-        assert run.anchor_w is None and run.steps is None
+        assert run.steps is None
         assert run.wall_ms > 0
 
 
@@ -208,13 +208,11 @@ def test_one_call_grid_search_equals_one_run_per_seed_and_step(algorithm, case):
     """The whole grid is one engine call over (seed, candidate) lanes. On
     unsorted, repeated seeds, the noisy quadratic and both softmax ensembles,
     its table, winner and the winner's runs are those of one call per (seed,
-    candidate); the diverging candidate is dropped, and the winner's runs
-    keep no anchors."""
+    candidate), and the diverging candidate is dropped."""
     prob = lane_problems(3, 4, seed=7)[case]
     cfg = RunConfig(K=2, R=5, eta=1.0, x0=np.ones(4))
     grid, seeds = [1e3, 0.1, 0.001, 0.01], [3, 1, 1]
     result = grid_search(prob, algorithm, grid, cfg, seeds)
-    assert all(run.anchor_w is None and run.anchor_x is None for run in result.runs)
 
     want, own = {}, {}
     for eta in sorted(grid):
