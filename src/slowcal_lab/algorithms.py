@@ -4,11 +4,13 @@ variant.
 
 All five run one two-slot recursion, the anytime online-to-batch form: an
 iterate w descends along stochastic gradients taken at a query point x,
-over R rounds of K local steps, with aggregation by ascending-machine-index
-averaging. A method is a small ``Method`` spec (query slot, step weight,
-aggregation, output rule) and ``run_lanes`` is the one engine that runs
-them. It works on (lanes, machines, d) arrays of w and x, where a lane is
-one (seed, step size) pair. A sweep runs each cell as one call: a grid
+over R rounds of K local steps. Every machine mean and step mean, in the
+loop and in its diagnostics, is ``metrics._ascending_mean``: a running sum
+in ascending index order, the one averaging order. A method is a small
+``Method`` spec (query slot, step weight, aggregation, output rule) and
+``run_lanes`` is the one engine that runs them. It works on (lanes,
+machines, d) arrays of w and x, where a lane is one (seed, step size)
+pair. A sweep runs each cell as one call: a grid
 cell's lanes are its (seed, candidate) pairs, a fixed or theory cell's its
 seeds. ``ALGORITHMS[name](problem, cfg)``, built from ``METHODS``, is the
 one-lane call and the way to run a single method. The
@@ -24,7 +26,8 @@ round close and step record measures all live lanes in one batched pass
 ``global_value`` and ``global_gradient`` take lane axes), each lane's
 values bitwise equal to a run of its own; a round close evaluates
 the global gradient at the machine mean once, for its gradient norm and
-its bias increment. Rounds are measured in blocks: the loop keeps each
+its bias increment (passed as ``grad_at_mean``). Rounds are measured in
+blocks: the loop keeps each
 round's pre-aggregation states, and one round close measures a block of as
 many rounds as ``_BLOCK_BYTES`` of states hold (at least one; one with
 step records), every block size giving the same bits. A ``Trajectory`` holds
@@ -59,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import bias_increment, dispersion, squared_norms
+from .metrics import _ascending_mean, bias_increment, dispersion, squared_norms
 from .weights import LINEAR, WeightSchedule, averaging_coeff, prefix_weight, weight_at
 
 DIVERGENCE_FACTOR = 1e6
@@ -131,15 +134,6 @@ def _start_point(problem, cfg: RunConfig) -> np.ndarray:
     return x0
 
 
-def _ascending_mean(rows: np.ndarray) -> np.ndarray:
-    """(..., n, d) -> (..., d): the mean over axis -2 (machines, or
-    anchors), summed in ascending index order."""
-    acc = rows[..., 0, :].copy()
-    for i in range(1, rows.shape[-2]):
-        acc += rows[..., i, :]
-    return acc / rows.shape[-2]
-
-
 class _Recorder:
     """Shared bookkeeping for every lane of one run_lanes call: per-call
     arrays of round values and divergence flags, indexed (round, lane),
@@ -199,7 +193,7 @@ class _Recorder:
         values[:, 0] = problem.global_value(x_mean) - problem.f_star
         values[:, 1] = np.sqrt(squared_norms(grad))
         values[:, 2] = dispersion(x_states, alpha)
-        values[:, 3] = bias_increment(problem, x_states, alpha, (x_mean, grad))
+        values[:, 3] = bias_increment(problem, x_states, alpha, grad)
         values[:, 4] = squared_norms(w_mean - problem.w_star)
         finite = np.isfinite(values)
         diverged = ~finite.all(axis=-1) | (values[:, 0] > self.threshold)
@@ -316,8 +310,9 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
                             _ascending_mean(x[rows]), None, machine_states(x[rows]), rows)
         if spec.output == "anchor-mean":  # _ascending_mean of anchors 1..completed
             sums = sums / np.array(completed)[:, None]
-        elif spec.output == "weighted-mean":
-            sums = sums / prefix_weight(schedule, k_steps * cfg.R)
+        elif spec.output == "weighted-mean":  # over the weights of steps 0..K x completed
+            sums = sums / np.array([
+                prefix_weight(schedule, k_steps * c) for c in completed])[:, None]
         for lane, x_output in zip(rec.lanes[rows].tolist(), sums):
             out[lane] = rec.trajectory(lane, spec, etas[lane], lane_seeds[lane], x_output)
 
@@ -331,34 +326,20 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
                 block = 1 if cfg.record_diagnostics else max(1, min(
                     cfg.R - r, _BLOCK_BYTES // (len(rec.lanes) * m * problem.dim * 8)))
             draws = problem.round_draws(draw_seeds, r, k_steps)
-            if spec.aggregate == "server":
-                # the round's step means, summed in pooled.mean(axis=1)'s
-                # order: a running sum from +0.0 for d >= 2; for d = 1 numpy
-                # sums the K steps pairwise, so keep them all
-                if problem.dim == 1:
-                    pooled = np.empty((len(rec.lanes), k_steps, 1))
-                else:
-                    step_sum = np.zeros((len(rec.lanes), problem.dim))
+            if spec.aggregate == "server":  # the round's step means, summed in step order
+                step_sum = np.zeros((len(rec.lanes), problem.dim))
             for k in range(k_steps):
                 t = r * k_steps + k
                 queries = machine_states(x)
                 grads = problem.sampled_gradients(queries, draws, k, draw_rows)
-                if spec.aggregate == "server":
-                    g_mean = np.zeros((len(rec.lanes), problem.dim))
-                    for i in range(m):
-                        g_mean += grads[:, i]
-                    g_mean /= m
-                    if problem.dim == 1:
-                        pooled[:, k] = g_mean
-                    else:
-                        step_sum += g_mean
-                elif spec.aggregate == "step" or cfg.record_diagnostics:
+                if spec.aggregate != "round" or cfg.record_diagnostics:
                     g_mean = _ascending_mean(grads)
                 if cfg.record_diagnostics:
                     w_mean = _ascending_mean(w)
                     rec.record_step(t, w_mean, w_mean if tied else _ascending_mean(x), g_mean,
                                     queries)
                 if spec.aggregate == "server":
+                    step_sum += g_mean
                     continue
                 alpha = weight_at(schedule, t) if spec.weighted else 1.0
                 applied = grads if spec.aggregate == "round" else g_mean[:, None]
@@ -371,8 +352,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
                     acc = acc + weight_at(schedule, t + 1) * _ascending_mean(w)
 
             if spec.aggregate == "server":
-                step_mean = pooled.mean(axis=1) if problem.dim == 1 else step_sum / k_steps
-                w = x = x - (lane_etas[:, None] * step_mean)[:, None]
+                w = x = x - (lane_etas[:, None] * (step_sum / k_steps))[:, None]
             w_mean = _ascending_mean(w)
             states.append(machine_states(x))
             w_means.append(w_mean)

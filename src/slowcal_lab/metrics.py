@@ -1,5 +1,9 @@
 """Run diagnostics: excess loss, query dispersion, bias increments, and the
-momentum-form residual of the query-averaging recursion."""
+momentum-form residual of the query-averaging recursion.
+
+Every machine mean here, of points or of gradients, is ``_ascending_mean``:
+a running sum in ascending index order, the one order the engine averages
+in, so a diagnostic's mean is bitwise the engine's."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,6 +13,15 @@ from .weights import prefix_weight, weight_at
 
 def excess_loss(problem, x: np.ndarray) -> float:
     return problem.global_value(np.asarray(x, dtype=np.float64)) - problem.f_star
+
+
+def _ascending_mean(rows: np.ndarray) -> np.ndarray:
+    """(..., n, d) -> (..., d): the mean over axis -2 (machines, steps or
+    anchors), summed in ascending index order."""
+    acc = rows[..., 0, :].copy()
+    for i in range(1, rows.shape[-2]):
+        acc += rows[..., i, :]
+    return acc / rows.shape[-2]
 
 
 def squared_norms(vecs: np.ndarray) -> np.ndarray:
@@ -28,45 +41,34 @@ def dispersion(states: np.ndarray, alpha: float | np.ndarray) -> float | np.ndar
     """(alpha^2 / M^2) * sum over ordered pairs (i, j) of ||x_i - x_j||^2.
 
     Computed through the centered identity sum_ij ||x_i - x_j||^2
-    = 2 M sum_i ||x_i - mean||^2. ``states`` is (M, d), one row per
-    machine, giving a float, or (lanes, M, d), giving one value per lane
-    (``alpha`` may be one per lane), each bitwise equal to its own call.
+    = 2 M sum_i ||x_i - mean||^2, about the ascending machine mean.
+    ``states`` is (M, d), one row per machine, giving a float, or
+    (lanes, M, d), giving one value per lane (``alpha`` may be one per
+    lane), each bitwise equal to its own call.
     """
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
     m = pts.shape[-2]
-    centered = pts - pts.sum(axis=-2, keepdims=True) / m  # what np.mean computes
+    centered = pts - _ascending_mean(pts)[..., None, :]
     total = (centered ** 2).reshape(*pts.shape[:-2], -1).sum(axis=-1)
     value = _squared(alpha) * 2.0 / m * total
     return float(value) if pts.ndim == 2 else value
 
 
 def bias_increment(problem, states: np.ndarray, alpha: float | np.ndarray,
-                   known: tuple[np.ndarray, np.ndarray] | None = None) -> float | np.ndarray:
+                   grad_at_mean: np.ndarray | None = None) -> float | np.ndarray:
     """alpha^2 ||mean_i grad_i(x_i) - grad f(mean_i x_i)||^2 for one step's
-    per-machine query points (one row per machine). Like ``dispersion``, an
-    (M, d) input gives a float and (lanes, M, d) one value per lane; alpha
-    may be one per lane.
-
-    ``known`` is an optional (mean, grad f(mean)) pair the caller already
-    holds. It replaces the global-gradient evaluation only where ``mean`` is
-    bitwise the machine mean taken here; otherwise (numpy sums a machine
-    axis pairwise when it is the innermost one, as for d = 1 and M >= 8) the
-    gradient is evaluated anyway, so the result never depends on it."""
+    per-machine query points (one row per machine), both means ascending.
+    Like ``dispersion``, an (M, d) input gives a float and (lanes, M, d) one
+    value per lane; alpha may be one per lane. ``grad_at_mean`` is grad f at
+    the ascending machine mean, if the caller already holds it; it is used
+    as given, in place of a global-gradient evaluation."""
     pts = np.atleast_2d(np.asarray(states, dtype=np.float64))
     m = pts.shape[-2]
     if m != problem.num_machines:
         raise ValueError(f"need one state row per machine, got {m}")
-    grads = problem.exact_gradients(pts)
-    mean_grad = np.zeros(pts.shape[:-2] + pts.shape[-1:])
-    for i in range(m):
-        mean_grad += grads[..., i, :]
-    mean_grad /= m
-    mean = pts.sum(axis=-2) / m
-    if known is not None and known[0].shape == mean.shape and known[0].tobytes() == mean.tobytes():
-        global_grad = known[1]
-    else:
-        global_grad = problem.global_gradient(mean)
-    gap = mean_grad - global_grad
+    if grad_at_mean is None:
+        grad_at_mean = problem.global_gradient(_ascending_mean(pts))
+    gap = _ascending_mean(problem.exact_gradients(pts)) - grad_at_mean
     value = _squared(alpha) * squared_norms(gap)
     return float(value) if pts.ndim == 2 else value
 

@@ -340,7 +340,7 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Parse a JSON config file into a fully-resolved ExperimentSpec."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes()  # json.loads decodes it; a bad encoding is a ValueError
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -695,14 +695,17 @@ def _package_version() -> str:
 _MNIST_CLASSES = 10
 
 
-def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float]:
+def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float | None]:
     """Test accuracy and loss at w, through the softmax oracle: ``test_set``
     is the test data as a one-machine ensemble with l2 = 0, so its machine
-    value is the test cross-entropy."""
+    value is the test cross-entropy (null where a diverged w makes it
+    non-finite)."""
     w = np.asarray(w, dtype=np.float64)
-    logp = test_set._log_probs(0, test_set._matrix(w))
-    acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
-    return {"test_accuracy": acc, "test_loss": test_set.machine_value(0, w)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp = test_set._log_probs(0, test_set._matrix(w))
+        acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
+        loss = test_set.machine_value(0, w)
+    return {"test_accuracy": acc, "test_loss": _finite_or_null(loss)}
 
 
 def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:

@@ -6,9 +6,10 @@ from slowcal_lab.objectives import LogisticEnsemble, heterogeneous_quadratic
 
 # (lanes, machines, d); logistic d = num_classes * feature_dim, so d >= 2 there.
 # 7 and 13 lanes cross BLAS's column groups of 4; d = 4 gives a four-class
-# softmax on one feature.
-LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (5, 8, 2), (3, 4, 6),
-               (6, 16, 20), (7, 3, 4), (13, 5, 8), (13, 2, 4)]
+# softmax on one feature; d = 1 from 8 machines on is where numpy sums a
+# machine axis pairwise, not in ascending order.
+LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (3, 16, 1), (5, 8, 2),
+               (3, 4, 6), (6, 16, 20), (7, 3, 4), (13, 5, 8), (13, 2, 4)]
 
 
 def _softmax(m: int, num_classes: int, features: int, rng) -> LogisticEnsemble:

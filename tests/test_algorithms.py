@@ -80,9 +80,9 @@ class TestHandTraces:
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("k_steps", [3, 9, 16])
     def test_minibatch_server_step_is_the_mean_of_the_step_means(self, k_steps, dim):
-        # the round's step means averaged as one (K, d) mean over the steps:
-        # pairwise for d = 1 (at K = 16 a running sum differs in the last
-        # bits), in step order for d >= 2
+        # the round's step means summed in step order from zero, for every d
+        # (at d = 1 and K = 16 numpy's pairwise mean over the steps differs
+        # in the last bits)
         prob = heterogeneous_quadratic(3, dim, sigma=4.0, seed=k_steps)
         etas = [0.05, 0.2, 0.01, 0.1]
         cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0),
@@ -91,13 +91,13 @@ class TestHandTraces:
             x = cfg.x0
             for r in range(cfg.R):
                 samplers = [prob.round_sampler(cfg.seed, i, r, k_steps) for i in range(3)]
-                step_means = []
+                step_sum = np.zeros(dim)
                 for k in range(k_steps):
                     g_mean = np.zeros(dim)
                     for sample in samplers:
                         g_mean += sample(k, x)
-                    step_means.append(g_mean / 3)
-                x = x - eta * np.array(step_means).mean(axis=0)
+                    step_sum += g_mean / 3
+                x = x - eta * (step_sum / k_steps)
                 np.testing.assert_array_equal(traj.steps[(r + 1) * k_steps].x_mean, x)
 
     def test_anytime_uniform_two_steps(self):
@@ -281,6 +281,18 @@ class TestDivergence:
             traj = ALGORITHMS[name](prob, RunConfig(K=3, R=8, eta=1e8, x0=np.array([1.0])))
             assert traj.diverged
             assert not np.isnan(traj.values).any()
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_diverged_output_is_that_of_the_run_stopped_at_its_diverging_round(self, algorithm):
+        # the diverging lane shares its call with a lane that runs all R rounds
+        prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=1)
+        cfg = RunConfig(K=2, R=30, eta=3.0)
+        lane = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)[0]
+        assert lane.diverged
+        stop = lane.round_diverged.tolist().index(True) + 1
+        assert stop < cfg.R
+        stopped = ALGORITHMS[algorithm](prob, replace(cfg, R=stop))
+        assert lane.x_output.tobytes() == stopped.x_output.tobytes()
 
     def test_divergence_threshold_uses_initial_excess(self):
         # starting 1e3 from the optimum scales the threshold accordingly;
@@ -527,9 +539,9 @@ class TestRoundBlocks:
             return np.array([metrics.dispersion(row, alpha)
                              for row, alpha in zip(states, alphas.tolist())])
 
-        def per_row_bias_increment(prob, states, alphas, known):
-            return np.array([metrics.bias_increment(prob, row, alpha, (mean, grad))
-                             for row, alpha, mean, grad in zip(states, alphas.tolist(), *known)])
+        def per_row_bias_increment(prob, states, alphas, grads):
+            return np.array([metrics.bias_increment(prob, row, alpha, grad)
+                             for row, alpha, grad in zip(states, alphas.tolist(), grads)])
         with monkeypatch.context() as patch:
             patch.setattr(algorithms, "dispersion", per_row_dispersion)
             patch.setattr(algorithms, "bias_increment", per_row_bias_increment)

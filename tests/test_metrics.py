@@ -70,18 +70,17 @@ class TestBiasIncrement:
 
 
 def reference_dispersion(pts, alpha):
-    """The single-lane formula as first written, before lanes."""
-    centered = pts - pts.mean(axis=0, keepdims=True)
+    """The single-lane formula as first written, before lanes, about the
+    ascending machine mean."""
+    centered = pts - _ascending_mean(pts)
     return float(alpha ** 2 * 2.0 / pts.shape[0] * (centered ** 2).sum())
 
 
 def reference_bias_increment(problem, pts, alpha):
-    """The single-lane formula as first written, on the per-machine oracle."""
-    mean_grad = np.zeros(pts.shape[1])
-    for i, point in enumerate(pts):
-        mean_grad += problem.exact_gradient(i, point)
-    mean_grad /= pts.shape[0]
-    gap = mean_grad - problem.global_gradient(pts.mean(axis=0))
+    """The single-lane formula as first written, on the per-machine oracle,
+    with both machine means ascending."""
+    grads = np.array([problem.exact_gradient(i, point) for i, point in enumerate(pts)])
+    gap = _ascending_mean(grads) - problem.global_gradient(_ascending_mean(pts))
     return float(alpha ** 2 * (gap @ gap))
 
 
@@ -124,27 +123,23 @@ class TestLaneDiagnostics:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("d", [1, 4])
     def test_known_global_gradient_changes_nothing(self, d, lead, m, monkeypatch):
-        """A round close passes the global gradient at the ascending machine
-        mean. For d >= 2 that mean is bitwise the one bias_increment takes,
-        so the gradient is reused; for d = 1 numpy sums the machine axis
-        pairwise from M = 8 on, the means differ, and it is evaluated again.
-        Either way the value equals a call without it."""
+        """A round close passes grad_at_mean, the global gradient at the
+        ascending machine mean, which is the mean bias_increment takes
+        itself: the value equals a call without it, bitwise, and no global
+        gradient is evaluated, at every (M, d), d = 1 from M = 8 on (where
+        numpy's own sum of the machine axis is pairwise) included."""
         states = 3.0 * np.random.default_rng(m + d).standard_normal(lead + (m, d))
-        mean = _ascending_mean(states)
         for prob in lane_problems(m, d, seed=m):
-            known = (mean, prob.global_gradient(mean))
+            grad_at_mean = prob.global_gradient(_ascending_mean(states))
             plain = bias_increment(prob, states, 0.7)
             calls = []
             real = type(prob).global_gradient
             monkeypatch.setattr(type(prob), "global_gradient",
                                 lambda self, x: calls.append(x) or real(self, x))
-            shared = bias_increment(prob, states, 0.7, known)
+            shared = bias_increment(prob, states, 0.7, grad_at_mean)
             monkeypatch.undo()
             assert np.asarray(shared).tobytes() == np.asarray(plain).tobytes()
-            same_mean = mean.tobytes() == (states.sum(axis=-2) / m).tobytes()
-            assert len(calls) == (0 if same_mean else 1)
-            if d > 1:
-                assert same_mean
+            assert calls == []
 
     def test_per_row_alphas_square_as_python_floats(self):
         """A block of round closes passes one alpha per row. Under poly:1.5,

@@ -776,6 +776,22 @@ class TestMnistExperiment:
         assert tm["test_loss"] == -float(logp[np.arange(test_x.shape[0]), test_y].mean())
         assert tm["test_accuracy"] == float((logits.argmax(axis=1) == test_y).mean())
 
+    def test_diverged_runs_write_a_strict_json_manifest(self, tmp_path):
+        # a diverged output point has no finite test loss: it is written as null
+        data = tmp_path / "data"
+        data.mkdir()
+        write_idx_dir(data)
+        spec = spec_from_dict(mnist_config(algorithm=["local", "minibatch", "slowcal"],
+                                           lr="fixed:1e300"))
+        summary = run_experiment(spec, out_dir=tmp_path / "out", data_dir=data)
+
+        def reject(name):
+            raise ValueError(f"manifest holds {name}")
+        manifest = json.loads(summary.manifest_path.read_text(), parse_constant=reject)
+        metrics = manifest["test_metrics"].values()
+        assert len(metrics) == 3
+        assert all(tm["test_loss"] is None for tm in metrics)
+
     def test_data_dir_is_required(self, tmp_path):
         spec = spec_from_dict(mnist_config())
         with pytest.raises(ConfigError, match="no MNIST directory"):
@@ -863,6 +879,12 @@ class TestCli:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "grid" in err and "'lr'" in err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def run_cell(*args):
