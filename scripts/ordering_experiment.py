@@ -1,86 +1,81 @@
 #!/usr/bin/env python3
 """Convergence-ordering experiment on a flat-spectrum heterogeneous quadratic.
 
-Each parameter-server method is tuned on the same log grid of step sizes and
-scored by mean final excess loss over the run seeds; the tuned runs the grid
-search keeps then give the two local-update methods' final-quarter query
-dispersion. The default constants match the
-acceptance fixture: a spectrum flat enough that the unweighted baselines
-cannot contract the initial distance within the step budget, which is the
-regime where query averaging visibly wins.
+Runs the grid-tuned sweep described by configs/ordering.json through the
+standard experiment harness and reads its outputs: each method's tuned step
+size and mean excess at its output point over the seeds, from the manifest,
+and the two local-update methods' query dispersion over the final quarter of
+the rounds, from runs.csv. The config is the acceptance fixture: a spectrum
+flat enough that the unweighted baselines cannot contract the initial
+distance within the step budget, which is the regime where query averaging
+visibly wins. The manifest's ``tuning`` table holds every candidate's
+per-seed scores.
 
-Usage: python3 scripts/ordering_experiment.py [--out runs/ordering]
+Usage: python3 scripts/ordering_experiment.py [--config configs/ordering.json]
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from slowcal_lab import LINEAR, RunConfig, grid_search, heterogeneous_quadratic
-from slowcal_lab.algorithms import ROUND_COLUMNS
+from slowcal_lab import load_spec, run_experiment
+from speedup_experiment import seed_means, tuned_output_means
 
-METHODS = ("slowcal", "local", "minibatch")
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ordering.json"
+
+
+def final_quarter_dispersion(spec, csv_path) -> dict:
+    """Mean query dispersion over the final quarter of the rounds (round
+    r >= ceil(3R/4)) per (algorithm, machine count, local-step count), from
+    runs.csv: each run's mean over those rounds, then the mean over the
+    seeds."""
+    quarters: dict[str, list[float]] = {}
+    with open(csv_path, newline="") as handle:
+        for row in csv.DictReader(handle):
+            if int(row["round"]) >= math.ceil(0.75 * int(row["R"])):
+                quarters.setdefault(row["run_id"], []).append(float(row["dispersion_q"]))
+    return seed_means(spec, lambda run_id: np.mean(quarters[run_id]))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--machines", type=int, default=8)
-    parser.add_argument("--local-steps", type=int, default=16)
-    parser.add_argument("--rounds", type=int, default=50)
-    parser.add_argument("--seeds", type=int, default=10, help="number of run seeds")
-    parser.add_argument("--start-distance", type=float, default=30.0)
-    parser.add_argument("--out", default=None, help="directory for per-seed score CSV")
+    parser.add_argument("--config", default=str(DEFAULT_CONFIG))
+    parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 
-    dim = 20
-    problem = heterogeneous_quadratic(
-        args.machines, dim, curvature="per-machine", eig_range=(0.002, 0.02),
-        center_spread=1.0, sigma=1.0, target_gstar=2.0, seed=0,
-    )
-    x0 = problem.w_star + args.start_distance * np.ones(dim) / math.sqrt(dim)
-    grid = np.logspace(-3, -1, 7)
-    seeds = range(args.seeds)
-    template = RunConfig(K=args.local_steps, R=args.rounds, eta=1.0, schedule=LINEAR,
-                         seed=0, x0=x0)
+    spec = load_spec(args.config)
+    if (len(spec.machines) != 1 or len(spec.local_steps) != 1
+            or not (isinstance(spec.lr, str) and spec.lr.startswith("grid:"))
+            or not {"slowcal", "local"} <= set(spec.algorithms)):
+        print("config must grid-tune slowcal and local at one machine count and one "
+              f"local-step count, got algorithm={list(spec.algorithms)} lr={spec.lr!r} "
+              f"machines={spec.machines} local_steps={spec.local_steps}", file=sys.stderr)
+        return 2
+    (m,), (k,) = spec.machines, spec.local_steps
 
-    results = {}
+    summary = run_experiment(spec, out_dir=args.out)
+    print(f"wrote {summary.num_runs} runs to {summary.csv_path}")
+    manifest = json.loads(summary.manifest_path.read_text())
+    means = tuned_output_means(spec, manifest["output_excess"])
+    dispersion = final_quarter_dispersion(spec, summary.csv_path)
+
+    grid = [entry["eta"] for entry in manifest["tuning"][f"{spec.algorithms[0]}-M{m}-K{k}"]]
     print(f"grid-tuning on eta in [{grid[0]:.0e}, {grid[-1]:.0e}] "
-          f"({len(grid)} points, {args.seeds} seeds)")
-    for name in METHODS:
-        result = results[name] = grid_search(problem, name, grid, template, seeds)
-        print(f"  {name:<10} eta={result.eta:<10.4g} "
-              f"mean final excess = {np.mean(result.table[result.eta]):.4g}")
-
-    quarter_start = math.ceil(0.75 * args.rounds)
-    column = ROUND_COLUMNS.index("dispersion_q")
-    dispersion = {}
+          f"({len(grid)} points, {len(spec.seeds)} seeds)")
+    for name in spec.algorithms:
+        eta = manifest["resolved_lr"][f"{name}-M{m}-K{k}"]
+        print(f"  {name:<10} eta={eta:<10.4g} mean final excess = {means[(name, m, k)]:.4g}")
     for name in ("slowcal", "local"):
-        dispersion[name] = float(np.mean([np.mean(run.values[quarter_start:, column])
-                                          for run in results[name].runs]))
-        print(f"  {name:<10} final-quarter query dispersion = {dispersion[name]:.4g}")
-
-    ratio = dispersion["local"] / dispersion["slowcal"]
+        print(f"  {name:<10} final-quarter query dispersion = {dispersion[(name, m, k)]:.4g}")
+    ratio = dispersion[("local", m, k)] / dispersion[("slowcal", m, k)]
     print(f"dispersion ratio local/slowcal = {ratio:.1f}x")
-
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "ordering_scores.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["algorithm", "eta", "seed", "final_excess", "tuned"])
-            for name in METHODS:
-                for eta, scores in sorted(results[name].table.items()):
-                    for seed, score in zip(seeds, scores):
-                        writer.writerow([name, eta, seed, score,
-                                         "true" if eta == results[name].eta else "false"])
-        print(f"wrote {path}")
-    return 0
+    return 1 if summary.any_diverged else 0
 
 
 if __name__ == "__main__":

@@ -29,21 +29,23 @@ from slowcal_lab import load_spec, run_experiment
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "speedup.json"
 
 
-def tuned_output_means(spec, output_excess: dict[str, float | None]) -> dict:
-    """Mean excess at x_output per (algorithm, machine count), over the
-    seeds, from the manifest's {run_id: excess} map, where null marks a
-    non-finite excess."""
-    k = spec.local_steps[0]
+def seed_means(spec, per_run) -> dict:
+    """The mean over the spec's seeds, in seed order, of ``per_run(run_id)``
+    per (algorithm, machine count, local-step count) cell."""
     kind = spec.problem["kind"]
-
-    def excess(run_id: str) -> float:
-        value = output_excess[run_id]
-        return math.inf if value is None else value
     return {
-        (name, m): float(np.mean([excess(f"{name}-{kind}-M{m}-K{k}-s{seed}")
-                                  for seed in spec.seeds]))
-        for m in spec.machines for name in spec.algorithms
+        (name, m, k): float(np.mean([per_run(f"{name}-{kind}-M{m}-K{k}-s{seed}")
+                                     for seed in spec.seeds]))
+        for name in spec.algorithms for m in spec.machines for k in spec.local_steps
     }
+
+
+def tuned_output_means(spec, output_excess: dict[str, float | None]) -> dict:
+    """Mean excess at x_output per (algorithm, machine count, local-step
+    count), over the seeds, from the manifest's {run_id: excess} map, where
+    null marks a non-finite excess."""
+    return seed_means(spec, lambda run_id: math.inf if output_excess[run_id] is None
+                      else output_excess[run_id])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,6 +61,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     small, large = sorted(spec.machines)
+    k = spec.local_steps[0]
 
     summary = run_experiment(spec, out_dir=args.out)
     print(f"wrote {summary.num_runs} runs to {summary.csv_path}")
@@ -67,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{'method':<12} {'M=' + str(small):>12} {'M=' + str(large):>12} {'ratio':>8}")
     for name in spec.algorithms:
-        lo, hi = means[(name, small)], means[(name, large)]
+        lo, hi = means[(name, small, k)], means[(name, large, k)]
         print(f"{name:<12} {lo:>12.4g} {hi:>12.4g} {lo / hi:>8.3f}")
     print("(noise-dominated prediction for M x2: about 1.41)")
     return 1 if summary.any_diverged else 0

@@ -297,8 +297,11 @@ class QuadraticEnsemble(_Ensemble):
             sol = np.linalg.solve(total, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateProblemError(f"averaged curvature is singular: {exc}") from exc
-        residual = np.linalg.norm(total @ sol - rhs)
-        if not np.all(np.isfinite(sol)) or residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is unreliable too
+            residual = np.linalg.norm(total @ sol - rhs)
+            scale = np.linalg.norm(rhs)
+        if (not np.all(np.isfinite(sol)) or not math.isfinite(residual)
+                or residual > 1e-8 * max(1.0, scale)):
             raise DegenerateProblemError(
                 f"optimum solve is unreliable (residual {residual:g}); problem is degenerate"
             )

@@ -61,6 +61,10 @@ JOBS_ENV = "SLOWCAL_LAB_JOBS"
 
 _PROBLEM_KINDS = ("quadratic", "synth-logistic", "mnist-logistic")
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+_AT_OPTIMUM = "w_star+"  # an x0 prefix: the start is relative to the optimum
+
 _SPEC_KEYS = {
     "name", "problem", "algorithm", "schedule", "machines", "local_steps",
     "rounds", "total_steps", "lr", "seeds", "diagnostics", "x0", "out_dir",
@@ -296,8 +300,13 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
                     f"field 'total_steps' ({total_steps}) must be a positive multiple "
                     f"of every local_steps entry (offender: {k})"
                 )
-    # the round metrics square alpha_t, which grows with t, up to the longest run's last step
     longest = total_steps if rounds is None else rounds * max(local_steps)
+    # the step counts t are int64, up to the longest run's last step
+    for field, value in (("local_steps", max(local_steps)), ("rounds", rounds),
+                         ("total_steps", total_steps), ("rounds * local_steps", longest)):
+        if value is not None and value > _INT64_MAX:
+            raise ConfigError(f"field {field!r} must be at most {_INT64_MAX} (int64), got {value}")
+    # the round metrics square alpha_t, which grows with t, up to that last step
     try:
         weight_at(weights, longest) ** 2
     except OverflowError as exc:
@@ -305,11 +314,13 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
                           f"by step {longest}") from exc
 
     x0 = _as_str(raw.get("x0", "zeros"), "x0")
-    if x0 != "zeros" and not x0.startswith("ones:"):
-        raise ConfigError(f"field 'x0' must be 'zeros' or 'ones:<norm>', got {x0!r}")
-    if x0.startswith("ones:"):
+    offset = x0.removeprefix(_AT_OPTIMUM)
+    if x0 != "zeros" and not offset.startswith("ones:"):
+        raise ConfigError(f"field 'x0' must be 'zeros', 'ones:<norm>' or "
+                          f"'{_AT_OPTIMUM}ones:<norm>', got {x0!r}")
+    if offset.startswith("ones:"):
         try:
-            norm = float(x0[len("ones:"):])
+            norm = float(offset[len("ones:"):])
         except ValueError as exc:
             raise ConfigError(f"field 'x0': bad norm in {x0!r}") from exc
         if not math.isfinite(norm):
@@ -404,11 +415,15 @@ def _build_problems(spec: ExperimentSpec, build) -> tuple[dict, dict]:
             {f"M{m}": entry for m, (_, entry) in built.items()})
 
 
-def _resolve_start(x0: str, dim: int) -> np.ndarray:
+def _resolve_start(x0: str, problem) -> np.ndarray:
+    """The start point ``x0`` names: zeros, a uniform vector of the given
+    norm, or that vector added to the problem's optimum w*."""
+    dim = problem.dim
     if x0 == "zeros":
         return np.zeros(dim)
-    norm = float(x0[len("ones:"):])
-    return norm * np.ones(dim) / math.sqrt(dim)
+    offset = x0.removeprefix(_AT_OPTIMUM)
+    ones = float(offset[len("ones:"):]) * np.ones(dim) / math.sqrt(dim)
+    return problem.w_star + ones if offset != x0 else ones
 
 
 def _rounds_for(spec: ExperimentSpec, k: int) -> int:
@@ -480,7 +495,7 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     or None)."""
     r_rounds = _rounds_for(spec, k)
     schedule = parse_schedule(spec.schedule)
-    start = _resolve_start(spec.x0, problem.dim)
+    start = _resolve_start(spec.x0, problem)
     mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
     if mode == "grid":
         template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=schedule, seed=0, x0=start)
@@ -657,7 +672,7 @@ def _synthetic_problem(spec: ExperimentSpec, m: int):
     optimum is. Computing them caches the optimum before any cell runs, so
     pool workers start with it."""
     problem = build_problem(spec.problem, m)
-    md = problem.metadata(_resolve_start(spec.x0, problem.dim))
+    md = problem.metadata(_resolve_start(spec.x0, problem))
     return problem, {
         "smoothness": md.smoothness, "sigma": md.sigma, "gstar": md.gstar,
         "f_star": md.f_star, "b0": md.b0, "optimum": problem.optimum_report(),
@@ -698,14 +713,17 @@ _MNIST_CLASSES = 10
 def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float | None]:
     """Test accuracy and loss at w, through the softmax oracle: ``test_set``
     is the test data as a one-machine ensemble with l2 = 0, so its machine
-    value is the test cross-entropy (null where a diverged w makes it
-    non-finite)."""
+    value is the test cross-entropy. The loss is null where it is not
+    finite, and the accuracy where any log-probability is not, as at a
+    non-finite w."""
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         logp = test_set._log_probs(0, test_set._matrix(w))
         acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
         loss = test_set.machine_value(0, w)
-    return {"test_accuracy": acc, "test_loss": _finite_or_null(loss)}
+    # the argmax of a NaN row is class 0, which says nothing about w
+    return {"test_accuracy": acc if np.isfinite(logp).all() else None,
+            "test_loss": _finite_or_null(loss)}
 
 
 def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:

@@ -8,11 +8,15 @@ communication-round floor ordering in exact arithmetic; the query-dispersion
 mechanism behind the ordering; and (when local MNIST IDX files are present)
 the test-accuracy ordering on a heterogeneous MNIST split.
 
-Wall-clock budgets are asserted around the heavy work. The heavy fixtures are
-module-scoped: the ordering runs feed both the ordering test and the
-dispersion test, and every constant in them is frozen, including the problem
-seed, so the measured margins are reproducible bit for bit.
+Wall-clock budgets are asserted around the heavy work. Each of the paper's
+three claims is a bundled config (configs/ordering.json, configs/speedup.json,
+configs/mnist.json) that the fixture runs through ``run_experiment``; it reads
+only the manifest and runs.csv, through the experiment scripts' readers. The
+ordering run feeds both the ordering test and the dispersion test, and every
+constant in the configs is frozen, including the problem seed, so the
+measured margins are reproducible bit for bit.
 """
+import json
 import math
 import os
 import time
@@ -21,14 +25,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowcal_lab.algorithms import ROUND_COLUMNS, RunConfig
-from slowcal_lab.data import LabeledDataset, dirichlet_partition, load_mnist
-from slowcal_lab.objectives import LogisticEnsemble, heterogeneous_quadratic
-from slowcal_lab.tuning import grid_search, rmin
+from slowcal_lab.data import LabeledDataset, dirichlet_partition
+from slowcal_lab.objectives import LogisticEnsemble
+from slowcal_lab.runner import build_problem, load_spec, run_experiment
+from slowcal_lab.tuning import rmin
 from slowcal_lab.verify import verify_suite
-from slowcal_lab.weights import LINEAR
 
-SEEDS = tuple(range(10))
+import ordering_experiment  # scripts/, on pytest's pythonpath
+import speedup_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def run_config(name, out_dir, data_dir=None):
+    """Run a bundled config; returns its spec, manifest and runs.csv path."""
+    spec = load_spec(CONFIGS / f"{name}.json")
+    summary = run_experiment(spec, out_dir=out_dir, data_dir=data_dir)
+    return spec, json.loads(summary.manifest_path.read_text()), summary.csv_path
 
 
 # ------------------------------------------------------- exact identities
@@ -69,10 +82,10 @@ def oracle_stats():
     started = time.perf_counter()
     seeds, steps = range(1000), 100
 
-    quad = heterogeneous_quadratic(
-        3, 20, curvature="per-machine", eig_range=(0.5, 2.0),
-        center_spread=1.0, sigma=1.5, seed=4,
-    )
+    quad = build_problem({
+        "kind": "quadratic", "dim": 20, "curvature": "per-machine", "eig_range": [0.5, 2.0],
+        "center_spread": 1.0, "sigma": 1.5, "target_gstar": None, "problem_seed": 4,
+    }, 3)
     probe = quad.w_star + 0.7
     exact = quad.exact_gradients(np.broadcast_to(probe, (quad.num_machines, quad.dim)))
     sampled = sampled_draws(quad, probe, seeds, steps)
@@ -130,20 +143,12 @@ class TestStatisticalOracles:
 
 # ------------------------------------------- convergence ordering mechanism
 
-ORDERING_GRID = np.logspace(-3, -1, 7)
-
-
-def ordering_problem():
-    return heterogeneous_quadratic(
-        8, 20, curvature="per-machine", eig_range=(0.002, 0.02),
-        center_spread=1.0, sigma=1.0, target_gstar=2.0, seed=0,
-    )
-
-
 @pytest.fixture(scope="module")
-def ordering_runs():
-    """Grid-tune each method on the flat-spectrum heterogeneous ensemble,
-    and read the dispersion record from the tuned runs the search keeps.
+def ordering_runs(tmp_path_factory):
+    """Run configs/ordering.json: each method grid-tuned on the
+    flat-spectrum heterogeneous ensemble, started at w* + 30·1/√20. Reads
+    each method's mean final excess at its output point from the manifest,
+    and the final-quarter dispersion of its tuned runs from runs.csv.
 
     The spectrum is deliberately flat: no step size on the pinned grid lets
     the unweighted baselines contract the initial distance within the step
@@ -151,24 +156,12 @@ def ordering_runs():
     is exactly the bias-versus-rounds story the ordering is meant to show.
     """
     started = time.perf_counter()
-    prob = ordering_problem()
-    x0 = prob.w_star + 30.0 * np.ones(20) / math.sqrt(20.0)
-    template = RunConfig(K=16, R=50, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
-
-    tuned, final, quarter = {}, {}, {}
-    dispersion = ROUND_COLUMNS.index("dispersion_q")
-    for name in ("slowcal", "local", "minibatch"):
-        result = grid_search(prob, name, ORDERING_GRID, template, SEEDS)
-        tuned[name] = result.eta
-        final[name] = float(np.mean(result.table[result.eta]))
-        # the winner's runs are its own runs at the tuned step size
-        quarter[name] = float(np.mean([np.mean(run.values[38:, dispersion])
-                                       for run in result.runs]))
-
+    spec, manifest, csv_path = run_config("ordering", tmp_path_factory.mktemp("ordering"))
+    final = speedup_experiment.tuned_output_means(spec, manifest["output_excess"])
+    quarter = ordering_experiment.final_quarter_dispersion(spec, csv_path)
     return {
-        "tuned": tuned,
-        "final": final,
-        "quarter": quarter,
+        "final": {name: final[(name, 8, 16)] for name in spec.algorithms},
+        "quarter": {name: quarter[(name, 8, 16)] for name in spec.algorithms},
         "elapsed": time.perf_counter() - started,
     }
 
@@ -190,26 +183,15 @@ class TestConvergenceOrdering:
 
 # ------------------------------------------------------ linear-speedup band
 
-SPEEDUP_GRID = np.logspace(-3, 1, 13)
-
-
 @pytest.fixture(scope="module")
-def speedup_ratios():
-    """Mean tuned final excess at M=8 over M=16 in the noise-dominated,
-    zero-heterogeneity regime, per method."""
+def speedup_ratios(tmp_path_factory):
+    """Run configs/speedup.json and read the mean tuned final excess at M=8
+    over M=16 in the noise-dominated, zero-heterogeneity regime, per
+    method, from the manifest."""
     started = time.perf_counter()
-    x0 = 20.0 * np.ones(20) / math.sqrt(20.0)
-    means = {name: {} for name in ("minibatch", "slowcal")}
-    for m in (8, 16):
-        prob = heterogeneous_quadratic(
-            m, 20, curvature="per-machine", eig_range=(0.02, 0.08),
-            center_spread=0.0, sigma=5.0, seed=0,
-        )
-        template = RunConfig(K=8, R=40, eta=1.0, schedule=LINEAR, seed=0, x0=x0)
-        for name in means:
-            result = grid_search(prob, name, SPEEDUP_GRID, template, SEEDS)
-            means[name][m] = float(np.mean(result.table[result.eta]))
-    ratios = {name: means[name][8] / means[name][16] for name in means}
+    spec, manifest, _ = run_config("speedup", tmp_path_factory.mktemp("speedup"))
+    means = speedup_experiment.tuned_output_means(spec, manifest["output_excess"])
+    ratios = {name: means[(name, 8, 8)] / means[(name, 16, 8)] for name in spec.algorithms}
     return {"ratios": ratios, "elapsed": time.perf_counter() - started}
 
 
@@ -265,35 +247,19 @@ needs_mnist = pytest.mark.skipif(
 )
 
 
-def _accuracy(w_flat, feats, labels, num_classes=10):
-    mat = np.asarray(w_flat).reshape(num_classes, -1)
-    return float(((feats @ mat.T).argmax(axis=1) == labels).mean())
-
-
 @needs_mnist
 class TestMnistOrdering:
-    def test_accuracy_ordering_under_long_rounds(self):
-        from slowcal_lab.runner import _lbfgs_reference
-
+    def test_accuracy_ordering_under_long_rounds(self, tmp_path):
+        # configs/mnist.json: 16 machines, Dirichlet label skew 0.1, each
+        # method grid-tuned at K = 4 and 64 over 256 steps; the accuracy is
+        # the seeds' mean of each tuned run's manifest test accuracy
         started = time.perf_counter()
-        train_x, train_y, test_x, test_y = load_mnist(_mnist_dir())
-        part = dirichlet_partition(train_y, 16, alpha=0.1, seed=0)
-        datasets = [LabeledDataset(train_x[ix], train_y[ix])
-                    for ix in part.machine_indices]
-        bare = LogisticEnsemble.from_datasets(datasets, 10, l2=1e-4)
-        reference, _ = _lbfgs_reference(bare)
-        prob = LogisticEnsemble.from_datasets(
-            datasets, 10, l2=1e-4, reference_point=reference)
-
-        total_steps = 256
-        accuracy = {}
-        for k in (4, 64):
-            rounds = total_steps // k
-            template = RunConfig(K=k, R=rounds, eta=1.0, schedule=LINEAR, seed=0)
-            for name in ("slowcal", "local", "minibatch"):
-                result = grid_search(prob, name, [0.01, 0.1], template, (0, 1, 2))
-                accs = [_accuracy(run.x_output, test_x, test_y) for run in result.runs]
-                accuracy[(name, k)] = float(np.mean(accs))
+        spec, manifest, _ = run_config("mnist", tmp_path, data_dir=_mnist_dir())
+        metrics = manifest["test_metrics"]
+        means = speedup_experiment.seed_means(
+            spec, lambda run_id: metrics[run_id]["test_accuracy"])
+        accuracy = {(name, k): means[(name, 16, k)] for name in spec.algorithms
+                    for k in spec.local_steps}
 
         # ordering is asserted only in the many-local-steps regime; with few
         # local steps the methods are expected to be indistinguishable

@@ -125,7 +125,8 @@ class TestSpecParsing:
         assert spec.rounds is None and spec.total_steps == 12
 
     @pytest.mark.parametrize("bad", ["circle", "ones:", "ones:abc", "ones:nan", "ones:inf",
-                                     "ones:-inf"])
+                                     "ones:-inf", "w_star+", "w_star+ones:nan", "w_star+zeros",
+                                     "ones:3+w_star"])
     def test_bad_start_directive(self, bad):
         with pytest.raises(ConfigError, match="x0"):
             spec_from_dict(base_config(x0=bad))
@@ -471,6 +472,15 @@ def cell_step_size(spec, algorithm, problem, cfg, m):
     return float(directive[len("fixed:"):]), None
 
 
+def start_point(spec, problem):
+    """The x0 directive resolved by hand: zeros, norm * 1/sqrt(d), or that
+    added to the problem's optimum."""
+    if spec.x0 == "zeros":
+        return np.zeros(problem.dim)
+    ones = float(spec.x0.split("ones:")[1]) * np.ones(problem.dim) / math.sqrt(problem.dim)
+    return problem.w_star + ones if spec.x0.startswith("w_star+") else ones
+
+
 def one_run_per_seed(spec):
     """What an experiment must write, from each cell's step size recomputed
     on its own (``cell_step_size``) and one ALGORITHMS call per seed at it:
@@ -481,9 +491,7 @@ def one_run_per_seed(spec):
     for algorithm in spec.algorithms:
         for m in spec.machines:
             problem = build_problem(spec.problem, m)
-            x0 = (np.zeros(problem.dim) if spec.x0 == "zeros"
-                  else float(spec.x0[len("ones:"):]) * np.ones(problem.dim)
-                  / math.sqrt(problem.dim))
+            x0 = start_point(spec, problem)
             for k in spec.local_steps:
                 r_rounds = spec.rounds if spec.rounds is not None else spec.total_steps // k
                 cfg = RunConfig(K=k, R=r_rounds, eta=1.0,
@@ -520,6 +528,10 @@ def assert_outputs_equal_one_run_per_seed(spec, tmp_path):
     assert manifest["resolved_lr"] == resolved
     assert manifest["output_excess"] == excess
     assert all(float(row["wall_ms"]) > 0 for row in read_rows(summary.csv_path))
+    for m in spec.machines:
+        problem = build_problem(spec.problem, m)
+        b0 = float(np.linalg.norm(start_point(spec, problem) - problem.w_star))
+        assert manifest["problem_metadata"][f"M{m}"]["b0"] == b0
 
 
 class TestGridCells:
@@ -567,12 +579,12 @@ FIXED_CASES = {
         algorithm=sorted(METHODS), machines=[2, 3], local_steps=[1, 3], rounds=5,
         lr={name: "theory" if name in ("anytime", "slowcal") else "fixed:0.05"
             for name in METHODS},
-        x0="ones:2", seeds=[3, 1, 1]),
+        x0="w_star+ones:3", seeds=[3, 1, 1]),
     "logistic-unequal-machines": base_config(
         problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
                  "label_skew": 0.3, "problem_seed": 1},
         algorithm=sorted(METHODS), machines=[3], local_steps=[2],
-        rounds=4, lr="fixed:0.3", seeds=[3, 1, 1]),
+        rounds=4, lr="fixed:0.3", x0="w_star+ones:3", seeds=[3, 1, 1]),
     "diverging-seeds": base_config(
         algorithm=["local", "minibatch"], lr="fixed:10", x0="ones:3", seeds=[3, 1, 1]),
 }
@@ -777,7 +789,9 @@ class TestMnistExperiment:
         assert tm["test_accuracy"] == float((logits.argmax(axis=1) == test_y).mean())
 
     def test_diverged_runs_write_a_strict_json_manifest(self, tmp_path):
-        # a diverged output point has no finite test loss: it is written as null
+        # a diverged output point has no finite test loss: it is written as
+        # null; local and slowcal end at non-finite points, whose
+        # log-probabilities are NaN and whose argmax, class 0, is no accuracy
         data = tmp_path / "data"
         data.mkdir()
         write_idx_dir(data)
@@ -791,6 +805,9 @@ class TestMnistExperiment:
         metrics = manifest["test_metrics"].values()
         assert len(metrics) == 3
         assert all(tm["test_loss"] is None for tm in metrics)
+        accuracy = {run_id.split("-")[0]: tm["test_accuracy"]
+                    for run_id, tm in manifest["test_metrics"].items()}
+        assert accuracy["local"] is None and accuracy["slowcal"] is None
 
     def test_data_dir_is_required(self, tmp_path):
         spec = spec_from_dict(mnist_config())
@@ -879,6 +896,23 @@ class TestCli:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "grid" in err and "'lr'" in err
+
+    @pytest.mark.parametrize("overrides,named", [
+        # the optimum solve's residual norm overflows
+        pytest.param({"problem": {"kind": "quadratic", "dim": 2, "eig_range": [1e-300, 1e300]},
+                      "lr": "fixed:0.01"}, "degenerate problem", id="quadratic-residual-overflow"),
+        # the step counts t are int64
+        pytest.param({"rounds": 2 ** 62}, "'rounds * local_steps'",
+                     id="rounds-times-local-steps-past-int64"),
+        pytest.param({"rounds": None, "total_steps": 2 ** 63, "local_steps": [1]},
+                     "'total_steps'", id="total-steps-past-int64"),
+        pytest.param({"local_steps": [2 ** 63]}, "'local_steps'", id="local-steps-past-int64"),
+    ])
+    def test_past_float_or_int64_range_exits_2(self, tmp_path, capsys, overrides, named):
+        path = self.write_config(tmp_path, base_config(**overrides))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,5 @@
 """The experiment scripts, run end to end on tiny configs."""
 import csv
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -12,20 +11,14 @@ from slowcal_lab import (
     RunConfig,
     build_problem,
     excess_loss,
-    grid_search,
     parse_schedule,
     spec_from_dict,
 )
 
+import ordering_experiment  # scripts/, on pytest's pythonpath
+import speedup_experiment
+
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 TINY_SPEEDUP = {
@@ -47,8 +40,7 @@ def test_speedup_script_reads_output_excess_equal_to_a_replay(tmp_path, capsys):
     config = tmp_path / "speedup.json"
     config.write_text(json.dumps(TINY_SPEEDUP))
     out = tmp_path / "out"
-    assert load_script("speedup_experiment").main(["--config", str(config),
-                                                   "--out", str(out)]) == 0
+    assert speedup_experiment.main(["--config", str(config), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "minibatch" in printed and "slowcal" in printed
 
@@ -78,32 +70,50 @@ def test_readme_library_example_runs(capsys):
     assert len(printed) == 2 and all(math.isfinite(float(v)) for v in printed)
 
 
-def test_ordering_script_writes_the_grid_search_tables(tmp_path, capsys):
-    script = load_script("ordering_experiment")
-    results = {}
+TINY_ORDERING = {
+    "name": "ordering-tiny",
+    "problem": {"kind": "quadratic", "dim": 4, "eig_range": [0.05, 0.2], "sigma": 1.0,
+                "target_gstar": 2.0, "problem_seed": 0},
+    "algorithm": ["slowcal", "local", "minibatch"],
+    "machines": [2],
+    "local_steps": [2],
+    "rounds": 8,
+    "x0": "w_star+ones:3",
+    "lr": "grid:[0.01, 0.1, 1.0]",
+    "seeds": [0, 1],
+}
 
-    def recording(problem, name, grid, cfg, seeds):
-        results[name] = grid_search(problem, name, grid, cfg, seeds)
-        return results[name]
 
-    script.grid_search = recording
+def test_ordering_script_prints_what_its_outputs_hold(tmp_path, capsys):
+    config = tmp_path / "ordering.json"
+    config.write_text(json.dumps(TINY_ORDERING))
     out = tmp_path / "out"
-    assert script.main(["--machines", "2", "--local-steps", "2", "--rounds", "4",
-                        "--seeds", "2", "--out", str(out)]) == 0
-    assert "dispersion ratio" in capsys.readouterr().out
+    assert ordering_experiment.main(["--config", str(config), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "runs.csv"]
 
-    with (out / "ordering_scores.csv").open(newline="") as handle:
+    # the same quantities, read back from the outputs without the script
+    manifest = json.loads((out / "manifest.json").read_text())
+    with (out / "runs.csv").open(newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert len(rows) == 3 * 7 * 2
-    assert sorted(results) == sorted(script.METHODS)
-    for name, result in results.items():
-        mine = [row for row in rows if row["algorithm"] == name]
-        tuned = {float(row["eta"]) for row in mine if row["tuned"] == "true"}
-        assert tuned == {result.eta}
-        assert sum(row["tuned"] == "true" for row in mine) == 2  # one row per seed
-        # bitwise, after the CSV round trip
-        table: dict[float, list[float]] = {}
-        for row in mine:
-            assert int(row["seed"]) == len(table.setdefault(float(row["eta"]), []))
-            table[float(row["eta"])].append(float(row["final_excess"]))
-        assert table == result.table
+    quarters: dict = {}  # rounds 6 and 7, the final quarter of R = 8
+    for row in rows:
+        if int(row["round"]) >= 6:
+            quarters.setdefault(row["run_id"], []).append(float(row["dispersion_q"]))
+    expected = ["grid-tuning on eta in [1e-02, 1e+00] (3 points, 2 seeds)"]
+    dispersion = {}
+    for name in TINY_ORDERING["algorithm"]:
+        runs = [f"{name}-quadratic-M2-K2-s{seed}" for seed in (0, 1)]
+        eta = manifest["resolved_lr"][f"{name}-M2-K2"]
+        excess = np.mean([manifest["output_excess"][run_id] for run_id in runs])
+        expected.append(f"  {name:<10} eta={eta:<10.4g} mean final excess = {excess:.4g}")
+        dispersion[(name, 2, 2)] = np.mean([np.mean(quarters[run_id]) for run_id in runs])
+    for name in ("slowcal", "local"):
+        expected.append(f"  {name:<10} final-quarter query dispersion = "
+                        f"{dispersion[(name, 2, 2)]:.4g}")
+    ratio = dispersion[("local", 2, 2)] / dispersion[("slowcal", 2, 2)]
+    expected.append(f"dispersion ratio local/slowcal = {ratio:.1f}x")
+    assert printed[1:] == expected
+    # bitwise, after the CSV round trip
+    spec = spec_from_dict(TINY_ORDERING)
+    assert ordering_experiment.final_quarter_dispersion(spec, out / "runs.csv") == dispersion
