@@ -22,20 +22,21 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from slowcal_lab import load_spec, run_experiment
+from slowcal_lab.tuning import mean_score
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "speedup.json"
 
 
 def seed_means(spec, per_run) -> dict:
     """The mean over the spec's seeds, in seed order, of ``per_run(run_id)``
-    per (algorithm, machine count, local-step count) cell."""
+    per (algorithm, machine count, local-step count) cell: the tuner's
+    ``mean_score``, so a tuned cell's mean output excess is bitwise the mean
+    its grid search minimised."""
     kind = spec.problem["kind"]
     return {
-        (name, m, k): float(np.mean([per_run(f"{name}-{kind}-M{m}-K{k}-s{seed}")
-                                     for seed in spec.seeds]))
+        (name, m, k): float(mean_score([per_run(f"{name}-{kind}-M{m}-K{k}-s{seed}")
+                                        for seed in spec.seeds]))
         for name in spec.algorithms for m in spec.machines for k in spec.local_steps
     }
 

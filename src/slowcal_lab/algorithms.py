@@ -31,11 +31,11 @@ blocks: the loop keeps each
 round's pre-aggregation states, and one round close measures a block of as
 many rounds as ``_BLOCK_BYTES`` of states hold (at least one; one with
 step records), every block size giving the same bits. A ``Trajectory`` holds
-a copy of its lane's rows of those arrays, taken when the lane finishes,
-and ``wall_ms``, the call's time divided by its lane count; it is the one
-run record, which the tuner scores and the runner writes out. Outputs come
-from running state: the last anchor (the round-end machine mean), or an
-ascending sum of anchors or of step means.
+a copy of its lane's rows of those arrays and its output excess, both
+taken when the lane finishes, and ``wall_ms``, the call's time divided by
+its lane count; it is the one run record, which the tuner scores and the
+runner writes out. Outputs come from running state: the last anchor (the
+round-end machine mean), or an ascending sum of anchors or of step means.
 
 Conventions shared by every method:
 
@@ -63,6 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import _ascending_mean, bias_increment, dispersion, squared_norms
+from .rng import sizable
 from .weights import LINEAR, WeightSchedule, averaging_coeff, prefix_weight, weight_at
 
 DIVERGENCE_FACTOR = 1e6
@@ -96,6 +97,7 @@ class Trajectory:
     """One lane's run. ``values`` holds the round values as an (R, 5) array
     in ``ROUND_COLUMNS`` order, ``t`` each round's per-machine sample count
     and ``round_diverged`` each round's divergence flag, all three its own.
+    ``output_excess``: f(x_output) - f*, bitwise ``metrics.excess_loss``.
     ``steps``: with record_diagnostics, one record per step t = 0, ...,
     completed rounds x K, else None. ``wall_ms``: see run_lanes."""
 
@@ -108,6 +110,7 @@ class Trajectory:
     round_diverged: np.ndarray
     x_output: np.ndarray
     diverged: bool
+    output_excess: float
     steps: list[StepRecord] | None = None
     wall_ms: float = 0.0
 
@@ -145,7 +148,7 @@ class _Recorder:
         self.problem = problem
         self.cfg = cfg
         self.lanes = np.arange(num_lanes)  # the lane of each live row
-        self.values = np.empty((cfg.R, num_lanes, len(ROUND_COLUMNS)))
+        self.values = np.empty(sizable((cfg.R, num_lanes, len(ROUND_COLUMNS))))
         self.round_diverged = np.zeros((cfg.R, num_lanes), dtype=bool)
         self.t = np.arange(1, cfg.R + 1, dtype=np.int64) * cfg.K
         self.steps: list[list[StepRecord]] | None = (
@@ -209,11 +212,11 @@ class _Recorder:
         return first
 
     def trajectory(self, lane: int, spec: "Method", eta: float, seed: int,
-                   x_output: np.ndarray) -> Trajectory:
+                   x_output: np.ndarray, output_excess: float) -> Trajectory:
         """Lane ``lane``'s run, with copies of this recorder's arrays."""
         return Trajectory(spec.name, eta, self.cfg.schedule, seed, self.values[:, lane].copy(),
                           self.t.copy(), self.round_diverged[:, lane].copy(), x_output,
-                          bool(self.round_diverged[-1, lane]),
+                          bool(self.round_diverged[-1, lane]), output_excess,
                           None if self.steps is None else self.steps[lane])
 
 
@@ -313,8 +316,9 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
         elif spec.output == "weighted-mean":  # over the weights of steps 0..K x completed
             sums = sums / np.array([
                 prefix_weight(schedule, k_steps * c) for c in completed])[:, None]
-        for lane, x_output in zip(rec.lanes[rows].tolist(), sums):
-            out[lane] = rec.trajectory(lane, spec, etas[lane], lane_seeds[lane], x_output)
+        excess = (problem.global_value(sums) - problem.f_star).tolist()
+        for lane, x_output, value in zip(rec.lanes[rows].tolist(), sums, excess):
+            out[lane] = rec.trajectory(lane, spec, etas[lane], lane_seeds[lane], x_output, value)
 
     with np.errstate(over="ignore", invalid="ignore"):
         sums: list[np.ndarray] = []  # per round of the open block: the output's running sum

@@ -11,7 +11,17 @@ pre-draw one block per machine-round.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def sizable(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape``, if numpy can size an 8-byte-item array of it; else a
+    MemoryError, as for an array too large to allocate."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"an array of shape {shape} is more than numpy can address")
+    return shape
 
 
 def machine_round_stream(seed: int, machine: int, rnd: int) -> np.random.Generator:
@@ -23,9 +33,9 @@ def machine_round_stream(seed: int, machine: int, rnd: int) -> np.random.Generat
 
 def normal_rows(seed: int, machine: int, rnd: int, steps: int, dim: int) -> np.ndarray:
     """(steps, dim) standard-normal block; row k is step k's draw."""
-    return machine_round_stream(seed, machine, rnd).standard_normal((steps, dim))
+    return machine_round_stream(seed, machine, rnd).standard_normal(sizable((steps, dim)))
 
 
 def index_rows(seed: int, machine: int, rnd: int, steps: int, n: int) -> np.ndarray:
     """(steps,) uniform indices in [0, n); entry k is step k's draw."""
-    return machine_round_stream(seed, machine, rnd).integers(0, n, size=steps)
+    return machine_round_stream(seed, machine, rnd).integers(0, n, size=sizable((steps,)))

@@ -21,9 +21,9 @@ building and the kind-specific manifest entries differ by kind. The
 ``diagnostics`` field is accepted for compatibility; no output holds
 per-step records, so a sweep never makes them.
 
-Environment overrides: ``SLOWCAL_LAB_OUT`` replaces the config's output
-directory (an explicit function/CLI argument still wins), ``SLOWCAL_LAB_JOBS``
-sets how many cells run at once, tuning included. The outputs do not depend
+Every run has one id and one record: a repeated ``algorithm``, ``machines``,
+``local_steps`` or ``seeds`` entry is a config error. ``SLOWCAL_LAB_JOBS``
+sets how many cells run at once, tuning included; the outputs do not depend
 on it.
 """
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections.abc import Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import groupby, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -46,7 +46,6 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig, Trajectory, run_lanes
 from .data import IdxFormatError, LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
-from .metrics import excess_loss
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
 from .tuning import LrInputs, grid_search, mean_score, theoretical_lr
 from .weights import parse_schedule, weight_at
@@ -56,7 +55,6 @@ CSV_COLUMNS = [
     "eta", *ROUND_COLUMNS, "diverged", "wall_ms",
 ]
 
-OUT_ENV = "SLOWCAL_LAB_OUT"
 JOBS_ENV = "SLOWCAL_LAB_JOBS"
 
 _PROBLEM_KINDS = ("quadratic", "synth-logistic", "mnist-logistic")
@@ -145,6 +143,13 @@ def _as_str(value, field: str) -> str:
     return value
 
 
+def _distinct(items: tuple, field: str) -> tuple:
+    """A sweep list's entries, each once: a repeat would write one run id twice."""
+    if len(set(items)) < len(items):
+        raise ConfigError(f"field {field!r} repeats an entry, got {list(items)}")
+    return items
+
+
 def _as_int_tuple(value, field: str, minimum: int) -> tuple[int, ...]:
     items = value if isinstance(value, list) else [value]
     if not items:
@@ -152,14 +157,14 @@ def _as_int_tuple(value, field: str, minimum: int) -> tuple[int, ...]:
     out = tuple(_as_int(v, field) for v in items)
     if any(v < minimum for v in out):
         raise ConfigError(f"field {field!r} entries must be >= {minimum}, got {list(out)}")
-    return out
+    return _distinct(out, field)
 
 
 def _as_str_tuple(value, field: str) -> tuple[str, ...]:
     items = value if isinstance(value, list) else [value]
     if not items or not all(isinstance(v, str) for v in items):
         raise ConfigError(f"field {field!r} must be a string or nonempty list of strings")
-    return tuple(items)
+    return _distinct(tuple(items), field)
 
 
 def _parse_lr_string(text: str, field: str) -> tuple[str, object]:
@@ -461,13 +466,11 @@ def _run_rows(head: tuple, run: Trajectory) -> list[tuple]:
 
 class _CsvRows:
     """The sweep's runs.csv rows, built from the trajectories as they are
-    written, so only one run's rows (or a repeated run's) exist at a time.
-    ``runs`` holds ((algorithm, M, K, seed), trajectory) pairs in cell and
-    seed order. Rows come sorted by that key, rounds ascending; runs that
-    share a key (a repeated seed or cell) interleave by round in that order,
-    as a stable sort of all rows would place them."""
+    written, so only one run's rows exist at a time. ``runs`` holds
+    ((algorithm, M, K, seed), trajectory) pairs, one per run id; rows come
+    sorted by that key, rounds ascending."""
 
-    def __init__(self, spec: ExperimentSpec, runs: list):
+    def __init__(self, spec: ExperimentSpec, runs: Iterable):
         self.spec = spec
         self.runs = sorted(runs, key=itemgetter(0))
 
@@ -476,12 +479,9 @@ class _CsvRows:
 
     def __iter__(self):
         kind = self.spec.problem["kind"]
-        for (algorithm, m, k, seed), group in groupby(self.runs, key=itemgetter(0)):
-            head = (_run_id(algorithm, kind, m, k, seed), algorithm, kind, m, k,
-                    _rounds_for(self.spec, k), seed)
-            tables = [_run_rows(head, run) for _, run in group]
-            for same_round in zip(*tables):
-                yield from same_round
+        for (algorithm, m, k, seed), run in self.runs:
+            yield from _run_rows((_run_id(algorithm, kind, m, k, seed), algorithm, kind, m, k,
+                                  _rounds_for(self.spec, k), seed), run)
 
 
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
@@ -582,13 +582,6 @@ def _env_jobs() -> int:
     return jobs
 
 
-def _resolve_out_dir(spec: ExperimentSpec, override: str | Path | None) -> Path:
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(OUT_ENV)
-    return Path(env) if env else Path(spec.out_dir)
-
-
 def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[tuple],
                    manifest_extra: dict) -> tuple[Path, Path]:
     try:
@@ -612,33 +605,29 @@ def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[tuple],
 
 
 def _finite_or_null(value: float) -> float | None:
-    """A manifest number: non-finite values are written as null, so the
-    file stays strict JSON."""
+    """A manifest number: null where not finite, so the file stays strict JSON."""
     return value if math.isfinite(value) else None
 
 
 def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
              manifest_extra) -> RunSummary:
     """Run every cell of the spec, merging each result as it arrives, and
-    write the outputs; ``manifest_extra(outputs)`` gives the kind-specific
-    manifest entries from the {run_id: output point} map. The manifest's
-    ``output_excess`` holds each run's excess loss at its output point (the
-    CSV's is at the round-end consensus point), and ``tuning`` each grid
-    cell's score table: every candidate in ascending order, with its
-    per-seed scores in seed order and their mean. Non-finite numbers in
+    write the outputs to ``out_dir`` (else the config's); ``manifest_extra``
+    turns the {run_id: output point} map into the kind-specific entries. The
+    manifest's ``output_excess`` holds each run's excess loss at its output
+    point (the CSV's is at the round-end consensus point), and ``tuning``
+    each grid cell's score table: every candidate in ascending order, with
+    its per-seed scores in seed order and their mean. Non-finite numbers in
     both are written as null."""
     jobs = _env_jobs()
     warnings = _theory_warnings(spec)
     cells = [(algorithm, m, k) for algorithm in spec.algorithms
              for m in spec.machines for k in spec.local_steps]
     kind = spec.problem["kind"]
-    sweep_runs: list = []
+    runs: dict[str, tuple[tuple, Trajectory]] = {}  # run id -> ((algorithm, M, K, seed), run)
     resolved_lr: dict[str, float] = {}
     tuning: dict[str, list[dict]] = {}
-    outputs: dict[str, np.ndarray] = {}
-    output_excess: dict[str, float | None] = {}
-    any_diverged = False
-    for (algorithm, m, k), (eta, runs, table) in zip(
+    for (algorithm, m, k), (eta, cell_runs, table) in zip(
             cells, _cell_results(spec, problems, cells, jobs)):
         cell = f"{algorithm}-M{m}-K{k}"
         resolved_lr[cell] = eta
@@ -647,24 +636,21 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
                 {"eta": candidate, "scores": [_finite_or_null(v) for v in scores],
                  "mean": _finite_or_null(mean_score(scores))}
                 for candidate, scores in table.items()]
-        for seed, run in zip(spec.seeds, runs):
-            sweep_runs.append(((algorithm, m, k, seed), run))
-            run_id = _run_id(algorithm, kind, m, k, seed)
-            outputs[run_id] = run.x_output
-            with np.errstate(over="ignore", invalid="ignore"):
-                output_excess[run_id] = _finite_or_null(excess_loss(problems[m], run.x_output))
-            any_diverged = any_diverged or run.diverged
+        for seed, run in zip(spec.seeds, cell_runs):
+            runs[_run_id(algorithm, kind, m, k, seed)] = ((algorithm, m, k, seed), run)
     extra = {
         "resolved_lr": resolved_lr,
         "tuning": tuning,
-        "output_excess": output_excess,
-        **manifest_extra(outputs),
+        "output_excess": {run_id: _finite_or_null(run.output_excess)
+                          for run_id, (_, run) in runs.items()},
+        **manifest_extra({run_id: run.x_output for run_id, (_, run) in runs.items()}),
         "package_version": _package_version(),
         "warnings": warnings,
     }
-    resolved = _resolve_out_dir(spec, out_dir)
-    csv_path, manifest_path = _write_outputs(resolved, spec, _CsvRows(spec, sweep_runs), extra)
-    return RunSummary(resolved, csv_path, manifest_path, len(sweep_runs), any_diverged)
+    resolved = Path(out_dir if out_dir is not None else spec.out_dir)
+    csv_path, manifest_path = _write_outputs(resolved, spec, _CsvRows(spec, runs.values()), extra)
+    return RunSummary(resolved, csv_path, manifest_path, len(runs),
+                      any(run.diverged for _, run in runs.values()))
 
 
 def _synthetic_problem(spec: ExperimentSpec, m: int):
@@ -711,16 +697,16 @@ _MNIST_CLASSES = 10
 
 
 def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float | None]:
-    """Test accuracy and loss at w, through the softmax oracle: ``test_set``
-    is the test data as a one-machine ensemble with l2 = 0, so its machine
-    value is the test cross-entropy. The loss is null where it is not
-    finite, and the accuracy where any log-probability is not, as at a
-    non-finite w."""
+    """Test accuracy and cross-entropy at w, from one softmax pass over
+    ``test_set``, the test data as a one-machine ensemble; the loss is 0.0
+    minus the mean true-class log-probability (+0.0 at zero, as the oracle's
+    value with l2 = 0). The loss is null where it is not finite, and the
+    accuracy where any log-probability is not, as at a non-finite w."""
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         logp = test_set._log_probs(0, test_set._matrix(w))
         acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
-        loss = test_set.machine_value(0, w)
+        loss = 0.0 - float(logp[test_set._label_picks[0]].mean())
     # the argmax of a NaN row is class 0, which says nothing about w
     return {"test_accuracy": acc if np.isfinite(logp).all() else None,
             "test_loss": _finite_or_null(loss)}

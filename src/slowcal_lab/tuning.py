@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from .algorithms import ALGORITHMS, RunConfig, Trajectory, run_lanes
-from .metrics import excess_loss
 
 
 class GridSearchError(RuntimeError):
@@ -69,9 +68,9 @@ def mean_score(scores: list[float]) -> float:
 
 
 def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds) -> GridResult:
-    """Tune eta by mean score over seeds (a run's score: its excess loss at
-    the output point; diverged runs score +inf). Ties break toward the
-    smaller step size.
+    """Tune eta by mean score over seeds (a run's score: its
+    ``output_excess``, the excess loss at its output point; diverged runs
+    score +inf). Ties break toward the smaller step size.
 
     Every (seed, candidate) pair is one lane of a single run_lanes call,
     seed by seed: lanes of one seed share its draws, each lane's run equals
@@ -95,7 +94,7 @@ def grid_search(problem, algorithm: str, grid, cfg: RunConfig, seeds) -> GridRes
     kept: dict[float, list[Trajectory]] = {eta: [] for eta in candidates}
     for j, eta in enumerate(etas):
         traj, lanes[j] = lanes[j], None
-        value = math.inf if traj.diverged else excess_loss(problem, traj.x_output)
+        value = math.inf if traj.diverged else traj.output_excess
         if not math.isfinite(value):
             value = math.inf
             kept.pop(eta, None)

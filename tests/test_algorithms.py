@@ -16,7 +16,7 @@ from slowcal_lab.tuning import grid_search
 from slowcal_lab.weights import (LINEAR, UNIFORM, WeightSchedule, averaging_coeff, prefix_weight,
                                  weight_at)
 
-from lane_cases import lane_problems
+from lane_cases import LANE_SHAPES, lane_problems
 
 
 def scalar_problem(center=1.0, curvature=1.0, sigma=0.0):
@@ -340,6 +340,11 @@ def small_logistic():
     )
 
 
+def same_float(a: float, b: float) -> bool:
+    """Bitwise equal, so NaN equals NaN."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def assert_same_trajectory(a, b):
     assert (a.algorithm, a.eta, a.schedule, a.seed, a.diverged) == (
         b.algorithm, b.eta, b.schedule, b.seed, b.diverged)
@@ -347,6 +352,7 @@ def assert_same_trajectory(a, b):
     assert a.t.tolist() == b.t.tolist()
     assert a.round_diverged.tolist() == b.round_diverged.tolist()
     assert a.x_output.tobytes() == b.x_output.tobytes()
+    assert same_float(a.output_excess, b.output_excess)
     if a.steps is None:
         assert b.steps is None
         return
@@ -581,3 +587,50 @@ class TestRoundBlocks:
         assert any(math.isinf(scores[0]) for scores in one_round.table.values())
         for a, b in zip(blocked.runs, one_round.runs, strict=True):
             assert_same_trajectory(a, b)
+
+
+def assert_output_excess_is_its_own_call(problem, runs):
+    with np.errstate(over="ignore", invalid="ignore"):  # diverged output points
+        for run in runs:
+            assert same_float(run.output_excess, excess_loss(problem, run.x_output))
+
+
+class TestOutputExcess:
+    """A run's output_excess is measured once, as its lane finishes, in one
+    batched call for every lane that finishes with it; it must equal the
+    one-point excess_loss at its x_output bitwise."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_lane_shape_and_problem(self, algorithm):
+        # the largest step size diverges wherever there are two lanes or more
+        for lanes, machines, d in LANE_SHAPES:
+            for prob in lane_problems(machines, d, seed=lanes):
+                big = 1e3 if isinstance(prob, QuadraticEnsemble) else 1e9
+                etas = np.geomspace(0.01, big, lanes).tolist()
+                cfg = RunConfig(K=2, R=6, eta=1.0, x0=np.ones(d))
+                runs = run_lanes(prob, algorithm, cfg, etas, [3 * j % 4 for j in range(lanes)])
+                assert runs[-1].diverged == (lanes > 1)
+                assert_output_excess_is_its_own_call(prob, runs)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_lanes_diverging_mid_block(self, algorithm, monkeypatch):
+        prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=11)
+        etas = np.geomspace(0.01, 10, 25).tolist()
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", 4 * len(etas) * 3 * 2 * 8)
+        blocks = block_spy(monkeypatch)
+        runs = run_lanes(prob, algorithm, RunConfig(K=2, R=24, eta=1.0), etas, [1] * len(etas))
+        first = {run.round_diverged.tolist().index(True) for run in runs if run.diverged}
+        assert first & {r for r0, size in blocks for r in range(r0, r0 + size - 1)}
+        assert_output_excess_is_its_own_call(prob, runs)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_a_lane_diverging_on_the_last_round_and_one_lane_calls(self, algorithm):
+        prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=1)
+        cfg = RunConfig(K=2, R=30, eta=3.0, seed=4)
+        last = ALGORITHMS[algorithm](prob, cfg).round_diverged.tolist().index(True)
+        cfg = replace(cfg, R=last + 1)
+        lanes = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)
+        assert lanes[0].round_diverged.tolist().index(True) == cfg.R - 1
+        one_lane = [ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)) for eta in (cfg.eta, 0.01)]
+        assert [run.diverged for run in one_lane] == [True, False]
+        assert_output_excess_is_its_own_call(prob, lanes + one_lane)

@@ -179,7 +179,7 @@ def no_round_trajectory(x, steps):
     """A hand-built trajectory with no rounds and output x."""
     return Trajectory("anytime", 0.1, LINEAR, 0, values=np.empty((0, 5)),
                       t=np.empty(0, dtype=np.int64), round_diverged=np.empty(0, dtype=bool),
-                      x_output=x, diverged=False, steps=steps)
+                      x_output=x, diverged=False, output_excess=0.0, steps=steps)
 
 
 class TestMomentumResidual:

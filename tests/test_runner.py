@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -351,18 +350,15 @@ class TestRunExperiment:
             assert count == 12 // int(k), run_id
             assert run_id.endswith(f"-s0") or run_id.endswith("-s1")
 
-    def test_out_dir_resolution(self, tmp_path, monkeypatch):
+    def test_out_dir_resolution(self, tmp_path):
+        # the argument wins over the config's out_dir
         spec = spec_from_dict(base_config(out_dir=str(tmp_path / "from_spec")))
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("SLOWCAL_LAB_OUT", str(env_dir))
-        summary = run_experiment(spec)
-        assert summary.out_dir == env_dir
-
         override = tmp_path / "from_arg"
         summary = run_experiment(spec, out_dir=override)
         assert summary.out_dir == override
+        assert sorted(path.name for path in override.iterdir()) == ["manifest.json", "runs.csv"]
+        assert not (tmp_path / "from_spec").exists()
 
-        monkeypatch.delenv("SLOWCAL_LAB_OUT")
         summary = run_experiment(spec)
         assert summary.out_dir == tmp_path / "from_spec"
 
@@ -445,8 +441,8 @@ GRID_CASES = {
                  "label_skew": 0.3, "problem_seed": 1},
         algorithm=["minibatch", "local-weighted"], machines=[3], local_steps=[2, 3],
         rounds=4, lr="grid:[0.03, 0.3, 3.0]", seeds=[0, 1]),
-    "duplicate-unsorted-seeds": base_config(
-        algorithm=["anytime", "slowcal"], lr="grid:[0.02, 0.2]", seeds=[3, 1, 1]),
+    "unsorted-seeds": base_config(
+        algorithm=["anytime", "slowcal"], lr="grid:[0.02, 0.2]", seeds=[3, 0, 1]),
     "diagnostics": base_config(
         algorithm=["local", "slowcal"], lr="grid:[0.02, 0.2]", diagnostics=True),
 }
@@ -579,14 +575,14 @@ FIXED_CASES = {
         algorithm=sorted(METHODS), machines=[2, 3], local_steps=[1, 3], rounds=5,
         lr={name: "theory" if name in ("anytime", "slowcal") else "fixed:0.05"
             for name in METHODS},
-        x0="w_star+ones:3", seeds=[3, 1, 1]),
+        x0="w_star+ones:3", seeds=[3, 0, 1]),
     "logistic-unequal-machines": base_config(
         problem={"kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
                  "label_skew": 0.3, "problem_seed": 1},
         algorithm=sorted(METHODS), machines=[3], local_steps=[2],
-        rounds=4, lr="fixed:0.3", x0="w_star+ones:3", seeds=[3, 1, 1]),
+        rounds=4, lr="fixed:0.3", x0="w_star+ones:3", seeds=[3, 0, 1]),
     "diverging-seeds": base_config(
-        algorithm=["local", "minibatch"], lr="fixed:10", x0="ones:3", seeds=[3, 1, 1]),
+        algorithm=["local", "minibatch"], lr="fixed:10", x0="ones:3", seeds=[3, 0, 1]),
 }
 
 
@@ -623,13 +619,13 @@ class TestFixedCells:
         spec = spec_from_dict(base_config(
             algorithm=["minibatch", "local", "slowcal"],
             lr={"minibatch": "fixed:0.05", "local": "grid:[0.1, 0.01]", "slowcal": "theory"},
-            seeds=[3, 1, 1], diagnostics=True))
+            seeds=[3, 0, 1], diagnostics=True))
         summary = run_experiment(spec, out_dir=tmp_path)
         theory = json.loads(summary.manifest_path.read_text())["resolved_lr"]["slowcal-M2-K2"]
         assert calls == [
-            ("minibatch", False, [0.05] * 3, [3, 1, 1]),
-            ("local", False, [0.01, 0.1] * 3, [3, 3, 1, 1, 1, 1]),
-            ("slowcal", False, [theory] * 3, [3, 1, 1]),
+            ("minibatch", False, [0.05] * 3, [3, 0, 1]),
+            ("local", False, [0.01, 0.1] * 3, [3, 3, 0, 0, 1, 1]),
+            ("slowcal", False, [theory] * 3, [3, 0, 1]),
         ]
 
     def test_diagnostics_change_no_output(self, tmp_path):
@@ -659,26 +655,6 @@ class TestSweep:
                 for r in rows]
         assert keys == sorted(keys)
 
-
-    def test_repeated_seeds_and_cells_interleave_by_round(self, tmp_path):
-        """Runs that share (algorithm, M, K, seed), from a repeated seed or a
-        repeated cell, write their rows interleaved by round, as one stable
-        sort of every row would place them."""
-        spec = spec_from_dict(base_config(
-            algorithm=["local", "minibatch", "local"], machines=[3, 2, 3], rounds=3,
-            lr="grid:[0.01, 0.1]", seeds=[2, 0, 2]))
-        summary = run_experiment(spec, out_dir=tmp_path)
-        rows = read_rows(summary.csv_path)
-        # 3 x 3 cells of 3 seeds each, repeats counted: the runs written, 3 rows each
-        assert summary.num_runs == 27 and len(rows) == 27 * 3
-        keys = [(r["algorithm"], int(r["M"]), int(r["K"]), int(r["seed"]), int(r["round"]))
-                for r in rows]
-        assert keys == sorted(keys)
-        assert Counter(keys)[("local", 3, 2, 2, 0)] == 8
-        assert Counter(keys)[("minibatch", 2, 2, 0, 2)] == 1
-        first: dict = {}
-        for key, row in zip(keys, strip_timing(rows)):
-            assert first.setdefault(key, row) == row
 
 def write_idx_dir(root, n_train=80, n_test=20):
     rng = np.random.default_rng(5)
@@ -748,6 +724,16 @@ def mnist_config(**overrides):
     return cfg
 
 
+def closed_form_test_metrics(data, x):
+    """The test cross-entropy and accuracy at x, in closed form."""
+    _, _, test_x, test_y = load_mnist(data)
+    logits = test_x @ x.reshape(10, -1).T
+    peak = logits.max(axis=1, keepdims=True)
+    logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+    return (-float(logp[np.arange(test_x.shape[0]), test_y].mean()),
+            float((logits.argmax(axis=1) == test_y).mean()))
+
+
 MNIST_MANIFEST_KEYS = {
     "spec", "csv_columns", "created_utc", "resolved_lr", "tuning", "output_excess",
     "reference", "test_metrics", "package_version", "warnings",
@@ -781,17 +767,15 @@ class TestMnistExperiment:
         # closed-form cross-entropy at the run's output point bitwise
         problems, _ = runner._mnist_problems(spec, data)
         x = ALGORITHMS["local"](problems[2], RunConfig(K=2, R=2, eta=0.05, seed=0)).x_output
-        _, _, test_x, test_y = load_mnist(data)
-        logits = test_x @ x.reshape(10, -1).T
-        peak = logits.max(axis=1, keepdims=True)
-        logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
-        assert tm["test_loss"] == -float(logp[np.arange(test_x.shape[0]), test_y].mean())
-        assert tm["test_accuracy"] == float((logits.argmax(axis=1) == test_y).mean())
+        loss, accuracy = closed_form_test_metrics(data, x)
+        assert tm["test_loss"] == loss
+        assert tm["test_accuracy"] == accuracy
 
     def test_diverged_runs_write_a_strict_json_manifest(self, tmp_path):
-        # a diverged output point has no finite test loss: it is written as
-        # null; local and slowcal end at non-finite points, whose
-        # log-probabilities are NaN and whose argmax, class 0, is no accuracy
+        # local and slowcal end at non-finite points, whose log-probabilities
+        # are NaN: no test loss, and no accuracy (the argmax of a NaN row is
+        # class 0), both written as null. The minibatch point is finite, with
+        # a squared norm that overflows; its cross-entropy is finite
         data = tmp_path / "data"
         data.mkdir()
         write_idx_dir(data)
@@ -802,12 +786,19 @@ class TestMnistExperiment:
         def reject(name):
             raise ValueError(f"manifest holds {name}")
         manifest = json.loads(summary.manifest_path.read_text(), parse_constant=reject)
-        metrics = manifest["test_metrics"].values()
+        metrics = {run_id.split("-")[0]: tm for run_id, tm in manifest["test_metrics"].items()}
         assert len(metrics) == 3
-        assert all(tm["test_loss"] is None for tm in metrics)
-        accuracy = {run_id.split("-")[0]: tm["test_accuracy"]
-                    for run_id, tm in manifest["test_metrics"].items()}
-        assert accuracy["local"] is None and accuracy["slowcal"] is None
+        for name in ("local", "slowcal"):
+            assert metrics[name] == {"test_accuracy": None, "test_loss": None}
+
+        problems, _ = runner._mnist_problems(spec, data)
+        x = ALGORITHMS["minibatch"](problems[2], RunConfig(K=2, R=2, eta=1e300, seed=0)).x_output
+        assert np.isfinite(x).all()
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(x @ x))
+        loss, accuracy = closed_form_test_metrics(data, x)
+        assert math.isfinite(loss) and loss > 1e290
+        assert metrics["minibatch"] == {"test_accuracy": accuracy, "test_loss": loss}
 
     def test_data_dir_is_required(self, tmp_path):
         spec = spec_from_dict(mnist_config())
@@ -863,6 +854,17 @@ class TestShippedConfigs:
             assert spec.algorithms
 
 
+# a repeated entry in any sweep list would write one run id twice
+REPEATED_ENTRIES = {
+    "algorithm": {"algorithm": ["local", "minibatch", "local"]},
+    "machines": {"machines": [2, 3, 2]},
+    "local_steps": {"local_steps": [2, 2]},
+    "seeds": {"seeds": [1, 0, 1]},
+    # eight copies of one run id: algorithm, machines and seeds each twice
+    "eight-copies": {"algorithm": ["local", "local"], "machines": [2, 2], "seeds": [1, 1]},
+}
+
+
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
@@ -914,6 +916,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
 
+    @pytest.mark.parametrize("case", sorted(REPEATED_ENTRIES))
+    def test_repeated_entry_exits_2(self, tmp_path, case):
+        field = "algorithm" if case == "eight-copies" else case
+        err = self.assert_exits_2(tmp_path, base_config(**REPEATED_ENTRIES[case]))
+        assert f"field '{field}' repeats an entry" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe\x00{")
@@ -929,6 +938,22 @@ class TestCli:
         path = self.write_config(tmp_path, base_config())
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        # the round records: R x lanes x 5 floats
+        pytest.param({"rounds": 2 ** 62, "local_steps": [1]}, id="record-array"),
+        # one round's noise rows (sigma > 0: a noise-free quadratic draws nothing)
+        pytest.param({"rounds": 1, "local_steps": [2 ** 62]}, id="normal-rows"),
+        # one round's example picks
+        pytest.param({"problem": {"kind": "synth-logistic", "dim": 4, "num_classes": 2,
+                                  "n_per_machine": 8, "problem_seed": 1},
+                      "rounds": 1, "local_steps": [2 ** 62]}, id="index-rows"),
+    ])
+    def test_array_numpy_cannot_size_exits_2(self, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.delenv("SLOWCAL_LAB_JOBS", raising=False)
+        path = self.write_config(tmp_path, base_config(**overrides))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: out of memory" in capsys.readouterr().err
 
     def test_divergence_exits_1(self, tmp_path, capsys):
         cfg = base_config(algorithm=["local"], lr="fixed:10", seeds=[0], x0="ones:3")

@@ -12,8 +12,10 @@ from slowcal_lab import (
     build_problem,
     excess_loss,
     parse_schedule,
+    run_experiment,
     spec_from_dict,
 )
+from slowcal_lab.tuning import mean_score
 
 import ordering_experiment  # scripts/, on pytest's pythonpath
 import speedup_experiment
@@ -61,6 +63,22 @@ def test_speedup_script_reads_output_excess_equal_to_a_replay(tmp_path, capsys):
     assert manifest["output_excess"] == replayed
 
 
+def test_tuned_output_means_are_the_tuning_tables_means(tmp_path):
+    # ten seeds: numpy's pairwise np.mean sums them in another order than the
+    # tuner's sum/len, and on this problem the two differ in the last bit
+    config = dict(TINY_SPEEDUP, problem=dict(TINY_SPEEDUP["problem"], problem_seed=3),
+                  seeds=list(range(10)))
+    spec = spec_from_dict(config)
+    summary = run_experiment(spec, out_dir=tmp_path)
+    manifest = json.loads(summary.manifest_path.read_text())
+    means = speedup_experiment.tuned_output_means(spec, manifest["output_excess"])
+    assert len(means) == 4
+    for (name, m, k), mean in means.items():
+        cell = f"{name}-M{m}-K{k}"
+        table = {entry["eta"]: entry["mean"] for entry in manifest["tuning"][cell]}
+        assert mean == table[manifest["resolved_lr"][cell]], cell
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]
@@ -105,9 +123,9 @@ def test_ordering_script_prints_what_its_outputs_hold(tmp_path, capsys):
     for name in TINY_ORDERING["algorithm"]:
         runs = [f"{name}-quadratic-M2-K2-s{seed}" for seed in (0, 1)]
         eta = manifest["resolved_lr"][f"{name}-M2-K2"]
-        excess = np.mean([manifest["output_excess"][run_id] for run_id in runs])
+        excess = mean_score([manifest["output_excess"][run_id] for run_id in runs])
         expected.append(f"  {name:<10} eta={eta:<10.4g} mean final excess = {excess:.4g}")
-        dispersion[(name, 2, 2)] = np.mean([np.mean(quarters[run_id]) for run_id in runs])
+        dispersion[(name, 2, 2)] = mean_score([np.mean(quarters[run_id]) for run_id in runs])
     for name in ("slowcal", "local"):
         expected.append(f"  {name:<10} final-quarter query dispersion = "
                         f"{dispersion[(name, 2, 2)]:.4g}")

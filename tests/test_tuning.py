@@ -104,9 +104,34 @@ class TestGridSearch:
         assert all(len(scores) == 3 for scores in result.table.values())
         assert len(result.runs) == 3
 
+    def test_scores_are_the_kept_runs_output_excess(self):
+        prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=5)
+        cfg = RunConfig(K=3, R=6, eta=1.0, x0=np.ones(4))
+        result = grid_search(prob, "slowcal", [50.0, 0.01, 0.1], cfg, seeds=[2, 0, 1])
+        assert [run.seed for run in result.runs] == [2, 0, 1]
+        assert result.table[result.eta] == [run.output_excess for run in result.runs]
+        assert result.table[50.0] == [math.inf] * 3
+
+    def test_repeated_candidates_and_seeds(self):
+        # a config rejects repeats, a library call does not: candidates are
+        # deduped, and a repeated seed's lanes share its draws
+        prob = heterogeneous_quadratic(2, 3, sigma=0.4, seed=2)
+        result = grid_search(prob, "local", [0.05, 0.1, 0.05], RunConfig(K=2, R=3, eta=1.0),
+                             seeds=[1, 1])
+        assert list(result.table) == [0.05, 0.1]
+        assert all(a == b for a, b in result.table.values())
+        assert result.runs[0].values.tobytes() == result.runs[1].values.tobytes()
+
     def test_ties_break_toward_the_smaller_step(self, monkeypatch):
         # every run scores the same, so every candidate ties
-        monkeypatch.setattr(tuning, "excess_loss", lambda problem, x: 1.0)
+        real_run_lanes = tuning.run_lanes
+
+        def equal_scores(*args):
+            runs = real_run_lanes(*args)
+            for run in runs:
+                run.output_excess = 1.0
+            return runs
+        monkeypatch.setattr(tuning, "run_lanes", equal_scores)
         prob = heterogeneous_quadratic(2, 3, seed=4)
         cfg = RunConfig(K=2, R=2, eta=1.0)
         result = grid_search(prob, "local", [0.2, 0.01, 0.05], cfg, seeds=[0])
