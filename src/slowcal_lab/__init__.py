@@ -19,8 +19,6 @@ from .algorithms import (
 )
 from .data import (
     IdxFormatError,
-    LabeledDataset,
-    Partition,
     dirichlet_partition,
     load_mnist,
     parse_idx_images,
@@ -46,7 +44,7 @@ from .runner import (
     run_experiment,
     spec_from_dict,
 )
-from .tuning import GridResult, GridSearchError, LrInputs, grid_search, rmin, theoretical_lr
+from .tuning import GridResult, GridSearchError, grid_search, rmin, theoretical_lr
 from .verify import CheckResult, VerifyReport, verify_suite
 from .weights import (
     LINEAR,
@@ -68,10 +66,7 @@ __all__ = [
     "GridSearchError",
     "IdxFormatError",
     "LINEAR",
-    "LabeledDataset",
     "LogisticEnsemble",
-    "LrInputs",
-    "Partition",
     "ProblemMetadata",
     "QuadraticEnsemble",
     "RunConfig",

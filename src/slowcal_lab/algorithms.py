@@ -9,33 +9,33 @@ loop and in its diagnostics, is ``metrics._ascending_mean``: a running sum
 in ascending index order, the one averaging order. A method is a small
 ``Method`` spec (query slot, step weight, aggregation, output rule) and
 ``run_lanes`` is the one engine that runs them. It works on (lanes,
-machines, d) arrays of w and x, where a lane is one (seed, step size)
-pair. A sweep runs each cell as one call: a grid
-cell's lanes are its (seed, candidate) pairs, a fixed or theory cell's its
-seeds. ``ALGORITHMS[name](problem, cfg)``, built from ``METHODS``, is the
-one-lane call and the way to run a single method. The
-machine count is the ensemble's, so a config carries none (``anytime``
-pools every machine's draws into one logical worker).
+machines, d) arrays of w and x, where a lane is one (step size, seed)
+pair and ``RunConfig`` is what every lane of a call shares. A sweep runs
+each cell as one call: a grid cell's lanes are its (seed, candidate) pairs,
+a fixed or theory cell's its seeds. ``ALGORITHMS[name](problem, cfg, eta,
+seed=0)``, built from ``METHODS``, is the one-lane call and the way to run
+a single method. The machine count is the ensemble's, so a config carries
+none (``anytime`` pools every machine's draws into one logical worker).
 Stochastic draws are keyed by (seed, machine, round, step) and made once
 per round for every distinct seed of the live lanes, each step gathering
-each lane's rows, so a trajectory is a pure function of (problem, config)
-whatever else runs beside it. One recorder keeps the records of every lane
-of a call in per-call arrays (round values and divergence flags), and each
-round close and step record measures all live lanes in one batched pass
-(``metrics.dispersion`` and ``bias_increment`` and the ensembles'
-``global_value`` and ``global_gradient`` take lane axes), each lane's
-values bitwise equal to a run of its own; a round close evaluates
-the global gradient at the machine mean once, for its gradient norm and
-its bias increment (passed as ``grad_at_mean``). Rounds are measured in
-blocks: the loop keeps each
-round's pre-aggregation states, and one round close measures a block of as
-many rounds as ``_BLOCK_BYTES`` of states hold (at least one; one with
-step records), every block size giving the same bits. A ``Trajectory`` holds
-a copy of its lane's rows of those arrays and its output excess, both
-taken when the lane finishes, and ``wall_ms``, the call's time divided by
-its lane count; it is the one run record, which the tuner scores and the
-runner writes out. Outputs come from running state: the last anchor (the
-round-end machine mean), or an ascending sum of anchors or of step means.
+each lane's rows, so a trajectory is a pure function of (problem, config,
+step size, seed) whatever else runs beside it. One recorder keeps the
+records of every lane of a call in per-call arrays (round values and
+divergence flags), and each round close and step record measures all live
+lanes in one batched pass (``metrics.dispersion`` and ``bias_increment``
+and the ensembles' ``global_value`` and ``global_gradient`` take lane
+axes), each lane's values bitwise equal to a run of its own; a round close
+evaluates the global gradient at the machine mean once, for its gradient
+norm and its bias increment (passed as ``grad_at_mean``). Rounds are
+measured in blocks: the loop keeps each round's pre-aggregation states,
+and one round close measures a block of as many rounds as ``_BLOCK_BYTES``
+of states hold (at least one; one with step records), every block size
+giving the same bits. A ``Trajectory`` holds a copy of its lane's rows of
+those arrays and its output excess, both taken when the lane finishes,
+and ``wall_ms``, the call's time divided by its lane count; it is the one
+run record, which the tuner scores and the runner writes out. Outputs come
+from running state: the last anchor (the round-end machine mean), or an
+ascending sum of anchors or of step means.
 
 Conventions shared by every method:
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,11 +73,11 @@ _BLOCK_BYTES = 1 << 14
 
 @dataclass
 class RunConfig:
+    """What every lane of a call shares; a lane is its (step size, seed)."""
+
     K: int
     R: int
-    eta: float
     schedule: WeightSchedule = LINEAR
-    seed: int = 0
     record_diagnostics: bool = False
     x0: np.ndarray | None = None
 
@@ -119,13 +119,14 @@ class Trajectory:
 ROUND_COLUMNS = ("excess_loss", "grad_norm", "dispersion_q", "v_increment", "d_t")
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, etas: list[float], seeds: list[int]) -> None:
     if cfg.K < 1 or cfg.R < 1:
         raise ValueError(f"K and R must be >= 1, got K={cfg.K} R={cfg.R}")
-    if not (cfg.eta > 0 and math.isfinite(cfg.eta)):
-        raise ValueError(f"eta must be a positive finite float, got {cfg.eta}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
+    for eta, seed in zip(etas, seeds):
+        if not (eta > 0 and math.isfinite(eta)):
+            raise ValueError(f"eta must be a positive finite float, got {eta}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 def _start_point(problem, cfg: RunConfig) -> np.ndarray:
@@ -269,25 +270,23 @@ def _draw_plan(seeds: list[int]) -> tuple[list[int], np.ndarray]:
 
 
 def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Trajectory]:
-    """Run `method` once per (seed, step size) pair, as the lanes of one
+    """Run `method` once per (step size, seed) pair, as the lanes of one
     recursion over (lanes, machines, d) arrays of w and x; `seeds` is
-    aligned with `etas`, and cfg.eta and cfg.seed are not read. Each
-    round draws once per distinct seed, lanes of one seed share those
-    draws, and lane j returns exactly the trajectory of a run with
-    cfg.eta = etas[j] and cfg.seed = seeds[j]; a lane that diverges freezes
-    and leaves the batch while the others go on. Rounds are closed in blocks
-    of as many rounds as _BLOCK_BYTES of pre-aggregation states hold: a lane
-    that diverges inside a block steps on to its end, then leaves with the
-    records and output of its diverging round. Every trajectory is
-    charged the call's wall time divided by the lane count."""
+    aligned with `etas`. Each round draws once per distinct seed, lanes of
+    one seed share those draws, and lane j returns exactly the trajectory
+    of its own one-lane call at etas[j] and seeds[j]; a lane that diverges
+    freezes and leaves the batch while the others go on. Rounds are closed
+    in blocks of as many rounds as _BLOCK_BYTES of pre-aggregation states
+    hold: a lane that diverges inside a block steps on to its end, then
+    leaves with the records and output of its diverging round. Every
+    trajectory is charged the call's wall time divided by the lane count."""
     started = time.perf_counter()
     spec = METHODS[method]
     etas = [float(eta) for eta in etas]
     lane_seeds = [int(seed) for seed in seeds]
     if len(lane_seeds) != len(etas):
         raise ValueError(f"got {len(lane_seeds)} seeds for {len(etas)} step sizes")
-    for eta, seed in zip(etas, lane_seeds):
-        _validate(replace(cfg, eta=eta, seed=seed))
+    _validate(cfg, etas, lane_seeds)
     m, k_steps, schedule = problem.num_machines, cfg.K, cfg.schedule
     start = _start_point(problem, cfg)
     copies = m if spec.aggregate == "round" else 1
@@ -399,9 +398,9 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
 
 
 def _one_lane(name: str):
-    def run(problem, cfg: RunConfig) -> Trajectory:
-        """One run of the method at cfg.eta: the one-lane call of run_lanes."""
-        return run_lanes(problem, name, cfg, [cfg.eta], [cfg.seed])[0]
+    def run(problem, cfg: RunConfig, eta: float, seed: int = 0) -> Trajectory:
+        """One run of the method at step size eta: the one-lane call of run_lanes."""
+        return run_lanes(problem, name, cfg, [eta], [seed])[0]
     return run
 
 

@@ -1,10 +1,13 @@
-"""Datasets, heterogeneous partitions, and IDX file handling."""
+"""Heterogeneous partitions, synthetic clusters, and IDX file handling.
+
+Per-machine data are plain arrays: a partition is a tuple of sorted index
+arrays, one per machine, and a synthetic pool is dealt out as per-machine
+feature and label tuples, the form ``LogisticEnsemble`` takes."""
 from __future__ import annotations
 
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,47 +24,14 @@ class IdxFormatError(ValueError):
     file that cannot be read, or MNIST files that do not fit together."""
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledDataset:
-    """One machine's local supervised data."""
-
-    features: np.ndarray  # (N, d) float64
-    labels: np.ndarray    # (N,) int64
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if labs.shape != (feats.shape[0],):
-            raise ValueError(f"labels shape {labs.shape} does not match {feats.shape[0]} rows")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Assignment of example indices to machines. Indices are disjoint and
-    their union is exactly range(num_examples)."""
-
-    machine_indices: tuple[np.ndarray, ...]
-
-    @property
-    def num_machines(self) -> int:
-        return len(self.machine_indices)
-
-    def sizes(self) -> list[int]:
-        return [len(ix) for ix in self.machine_indices]
-
-
-def dirichlet_partition(labels: np.ndarray, num_machines: int, alpha: float, seed: int) -> Partition:
+def dirichlet_partition(labels: np.ndarray, num_machines: int, alpha: float,
+                        seed: int) -> tuple[np.ndarray, ...]:
     """Label-skewed split: per class, machine shares are drawn from a
     symmetric Dirichlet(alpha) (normalized Gamma variates) and each example
     of the class is assigned multinomially. Small alpha concentrates a
-    class on few machines; large alpha approaches a uniform spread.
+    class on few machines; large alpha approaches a uniform spread. Returns
+    each machine's example indices, sorted: disjoint, and together exactly
+    range(len(labels)).
 
     Machines left empty are repaired deterministically by stealing one
     example from the currently largest machine.
@@ -91,7 +61,7 @@ def dirichlet_partition(labels: np.ndarray, num_machines: int, alpha: float, see
             donor = max(range(num_machines), key=lambda m: len(assigned[m]))
             assigned[machine].append(assigned[donor].pop())
 
-    return Partition(tuple(np.sort(np.asarray(ix, dtype=np.int64)) for ix in assigned))
+    return tuple(np.sort(np.asarray(ix, dtype=np.int64)) for ix in assigned)
 
 
 def synth_clusters(
@@ -102,9 +72,11 @@ def synth_clusters(
     per_machine_skew: float,
     seed: int,
     n_per_machine: int = 64,
-) -> list[LabeledDataset]:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Gaussian point clouds around simplex-vertex class means, dealt to
-    machines with Dirichlet(per_machine_skew) label skew.
+    machines with Dirichlet(per_machine_skew) label skew. Returns (features,
+    labels): per machine, its (N_i, dim) float64 features and (N_i,) int64
+    labels.
 
     Class c's mean is the unit basis vector e_c, so class separation is
     sqrt(2) and `spread` is the per-coordinate noise scale. The global pool
@@ -126,10 +98,7 @@ def synth_clusters(
     means[np.arange(num_classes), np.arange(num_classes)] = 1.0
     features = means[labels] + spread * feature_rng.standard_normal((total, dim))
 
-    return [
-        LabeledDataset(features[idx], labels[idx])
-        for idx in part.machine_indices
-    ]
+    return tuple(features[idx] for idx in part), tuple(labels[idx] for idx in part)
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:

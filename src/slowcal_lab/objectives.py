@@ -105,12 +105,11 @@ class DegenerateProblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemMetadata:
-    """Scalars the step-size theory consumes, plus the optimum itself."""
+    """Scalars the step-size theory consumes, and the optimal value."""
 
     smoothness: float
     sigma: float
     gstar: float
-    w_star: np.ndarray
     f_star: float
     b0: float
 
@@ -118,16 +117,14 @@ class ProblemMetadata:
 class _Ensemble:
     """What both ensembles derive from their oracles. A subclass supplies
     ``num_machines``, ``sigma`` (the gradient-noise std the step-size theory
-    reads), ``_smoothness``, ``w_star``, ``exact_gradient``, ``global_value``,
-    ``global_gradient``, ``round_sampler`` and its own ``_optimum_point``
-    cached_property, which also sets ``_optimum_report``."""
+    reads), ``_smoothness``, ``w_star`` (the optimum, the one accessor for
+    it), ``exact_gradient``, ``global_value``, ``global_gradient``,
+    ``round_sampler`` and its own ``_optimum_point`` cached_property, which
+    also sets ``_optimum_report``."""
 
     @cached_property
     def f_star(self) -> float:
         return self.global_value(self.w_star)
-
-    def optimum(self) -> np.ndarray:
-        return self._optimum_point.copy()
 
     def optimum_report(self) -> dict:
         """How exact the optimum is: the method and its convergence measure,
@@ -180,7 +177,6 @@ class _Ensemble:
             smoothness=self.smoothness(),
             sigma=self.sigma,
             gstar=self.gstar(),
-            w_star=self.w_star.copy(),
             f_star=self.f_star,
             b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
         )
@@ -324,11 +320,13 @@ class QuadraticEnsemble(_Ensemble):
 
 @dataclass(frozen=True, eq=False)
 class LogisticEnsemble(_Ensemble):
-    """Softmax regression over per-machine datasets, parameters flattened
-    from a (num_classes, d) weight matrix. With l2 > 0 the global optimum
-    is unique and found by full-batch gradient descent to tiny gradient
-    norm; ``reference_point`` short-circuits that oracle for large corpora
-    where only reference-based excess curves are needed."""
+    """Softmax regression over per-machine data, parameters flattened from
+    a (num_classes, d) weight matrix. Machine i holds the (N_i, d) feature
+    block ``features[i]`` and its (N_i,) integer labels ``labels[i]``. With
+    l2 > 0 the global optimum is unique and found by full-batch gradient
+    descent to tiny gradient norm; ``reference_point`` short-circuits that
+    oracle for large corpora where only reference-based excess curves are
+    needed."""
 
     features: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...]
@@ -347,9 +345,12 @@ class LogisticEnsemble(_Ensemble):
             raise ValueError(f"need at least two classes, got {self.num_classes}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        for i, f in enumerate(feats):
+            if f.ndim != 2:
+                raise ValueError(f"machine {i} features must be 2-D, got shape {f.shape}")
         width = feats[0].shape[1]
         for i, (f, l) in enumerate(zip(feats, labs)):
-            if f.ndim != 2 or f.shape[1] != width:
+            if f.shape[1] != width:
                 raise ValueError(f"machine {i} features shape {f.shape} != (N, {width})")
             if f.shape[0] == 0:
                 raise ValueError(f"machine {i} has no examples")
@@ -359,17 +360,6 @@ class LogisticEnsemble(_Ensemble):
                 raise ValueError(f"machine {i} labels outside [0, {self.num_classes})")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-
-    @classmethod
-    def from_datasets(cls, datasets, num_classes: int, l2: float = 0.0,
-                      reference_point: np.ndarray | None = None) -> "LogisticEnsemble":
-        return cls(
-            features=tuple(ds.features for ds in datasets),
-            labels=tuple(ds.labels for ds in datasets),
-            num_classes=num_classes,
-            l2=l2,
-            reference_point=reference_point,
-        )
 
     @property
     def num_machines(self) -> int:

@@ -45,10 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig, Trajectory, run_lanes
-from .data import IdxFormatError, LabeledDataset, dirichlet_partition, load_mnist, synth_clusters
+from .data import IdxFormatError, dirichlet_partition, load_mnist, synth_clusters
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
-from .tuning import LrInputs, grid_search, mean_score, theoretical_lr
-from .weights import parse_schedule, weight_at
+from .tuning import grid_search, mean_score, theoretical_lr
+from .weights import LINEAR, parse_schedule, weight_at
 
 CSV_COLUMNS = [
     "run_id", "algorithm", "problem", "M", "K", "R", "seed", "round", "t",
@@ -211,12 +211,12 @@ def _validate_lr(lr, algorithms: tuple[str, ...]):
     raise ConfigError(f"field 'lr' must be a string or an algorithm mapping, got {lr!r}")
 
 
-def _resolve_problem(raw, field: str = "problem") -> dict:
+def _resolve_problem(raw) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError(f"field {field!r} must be an object with a 'kind' key")
+        raise ConfigError("field 'problem' must be an object with a 'kind' key")
     kind = raw.get("kind")
     if kind not in _PROBLEM_KINDS:
-        raise ConfigError(f"field '{field}.kind' must be one of {_PROBLEM_KINDS}, got {kind!r}")
+        raise ConfigError(f"field 'problem.kind' must be one of {_PROBLEM_KINDS}, got {kind!r}")
     defaults = _PROBLEM_DEFAULTS[kind]
     unknown = set(raw) - set(defaults) - {"kind"}
     if unknown:
@@ -227,13 +227,13 @@ def _resolve_problem(raw, field: str = "problem") -> dict:
 
     if kind in ("quadratic", "synth-logistic"):
         if prob["dim"] is None:
-            raise ConfigError(f"field '{field}.dim' is required for {kind} problems")
+            raise ConfigError(f"field 'problem.dim' is required for {kind} problems")
         prob["dim"] = _as_int(prob["dim"], "problem.dim")
         if prob["dim"] < 1:
-            raise ConfigError(f"field '{field}.dim' must be >= 1, got {prob['dim']}")
+            raise ConfigError(f"field 'problem.dim' must be >= 1, got {prob['dim']}")
     prob["problem_seed"] = _as_int(prob["problem_seed"], "problem.problem_seed")
     if prob["problem_seed"] < 0:
-        raise ConfigError(f"field '{field}.problem_seed' must be >= 0, got {prob['problem_seed']}")
+        raise ConfigError(f"field 'problem.problem_seed' must be >= 0, got {prob['problem_seed']}")
     if kind == "quadratic":
         if prob["curvature"] not in ("shared", "per-machine"):
             raise ConfigError("field 'problem.curvature' must be 'shared' or 'per-machine'")
@@ -263,6 +263,25 @@ def _resolve_problem(raw, field: str = "problem") -> dict:
                 raise ConfigError(f"field 'problem.train_limit' must be >= 1, "
                                   f"got {prob['train_limit']}")
     return prob
+
+
+def _parse_start(x0: str) -> tuple[bool, float | None]:
+    """The one reader of the ``x0`` grammar: 'zeros', 'ones:<norm>' or
+    'w_star+ones:<norm>', the norm a finite nonnegative Euclidean norm.
+    Returns (relative to the optimum, the norm, or None for zeros)."""
+    if x0 == "zeros":
+        return False, None
+    offset = x0.removeprefix(_AT_OPTIMUM)
+    if not offset.startswith("ones:"):
+        raise ConfigError(f"field 'x0' must be 'zeros', 'ones:<norm>' or "
+                          f"'{_AT_OPTIMUM}ones:<norm>', got {x0!r}")
+    try:
+        norm = float(offset[len("ones:"):])
+    except ValueError as exc:
+        raise ConfigError(f"field 'x0': bad norm in {x0!r}") from exc
+    if not (math.isfinite(norm) and norm >= 0):
+        raise ConfigError(f"field 'x0': norm must be finite and nonnegative, got {x0!r}")
+    return offset != x0, norm
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
@@ -319,17 +338,7 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
                           f"by step {longest}") from exc
 
     x0 = _as_str(raw.get("x0", "zeros"), "x0")
-    offset = x0.removeprefix(_AT_OPTIMUM)
-    if x0 != "zeros" and not offset.startswith("ones:"):
-        raise ConfigError(f"field 'x0' must be 'zeros', 'ones:<norm>' or "
-                          f"'{_AT_OPTIMUM}ones:<norm>', got {x0!r}")
-    if offset.startswith("ones:"):
-        try:
-            norm = float(offset[len("ones:"):])
-        except ValueError as exc:
-            raise ConfigError(f"field 'x0': bad norm in {x0!r}") from exc
-        if not math.isfinite(norm):
-            raise ConfigError(f"field 'x0': norm must be finite, got {x0!r}")
+    _parse_start(x0)
 
     diagnostics = raw.get("diagnostics", False)
     if not isinstance(diagnostics, bool):
@@ -386,7 +395,7 @@ def build_problem(problem: dict, num_machines: int):
             seed=problem["problem_seed"],
         )
     if kind == "synth-logistic":
-        datasets = synth_clusters(
+        features, labels = synth_clusters(
             num_machines,
             problem["dim"],
             problem["num_classes"],
@@ -395,9 +404,7 @@ def build_problem(problem: dict, num_machines: int):
             problem["problem_seed"],
             n_per_machine=problem["n_per_machine"],
         )
-        return LogisticEnsemble.from_datasets(
-            datasets, problem["num_classes"], l2=problem["l2"]
-        )
+        return LogisticEnsemble(features, labels, problem["num_classes"], l2=problem["l2"])
     raise ConfigError(f"cannot build problem kind {kind!r} without its data; "
                       f"run it through run_experiment")
 
@@ -424,11 +431,11 @@ def _resolve_start(x0: str, problem) -> np.ndarray:
     """The start point ``x0`` names: zeros, a uniform vector of the given
     norm, or that vector added to the problem's optimum w*."""
     dim = problem.dim
-    if x0 == "zeros":
+    at_optimum, norm = _parse_start(x0)
+    if norm is None:
         return np.zeros(dim)
-    offset = x0.removeprefix(_AT_OPTIMUM)
-    ones = float(offset[len("ones:"):]) * np.ones(dim) / math.sqrt(dim)
-    return problem.w_star + ones if offset != x0 else ones
+    ones = norm * np.ones(dim) / math.sqrt(dim)
+    return problem.w_star + ones if at_optimum else ones
 
 
 def _rounds_for(spec: ExperimentSpec, k: int) -> int:
@@ -442,7 +449,7 @@ def _lr_directive(spec: ExperimentSpec, algorithm: str) -> str:
 def _theory_warnings(spec: ExperimentSpec) -> list[str]:
     """The theory step size assumes linear weights; warn once if a method
     takes it under another schedule."""
-    if spec.schedule == "linear" or not any(
+    if parse_schedule(spec.schedule) == LINEAR or not any(
             _lr_directive(spec, algorithm) == "theory" for algorithm in spec.algorithms):
         return []
     note = (f"theory step size assumes linear weights; "
@@ -493,29 +500,23 @@ def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
     ``wall_ms`` is its call's time divided by the call's lane count. Returns
     (eta, the trajectories in ``spec.seeds`` order, the grid's score table
     or None)."""
-    r_rounds = _rounds_for(spec, k)
-    schedule = parse_schedule(spec.schedule)
     start = _resolve_start(spec.x0, problem)
+    cfg = RunConfig(K=k, R=_rounds_for(spec, k), schedule=parse_schedule(spec.schedule), x0=start)
     mode, payload = _parse_lr_string(_lr_directive(spec, algorithm), "lr")
     if mode == "grid":
-        template = RunConfig(K=k, R=r_rounds, eta=1.0, schedule=schedule, seed=0, x0=start)
-        tuned = grid_search(problem, algorithm, payload, template, spec.seeds)
+        tuned = grid_search(problem, algorithm, payload, cfg, spec.seeds)
         return tuned.eta, tuned.runs, tuned.table
     if mode == "theory":
         md = problem.metadata(start)
         try:
-            eta = theoretical_lr(LrInputs(
-                smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
-                b0=md.b0, M=m, K=k, R=r_rounds,
-            ))
+            eta = theoretical_lr(smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
+                                 b0=md.b0, M=m, K=k, R=cfg.R)
         except ValueError as exc:
             raise ConfigError(f"field 'lr': theory step for {algorithm}-M{m}-K{k}: {exc}") from exc
     else:
         eta = payload
     # every seed is a lane of one call, with no step records
-    runs = run_lanes(problem, algorithm, RunConfig(
-        K=k, R=r_rounds, eta=eta, schedule=schedule, x0=start),
-        [eta] * len(spec.seeds), spec.seeds)
+    runs = run_lanes(problem, algorithm, cfg, [eta] * len(spec.seeds), spec.seeds)
     return eta, runs, None
 
 
@@ -737,15 +738,14 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     """One machine count's MNIST problem: Dirichlet label-skew partition and
     an L-BFGS reference optimum. Returns the problem and its manifest entry."""
     part = dirichlet_partition(train_y, m, prob["label_skew"], prob["problem_seed"])
-    datasets = [LabeledDataset(train_x[idx], train_y[idx]) for idx in part.machine_indices]
-    bare = LogisticEnsemble.from_datasets(datasets, _MNIST_CLASSES, l2=prob["l2"])
+    bare = LogisticEnsemble(tuple(train_x[idx] for idx in part),
+                            tuple(train_y[idx] for idx in part), _MNIST_CLASSES, l2=prob["l2"])
     reference, grad_norm = _lbfgs_reference(bare)
-    problem = LogisticEnsemble.from_datasets(
-        datasets, _MNIST_CLASSES, l2=prob["l2"], reference_point=reference)
+    problem = dataclasses.replace(bare, reference_point=reference)
     return problem, {
         "grad_norm": grad_norm,
         "train_loss": problem.f_star,
-        "machine_sizes": part.sizes(),
+        "machine_sizes": [len(idx) for idx in part],
     }
 
 

@@ -12,39 +12,28 @@ class GridSearchError(RuntimeError):
     """Every candidate step size diverged."""
 
 
-@dataclass(frozen=True)
-class LrInputs:
-    smoothness: float
-    sigma: float
-    gstar: float
-    b0: float
-    M: int
-    K: int
-    R: int
-
-
-def theoretical_lr(inp: LrInputs) -> float:
+def theoretical_lr(*, smoothness: float, sigma: float, gstar: float, b0: float,
+                   M: int, K: int, R: int) -> float:
     """Worst-case step size for the drift-corrected method under linear
     weights: the minimum of five caps over T = K*R total local steps.
     Noise- or heterogeneity-free caps degenerate to +inf and drop out."""
-    if not 0 < inp.smoothness < math.inf:
-        raise ValueError(f"smoothness must be positive and finite, got {inp.smoothness}")
-    if not all(0 <= v < math.inf for v in (inp.sigma, inp.gstar, inp.b0)):
+    if not 0 < smoothness < math.inf:
+        raise ValueError(f"smoothness must be positive and finite, got {smoothness}")
+    if not all(0 <= v < math.inf for v in (sigma, gstar, b0)):
         raise ValueError("sigma, gstar and b0 must be nonnegative and finite")
-    if min(inp.M, inp.K, inp.R) < 1:
-        raise ValueError(f"M, K, R must be >= 1, got {(inp.M, inp.K, inp.R)}")
-    big_l, sigma, gstar, b0 = inp.smoothness, inp.sigma, inp.gstar, inp.b0
-    total = inp.K * inp.R
+    if min(M, K, R) < 1:
+        raise ValueError(f"M, K, R must be >= 1, got {(M, K, R)}")
+    total = K * R
     caps = [
-        1.0 / (48.0 * big_l * (total + 1)),
-        1.0 / (10.0 * big_l * inp.K ** 2),
-        1.0 / (40.0 * big_l * inp.K * (total + 1) ** (2.0 / 3.0)),
+        1.0 / (48.0 * smoothness * (total + 1)),
+        1.0 / (10.0 * smoothness * K ** 2),
+        1.0 / (40.0 * smoothness * K * (total + 1) ** (2.0 / 3.0)),
     ]
     if sigma > 0:
-        caps.append(b0 * math.sqrt(inp.M) / (sigma * total ** 1.5))
+        caps.append(b0 * math.sqrt(M) / (sigma * total ** 1.5))
     root_noise = math.sqrt(sigma) + math.sqrt(gstar)
     if root_noise > 0:
-        caps.append(math.sqrt(b0) / (math.sqrt(big_l) * inp.K ** 1.75 * inp.R * root_noise))
+        caps.append(math.sqrt(b0) / (math.sqrt(smoothness) * K ** 1.75 * R * root_noise))
     eta = min(caps)
     if not eta > 0:
         raise ValueError(f"degenerate step size {eta}; check b0/sigma/gstar inputs")

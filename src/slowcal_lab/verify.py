@@ -82,8 +82,8 @@ def _check_averaging_law() -> CheckResult:
     worst = 0.0
     for schedule in (weights.UNIFORM, weights.LINEAR):
         problem = _small_quadratic(sigma=0.5)
-        cfg = RunConfig(K=5, R=6, eta=0.05, schedule=schedule, seed=7, record_diagnostics=True)
-        traj = ALGORITHMS["slowcal"](problem, cfg)
+        cfg = RunConfig(K=5, R=6, schedule=schedule, record_diagnostics=True)
+        traj = ALGORITHMS["slowcal"](problem, cfg, 0.05, seed=7)
         steps = traj.steps
         for t in range(len(steps) - 1):
             gamma = weights.averaging_coeff(schedule, t)
@@ -97,8 +97,8 @@ def _check_momentum_residual() -> CheckResult:
     worst = 0.0
     problem = _small_quadratic(sigma=0.0)
     for schedule in (weights.UNIFORM, weights.LINEAR):
-        cfg = RunConfig(K=6, R=10, eta=0.05, schedule=schedule, seed=5, record_diagnostics=True)
-        traj = ALGORITHMS["anytime"](problem, cfg)
+        cfg = RunConfig(K=6, R=10, schedule=schedule, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](problem, cfg, 0.05, seed=5)
         worst = max(worst, metrics.momentum_residual(traj))
     return _leq("momentum-residual", worst, 1e-10)
 
@@ -108,10 +108,9 @@ def _check_reduction_anytime() -> CheckResult:
     single-worker query-averaging method driven by batch gradients."""
     problem = _small_quadratic(sigma=0.0)
     steps = 18
-    cfg = RunConfig(K=1, R=steps, eta=0.08, schedule=weights.LINEAR, seed=0,
-                    record_diagnostics=True)
-    slow = ALGORITHMS["slowcal"](problem, cfg)
-    single = ALGORITHMS["anytime"](problem, cfg)
+    cfg = RunConfig(K=1, R=steps, schedule=weights.LINEAR, record_diagnostics=True)
+    slow = ALGORITHMS["slowcal"](problem, cfg, 0.08)
+    single = ALGORITHMS["anytime"](problem, cfg, 0.08)
     worst = float(np.linalg.norm(slow.x_output - single.x_output))
     for a, b in zip(slow.steps, single.steps, strict=True):
         worst = max(worst, float(np.linalg.norm(a.x_mean - b.x_mean)),
@@ -125,11 +124,12 @@ def _check_reduction_gd() -> CheckResult:
     homogeneous = QuadraticEnsemble(
         shared.curvatures, np.tile(shared.centers[0], (shared.num_machines, 1)), 0.0
     )
-    cfg = RunConfig(K=5, R=8, eta=0.1, schedule=weights.UNIFORM, seed=0)
-    traj = ALGORITHMS["local"](homogeneous, cfg)
+    eta = 0.1
+    cfg = RunConfig(K=5, R=8, schedule=weights.UNIFORM)
+    traj = ALGORITHMS["local"](homogeneous, cfg, eta)
     x = np.zeros(homogeneous.dim)
     for _ in range(cfg.K * cfg.R):
-        x = x - cfg.eta * homogeneous.global_gradient(x)
+        x = x - eta * homogeneous.global_gradient(x)
     worst = float(np.linalg.norm(traj.x_output - x))
     return _leq("reduction-gd", worst, 1e-12)
 
@@ -138,10 +138,9 @@ def _check_reduction_minibatch_step0() -> CheckResult:
     """All methods agree on the first anchor when started together: the
     step records at t = K = 1."""
     problem = _small_quadratic(sigma=0.0)
-    cfg = RunConfig(K=1, R=1, eta=0.07, schedule=weights.UNIFORM, seed=0,
-                    record_diagnostics=True)
-    slow = ALGORITHMS["slowcal"](problem, cfg)
-    mini = ALGORITHMS["minibatch"](problem, cfg)
+    cfg = RunConfig(K=1, R=1, schedule=weights.UNIFORM, record_diagnostics=True)
+    slow = ALGORITHMS["slowcal"](problem, cfg, 0.07)
+    mini = ALGORITHMS["minibatch"](problem, cfg, 0.07)
     worst = float(np.linalg.norm(slow.steps[1].w_mean - mini.steps[1].x_mean))
     return _leq("reduction-minibatch-step0", worst, 1e-12)
 
@@ -150,8 +149,8 @@ def _check_zero_bias_shared() -> CheckResult:
     """Shared curvature cancels the query bias identically: the recorded
     bias increments of a noisy drift-corrected run are float dust."""
     problem = _small_quadratic(sigma=0.4, curvature="shared", seed=9)
-    cfg = RunConfig(K=6, R=8, eta=0.05, schedule=weights.LINEAR, seed=3)
-    traj = ALGORITHMS["slowcal"](problem, cfg)
+    cfg = RunConfig(K=6, R=8, schedule=weights.LINEAR)
+    traj = ALGORITHMS["slowcal"](problem, cfg, 0.05, seed=3)
     worst = traj.values[:, ROUND_COLUMNS.index("v_increment")].max()
     return _leq("zero-bias-shared", worst, 1e-12)
 
@@ -169,9 +168,8 @@ def _check_growth_bound() -> CheckResult:
     for point in _probe_points(quad, 100, 17, 2.0):
         _, slack = quad.check_growth_bound(point)
         worst_slack = min(worst_slack, slack)
-    logi = LogisticEnsemble.from_datasets(
-        synth_clusters(3, 5, 3, 0.3, 2.0, seed=21, n_per_machine=30), 3, l2=0.05
-    )
+    logi = LogisticEnsemble(*synth_clusters(3, 5, 3, 0.3, 2.0, seed=21, n_per_machine=30),
+                            3, l2=0.05)
     for point in _probe_points(logi, 100, 19, 1.0):
         _, slack = logi.check_growth_bound(point)
         worst_slack = min(worst_slack, slack)
@@ -182,8 +180,8 @@ def _check_self_bounding() -> CheckResult:
     """Global gradient obeys ||grad f||^2 <= 2 L (f - f*) at 100 probes."""
     worst = np.inf
     for problem, scale in ((_small_quadratic(sigma=0.0), 2.0),
-                           (LogisticEnsemble.from_datasets(
-                               synth_clusters(3, 5, 3, 0.3, 2.0, seed=23, n_per_machine=30),
+                           (LogisticEnsemble(
+                               *synth_clusters(3, 5, 3, 0.3, 2.0, seed=23, n_per_machine=30),
                                3, l2=0.05), 1.0)):
         big_l = problem.smoothness()
         for point in _probe_points(problem, 100, 29, scale):
@@ -199,8 +197,8 @@ def _check_certificate() -> CheckResult:
     problem = _small_quadratic(sigma=0.0)
     worst = 0.0
     for schedule in (weights.UNIFORM, weights.LINEAR):
-        cfg = RunConfig(K=8, R=10, eta=0.05, schedule=schedule, seed=0, record_diagnostics=True)
-        traj = ALGORITHMS["anytime"](problem, cfg)
+        cfg = RunConfig(K=8, R=10, schedule=schedule, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](problem, cfg, 0.05)
         running = 0.0
         for t, rec in enumerate(traj.steps):
             lhs = weights.prefix_weight(schedule, t) * (

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowcal_lab.data import LabeledDataset, dirichlet_partition
+from slowcal_lab.data import dirichlet_partition
 from slowcal_lab.objectives import LogisticEnsemble
 from slowcal_lab.runner import build_problem, load_spec, run_experiment
 from slowcal_lab.tuning import rmin
@@ -91,11 +91,8 @@ def oracle_stats():
     sampled = sampled_draws(quad, probe, seeds, steps)
     noise_power = (np.linalg.norm(sampled - exact, axis=-1) ** 2).mean(axis=0)
 
-    logistic = LogisticEnsemble.from_datasets(
-        [LabeledDataset(np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.5]]),
-                        np.array([0, 2, 1]))],
-        num_classes=3, l2=0.1,
-    )
+    logistic = LogisticEnsemble((np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.5]]),),
+                                (np.array([0, 2, 1]),), num_classes=3, l2=0.1)
     point = 0.1 * np.arange(logistic.dim, dtype=np.float64)
     log_exact = logistic.exact_gradients(point[None, :])
     log_sampled = sampled_draws(logistic, point, seeds, steps)
@@ -105,7 +102,7 @@ def oracle_stats():
     for seed in range(5):
         part = dirichlet_partition(labels, 16, alpha=0.1, seed=seed)
         count = 0
-        for idx in part.machine_indices:
+        for idx in part:
             counts = np.sort(np.bincount(labels[idx], minlength=10))[::-1]
             if counts[:2].sum() >= 0.8 * counts.sum():
                 count += 1

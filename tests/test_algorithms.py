@@ -43,8 +43,8 @@ class TestHandTraces:
         #   t=0: g=-1,    w: 0 -> 0.1,    gamma=1/2, x: 0 -> 0.05
         #   t=1: g=-0.95, w: 0.1 -> 0.195, gamma=1/3, x -> (2/3)0.05 + (1/3)0.195
         prob = scalar_problem()
-        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, eta=0.1, schedule=UNIFORM,
-                                                     record_diagnostics=True))
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=2, R=1, schedule=UNIFORM,
+                                                     record_diagnostics=True), 0.1)
         assert traj.steps[2].w_mean[0] == pytest.approx(0.195, rel=1e-15)
         assert traj.steps[2].x_mean[0] == pytest.approx(59.0 / 600.0, rel=1e-15)
         assert traj.x_output[0] == traj.steps[2].x_mean[0]
@@ -53,8 +53,8 @@ class TestHandTraces:
         # mirrored centers drive exactly mirrored slots; the ascending mean
         # at every boundary is exactly 0.0, not just close
         prob = symmetric_pair()
-        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, eta=0.1, schedule=LINEAR,
-                                                     record_diagnostics=True))
+        traj = ALGORITHMS["slowcal"](prob, RunConfig(K=3, R=2, schedule=LINEAR,
+                                                     record_diagnostics=True), 0.1)
         boundaries = traj.steps[3::3]
         assert [rec.t for rec in boundaries] == [3, 6]
         assert all((rec.w_mean == 0.0).all() and (rec.x_mean == 0.0).all() for rec in boundaries)
@@ -63,7 +63,7 @@ class TestHandTraces:
     def test_local_single_machine_two_steps(self):
         # x: 0 -> 0.1 -> 0.1 + 0.1*0.9 = 0.19; plain local outputs the anchor
         prob = scalar_problem()
-        traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, eta=0.1, record_diagnostics=True))
+        traj = ALGORITHMS["local"](prob, RunConfig(K=2, R=1, record_diagnostics=True), 0.1)
         assert traj.steps[2].x_mean[0] == pytest.approx(0.19, rel=1e-15)
         assert traj.x_output[0] == traj.steps[2].x_mean[0]
 
@@ -71,7 +71,7 @@ class TestHandTraces:
         # f = 0.5 x^2 from 1: anchors 0.9, 0.81; output their mean 0.855
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["minibatch"](
-            prob, RunConfig(K=4, R=2, eta=0.1, x0=np.array([1.0]), record_diagnostics=True)
+            prob, RunConfig(K=4, R=2, x0=np.array([1.0]), record_diagnostics=True), 0.1
         )
         assert traj.steps[4].x_mean[0] == pytest.approx(0.9, rel=1e-15)
         assert traj.steps[8].x_mean[0] == pytest.approx(0.81, rel=1e-15)
@@ -85,12 +85,11 @@ class TestHandTraces:
         # in the last bits)
         prob = heterogeneous_quadratic(3, dim, sigma=4.0, seed=k_steps)
         etas = [0.05, 0.2, 0.01, 0.1]
-        cfg = RunConfig(K=k_steps, R=6, eta=1.0, seed=4, x0=np.full(dim, 2.0),
-                        record_diagnostics=True)
-        for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas, [cfg.seed] * 4)):
+        cfg = RunConfig(K=k_steps, R=6, x0=np.full(dim, 2.0), record_diagnostics=True)
+        for eta, traj in zip(etas, run_lanes(prob, "minibatch", cfg, etas, [4] * 4)):
             x = cfg.x0
             for r in range(cfg.R):
-                samplers = [prob.round_sampler(cfg.seed, i, r, k_steps) for i in range(3)]
+                samplers = [prob.round_sampler(4, i, r, k_steps) for i in range(3)]
                 step_sum = np.zeros(dim)
                 for k in range(k_steps):
                     g_mean = np.zeros(dim)
@@ -105,8 +104,8 @@ class TestHandTraces:
         # x 1 -> 0.75 -> (2/3)0.75 + (1/3)0.125 = 13/24
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["anytime"](
-            prob, RunConfig(K=2, R=1, eta=0.5, schedule=UNIFORM, x0=np.array([1.0]),
-                            record_diagnostics=True)
+            prob, RunConfig(K=2, R=1, schedule=UNIFORM, x0=np.array([1.0]),
+                            record_diagnostics=True), 0.5
         )
         assert traj.steps[2].w_mean[0] == pytest.approx(0.125, rel=1e-15)
         assert traj.x_output[0] == pytest.approx(13.0 / 24.0, rel=1e-15)
@@ -115,7 +114,7 @@ class TestHandTraces:
         # gamma_1 = 2/3 under linear weights: x_1 = (1/3)*1 + (2/3)*0.5 = 2/3
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["anytime"](
-            prob, RunConfig(K=1, R=1, eta=0.5, schedule=LINEAR, x0=np.array([1.0]))
+            prob, RunConfig(K=1, R=1, schedule=LINEAR, x0=np.array([1.0])), 0.5
         )
         assert traj.x_output[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
@@ -125,9 +124,9 @@ class TestReductions:
         # with K=1 on a single machine the round boundary is a no-op, so the
         # drift-corrected loop is the query-averaging recursion step for step
         prob = scalar_problem(sigma=0.4)
-        cfg = RunConfig(K=1, R=18, eta=0.08, schedule=LINEAR, seed=5, record_diagnostics=True)
-        slow = ALGORITHMS["slowcal"](prob, cfg)
-        anytime = ALGORITHMS["anytime"](prob, cfg)
+        cfg = RunConfig(K=1, R=18, schedule=LINEAR, record_diagnostics=True)
+        slow = ALGORITHMS["slowcal"](prob, cfg, 0.08, seed=5)
+        anytime = ALGORITHMS["anytime"](prob, cfg, 0.08, seed=5)
         assert len(slow.steps) == len(anytime.steps) == cfg.R + 1
         for a, b in zip(slow.steps, anytime.steps):
             np.testing.assert_allclose(a.x_mean, b.x_mean, atol=1e-12)
@@ -141,32 +140,32 @@ class TestReductions:
         mats = np.tile(shared.curvatures, (5, 1, 1))
         centers = np.tile(shared.centers, (5, 1))
         prob = QuadraticEnsemble(mats, centers)
-        cfg = RunConfig(K=4, R=6, eta=0.15)
-        traj = ALGORITHMS["local"](prob, cfg)
+        cfg = RunConfig(K=4, R=6)
+        traj = ALGORITHMS["local"](prob, cfg, 0.15)
         x = np.zeros(4)
         for _ in range(cfg.K * cfg.R):
-            x = x - cfg.eta * prob.global_gradient(x)
+            x = x - 0.15 * prob.global_gradient(x)
         np.testing.assert_allclose(traj.x_output, x, atol=1e-12)
 
     def test_slowcal_first_round_w_matches_minibatch_step(self):
         # K=1: every machine queries the shared start, so the first server w
         # equals the first minibatch iterate, noise draws included
         prob = heterogeneous_quadratic(3, 4, sigma=0.5, seed=6)
-        cfg = RunConfig(K=1, R=1, eta=0.07, seed=8, record_diagnostics=True)
-        slow = ALGORITHMS["slowcal"](prob, cfg)
-        mini = ALGORITHMS["minibatch"](prob, cfg)
+        cfg = RunConfig(K=1, R=1, record_diagnostics=True)
+        slow = ALGORITHMS["slowcal"](prob, cfg, 0.07, seed=8)
+        mini = ALGORITHMS["minibatch"](prob, cfg, 0.07, seed=8)
         np.testing.assert_allclose(slow.steps[1].w_mean, mini.steps[1].x_mean, atol=1e-12)
 
     def test_anytime_follows_weighted_gradient_recursion(self):
         # sigma=0: the machine-averaged oracle is the global gradient, so the
         # recorded run must satisfy the two-slot recursion exactly
         prob = heterogeneous_quadratic(3, 4, seed=7)
-        cfg = RunConfig(K=5, R=4, eta=0.1, schedule=LINEAR, record_diagnostics=True)
-        traj = ALGORITHMS["anytime"](prob, cfg)
+        cfg = RunConfig(K=5, R=4, schedule=LINEAR, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg, 0.1)
         w = np.zeros(4)
         x = np.zeros(4)
         for t in range(cfg.K * cfg.R):
-            w = w - cfg.eta * weight_at(LINEAR, t) * prob.global_gradient(x)
+            w = w - 0.1 * weight_at(LINEAR, t) * prob.global_gradient(x)
             gamma = averaging_coeff(LINEAR, t)
             x = (1.0 - gamma) * x + gamma * w
         np.testing.assert_allclose(traj.x_output, x, atol=1e-12)
@@ -178,19 +177,19 @@ class TestAveragingLaw:
         # recorded machine means obey x_{t+1} = (1-gamma) x_t + gamma w_{t+1}
         # across every step, round boundaries included
         prob = heterogeneous_quadratic(3, 5, sigma=0.5, seed=10)
-        cfg = RunConfig(K=4, R=5, eta=0.05, schedule=schedule, seed=1, record_diagnostics=True)
-        traj = ALGORITHMS["slowcal"](prob, cfg)
+        cfg = RunConfig(K=4, R=5, schedule=schedule, record_diagnostics=True)
+        traj = ALGORITHMS["slowcal"](prob, cfg, 0.05, seed=1)
         steps = traj.steps
         for t in range(len(steps) - 1):
             gamma = averaging_coeff(schedule, steps[t].t)
-            w_next = steps[t].w_mean - cfg.eta * weight_at(schedule, steps[t].t) * steps[t].g_mean
+            w_next = steps[t].w_mean - 0.05 * weight_at(schedule, steps[t].t) * steps[t].g_mean
             want = (1.0 - gamma) * steps[t].x_mean + gamma * w_next
             np.testing.assert_allclose(steps[t + 1].x_mean, want, atol=1e-10)
 
     def test_local_weighted_output_is_weighted_mean_of_step_means(self):
         prob = heterogeneous_quadratic(2, 3, sigma=0.3, seed=11)
-        cfg = RunConfig(K=3, R=4, eta=0.05, schedule=LINEAR, seed=2, record_diagnostics=True)
-        traj = ALGORITHMS["local-weighted"](prob, cfg)
+        cfg = RunConfig(K=3, R=4, schedule=LINEAR, record_diagnostics=True)
+        traj = ALGORITHMS["local-weighted"](prob, cfg, 0.05, seed=2)
         total = cfg.K * cfg.R
         acc = np.zeros(3)
         for rec in traj.steps:
@@ -205,8 +204,8 @@ class TestCertificate:
         # 0 <= prefix(t) (f(x_t) - f*) <= sum_{tau<=t} alpha_tau <g_tau, w_tau - w*>
         # with w_tau taken before its update; pure convexity, any step size
         prob = heterogeneous_quadratic(4, 6, eig_range=(0.4, 1.2), seed=12)
-        cfg = RunConfig(K=6, R=8, eta=0.3, schedule=LINEAR, record_diagnostics=True)
-        traj = ALGORITHMS["anytime"](prob, cfg)
+        cfg = RunConfig(K=6, R=8, schedule=LINEAR, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg, 0.3)
         running = 0.0
         for rec in traj.steps:
             lhs = prefix_weight(LINEAR, rec.t) * excess_loss(prob, rec.x_mean)
@@ -221,27 +220,27 @@ class TestCertificate:
 class TestDeterminismAndShape:
     def test_stochastic_run_is_bitwise_reproducible(self):
         prob = heterogeneous_quadratic(3, 4, sigma=1.0, seed=13)
-        cfg = RunConfig(K=4, R=5, eta=0.05, seed=3)
-        a = ALGORITHMS["slowcal"](prob, cfg)
-        b = ALGORITHMS["slowcal"](prob, cfg)
+        cfg = RunConfig(K=4, R=5)
+        a = ALGORITHMS["slowcal"](prob, cfg, 0.05, seed=3)
+        b = ALGORITHMS["slowcal"](prob, cfg, 0.05, seed=3)
         np.testing.assert_array_equal(a.x_output, b.x_output)
         assert a.values.tobytes() == b.values.tobytes()
         assert a.round_diverged.tolist() == b.round_diverged.tolist()
 
     def test_diagnostics_do_not_change_the_trajectory(self):
         prob = heterogeneous_quadratic(3, 4, sigma=1.0, seed=14)
-        plain = RunConfig(K=4, R=5, eta=0.05, seed=4)
-        probed = RunConfig(K=4, R=5, eta=0.05, seed=4, record_diagnostics=True)
+        plain = RunConfig(K=4, R=5)
+        probed = RunConfig(K=4, R=5, record_diagnostics=True)
         for name in ("slowcal", "local", "minibatch"):
-            a, b = ALGORITHMS[name](prob, plain), ALGORITHMS[name](prob, probed)
+            a, b = (ALGORITHMS[name](prob, cfg, 0.05, seed=4) for cfg in (plain, probed))
             np.testing.assert_array_equal(a.x_output, b.x_output)
             assert a.steps is None and b.steps is not None
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_round_and_step_bookkeeping(self, name):
         prob = heterogeneous_quadratic(3, 4, sigma=0.2, seed=15)
-        cfg = RunConfig(K=4, R=6, eta=0.01, seed=5, record_diagnostics=True)
-        traj = ALGORITHMS[name](prob, cfg)
+        cfg = RunConfig(K=4, R=6, record_diagnostics=True)
+        traj = ALGORITHMS[name](prob, cfg, 0.01, seed=5)
         assert traj.values.shape == (cfg.R, len(ROUND_COLUMNS))
         assert traj.round_diverged.shape == (cfg.R,)
         assert traj.t.tolist() == [(r + 1) * cfg.K for r in range(cfg.R)]
@@ -251,10 +250,10 @@ class TestDeterminismAndShape:
 
     def test_different_seeds_differ(self):
         prob = heterogeneous_quadratic(2, 3, sigma=1.0, seed=16)
-        base = RunConfig(K=3, R=3, eta=0.05, seed=0)
-        other = RunConfig(K=3, R=3, eta=0.05, seed=1)
+        cfg = RunConfig(K=3, R=3)
         run = ALGORITHMS["slowcal"]
-        assert not np.array_equal(run(prob, base).x_output, run(prob, other).x_output)
+        assert not np.array_equal(run(prob, cfg, 0.05, seed=0).x_output,
+                                  run(prob, cfg, 0.05, seed=1).x_output)
 
 
 class TestDivergence:
@@ -263,7 +262,7 @@ class TestDivergence:
         # the 1e6 x initial threshold at round 9 and stays frozen after
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["minibatch"](
-            prob, RunConfig(K=1, R=15, eta=3.0, x0=np.array([1.0]))
+            prob, RunConfig(K=1, R=15, x0=np.array([1.0])), 3.0
         )
         assert traj.diverged
         assert traj.values.shape[0] == 15
@@ -278,7 +277,7 @@ class TestDivergence:
     def test_overflowing_run_records_inf_never_nan(self):
         prob = scalar_problem(center=0.0)
         for name in ("minibatch", "local", "slowcal"):
-            traj = ALGORITHMS[name](prob, RunConfig(K=3, R=8, eta=1e8, x0=np.array([1.0])))
+            traj = ALGORITHMS[name](prob, RunConfig(K=3, R=8, x0=np.array([1.0])), 1e8)
             assert traj.diverged
             assert not np.isnan(traj.values).any()
 
@@ -286,12 +285,12 @@ class TestDivergence:
     def test_diverged_output_is_that_of_the_run_stopped_at_its_diverging_round(self, algorithm):
         # the diverging lane shares its call with a lane that runs all R rounds
         prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=1)
-        cfg = RunConfig(K=2, R=30, eta=3.0)
-        lane = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)[0]
+        cfg = RunConfig(K=2, R=30)
+        lane = run_lanes(prob, algorithm, cfg, [3.0, 0.01], [0] * 2)[0]
         assert lane.diverged
         stop = lane.round_diverged.tolist().index(True) + 1
         assert stop < cfg.R
-        stopped = ALGORITHMS[algorithm](prob, replace(cfg, R=stop))
+        stopped = ALGORITHMS[algorithm](prob, replace(cfg, R=stop), 3.0)
         assert lane.x_output.tobytes() == stopped.x_output.tobytes()
 
     def test_divergence_threshold_uses_initial_excess(self):
@@ -299,7 +298,7 @@ class TestDivergence:
         # a mildly contracting run must not trip it
         prob = scalar_problem(center=0.0)
         traj = ALGORITHMS["local"](
-            prob, RunConfig(K=2, R=10, eta=0.01, x0=np.array([1e3]))
+            prob, RunConfig(K=2, R=10, x0=np.array([1e3])), 0.01
         )
         assert not traj.diverged
 
@@ -308,25 +307,25 @@ class TestValidation:
     def test_bad_shape_counts_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            ALGORITHMS["local"](prob, RunConfig(K=0, R=1, eta=0.1))
+            ALGORITHMS["local"](prob, RunConfig(K=0, R=1), 0.1)
         with pytest.raises(ValueError):
-            ALGORITHMS["local"](prob, RunConfig(K=1, R=0, eta=0.1))
+            ALGORITHMS["local"](prob, RunConfig(K=1, R=0), 0.1)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, math.inf, math.nan])
     def test_bad_eta_rejected(self, eta):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            ALGORITHMS["slowcal"](prob, RunConfig(K=1, R=1, eta=eta))
+            ALGORITHMS["slowcal"](prob, RunConfig(K=1, R=1), eta)
 
     def test_negative_seed_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError):
-            ALGORITHMS["minibatch"](prob, RunConfig(K=1, R=1, eta=0.1, seed=-1))
+            ALGORITHMS["minibatch"](prob, RunConfig(K=1, R=1), 0.1, seed=-1)
 
     def test_wrong_x0_shape_rejected(self):
         prob = heterogeneous_quadratic(2, 3, seed=17)
         with pytest.raises(ValueError, match="x0"):
-            ALGORITHMS["local"](prob, RunConfig(K=1, R=1, eta=0.1, x0=np.zeros(4)))
+            ALGORITHMS["local"](prob, RunConfig(K=1, R=1, x0=np.zeros(4)), 0.1)
 
 
 def small_logistic():
@@ -376,12 +375,11 @@ class TestLanes:
             etas, x0 = [0.05, 1e3, 0.2], np.ones(4)
         else:
             prob, etas, x0 = small_logistic(), [0.1, 1e9, 1.0], None
-        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=2, record_diagnostics=True,
-                        x0=x0)
-        lanes = run_lanes(prob, algorithm, cfg, etas, [cfg.seed] * len(etas))
+        cfg = RunConfig(K=3, R=5, schedule=LINEAR, record_diagnostics=True, x0=x0)
+        lanes = run_lanes(prob, algorithm, cfg, etas, [2] * len(etas))
         assert lanes[1].diverged and not lanes[0].diverged
         for eta, lane in zip(etas, lanes):
-            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, cfg, eta, seed=2))
 
     @pytest.mark.parametrize("case", range(3), ids=["quadratic", "softmax-2", "softmax-4"])
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -391,13 +389,11 @@ class TestLanes:
         prob = lane_problems(3, 4, seed=9)[case]
         big = 1e3 if case == 0 else 1e9
         etas, seeds = [0.05, 0.1, big, 0.2, 0.05], [5, 2, 0, 5, 2]
-        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=7, record_diagnostics=True,
-                        x0=np.ones(4))
+        cfg = RunConfig(K=3, R=5, schedule=LINEAR, record_diagnostics=True, x0=np.ones(4))
         lanes = run_lanes(prob, algorithm, cfg, etas, seeds)
         assert [lane.diverged for lane in lanes] == [False, False, True, False, False]
         for eta, seed, lane in zip(etas, seeds, lanes):
-            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta,
-                                                                              seed=seed)))
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, cfg, eta, seed=seed))
 
     def test_anchor_mean_output_is_the_mean_of_the_round_end_step_means(self):
         # the output's running sum against the ascending mean of the step
@@ -405,8 +401,7 @@ class TestLanes:
         # completed rounds ending at its first diverged round
         prob = lane_problems(3, 4, seed=9)[0]
         etas, seeds = [0.05, 1e3, 0.2], [5, 0, 2]
-        cfg = RunConfig(K=3, R=5, eta=1.0, schedule=LINEAR, seed=7, record_diagnostics=True,
-                        x0=np.ones(4))
+        cfg = RunConfig(K=3, R=5, schedule=LINEAR, record_diagnostics=True, x0=np.ones(4))
         names = [name for name, spec in METHODS.items() if spec.output == "anchor-mean"]
         assert names == ["minibatch"]
         lanes = run_lanes(prob, "minibatch", cfg, etas, seeds)
@@ -422,7 +417,7 @@ class TestLanes:
     def test_every_lane_owns_its_rows_and_shares_the_call_time(self):
         # the middle lane diverges in an early round and leaves the batch
         prob = lane_problems(3, 4, seed=9)[0]
-        cfg = RunConfig(K=3, R=5, eta=1.0, x0=np.ones(4))
+        cfg = RunConfig(K=3, R=5, x0=np.ones(4))
         lanes = run_lanes(prob, "slowcal", cfg, [0.05, 1e3, 0.2], [5, 0, 2])
         assert [lane.diverged for lane in lanes] == [False, True, False]
         assert lanes[1].round_diverged[:cfg.R - 1].any()
@@ -439,18 +434,18 @@ class TestLanes:
                                                                         machines):
         # the diverging lane comes first, so its row precedes the survivor's
         prob = heterogeneous_quadratic(machines, 2, sigma=0.3, seed=1)
-        cfg = RunConfig(K=2, R=30, eta=3.0, seed=4)
-        last = ALGORITHMS[algorithm](prob, cfg).round_diverged.tolist().index(True)
+        cfg = RunConfig(K=2, R=30)
+        last = ALGORITHMS[algorithm](prob, cfg, 3.0, seed=4).round_diverged.tolist().index(True)
         cfg = replace(cfg, R=last + 1)
-        lanes = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)
+        lanes = run_lanes(prob, algorithm, cfg, [3.0, 0.01], [4] * 2)
         assert lanes[0].round_diverged.tolist().index(True) == cfg.R - 1
         assert not lanes[1].diverged
-        for eta, lane in zip((cfg.eta, 0.01), lanes):
-            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)))
+        for eta, lane in zip((3.0, 0.01), lanes):
+            assert_same_trajectory(lane, ALGORITHMS[algorithm](prob, cfg, eta, seed=4))
 
     def test_seeds_align_with_step_sizes(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
-        cfg = RunConfig(K=1, R=2, eta=0.1)
+        cfg = RunConfig(K=1, R=2)
         with pytest.raises(ValueError, match="seeds"):
             run_lanes(prob, "local", cfg, [0.1, 0.2], [0])
         with pytest.raises(ValueError, match="seed"):
@@ -458,12 +453,12 @@ class TestLanes:
 
     def test_no_lanes_no_trajectories(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
-        assert run_lanes(prob, "slowcal", RunConfig(K=1, R=2, eta=1.0), [], []) == []
+        assert run_lanes(prob, "slowcal", RunConfig(K=1, R=2), [], []) == []
 
     def test_every_lane_is_validated(self):
         prob = heterogeneous_quadratic(2, 3, seed=1)
         with pytest.raises(ValueError, match="eta"):
-            run_lanes(prob, "local", RunConfig(K=1, R=2, eta=0.1), [0.1, -1.0], [0, 0])
+            run_lanes(prob, "local", RunConfig(K=1, R=2), [0.1, -1.0], [0, 0])
 
 
 def block_spy(monkeypatch) -> list[tuple[int, int]]:
@@ -497,7 +492,7 @@ class TestRoundBlocks:
         # must hold each round's own copy
         prob = lane_problems(machines, 4, seed=9)[case]
         etas, seeds = [0.005, 0.01, 1e3 if case == 0 else 1e9, 0.02, 0.005], [5, 2, 0, 5, 2]
-        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR, x0=np.ones(4))
+        cfg = RunConfig(K=2, R=24, schedule=LINEAR, x0=np.ones(4))
 
         def run():
             return run_lanes(prob, algorithm, cfg, etas, seeds)
@@ -516,7 +511,7 @@ class TestRoundBlocks:
         # blocks of 4 rounds at the full lane count (longer as lanes drop)
         prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=11)
         etas = np.geomspace(0.01, 10, 25).tolist()
-        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR)
+        cfg = RunConfig(K=2, R=24, schedule=LINEAR)
 
         def run():
             return run_lanes(prob, algorithm, cfg, etas, [1] * len(etas))
@@ -536,10 +531,10 @@ class TestRoundBlocks:
         # differently as a Python float and as a numpy array. The reference
         # measures every row with its own scalar-alpha call
         prob = heterogeneous_quadratic(4, 6, sigma=0.0, seed=0)
-        cfg = RunConfig(K=1, R=400, eta=2e-6, schedule=WeightSchedule(1.5))
+        cfg = RunConfig(K=1, R=400, schedule=WeightSchedule(1.5))
 
         def run():
-            return run_lanes(prob, algorithm, cfg, [cfg.eta] * 2, [0, 1])
+            return run_lanes(prob, algorithm, cfg, [2e-6] * 2, [0, 1])
 
         def per_row_dispersion(states, alphas):
             return np.array([metrics.dispersion(row, alpha)
@@ -561,11 +556,10 @@ class TestRoundBlocks:
     def test_step_records_use_one_round_blocks(self, algorithm, monkeypatch):
         prob = heterogeneous_quadratic(3, 4, sigma=0.4, seed=7)
         etas = [0.05, 1e3, 0.2]
-        cfg = RunConfig(K=3, R=6, eta=1.0, schedule=LINEAR, seed=2, record_diagnostics=True,
-                        x0=np.ones(4))
+        cfg = RunConfig(K=3, R=6, schedule=LINEAR, record_diagnostics=True, x0=np.ones(4))
 
         def run():
-            return run_lanes(prob, algorithm, cfg, etas, [cfg.seed] * len(etas))
+            return run_lanes(prob, algorithm, cfg, etas, [2] * len(etas))
         one_round = self.runs(monkeypatch, 0, run)
         blocks = block_spy(monkeypatch)
         for a, b in zip(self.runs(monkeypatch, self.budget, run), one_round):
@@ -575,7 +569,7 @@ class TestRoundBlocks:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_grid_search_tables_and_winners(self, algorithm, monkeypatch):
         prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=11)
-        cfg = RunConfig(K=2, R=24, eta=1.0, schedule=LINEAR)
+        cfg = RunConfig(K=2, R=24, schedule=LINEAR)
         grid = np.geomspace(0.01, 10, 13).tolist()
 
         def run():
@@ -607,7 +601,7 @@ class TestOutputExcess:
             for prob in lane_problems(machines, d, seed=lanes):
                 big = 1e3 if isinstance(prob, QuadraticEnsemble) else 1e9
                 etas = np.geomspace(0.01, big, lanes).tolist()
-                cfg = RunConfig(K=2, R=6, eta=1.0, x0=np.ones(d))
+                cfg = RunConfig(K=2, R=6, x0=np.ones(d))
                 runs = run_lanes(prob, algorithm, cfg, etas, [3 * j % 4 for j in range(lanes)])
                 assert runs[-1].diverged == (lanes > 1)
                 assert_output_excess_is_its_own_call(prob, runs)
@@ -618,7 +612,7 @@ class TestOutputExcess:
         etas = np.geomspace(0.01, 10, 25).tolist()
         monkeypatch.setattr(algorithms, "_BLOCK_BYTES", 4 * len(etas) * 3 * 2 * 8)
         blocks = block_spy(monkeypatch)
-        runs = run_lanes(prob, algorithm, RunConfig(K=2, R=24, eta=1.0), etas, [1] * len(etas))
+        runs = run_lanes(prob, algorithm, RunConfig(K=2, R=24), etas, [1] * len(etas))
         first = {run.round_diverged.tolist().index(True) for run in runs if run.diverged}
         assert first & {r for r0, size in blocks for r in range(r0, r0 + size - 1)}
         assert_output_excess_is_its_own_call(prob, runs)
@@ -626,11 +620,11 @@ class TestOutputExcess:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_a_lane_diverging_on_the_last_round_and_one_lane_calls(self, algorithm):
         prob = heterogeneous_quadratic(3, 2, sigma=0.3, seed=1)
-        cfg = RunConfig(K=2, R=30, eta=3.0, seed=4)
-        last = ALGORITHMS[algorithm](prob, cfg).round_diverged.tolist().index(True)
+        cfg = RunConfig(K=2, R=30)
+        last = ALGORITHMS[algorithm](prob, cfg, 3.0, seed=4).round_diverged.tolist().index(True)
         cfg = replace(cfg, R=last + 1)
-        lanes = run_lanes(prob, algorithm, cfg, [cfg.eta, 0.01], [cfg.seed] * 2)
+        lanes = run_lanes(prob, algorithm, cfg, [3.0, 0.01], [4] * 2)
         assert lanes[0].round_diverged.tolist().index(True) == cfg.R - 1
-        one_lane = [ALGORITHMS[algorithm](prob, replace(cfg, eta=eta)) for eta in (cfg.eta, 0.01)]
+        one_lane = [ALGORITHMS[algorithm](prob, cfg, eta, seed=4) for eta in (3.0, 0.01)]
         assert [run.diverged for run in one_lane] == [True, False]
         assert_output_excess_is_its_own_call(prob, lanes + one_lane)

@@ -6,7 +6,6 @@ import pytest
 
 from slowcal_lab.data import (
     IdxFormatError,
-    LabeledDataset,
     dirichlet_partition,
     load_mnist,
     parse_idx_images,
@@ -25,7 +24,8 @@ class TestDirichletPartition:
     def test_partition_is_a_bijection_on_indices(self):
         labels = balanced_labels(500)
         part = dirichlet_partition(labels, 8, alpha=0.3, seed=0)
-        merged = np.concatenate(part.machine_indices)
+        assert all(np.array_equal(idx, np.sort(idx)) for idx in part)
+        merged = np.concatenate(part)
         assert len(merged) == 500
         np.testing.assert_array_equal(np.sort(merged), np.arange(500))
 
@@ -33,12 +33,12 @@ class TestDirichletPartition:
         labels = balanced_labels(300)
         a = dirichlet_partition(labels, 5, alpha=0.5, seed=7)
         b = dirichlet_partition(labels, 5, alpha=0.5, seed=7)
-        for ia, ib in zip(a.machine_indices, b.machine_indices):
+        for ia, ib in zip(a, b):
             np.testing.assert_array_equal(ia, ib)
         c = dirichlet_partition(labels, 5, alpha=0.5, seed=8)
         assert any(
             not np.array_equal(ia, ic)
-            for ia, ic in zip(a.machine_indices, c.machine_indices)
+            for ia, ic in zip(a, c)
         )
 
     def test_every_machine_gets_at_least_one_example(self):
@@ -46,8 +46,8 @@ class TestDirichletPartition:
         labels = balanced_labels(12, num_classes=2)
         for seed in range(20):
             part = dirichlet_partition(labels, 12, alpha=0.01, seed=seed)
-            assert min(part.sizes()) >= 1
-            merged = np.concatenate(part.machine_indices)
+            assert min(len(idx) for idx in part) >= 1
+            merged = np.concatenate(part)
             np.testing.assert_array_equal(np.sort(merged), np.arange(12))
 
     def test_small_alpha_concentrates_labels(self):
@@ -55,7 +55,7 @@ class TestDirichletPartition:
         def top_share(alpha):
             part = dirichlet_partition(labels, 8, alpha=alpha, seed=3)
             shares = []
-            for idx in part.machine_indices:
+            for idx in part:
                 counts = np.bincount(labels[idx], minlength=10)
                 shares.append(counts.max() / counts.sum())
             return float(np.mean(shares))
@@ -73,30 +73,31 @@ class TestDirichletPartition:
 
 class TestSynthClusters:
     def test_shapes_and_label_range(self):
-        datasets = synth_clusters(4, dim=6, num_classes=3, spread=0.3,
-                                  per_machine_skew=0.5, seed=0)
-        assert len(datasets) == 4
-        assert sum(len(ds) for ds in datasets) == 4 * 64
-        for ds in datasets:
-            assert ds.features.shape[1] == 6
-            assert ds.labels.min() >= 0 and ds.labels.max() < 3
+        features, labels = synth_clusters(4, dim=6, num_classes=3, spread=0.3,
+                                          per_machine_skew=0.5, seed=0)
+        assert len(features) == len(labels) == 4
+        assert sum(len(f) for f in features) == 4 * 64
+        for f, l in zip(features, labels):
+            assert f.dtype == np.float64 and f.shape == (len(l), 6)
+            assert l.dtype == np.int64
+            assert l.min() >= 0 and l.max() < 3
 
     def test_deterministic(self):
         a = synth_clusters(3, dim=5, num_classes=2, spread=0.2,
                            per_machine_skew=1.0, seed=4)
         b = synth_clusters(3, dim=5, num_classes=2, spread=0.2,
                            per_machine_skew=1.0, seed=4)
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.features, db.features)
-            np.testing.assert_array_equal(da.labels, db.labels)
+        for blocks_a, blocks_b in zip(a, b):
+            for xa, xb in zip(blocks_a, blocks_b, strict=True):
+                np.testing.assert_array_equal(xa, xb)
 
     def test_clusters_are_separable_at_low_spread(self):
         # class means are unit basis vectors, so nearest-mean classification
         # should be nearly perfect when the noise is small
-        datasets = synth_clusters(4, dim=10, num_classes=4, spread=0.2,
-                                  per_machine_skew=1.0, seed=1)
-        feats = np.concatenate([ds.features for ds in datasets])
-        labs = np.concatenate([ds.labels for ds in datasets])
+        features, labels = synth_clusters(4, dim=10, num_classes=4, spread=0.2,
+                                          per_machine_skew=1.0, seed=1)
+        feats = np.concatenate(features)
+        labs = np.concatenate(labels)
         means = np.zeros((4, 10))
         means[np.arange(4), np.arange(4)] = 1.0
         pred = np.argmin(
@@ -192,15 +193,3 @@ class TestLoadMnist:
         (tmp_path / "t10k-labels-idx1-ubyte").unlink()
         with pytest.raises(FileNotFoundError, match="t10k-labels"):
             load_mnist(tmp_path)
-
-
-class TestLabeledDataset:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(np.zeros(3), np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
-
-    def test_len_counts_examples(self):
-        ds = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
-        assert len(ds) == 5

@@ -148,9 +148,8 @@ STEP_GOLDEN = {
 def test_step_records_match_golden(algorithm):
     """runs.csv holds no per-step records, so pin those (and x_output) too."""
     prob = heterogeneous_quadratic(3, 4, sigma=0.2, seed=1)
-    cfg = RunConfig(K=2, R=5, eta=0.05, schedule=parse_schedule("poly:1.5"), seed=3,
-                    record_diagnostics=True)
-    assert step_digest(ALGORITHMS[algorithm](prob, cfg)) == STEP_GOLDEN[algorithm]
+    cfg = RunConfig(K=2, R=5, schedule=parse_schedule("poly:1.5"), record_diagnostics=True)
+    assert step_digest(ALGORITHMS[algorithm](prob, cfg, 0.05, seed=3)) == STEP_GOLDEN[algorithm]
 
 
 def unequal_logistic():
@@ -178,6 +177,7 @@ def test_logistic_step_records_match_golden(algorithm):
     """Per-step records on softmax regression with unequal machine sizes,
     whose dispersion and bias increments go through the logistic oracle."""
     prob = unequal_logistic()
-    cfg = RunConfig(K=3, R=4, eta=0.2, schedule=parse_schedule("poly:1.5"), seed=5,
-                    record_diagnostics=True, x0=np.full(prob.dim, 0.1))
-    assert step_digest(ALGORITHMS[algorithm](prob, cfg)) == LOGISTIC_STEP_GOLDEN[algorithm]
+    cfg = RunConfig(K=3, R=4, schedule=parse_schedule("poly:1.5"), record_diagnostics=True,
+                    x0=np.full(prob.dim, 0.1))
+    traj = ALGORITHMS[algorithm](prob, cfg, 0.2, seed=5)
+    assert step_digest(traj) == LOGISTIC_STEP_GOLDEN[algorithm]

@@ -187,8 +187,8 @@ class TestMomentumResidual:
     @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["exact", "noisy"])
     def test_recorded_run_satisfies_momentum_form(self, schedule, sigma):
         prob = heterogeneous_quadratic(3, 4, eig_range=(0.4, 1.2), sigma=sigma, seed=9)
-        cfg = RunConfig(K=6, R=10, eta=0.05, schedule=schedule, seed=2, record_diagnostics=True)
-        traj = ALGORITHMS["anytime"](prob, cfg)
+        cfg = RunConfig(K=6, R=10, schedule=schedule, record_diagnostics=True)
+        traj = ALGORITHMS["anytime"](prob, cfg, 0.05, seed=2)
         assert momentum_residual(traj) <= 1e-10
 
     def test_missing_step_records_rejected(self):

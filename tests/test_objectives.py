@@ -295,7 +295,7 @@ class TestLogisticOracles:
 
     def test_optimum_oracle_reaches_tiny_gradient(self):
         prob = tiny_logistic(l2=0.5)
-        w = prob.optimum()
+        w = prob.w_star
         assert float(np.linalg.norm(prob.global_gradient(w))) <= 1e-10
 
     def test_optimum_report_comes_from_the_descent_itself(self, monkeypatch):
@@ -324,7 +324,7 @@ class TestLogisticOracles:
     def test_unregularized_optimum_is_degenerate(self):
         prob = tiny_logistic(l2=0.0)
         with pytest.raises(DegenerateProblemError):
-            prob.optimum()
+            _ = prob.w_star
 
     def test_infinite_smoothness_optimum_is_degenerate_at_once(self):
         # features too large to square: the step 1/L would be 0 and the
@@ -333,7 +333,7 @@ class TestLogisticOracles:
                                 num_classes=2, l2=0.1)
         assert prob.smoothness() == math.inf
         with pytest.raises(DegenerateProblemError, match="smoothness"):
-            prob.optimum()
+            _ = prob.w_star
 
     def test_reference_point_short_circuits_the_oracle(self):
         ref = np.full(6, 0.25)
@@ -356,6 +356,13 @@ class TestLogisticOracles:
             LogisticEnsemble((np.zeros((2, 3)),), (np.array([0]),), num_classes=2)
         with pytest.raises(ValueError):
             LogisticEnsemble((np.zeros((2, 3)),), (np.array([0, 1]),), num_classes=1)
+        # a feature block that is not 2-D, first or later, is named before any width is read
+        for feats in [(np.zeros(3),), (np.zeros(3), np.zeros((2, 3))),
+                      (np.zeros((2, 3)), np.zeros(3)), (np.zeros((1, 2, 3)),)]:
+            with pytest.raises(ValueError, match="2-D"):
+                LogisticEnsemble(feats, tuple(np.zeros(len(f), dtype=np.int64) for f in feats), 2)
+        with pytest.raises(ValueError, match="labels shape"):
+            LogisticEnsemble((np.zeros((3, 2)),), (np.zeros(2, dtype=np.int64),), 2)
 
 
 class TestScalarBounds:

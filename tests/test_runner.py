@@ -29,7 +29,7 @@ from slowcal_lab.runner import (
     run_experiment,
     spec_from_dict,
 )
-from slowcal_lab.tuning import LrInputs, grid_search, theoretical_lr
+from slowcal_lab.tuning import grid_search, theoretical_lr
 from slowcal_lab.weights import parse_schedule
 
 
@@ -125,7 +125,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("bad", ["circle", "ones:", "ones:abc", "ones:nan", "ones:inf",
                                      "ones:-inf", "w_star+", "w_star+ones:nan", "w_star+zeros",
-                                     "ones:3+w_star"])
+                                     "ones:3+w_star", "ones:-3", "w_star+ones:-1"])
     def test_bad_start_directive(self, bad):
         with pytest.raises(ConfigError, match="x0"):
             spec_from_dict(base_config(x0=bad))
@@ -293,22 +293,36 @@ class TestRunExperiment:
         summary = run_experiment(spec, out_dir=tmp_path)
         manifest = json.loads(summary.manifest_path.read_text())
         md = manifest["problem_metadata"]["M2"]
-        want = theoretical_lr(LrInputs(
-            smoothness=md["smoothness"], sigma=md["sigma"], gstar=md["gstar"],
-            b0=md["b0"], M=2, K=2, R=5,
-        ))
+        want = theoretical_lr(smoothness=md["smoothness"], sigma=md["sigma"], gstar=md["gstar"],
+                              b0=md["b0"], M=2, K=2, R=5)
         for eta in manifest["resolved_lr"].values():
             assert eta == want
         rows = read_rows(summary.csv_path)
         assert {row["eta"] for row in rows} == {repr(want)}
 
-    def test_theory_with_nonlinear_schedule_warns(self, tmp_path, capsys):
-        spec = spec_from_dict(base_config(lr="theory", schedule="uniform"))
+    @pytest.mark.parametrize("schedule", ["uniform", "poly:2"])
+    def test_theory_with_nonlinear_schedule_warns(self, tmp_path, capsys, schedule):
+        spec = spec_from_dict(base_config(lr="theory", schedule=schedule))
         summary = run_experiment(spec, out_dir=tmp_path)
         manifest = json.loads(summary.manifest_path.read_text())
         assert len(manifest["warnings"]) == 1
         assert "linear" in manifest["warnings"][0]
         assert "warning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", ["poly:1", " linear "])
+    def test_theory_under_another_spelling_of_linear_does_not_warn(self, tmp_path, capsys,
+                                                                   schedule):
+        # the warning is about the weights, not the schedule's spelling
+        spec = spec_from_dict(base_config(lr="theory", schedule=schedule))
+        summary = run_experiment(spec, out_dir=tmp_path / "spelled")
+        linear = run_experiment(spec_from_dict(base_config(lr="theory")),
+                                out_dir=tmp_path / "linear")
+        manifest = json.loads(summary.manifest_path.read_text())
+        assert manifest["warnings"] == []
+        assert capsys.readouterr().err == ""
+        assert (manifest["resolved_lr"]
+                == json.loads(linear.manifest_path.read_text())["resolved_lr"])
+        assert strip_timing(read_rows(summary.csv_path)) == strip_timing(read_rows(linear.csv_path))
 
     def test_grid_lr_tunes_per_algorithm(self, tmp_path):
         # on this problem the anchor-averaging baseline prefers the large
@@ -462,9 +476,8 @@ def cell_step_size(spec, algorithm, problem, cfg, m):
             for eta, scores in tuned.table.items()]
     if directive == "theory":
         md = problem.metadata(cfg.x0)
-        return theoretical_lr(LrInputs(
-            smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar, b0=md.b0,
-            M=m, K=cfg.K, R=cfg.R)), None
+        return theoretical_lr(smoothness=md.smoothness, sigma=md.sigma, gstar=md.gstar,
+                              b0=md.b0, M=m, K=cfg.K, R=cfg.R), None
     return float(directive[len("fixed:"):]), None
 
 
@@ -490,16 +503,15 @@ def one_run_per_seed(spec):
             x0 = start_point(spec, problem)
             for k in spec.local_steps:
                 r_rounds = spec.rounds if spec.rounds is not None else spec.total_steps // k
-                cfg = RunConfig(K=k, R=r_rounds, eta=1.0,
-                                schedule=parse_schedule(spec.schedule), x0=x0)
+                cfg = RunConfig(K=k, R=r_rounds, schedule=parse_schedule(spec.schedule), x0=x0)
                 cell = f"{algorithm}-M{m}-K{k}"
                 resolved[cell], table = cell_step_size(spec, algorithm, problem, cfg, m)
                 if table is not None:
                     tuning[cell] = table
                 for seed in spec.seeds:
-                    traj = ALGORITHMS[algorithm](problem, replace(
-                        cfg, eta=resolved[cell], seed=seed,
-                        record_diagnostics=spec.diagnostics))
+                    traj = ALGORITHMS[algorithm](
+                        problem, replace(cfg, record_diagnostics=spec.diagnostics),
+                        resolved[cell], seed=seed)
                     run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
                     value = excess_loss(problem, traj.x_output)
                     excess[run_id] = value if math.isfinite(value) else None
@@ -766,7 +778,7 @@ class TestMnistExperiment:
         # the test loss goes through the softmax oracle; it must equal the
         # closed-form cross-entropy at the run's output point bitwise
         problems, _ = runner._mnist_problems(spec, data)
-        x = ALGORITHMS["local"](problems[2], RunConfig(K=2, R=2, eta=0.05, seed=0)).x_output
+        x = ALGORITHMS["local"](problems[2], RunConfig(K=2, R=2), 0.05).x_output
         loss, accuracy = closed_form_test_metrics(data, x)
         assert tm["test_loss"] == loss
         assert tm["test_accuracy"] == accuracy
@@ -792,7 +804,7 @@ class TestMnistExperiment:
             assert metrics[name] == {"test_accuracy": None, "test_loss": None}
 
         problems, _ = runner._mnist_problems(spec, data)
-        x = ALGORITHMS["minibatch"](problems[2], RunConfig(K=2, R=2, eta=1e300, seed=0)).x_output
+        x = ALGORITHMS["minibatch"](problems[2], RunConfig(K=2, R=2), 1e300).x_output
         assert np.isfinite(x).all()
         with np.errstate(over="ignore"):
             assert not math.isfinite(float(x @ x))
@@ -1077,6 +1089,10 @@ class TestCli:
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, overrides):
         self.assert_exits_2(tmp_path, base_config(**overrides))
+
+    def test_negative_start_norm_exits_2(self, tmp_path):
+        # the norm of "ones:<norm>" is a Euclidean norm, never negative
+        assert "'x0'" in self.assert_exits_2(tmp_path, base_config(x0="ones:-3"))
 
     def assert_exits_2(self, tmp_path, cfg):
         # through a real process, so an uncaught exception would show as a traceback

@@ -55,9 +55,8 @@ def test_speedup_script_reads_output_excess_equal_to_a_replay(tmp_path, capsys):
         for name in ("minibatch", "slowcal"):
             eta = manifest["resolved_lr"][f"{name}-M{m}-K3"]
             for seed in (0, 1, 2):
-                cfg = RunConfig(K=3, R=6, eta=eta, schedule=parse_schedule(spec.schedule),
-                                seed=seed, x0=x0)
-                traj = ALGORITHMS[name](problem, cfg)
+                cfg = RunConfig(K=3, R=6, schedule=parse_schedule(spec.schedule), x0=x0)
+                traj = ALGORITHMS[name](problem, cfg, eta, seed=seed)
                 replayed[f"{name}-quadratic-M{m}-K3-s{seed}"] = excess_loss(problem, traj.x_output)
     # bitwise, after the JSON round trip
     assert manifest["output_excess"] == replayed
