@@ -1,8 +1,9 @@
 """Heterogeneous partitions, synthetic clusters, and IDX file handling.
 
 Per-machine data are plain arrays: a partition is a tuple of sorted index
-arrays, one per machine, and a synthetic pool is dealt out as per-machine
-feature and label tuples, the form ``LogisticEnsemble`` takes."""
+arrays, one per machine, and a synthetic pool is dealt out as one feature
+array and one label array in machine order plus each machine's row count,
+the form ``LogisticEnsemble`` takes."""
 from __future__ import annotations
 
 import gzip
@@ -72,11 +73,11 @@ def synth_clusters(
     per_machine_skew: float,
     seed: int,
     n_per_machine: int = 64,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Gaussian point clouds around simplex-vertex class means, dealt to
     machines with Dirichlet(per_machine_skew) label skew. Returns (features,
-    labels): per machine, its (N_i, dim) float64 features and (N_i,) int64
-    labels.
+    labels, sizes): the (N, dim) float64 features and (N,) int64 labels in
+    machine order, machine i holding the next sizes[i] rows.
 
     Class c's mean is the unit basis vector e_c, so class separation is
     sqrt(2) and `spread` is the per-coordinate noise scale. The global pool
@@ -98,7 +99,8 @@ def synth_clusters(
     means[np.arange(num_classes), np.arange(num_classes)] = 1.0
     features = means[labels] + spread * feature_rng.standard_normal((total, dim))
 
-    return tuple(features[idx] for idx in part), tuple(labels[idx] for idx in part)
+    order = np.concatenate(part)
+    return features[order], labels[order], tuple(len(idx) for idx in part)
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:

@@ -40,13 +40,13 @@ log-sum-exp and label picks on (lanes, n, C) arrays; the one-point methods
 (``machine_value``, ``exact_gradient``) are its one-lane calls. A one-point
 ``global_value`` or ``global_gradient`` (the optimum's descent, ``f_star``,
 output points, MNIST's L-BFGS reference) pools instead: each machine's
-logits, still its own matmul, fill one (N, C) buffer in ``_pooled`` row
-order, and the log-softmax, exp and label picks run once on it; the pick
-means and gradient products stay per machine, summed in machine order. Lane
-calls stay per machine, where pooled (lanes, N, C) temporaries cost more
-than the saved calls. The class-axis max chains whole columns, where
-numpy's reduce walks the short axis once per row; the sum chains them below
-8 classes and keeps numpy's reduce from 8, where its sum is pairwise.
+logits, still its own matmul, fill one (N, C) buffer in machine order, and
+the log-softmax, exp and label picks run once on it; the pick means and
+gradient products stay per machine, summed in machine order. Lane calls
+stay per machine, where pooled (lanes, N, C) temporaries cost more than
+the saved calls. The class-axis max chains whole columns, where numpy's
+reduce walks the short axis once per row; the sum chains them below 8
+classes and keeps numpy's reduce from 8, where its sum is pairwise.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import squared_norms
-from .rng import index_rows, normal_rows
+from .rng import index_rows, normal_rows, sizable
 
 GROWTH_SLACK_FLOOR = -1e-9
 _PSD_EIG_FLOOR = -1e-10
@@ -197,6 +197,8 @@ class QuadraticEnsemble(_Ensemble):
             raise ValueError("curvatures must be finite")
         if cents.shape != mats.shape[:2]:
             raise ValueError(f"centers shape {cents.shape} does not match {mats.shape[:2]}")
+        if not np.isfinite(cents).all():
+            raise ValueError("centers must be finite")
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         eigs = np.linalg.eigvalsh(mats)  # (M, d); one batched solve, bitwise per matrix
@@ -315,59 +317,71 @@ class QuadraticEnsemble(_Ensemble):
         # two forms differ in the last bits
         diff = self.w_star[None, :] - self.centers
         grads = np.einsum("mij,mj->mi", self.curvatures, diff)
-        return math.sqrt(2.0 * float((grads ** 2).sum(axis=1).mean()))
+        with np.errstate(over="ignore"):  # an overflow is rejected by name below
+            gstar = math.sqrt(2.0 * float((grads ** 2).sum(axis=1).mean()))
+        if not math.isfinite(gstar):
+            raise DegenerateProblemError(f"G* = {gstar:g} is not finite")
+        return gstar
 
 
 @dataclass(frozen=True, eq=False)
 class LogisticEnsemble(_Ensemble):
     """Softmax regression over per-machine data, parameters flattened from
-    a (num_classes, d) weight matrix. Machine i holds the (N_i, d) feature
-    block ``features[i]`` and its (N_i,) integer labels ``labels[i]``. With
-    l2 > 0 the global optimum is unique and found by full-batch gradient
-    descent to tiny gradient norm; ``reference_point`` short-circuits that
-    oracle for large corpora where only reference-based excess curves are
-    needed."""
+    a (num_classes, d) weight matrix. The examples are held once, in
+    machine order: the (N, d) ``features`` and (N,) integer ``labels``,
+    of which machine i holds the next ``sizes[i]`` rows; each machine's
+    block is a view of its row span. With l2 > 0 the global optimum is
+    unique and found by full-batch gradient descent to tiny gradient norm;
+    ``reference_point`` short-circuits that oracle for large corpora where
+    only reference-based excess curves are needed."""
 
-    features: tuple[np.ndarray, ...]
-    labels: tuple[np.ndarray, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    sizes: tuple[int, ...]
     num_classes: int
     l2: float = 0.0
     reference_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        feats = tuple(np.asarray(f, dtype=np.float64) for f in self.features)
-        labs = tuple(np.asarray(l, dtype=np.int64) for l in self.labels)
-        if not feats:
+        # a float64 (int64) C-contiguous array is kept, not copied
+        feats = np.asarray(self.features, dtype=np.float64, order="C")
+        labs = np.asarray(self.labels, dtype=np.int64, order="C")
+        sizes = tuple(int(n) for n in self.sizes)
+        if not sizes:
             raise ValueError("need at least one machine")
-        if len(feats) != len(labs):
-            raise ValueError(f"{len(feats)} feature blocks vs {len(labs)} label blocks")
         if self.num_classes < 2:
             raise ValueError(f"need at least two classes, got {self.num_classes}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
-        for i, f in enumerate(feats):
-            if f.ndim != 2:
-                raise ValueError(f"machine {i} features must be 2-D, got shape {f.shape}")
-        width = feats[0].shape[1]
-        for i, (f, l) in enumerate(zip(feats, labs)):
-            if f.shape[1] != width:
-                raise ValueError(f"machine {i} features shape {f.shape} != (N, {width})")
-            if f.shape[0] == 0:
-                raise ValueError(f"machine {i} has no examples")
-            if l.shape != (f.shape[0],):
-                raise ValueError(f"machine {i} labels shape {l.shape} mismatched")
-            if l.min() < 0 or l.max() >= self.num_classes:
-                raise ValueError(f"machine {i} labels outside [0, {self.num_classes})")
+        if feats.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
+        if labs.shape != (feats.shape[0],):
+            raise ValueError(f"labels shape {labs.shape} does not match {feats.shape[0]} examples")
+        for i, n in enumerate(sizes):
+            if n <= 0:
+                raise ValueError(f"machine {i} has no examples (size {n})")
+        if sum(sizes) != feats.shape[0]:
+            raise ValueError(f"machine sizes sum to {sum(sizes)}, not the {feats.shape[0]} examples")
+        offsets = np.cumsum((0,) + sizes[:-1], dtype=np.int64)
+        outside = (labs < 0) | (labs >= self.num_classes)
+        if outside.any():
+            machine = int(np.searchsorted(offsets, outside.argmax(), side="right")) - 1
+            raise ValueError(f"machine {machine} labels outside [0, {self.num_classes})")
+        spans = tuple(slice(start, start + n) for start, n in zip(offsets.tolist(), sizes))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_blocks", tuple(feats[rows] for rows in spans))
 
     @property
     def num_machines(self) -> int:
-        return len(self.features)
+        return len(self.sizes)
 
     @property
     def feature_dim(self) -> int:
-        return self.features[0].shape[1]
+        return self.features.shape[1]
 
     @property
     def dim(self) -> int:
@@ -380,38 +394,28 @@ class LogisticEnsemble(_Ensemble):
     @cached_property
     def _label_picks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per machine, the (rows, labels) index pair of its true-class entries."""
-        return tuple((np.arange(l.shape[0]), l) for l in self.labels)
+        return tuple((np.arange(n), self.labels[rows]) for n, rows in zip(self.sizes, self._spans))
 
     def _log_probs(self, machine: int, weight_mats: np.ndarray) -> np.ndarray:
         """(..., n, C) log-probabilities of the machine's examples under
         (..., C, f) weight matrices: one strided matmul over the lanes, so
         each lane's slice is the same BLAS call as a one-lane call."""
-        return _log_softmax(self.features[machine] @ weight_mats.swapaxes(-1, -2))
+        return _log_softmax(self._blocks[machine] @ weight_mats.swapaxes(-1, -2))
 
     def _pooled_log_probs(self, mat: np.ndarray) -> np.ndarray:
         """(N, C) log-probabilities of every machine's examples under one
-        (C, f) weight matrix, rows in ``_pooled`` order. Each machine's
-        logits are its own matmul, as in ``_log_probs``: one product over
-        all N rows is not bitwise equal when a machine holds one example."""
-        _, labels, _ = self._pooled
-        logits = np.empty((labels.shape[0], self.num_classes))
-        for f, rows in zip(self.features, self._pooled_spans):
+        (C, f) weight matrix, rows in machine order. Each machine's logits
+        are its own matmul, as in ``_log_probs``: one product over all N
+        rows is not bitwise equal when a machine holds one example."""
+        logits = np.empty((self.labels.shape[0], self.num_classes))
+        for f, rows in zip(self._blocks, self._spans):
             logits[rows] = f @ mat.T
         return _log_softmax(logits)
 
     @cached_property
-    def _pooled_spans(self) -> tuple[slice, ...]:
-        """Each machine's rows of the pooled examples."""
-        _, _, offsets = self._pooled
-        return tuple(slice(start, start + f.shape[0])
-                     for start, f in zip(offsets.tolist(), self.features))
-
-    @cached_property
     def _pooled_picks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, labels) index pair of every pooled example's
-        true-class entry."""
-        _, labels, _ = self._pooled
-        return np.arange(labels.shape[0]), labels
+        """The (rows, labels) index pair of every example's true-class entry."""
+        return np.arange(self.labels.shape[0]), self.labels
 
     def _values(self, machine: int, w: np.ndarray) -> np.ndarray:
         """f_i at w of shape (..., d), one value per lane."""
@@ -430,7 +434,7 @@ class LogisticEnsemble(_Ensemble):
         mats = self._matrix(w)
         probs = np.exp(self._log_probs(machine, mats))
         probs[(..., *self._label_picks[machine])] -= 1.0
-        return self._gradient(probs, self.features[machine], mats).reshape(w.shape)
+        return self._gradient(probs, self._blocks[machine], mats).reshape(w.shape)
 
     def machine_value(self, machine: int, w: np.ndarray) -> float:
         return float(self._values(machine, np.asarray(w)))
@@ -447,7 +451,7 @@ class LogisticEnsemble(_Ensemble):
         if x.ndim == 1:
             picks = self._pooled_log_probs(self._matrix(x))[self._pooled_picks]
             decay = 0.5 * self.l2 * squared_norms(x)
-            for i, rows in enumerate(self._pooled_spans):
+            for i, rows in enumerate(self._spans):
                 values[i] = -picks[rows].mean() + decay
             return float(values.mean())
         for i in range(self.num_machines):
@@ -464,7 +468,7 @@ class LogisticEnsemble(_Ensemble):
             mat = self._matrix(x)
             probs = np.exp(self._pooled_log_probs(mat))
             probs[self._pooled_picks] -= 1.0
-            for feats, rows in zip(self.features, self._pooled_spans):
+            for feats, rows in zip(self._blocks, self._spans):
                 acc += self._gradient(probs[rows], feats, mat).reshape(x.shape)
         else:
             for i in range(self.num_machines):
@@ -473,16 +477,17 @@ class LogisticEnsemble(_Ensemble):
 
     def _example_gradient(self, machine: int, example: int, w: np.ndarray) -> np.ndarray:
         mat = self._matrix(np.asarray(w))
-        row = self.features[machine][example]
+        rows = self._spans[machine]
+        row = self.features[rows][example]
         logits = mat @ row
         logits -= logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()
-        probs[self.labels[machine][example]] -= 1.0
+        probs[self.labels[rows][example]] -= 1.0
         return (np.outer(probs, row) + self.l2 * mat).reshape(-1)
 
     def round_sampler(self, seed: int, machine: int, rnd: int, steps: int) -> GradSampler:
-        picks = index_rows(seed, machine, rnd, steps, self.features[machine].shape[0])
+        picks = index_rows(seed, machine, rnd, steps, self.sizes[machine])
 
         def sample(k: int, x: np.ndarray) -> np.ndarray:
             return self._example_gradient(machine, int(picks[k]), x)
@@ -497,45 +502,36 @@ class LogisticEnsemble(_Ensemble):
             grads[..., i, :] = self._gradients(i, points[..., i, :])
         return grads
 
-    @cached_property
-    def _pooled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every machine's features and labels concatenated, and the index of
-        each machine's first row in them."""
-        sizes = [f.shape[0] for f in self.features]
-        offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
-        return np.concatenate(self.features), np.concatenate(self.labels), offsets
-
     def round_draws(self, seeds, rnd: int, steps: int) -> np.ndarray:
-        """(seeds, M, steps) rows of the pooled examples: machine i's step-k
-        pick of each seed, shifted by the machine's offset (machines hold
+        """(seeds, M, steps) rows of ``features``: machine i's step-k pick
+        of each seed, shifted by the machine's first row (machines hold
         unequal counts)."""
-        _, _, offsets = self._pooled
-        picks = np.array([[index_rows(seed, i, rnd, steps, f.shape[0])
-                           for i, f in enumerate(self.features)]
+        picks = np.array([[index_rows(seed, i, rnd, steps, n)
+                           for i, n in enumerate(self.sizes)]
                           for seed in seeds])
-        return picks + offsets[:, None]
+        return picks + self._offsets[:, None]
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int,
                           lanes: np.ndarray) -> np.ndarray:
         """Single-example gradients, the batched form of _example_gradient;
         each lane's label is subtracted in its own lane."""
-        feats, labels, _ = self._pooled
         picks = draws[lanes, :, k]                     # (lanes, M)
-        rows = feats[picks]                            # (lanes, M, f)
+        rows = self.features[picks]                    # (lanes, M, f)
         mats = points.reshape(*points.shape[:-1], self.num_classes, self.feature_dim)
         logits = (mats @ rows[..., :, None])[..., 0]   # (lanes, M, C)
         logits -= _class_max(logits)
         probs = np.exp(logits)
         probs /= _class_sum(probs)
-        probs[np.arange(len(picks))[:, None], np.arange(picks.shape[1]), labels[picks]] -= 1.0
+        probs[np.arange(len(picks))[:, None], np.arange(picks.shape[1]), self.labels[picks]] -= 1.0
         grads = probs[..., :, None] * rows[..., None, :] + self.l2 * mats
         return grads.reshape(points.shape)
 
     @cached_property
     def _smoothness(self) -> float:
-        # softmax cross-entropy curvature in the logits is at most 1/2
+        # softmax cross-entropy curvature in the logits is at most 1/2; the
+        # squares are taken per machine, never as a second copy of all the features
         with np.errstate(over="ignore"):  # +inf for huge features; the optimum rejects it
-            sq = max(float((f ** 2).sum(axis=1).max()) for f in self.features)
+            sq = max(float((f ** 2).sum(axis=1).max()) for f in self._blocks)
         return 0.5 * sq + self.l2
 
     @cached_property
@@ -584,7 +580,7 @@ class LogisticEnsemble(_Ensemble):
         sq_l2w = float((mat ** 2).sum())
         total = 0.0
         for i in range(self.num_machines):
-            feats = self.features[i]
+            feats = self._blocks[i]
             probs = np.exp(self._log_probs(i, mat))
             probs[self._label_picks[i]] -= 1.0
             qnorm = (probs ** 2).sum(axis=1)
@@ -632,13 +628,16 @@ def heterogeneous_quadratic(
         mat = (basis * eigs) @ basis.T
         return 0.5 * (mat + mat.T)
 
+    # allocated first, so a machine count numpy cannot hold fails before any QR
+    mats = np.empty(sizable((num_machines, dim, dim)))
     if curvature == "shared":
-        shared = random_psd()
-        mats = np.repeat(shared[None, :, :], num_machines, axis=0)
+        mats[:] = random_psd()
     else:
-        mats = np.stack([random_psd() for _ in range(num_machines)])
+        for mat in mats:
+            mat[:] = random_psd()
 
-    centers = center_spread * rng.standard_normal((num_machines, dim)) / math.sqrt(dim)
+    with np.errstate(over="ignore"):  # QuadraticEnsemble rejects a non-finite center
+        centers = center_spread * rng.standard_normal((num_machines, dim)) / math.sqrt(dim)
     ensemble = QuadraticEnsemble(mats, centers, sigma)
     if target_gstar is None:
         return ensemble

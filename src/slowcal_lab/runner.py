@@ -395,7 +395,7 @@ def build_problem(problem: dict, num_machines: int):
             seed=problem["problem_seed"],
         )
     if kind == "synth-logistic":
-        features, labels = synth_clusters(
+        return LogisticEnsemble(*synth_clusters(
             num_machines,
             problem["dim"],
             problem["num_classes"],
@@ -403,8 +403,7 @@ def build_problem(problem: dict, num_machines: int):
             problem["label_skew"],
             problem["problem_seed"],
             n_per_machine=problem["n_per_machine"],
-        )
-        return LogisticEnsemble(features, labels, problem["num_classes"], l2=problem["l2"])
+        ), problem["num_classes"], l2=problem["l2"])
     raise ConfigError(f"cannot build problem kind {kind!r} without its data; "
                       f"run it through run_experiment")
 
@@ -706,7 +705,7 @@ def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         logp = test_set._log_probs(0, test_set._matrix(w))
-        acc = float((logp.argmax(axis=-1) == test_set.labels[0]).mean())
+        acc = float((logp.argmax(axis=-1) == test_set.labels).mean())
         loss = 0.0 - float(logp[test_set._label_picks[0]].mean())
     # the argmax of a NaN row is class 0, which says nothing about w
     return {"test_accuracy": acc if np.isfinite(logp).all() else None,
@@ -738,14 +737,15 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     """One machine count's MNIST problem: Dirichlet label-skew partition and
     an L-BFGS reference optimum. Returns the problem and its manifest entry."""
     part = dirichlet_partition(train_y, m, prob["label_skew"], prob["problem_seed"])
-    bare = LogisticEnsemble(tuple(train_x[idx] for idx in part),
-                            tuple(train_y[idx] for idx in part), _MNIST_CLASSES, l2=prob["l2"])
+    order = np.concatenate(part)  # one gather of the rows, in machine order
+    bare = LogisticEnsemble(train_x[order], train_y[order], [len(idx) for idx in part],
+                            _MNIST_CLASSES, l2=prob["l2"])
     reference, grad_norm = _lbfgs_reference(bare)
-    problem = dataclasses.replace(bare, reference_point=reference)
+    problem = dataclasses.replace(bare, reference_point=reference)  # shares the arrays
     return problem, {
         "grad_norm": grad_norm,
         "train_loss": problem.f_star,
-        "machine_sizes": [len(idx) for idx in part],
+        "machine_sizes": list(problem.sizes),
     }
 
 
@@ -765,7 +765,7 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
     except (FileNotFoundError, IdxFormatError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        test_set = LogisticEnsemble((test_x,), (test_y,), _MNIST_CLASSES)
+        test_set = LogisticEnsemble(test_x, test_y, (len(test_y),), _MNIST_CLASSES)
     except ValueError as exc:
         raise ConfigError(f"MNIST test set under {root}: {exc}") from exc
     limit = prob["train_limit"]

@@ -15,8 +15,9 @@ LANE_SHAPES = [(1, 1, 1), (1, 3, 2), (4, 1, 2), (3, 2, 1), (2, 9, 1), (3, 16, 1)
 def _softmax(m: int, num_classes: int, features: int, rng) -> LogisticEnsemble:
     sizes = [2 + 3 * i % 7 for i in range(m)]
     return LogisticEnsemble(
-        features=tuple(rng.standard_normal((n, features)) for n in sizes),
-        labels=tuple(rng.integers(0, num_classes, n) for n in sizes),
+        features=np.concatenate([rng.standard_normal((n, features)) for n in sizes]),
+        labels=np.concatenate([rng.integers(0, num_classes, n) for n in sizes]),
+        sizes=sizes,
         num_classes=num_classes,
         l2=0.1,
     )

@@ -91,8 +91,8 @@ def oracle_stats():
     sampled = sampled_draws(quad, probe, seeds, steps)
     noise_power = (np.linalg.norm(sampled - exact, axis=-1) ** 2).mean(axis=0)
 
-    logistic = LogisticEnsemble((np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.5]]),),
-                                (np.array([0, 2, 1]),), num_classes=3, l2=0.1)
+    logistic = LogisticEnsemble(np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.5]]),
+                                np.array([0, 2, 1]), (3,), num_classes=3, l2=0.1)
     point = 0.1 * np.arange(logistic.dim, dtype=np.float64)
     log_exact = logistic.exact_gradients(point[None, :])
     log_sampled = sampled_draws(logistic, point, seeds, steps)

@@ -332,8 +332,9 @@ def small_logistic():
     rng = np.random.default_rng(4)
     sizes = (5, 12, 8)
     return LogisticEnsemble(
-        features=tuple(rng.standard_normal((n, 3)) for n in sizes),
-        labels=tuple(rng.integers(0, 3, n) for n in sizes),
+        features=np.concatenate([rng.standard_normal((n, 3)) for n in sizes]),
+        labels=np.concatenate([rng.integers(0, 3, n) for n in sizes]),
+        sizes=sizes,
         num_classes=3,
         l2=0.1,
     )

@@ -73,31 +73,38 @@ class TestDirichletPartition:
 
 class TestSynthClusters:
     def test_shapes_and_label_range(self):
-        features, labels = synth_clusters(4, dim=6, num_classes=3, spread=0.3,
-                                          per_machine_skew=0.5, seed=0)
-        assert len(features) == len(labels) == 4
-        assert sum(len(f) for f in features) == 4 * 64
-        for f, l in zip(features, labels):
-            assert f.dtype == np.float64 and f.shape == (len(l), 6)
-            assert l.dtype == np.int64
-            assert l.min() >= 0 and l.max() < 3
+        features, labels, sizes = synth_clusters(4, dim=6, num_classes=3, spread=0.3,
+                                                 per_machine_skew=0.5, seed=0)
+        assert len(sizes) == 4 and sum(sizes) == 4 * 64
+        assert features.dtype == np.float64 and features.shape == (4 * 64, 6)
+        assert labels.dtype == np.int64 and labels.shape == (4 * 64,)
+        assert labels.min() >= 0 and labels.max() < 3
+
+    def test_rows_are_dealt_in_machine_order(self):
+        # machine i's rows are the pool's rows of its partition indices, in order
+        num_machines, n_per_machine, seed = 3, 20, 4
+        features, labels, sizes = synth_clusters(num_machines, dim=5, num_classes=2,
+                                                 spread=0.2, per_machine_skew=1.0, seed=seed,
+                                                 n_per_machine=n_per_machine)
+        pool = np.arange(num_machines * n_per_machine) % 2
+        part = dirichlet_partition(pool, num_machines, 1.0, seed)
+        assert sizes == tuple(len(idx) for idx in part)
+        np.testing.assert_array_equal(labels, pool[np.concatenate(part)])
 
     def test_deterministic(self):
         a = synth_clusters(3, dim=5, num_classes=2, spread=0.2,
                            per_machine_skew=1.0, seed=4)
         b = synth_clusters(3, dim=5, num_classes=2, spread=0.2,
                            per_machine_skew=1.0, seed=4)
-        for blocks_a, blocks_b in zip(a, b):
-            for xa, xb in zip(blocks_a, blocks_b, strict=True):
-                np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        assert a[2] == b[2]
 
     def test_clusters_are_separable_at_low_spread(self):
         # class means are unit basis vectors, so nearest-mean classification
         # should be nearly perfect when the noise is small
-        features, labels = synth_clusters(4, dim=10, num_classes=4, spread=0.2,
-                                          per_machine_skew=1.0, seed=1)
-        feats = np.concatenate(features)
-        labs = np.concatenate(labels)
+        feats, labs, _ = synth_clusters(4, dim=10, num_classes=4, spread=0.2,
+                                        per_machine_skew=1.0, seed=1)
         means = np.zeros((4, 10))
         means[np.arange(4), np.arange(4)] = 1.0
         pred = np.argmin(

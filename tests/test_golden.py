@@ -156,8 +156,9 @@ def unequal_logistic():
     rng = np.random.default_rng(11)
     sizes = (4, 9, 6)
     return LogisticEnsemble(
-        features=tuple(rng.standard_normal((n, 3)) for n in sizes),
-        labels=tuple(rng.integers(0, 3, n) for n in sizes),
+        features=np.concatenate([rng.standard_normal((n, 3)) for n in sizes]),
+        labels=np.concatenate([rng.integers(0, 3, n) for n in sizes]),
+        sizes=sizes,
         num_classes=3,
         l2=0.05,
     )

@@ -1,5 +1,6 @@
 """Objective ensembles: oracle values against hand-computed examples,
 noise conventions, optimum oracles, and the scalar bounds."""
+import dataclasses
 import itertools
 import math
 
@@ -214,8 +215,9 @@ def tiny_logistic(l2=0.5):
     # machine 0: one example a=(1,2) labeled 0 of C=3 classes
     # machine 1: one example a=(0,1) labeled 2
     return LogisticEnsemble(
-        features=(np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]])),
-        labels=(np.array([0]), np.array([2])),
+        features=np.array([[1.0, 2.0], [0.0, 1.0]]),
+        labels=np.array([0, 2]),
+        sizes=(1, 1),
         num_classes=3,
         l2=l2,
     )
@@ -256,7 +258,7 @@ class TestLogisticOracles:
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((7, 3))
         labs = rng.integers(0, 4, size=7)
-        prob = LogisticEnsemble((feats,), (labs,), num_classes=4, l2=0.1)
+        prob = LogisticEnsemble(feats, labs, (7,), num_classes=4, l2=0.1)
         w = rng.standard_normal(prob.dim) * 0.3
         mean = np.zeros(prob.dim)
         for k in range(7):
@@ -267,7 +269,7 @@ class TestLogisticOracles:
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((5, 2))
         labs = rng.integers(0, 3, size=5)
-        prob = LogisticEnsemble((feats,), (labs,), num_classes=3, l2=0.0)
+        prob = LogisticEnsemble(feats, labs, (5,), num_classes=3, l2=0.0)
         w = np.zeros(prob.dim)
         sample = prob.round_sampler(3, 0, 0, 20)
         per_example = np.stack([prob._example_gradient(0, k, w) for k in range(5)])
@@ -281,9 +283,9 @@ class TestLogisticOracles:
         # neither machine's mean gradient vanishes at the optimum
         rng = np.random.default_rng(2)
         sizes = (6, 4)
-        prob = LogisticEnsemble(tuple(rng.standard_normal((n, 3)) for n in sizes),
-                                tuple(rng.integers(0, 3, size=n) for n in sizes),
-                                num_classes=3, l2=0.2)
+        prob = LogisticEnsemble(np.concatenate([rng.standard_normal((n, 3)) for n in sizes]),
+                                np.concatenate([rng.integers(0, 3, size=n) for n in sizes]),
+                                sizes, num_classes=3, l2=0.2)
         w = prob.w_star
         spreads = []
         for i, n in enumerate(sizes):
@@ -329,7 +331,7 @@ class TestLogisticOracles:
     def test_infinite_smoothness_optimum_is_degenerate_at_once(self):
         # features too large to square: the step 1/L would be 0 and the
         # oracle would spin to its iteration cap
-        prob = LogisticEnsemble((np.array([[1e200, 0.0], [0.0, -1e200]]),), (np.array([0, 1]),),
+        prob = LogisticEnsemble(np.array([[1e200, 0.0], [0.0, -1e200]]), np.array([0, 1]), (2,),
                                 num_classes=2, l2=0.1)
         assert prob.smoothness() == math.inf
         with pytest.raises(DegenerateProblemError, match="smoothness"):
@@ -338,8 +340,9 @@ class TestLogisticOracles:
     def test_reference_point_short_circuits_the_oracle(self):
         ref = np.full(6, 0.25)
         prob = LogisticEnsemble(
-            features=(np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]])),
-            labels=(np.array([0]), np.array([2])),
+            features=np.array([[1.0, 2.0], [0.0, 1.0]]),
+            labels=np.array([0, 2]),
+            sizes=(1, 1),
             num_classes=3,
             l2=0.0,
             reference_point=ref,
@@ -348,21 +351,55 @@ class TestLogisticOracles:
         assert prob.f_star == pytest.approx(prob.global_value(ref), rel=1e-15)
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            LogisticEnsemble((), (), num_classes=2)
-        with pytest.raises(ValueError):
-            LogisticEnsemble((np.zeros((2, 3)),), (np.array([0, 2]),), num_classes=2)
-        with pytest.raises(ValueError):
-            LogisticEnsemble((np.zeros((2, 3)),), (np.array([0]),), num_classes=2)
-        with pytest.raises(ValueError):
-            LogisticEnsemble((np.zeros((2, 3)),), (np.array([0, 1]),), num_classes=1)
-        # a feature block that is not 2-D, first or later, is named before any width is read
-        for feats in [(np.zeros(3),), (np.zeros(3), np.zeros((2, 3))),
-                      (np.zeros((2, 3)), np.zeros(3)), (np.zeros((1, 2, 3)),)]:
-            with pytest.raises(ValueError, match="2-D"):
-                LogisticEnsemble(feats, tuple(np.zeros(len(f), dtype=np.int64) for f in feats), 2)
+        with pytest.raises(ValueError, match="at least one machine"):
+            LogisticEnsemble(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), (), num_classes=2)
+        with pytest.raises(ValueError, match="labels outside"):
+            LogisticEnsemble(np.zeros((2, 3)), np.array([0, 2]), (2,), num_classes=2)
         with pytest.raises(ValueError, match="labels shape"):
-            LogisticEnsemble((np.zeros((3, 2)),), (np.zeros(2, dtype=np.int64),), 2)
+            LogisticEnsemble(np.zeros((2, 3)), np.array([0]), (2,), num_classes=2)
+        with pytest.raises(ValueError, match="two classes"):
+            LogisticEnsemble(np.zeros((2, 3)), np.array([0, 1]), (2,), num_classes=1)
+        # features that are not 2-D are named before any width is read
+        for feats in [np.zeros(3), np.zeros((1, 2, 3))]:
+            with pytest.raises(ValueError, match="2-D"):
+                LogisticEnsemble(feats, np.zeros(len(feats), dtype=np.int64), (len(feats),), 2)
+        with pytest.raises(ValueError, match="labels shape"):
+            LogisticEnsemble(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), (3,), 2)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((), "need at least one machine"),
+        ((3, 0, 3), "machine 1 has no examples"),
+        ((7, -1), "machine 1 has no examples"),
+        ((2, 2, 2), "sum to 6, not the 7"),
+        ((4, 4), "sum to 8, not the 7"),
+    ], ids=["empty", "zero", "negative", "short", "long"])
+    def test_sizes_must_deal_out_every_example(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            LogisticEnsemble(np.zeros((7, 2)), np.zeros(7, dtype=np.int64), sizes, 2)
+
+    def test_bad_label_names_its_machine(self):
+        labels = np.array([0, 1, 1, 0, 2, 1, 0])
+        with pytest.raises(ValueError, match=r"machine 2 labels outside \[0, 2\)"):
+            LogisticEnsemble(np.zeros((7, 2)), labels, (2, 2, 3), 2)
+        with pytest.raises(ValueError, match=r"machine 0 labels outside \[0, 2\)"):
+            LogisticEnsemble(np.zeros((7, 2)), -labels, (2, 2, 3), 2)
+
+    def test_machine_blocks_are_views_of_the_pooled_examples(self):
+        rng = np.random.default_rng(5)
+        sizes = (3, 1, 5)
+        feats = rng.standard_normal((9, 4))
+        prob = LogisticEnsemble(feats, rng.integers(0, 3, 9), sizes, num_classes=3, l2=0.1)
+        assert prob.features is feats  # a float64 C-contiguous input is kept, not copied
+        start = 0
+        for n, block, rows in zip(sizes, prob._blocks, prob._spans):
+            assert np.shares_memory(block, prob.features)
+            assert block.flags.c_contiguous
+            np.testing.assert_array_equal(block, feats[start:start + n])
+            assert rows == slice(start, start + n)
+            start += n
+        moved = dataclasses.replace(prob, reference_point=np.zeros(prob.dim))
+        assert moved.features is prob.features and moved.labels is prob.labels
+        assert moved.sizes == sizes
 
 
 class TestScalarBounds:
@@ -424,8 +461,9 @@ class TestBatchedOracle:
         rng = np.random.default_rng(3)
         sizes = (3, 11, 6)
         prob = LogisticEnsemble(
-            features=tuple(rng.standard_normal((n, 4)) for n in sizes),
-            labels=tuple(rng.integers(0, 5, n) for n in sizes),
+            features=np.concatenate([rng.standard_normal((n, 4)) for n in sizes]),
+            labels=np.concatenate([rng.integers(0, 5, n) for n in sizes]),
+            sizes=sizes,
             num_classes=5,
             l2=0.05,
         )
@@ -467,8 +505,9 @@ class TestBatchedOracle:
             np.testing.assert_array_equal(got[i], quad.exact_gradient(i, pts[i]))
         sizes = (2, 9)
         logistic = LogisticEnsemble(
-            features=tuple(rng.standard_normal((n, 3)) for n in sizes),
-            labels=tuple(rng.integers(0, 3, n) for n in sizes),
+            features=np.concatenate([rng.standard_normal((n, 3)) for n in sizes]),
+            labels=np.concatenate([rng.integers(0, 3, n) for n in sizes]),
+            sizes=sizes,
             num_classes=3,
             l2=0.1,
         )
@@ -541,8 +580,9 @@ def _reference_log_softmax(logits):
 def one_example_logistic(sizes, features, num_classes, seed):
     rng = np.random.default_rng(seed)
     return LogisticEnsemble(
-        features=tuple(rng.standard_normal((n, features)) for n in sizes),
-        labels=tuple(rng.integers(0, num_classes, n) for n in sizes),
+        features=np.concatenate([rng.standard_normal((n, features)) for n in sizes]),
+        labels=np.concatenate([rng.integers(0, num_classes, n) for n in sizes]),
+        sizes=sizes,
         num_classes=num_classes,
         l2=0.05,
     )
@@ -584,7 +624,7 @@ class TestClassReductions:
         assert _log_softmax(rows).tobytes() == _reference_log_softmax(rows).tobytes()
         # the oracle at W = 0 on a row whose features are all negative
         feats = -np.arange(1.0, 4.0)[None, :]
-        prob = LogisticEnsemble((feats,), (np.array([0]),), num_classes)
+        prob = LogisticEnsemble(feats, np.array([0]), (1,), num_classes)
         for mats in (np.zeros((num_classes, 3)), np.full((num_classes, 3), -0.0)):
             logits = feats @ mats.T
             assert prob._log_probs(0, mats).tobytes() == _reference_log_softmax(logits).tobytes()

@@ -559,8 +559,7 @@ class TestGridCells:
         assert all(entry["scores"] == [None, None] for table in tuning.values()
                    for entry in table if entry["eta"] == 1000.0)
         logistic = spec_from_dict(GRID_CASES["logistic-unequal-machines"])
-        sizes = [len(labels) for labels in build_problem(logistic.problem, 3).labels]
-        assert len(set(sizes)) > 1
+        assert len(set(build_problem(logistic.problem, 3).sizes)) > 1
         outputs = {METHODS[name].output for name in logistic.algorithms}
         assert outputs == {"anchor-mean", "weighted-mean"}
 
@@ -610,8 +609,7 @@ class TestFixedCells:
 
     def test_cases_cover_what_they_name(self):
         logistic = spec_from_dict(FIXED_CASES["logistic-unequal-machines"])
-        sizes = [len(labels) for labels in build_problem(logistic.problem, 3).labels]
-        assert len(set(sizes)) > 1
+        assert len(set(build_problem(logistic.problem, 3).sizes)) > 1
         rows, _, _, _ = one_run_per_seed(spec_from_dict(FIXED_CASES["diverging-seeds"]))
         assert {row["diverged"] for row in rows} == {"true", "false"}
 
@@ -1059,6 +1057,16 @@ class TestCli:
                      id="logistic-l2-overflow"),
         pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e200},
                      id="logistic-spread-overflow"),
+        # 1e308 times a normal draw past 1.8 is a non-finite center
+        pytest.param({"kind": "quadratic", "dim": 5, "center_spread": 1e308},
+                     id="quadratic-center_spread-overflow"),
+        pytest.param({"kind": "quadratic", "dim": 5, "center_spread": -1e308},
+                     id="quadratic-center_spread-overflow-negative"),
+        # G* squares gradients near 1e300 (seed 3: the optimum solve still passes)
+        pytest.param({"kind": "quadratic", "dim": 2, "eig_range": [1e300, 1e300],
+                      "problem_seed": 3}, id="quadratic-gstar-overflow-dim2"),
+        pytest.param({"kind": "quadratic", "dim": 3, "eig_range": [1e300, 1e300],
+                      "problem_seed": 3}, id="quadratic-gstar-overflow-dim3"),
         # finite features so large that gradient descent stalls far above its tolerance
         pytest.param({"kind": "synth-logistic", "dim": 6, "spread": 1e10},
                      id="logistic-spread-stall"),
@@ -1094,8 +1102,14 @@ class TestCli:
         # the norm of "ones:<norm>" is a Euclidean norm, never negative
         assert "'x0'" in self.assert_exits_2(tmp_path, base_config(x0="ones:-3"))
 
-    def assert_exits_2(self, tmp_path, cfg):
-        # through a real process, so an uncaught exception would show as a traceback
+    def test_impossible_machine_count_exits_2_at_once(self, tmp_path):
+        # the (M, d, d) curvature stack is sized before any per-machine QR runs
+        cfg = base_config(problem={"kind": "quadratic", "dim": 2}, machines=[2 ** 40])
+        assert "out of memory" in self.assert_exits_2(tmp_path, cfg, timeout=30)
+
+    def assert_exits_2(self, tmp_path, cfg, timeout=120):
+        # through a real process, so an uncaught exception would show as a
+        # traceback and an escaped numpy warning as a printed one
         path = self.write_config(tmp_path, cfg)
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1103,10 +1117,11 @@ class TestCli:
         done = subprocess.run(
             [sys.executable, "-m", "slowcal_lab.cli", "run", "--config", path,
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=env, timeout=timeout)
         assert done.returncode == 2, done.stderr
         assert "config error" in done.stderr
         assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
         return done.stderr
 
     @pytest.mark.parametrize("command", ["run", "mnist"])
