@@ -154,7 +154,8 @@ class _Recorder:
         self.t = np.arange(1, cfg.R + 1, dtype=np.int64) * cfg.K
         self.steps: list[list[StepRecord]] | None = (
             [[] for _ in range(num_lanes)] if cfg.record_diagnostics else None)
-        initial = problem.global_value(x_start) - problem.f_star
+        with np.errstate(over="ignore", invalid="ignore"):  # a start past float range diverges
+            initial = problem.global_value(x_start) - problem.f_star
         self.threshold = DIVERGENCE_FACTOR * initial if initial > 0 else DIVERGENCE_FACTOR
 
     def drop(self, keep: list[int]) -> None:
@@ -331,10 +332,16 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
             draws = problem.round_draws(draw_seeds, r, k_steps)
             if spec.aggregate == "server":  # the round's step means, summed in step order
                 step_sum = np.zeros((len(rec.lanes), problem.dim))
+                # x holds still all round: every step queries the same points
+                queries = machine_states(x)
+                round_grads = problem.fixed_point_gradients(queries, draws, k_steps, draw_rows)
             for k in range(k_steps):
                 t = r * k_steps + k
-                queries = machine_states(x)
-                grads = problem.sampled_gradients(queries, draws, k, draw_rows)
+                if spec.aggregate == "server":
+                    grads = next(round_grads)
+                else:
+                    queries = machine_states(x)
+                    grads = problem.sampled_gradients(queries, draws, k, draw_rows)
                 if spec.aggregate != "round" or cfg.record_diagnostics:
                     g_mean = _ascending_mean(grads)
                 if cfg.record_diagnostics:
@@ -355,6 +362,7 @@ def run_lanes(problem, method: str, cfg: RunConfig, etas, seeds) -> list[Traject
                     acc = acc + weight_at(schedule, t + 1) * _ascending_mean(w)
 
             if spec.aggregate == "server":
+                round_grads.close()  # frees its gradients before the round close
                 w = x = x - (lane_etas[:, None] * (step_sum / k_steps))[:, None]
             w_mean = _ascending_mean(w)
             states.append(machine_states(x))

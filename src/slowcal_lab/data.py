@@ -97,7 +97,10 @@ def synth_clusters(
     feature_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     means = np.zeros((num_classes, dim))
     means[np.arange(num_classes), np.arange(num_classes)] = 1.0
-    features = means[labels] + spread * feature_rng.standard_normal((total, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected by name below
+        features = means[labels] + spread * feature_rng.standard_normal((total, dim))
+    if not np.isfinite(features).all():
+        raise ValueError(f"spread {spread:g} puts the features past float range")
 
     order = np.concatenate(part)
     return features[order], labels[order], tuple(len(idx) for idx in part)

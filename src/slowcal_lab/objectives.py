@@ -23,12 +23,18 @@ step k's draw is its k-th row.
 The runners use the batched oracle. ``round_draws(seeds, rnd, steps)``
 stacks one round's draws for every machine of every seed in the list
 (scaled noise ``(seeds, M, steps, d)`` for the quadratic, ``(seeds, M,
-steps)`` example rows for softmax regression), and
+steps)`` example rows for softmax regression) from one block call of
+``normal_rows`` or ``index_rows``, which seeds every (seed, machine)
+stream of the round in one vectorised pass, and
 ``sampled_gradients(points, draws, k, lanes)`` evaluates step k at query
 points of shape ``(lanes, M, d)``, row i on machine i, lane j taking the
 draws of row ``lanes[j]`` of that stack. Row i of lane j's result equals
 ``round_sampler(seeds[lanes[j]], i, rnd, steps)(k, points[j, i])``
 bitwise; ``round_sampler`` stays as that per-machine reference.
+``fixed_point_gradients(points, draws, steps, lanes)`` yields
+``sampled_gradients(points, draws, k, lanes)`` for k = 0, ..., steps - 1,
+bitwise, at points fixed for the round (minibatch SGD's): the quadratic
+computes the noise-free part once and adds each step's noise to it.
 ``exact_gradients(points)`` is the noise-free counterpart with one row
 per machine; it, ``global_gradient(x)`` and
 ``global_value(x)`` take any leading lane axes, so one call measures
@@ -172,13 +178,26 @@ class _Ensemble:
             worst = max(worst, spread)
         return math.sqrt(2.0 * worst)
 
+    def fixed_point_gradients(self, points: np.ndarray, draws, steps: int,
+                              lanes: np.ndarray):
+        """Yields ``sampled_gradients(points, draws, k, lanes)`` for k = 0,
+        ..., steps - 1, at query points that stay fixed through the round
+        (minibatch SGD's): softmax regression picks other examples at each
+        step, so each is its own call."""
+        for k in range(steps):
+            yield self.sampled_gradients(points, draws, k, lanes)
+
     def metadata(self, x0: np.ndarray) -> ProblemMetadata:
+        """The problem scalars; b0 is +inf for a start past float range,
+        which the runs then diverge from."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            b0 = float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star))
         return ProblemMetadata(
             smoothness=self.smoothness(),
             sigma=self.sigma,
             gstar=self.gstar(),
             f_star=self.f_star,
-            b0=float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star)),
+            b0=b0,
         )
 
 
@@ -275,10 +294,9 @@ class QuadraticEnsemble(_Ensemble):
         None when sigma=0."""
         if self.sigma == 0.0:
             return None
-        scale = self.sigma / math.sqrt(self.dim)
-        return np.array([[normal_rows(seed, i, rnd, steps, self.dim)
-                          for i in range(self.num_machines)]
-                         for seed in seeds]) * scale
+        draws = normal_rows(seeds, range(self.num_machines), rnd, steps, self.dim)
+        draws *= self.sigma / math.sqrt(self.dim)
+        return draws
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray | None,
                           k: int, lanes: np.ndarray) -> np.ndarray:
@@ -286,6 +304,21 @@ class QuadraticEnsemble(_Ensemble):
         if draws is not None:
             grads += draws[lanes, :, k]
         return grads
+
+    def fixed_point_gradients(self, points: np.ndarray, draws: np.ndarray | None,
+                              steps: int, lanes: np.ndarray):
+        """``_Ensemble.fixed_point_gradients`` with the noise-free part
+        computed once: each step adds its noise to it, the sum
+        ``sampled_gradients`` makes, bitwise. With sigma=0 every step yields
+        that one array."""
+        exact = self.exact_gradients(points)
+        for k in range(steps):
+            if draws is None:
+                yield exact
+                continue
+            grads = draws[lanes, :, k]  # a fresh copy
+            grads += exact
+            yield grads
 
     @cached_property
     def _optimum_point(self) -> np.ndarray:
@@ -506,10 +539,9 @@ class LogisticEnsemble(_Ensemble):
         """(seeds, M, steps) rows of ``features``: machine i's step-k pick
         of each seed, shifted by the machine's first row (machines hold
         unequal counts)."""
-        picks = np.array([[index_rows(seed, i, rnd, steps, n)
-                           for i, n in enumerate(self.sizes)]
-                          for seed in seeds])
-        return picks + self._offsets[:, None]
+        picks = index_rows(seeds, range(self.num_machines), rnd, steps, self.sizes)
+        picks += self._offsets[:, None]
+        return picks
 
     def sampled_gradients(self, points: np.ndarray, draws: np.ndarray, k: int,
                           lanes: np.ndarray) -> np.ndarray:
@@ -574,23 +606,32 @@ class LogisticEnsemble(_Ensemble):
     @cached_property
     def sigma(self) -> float:
         """Single-example gradient noise std sqrt(mean_i E_n ||g_n - grad_i||^2)
-        at the optimum. Closed form; no sampling involved."""
+        at the optimum. Closed form; no sampling involved. A
+        DegenerateProblemError where its terms leave float range."""
         w = self.w_star
         mat = self._matrix(w)
-        sq_l2w = float((mat ** 2).sum())
         total = 0.0
-        for i in range(self.num_machines):
-            feats = self._blocks[i]
-            probs = np.exp(self._log_probs(i, mat))
-            probs[self._label_picks[i]] -= 1.0
-            qnorm = (probs ** 2).sum(axis=1)
-            anorm = (feats ** 2).sum(axis=1)
-            cross = (probs * (feats @ mat.T)).sum(axis=1)
-            second_moment = float(
-                np.mean(qnorm * anorm + 2.0 * self.l2 * cross) + self.l2 ** 2 * sq_l2w
-            )
-            mean_grad = self.exact_gradient(i, w)
-            total += second_moment - float(mean_grad @ mean_grad)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is rejected below
+            try:
+                sq_l2 = self.l2 ** 2
+            except OverflowError:  # a Python float power past float range raises
+                sq_l2 = math.inf
+            sq_l2w = float((mat ** 2).sum())
+            for i in range(self.num_machines):
+                feats = self._blocks[i]
+                probs = np.exp(self._log_probs(i, mat))
+                probs[self._label_picks[i]] -= 1.0
+                qnorm = (probs ** 2).sum(axis=1)
+                anorm = (feats ** 2).sum(axis=1)
+                cross = (probs * (feats @ mat.T)).sum(axis=1)
+                second_moment = float(
+                    np.mean(qnorm * anorm + 2.0 * self.l2 * cross) + sq_l2 * sq_l2w
+                )
+                mean_grad = self.exact_gradient(i, w)
+                total += second_moment - float(mean_grad @ mean_grad)
+        if not math.isfinite(total):
+            raise DegenerateProblemError(
+                f"the gradient-noise sigma is not finite (its second moments sum to {total:g})")
         return math.sqrt(max(total / self.num_machines, 0.0))
 
 

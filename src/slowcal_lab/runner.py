@@ -598,7 +598,9 @@ def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[tuple],
             **manifest_extra,
         }
         manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        # strict JSON: a non-finite number must reach the manifest as null
+        manifest_path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from exc
     return csv_path, manifest_path
@@ -654,15 +656,14 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
 
 
 def _synthetic_problem(spec: ExperimentSpec, m: int):
-    """One machine count's synthetic problem, its scalars and how exact its
+    """One machine count's synthetic problem, its scalars (null where not
+    finite, as b0 is for a start past float range) and how exact its
     optimum is. Computing them caches the optimum before any cell runs, so
     pool workers start with it."""
     problem = build_problem(spec.problem, m)
     md = problem.metadata(_resolve_start(spec.x0, problem))
-    return problem, {
-        "smoothness": md.smoothness, "sigma": md.sigma, "gstar": md.gstar,
-        "f_star": md.f_star, "b0": md.b0, "optimum": problem.optimum_report(),
-    }
+    scalars = {name: _finite_or_null(value) for name, value in dataclasses.asdict(md).items()}
+    return problem, {**scalars, "optimum": problem.optimum_report()}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
@@ -743,8 +744,8 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     reference, grad_norm = _lbfgs_reference(bare)
     problem = dataclasses.replace(bare, reference_point=reference)  # shares the arrays
     return problem, {
-        "grad_norm": grad_norm,
-        "train_loss": problem.f_star,
+        "grad_norm": _finite_or_null(grad_norm),
+        "train_loss": _finite_or_null(problem.f_star),
         "machine_sizes": list(problem.sizes),
     }
 

@@ -415,6 +415,39 @@ class TestLanes:
             assert len(ends) == completed
             assert lane.x_output.tobytes() == _ascending_mean(ends).tobytes()
 
+    def test_minibatch_takes_its_noise_free_gradients_once_per_round(self, monkeypatch):
+        # x holds still through a minibatch round: the exact gradient calls
+        # do not grow with K, while slowcal's take one per step
+        prob = heterogeneous_quadratic(3, 4, sigma=0.4, seed=7)
+        calls = []
+        exact = QuadraticEnsemble.exact_gradients
+
+        def counting(self, points):
+            calls.append(points.shape)
+            return exact(self, points)
+
+        monkeypatch.setattr(QuadraticEnsemble, "exact_gradients", counting)
+        counts = {}
+        for method, k_steps in itertools.product(("minibatch", "slowcal"), (1, 4)):
+            calls.clear()
+            run_lanes(prob, method, RunConfig(K=k_steps, R=5, x0=np.ones(4)), [0.05, 0.2], [1, 2])
+            counts[method, k_steps] = len(calls)
+        assert counts["minibatch", 4] == counts["minibatch", 1]
+        assert counts["slowcal", 4] == counts["slowcal", 1] + 3 * 5
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_minibatch_step_records_keep_each_steps_gradient_mean(self, sigma):
+        # step k's g_mean is the mean of step k's sampled gradients at the round's point
+        prob = heterogeneous_quadratic(3, 4, sigma=sigma, seed=7)
+        cfg = RunConfig(K=3, R=4, record_diagnostics=True, x0=np.ones(4))
+        lane = run_lanes(prob, "minibatch", cfg, [0.05], [2])[0]
+        for rec in lane.steps[:-1]:
+            r, k = divmod(rec.t, cfg.K)
+            points = np.repeat(lane.steps[r * cfg.K].x_mean[None, None], 3, axis=1)
+            grads = prob.sampled_gradients(points, prob.round_draws([2], r, cfg.K), k,
+                                           np.zeros(1, dtype=int))
+            assert rec.g_mean.tobytes() == _ascending_mean(grads)[0].tobytes()
+
     def test_every_lane_owns_its_rows_and_shares_the_call_time(self):
         # the middle lane diverges in an early round and leaves the batch
         prob = lane_problems(3, 4, seed=9)[0]

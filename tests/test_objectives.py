@@ -496,6 +496,22 @@ class TestBatchedOracle:
                     sample = prob.round_sampler(seeds[row], i, 3, 4)
                     np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
 
+    @pytest.mark.parametrize("case", ["quadratic-sigma0", "quadratic", "softmax"])
+    def test_fixed_point_gradients_match_sampled_gradients_bitwise(self, case):
+        # minibatch SGD's round: every step queries the same points
+        if case == "softmax":
+            prob = lane_problems(5, 8, seed=4)[1]
+        else:
+            prob = heterogeneous_quadratic(5, 8, sigma=0.0 if case.endswith("0") else 0.7, seed=2)
+        seeds = [6, 2, 9]
+        draws = prob.round_draws(seeds, 3, 4)
+        lanes = np.array([2, 0, 2, 1])
+        points = 2.0 * np.random.default_rng(1).standard_normal((4, 5, 8))
+        steps = list(prob.fixed_point_gradients(points, draws, 4, lanes))
+        assert len(steps) == 4
+        for k, got in enumerate(steps):
+            np.testing.assert_array_equal(got, prob.sampled_gradients(points, draws, k, lanes))
+
     def test_exact_gradients_rows_match_bitwise(self):
         quad = heterogeneous_quadratic(4, 5, seed=6)
         rng = np.random.default_rng(8)

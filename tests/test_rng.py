@@ -1,10 +1,18 @@
-"""Keyed random streams: prefix stability and stream separation."""
+"""Keyed random streams: prefix stability, stream separation, and the
+vectorised seeding pass against numpy's own constructor."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowcal_lab import rng
+from slowcal_lab.algorithms import RunConfig, run_lanes
+from slowcal_lab.objectives import heterogeneous_quadratic
 from slowcal_lab.rng import index_rows, machine_round_stream, normal_rows
+
+# the edges of the seeds whose pool is their four 32-bit words, and past them
+EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5, 2 ** 128 - 1]
+FALLBACK_SEED = 2 ** 128
 
 
 class TestPrefixStability:
@@ -67,3 +75,94 @@ class TestValidation:
     def test_index_rows_bounds(self):
         picks = index_rows(0, 0, 0, steps=200, n=7)
         assert picks.min() >= 0 and picks.max() < 7
+
+
+def assert_blocks_match_numpy(seeds, machines, rnd, steps=3, dim=2):
+    """normal_rows and index_rows blocks equal numpy's constructor per key,
+    bitwise; index_rows with a bound of its own for each machine."""
+    normals = normal_rows(seeds, machines, rnd, steps, dim)
+    bounds = [3 + 5 * j for j in range(len(machines))]
+    picks = index_rows(seeds, machines, rnd, steps, bounds)
+    assert normals.shape == (len(seeds), len(machines), steps, dim)
+    assert picks.shape == (len(seeds), len(machines), steps)
+    for i, seed in enumerate(seeds):
+        for j, machine in enumerate(machines):
+            stream = machine_round_stream(seed, machine, rnd)
+            np.testing.assert_array_equal(normals[i, j], stream.standard_normal((steps, dim)))
+            stream = machine_round_stream(seed, machine, rnd)
+            np.testing.assert_array_equal(picks[i, j], stream.integers(0, bounds[j], steps))
+
+
+class TestVectorisedSeeding:
+    """A block's streams are seeded from SeedSequence's hash run in numpy
+    arithmetic; each must be numpy's own stream. If a numpy release changes
+    SeedSequence, these are the first tests to fail."""
+
+    @pytest.mark.parametrize("num_machines", range(1, 18))
+    def test_edge_seeds_match_numpy_for_every_machine_count(self, num_machines):
+        assert_blocks_match_numpy(EDGE_SEEDS, range(num_machines), 7)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2 ** 128 - 1), min_size=1, max_size=4),
+        num_machines=st.integers(1, 5),
+        rnd=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_random_keys_match_numpy(self, seeds, num_machines, rnd):
+        assert_blocks_match_numpy(seeds, range(num_machines), rnd)
+
+    def test_fallback_seed_matches_numpy(self):
+        # past 2**128 a seed has five entropy words: numpy's constructor seeds it
+        assert_blocks_match_numpy([FALLBACK_SEED, 2 ** 200 + 3], range(3), 2)
+
+    def test_block_mixing_fast_and_fallback_seeds_matches_numpy(self):
+        assert_blocks_match_numpy([5, FALLBACK_SEED, 2 ** 64 - 1, FALLBACK_SEED + 1], range(4), 9)
+
+    @pytest.mark.parametrize("machines,rnd", [
+        ([0, 2 ** 32 - 1, 2 ** 32, 3], 5),
+        ([0, 1, 2], 2 ** 32 - 1),
+        ([0, 1, 2], 2 ** 32),
+    ], ids=["machine-2**32", "round-2**32-1", "round-2**32"])
+    def test_machine_or_round_past_one_word_matches_numpy(self, machines, rnd):
+        assert_blocks_match_numpy([0, 2 ** 40], machines, rnd)
+
+    def test_negative_key_parts_rejected_in_a_block(self):
+        with pytest.raises(ValueError):
+            normal_rows([0, -1], range(2), 0, 2, 2)
+        with pytest.raises(ValueError):
+            index_rows([0], [0, -1], 0, 2, 4)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: normal_rows([0, FALLBACK_SEED], range(3), 0, 2 ** 62, 2),
+        lambda: index_rows([0, FALLBACK_SEED], range(3), 0, 2 ** 62, 4),
+    ], ids=["normal_rows", "index_rows"])
+    def test_size_check_runs_before_any_stream_is_seeded(self, monkeypatch, draw):
+        seeded = []
+        monkeypatch.setattr(rng, "_state_words", lambda *args: seeded.append(args))
+        monkeypatch.setattr(rng, "machine_round_stream", lambda *args: seeded.append(args))
+        with pytest.raises(MemoryError):
+            draw()
+        assert seeded == []
+
+    @pytest.mark.parametrize("base,constructions", [
+        (2 ** 32, 0), (2 ** 128 - 20, 0),
+        # the fallback: one per (seed, machine, round) key of each method's run
+        (FALLBACK_SEED, 2 * 4 * 2 * 2)])
+    def test_no_numpy_constructor_on_the_fast_path(self, monkeypatch, base, constructions):
+        # quad-grid's shape, scaled down: minibatch and slowcal over a seed
+        # and step-size grid on a noisy quadratic, seeds past 2**32
+        problem = heterogeneous_quadratic(4, 5, eig_range=(0.02, 0.08), center_spread=0.0,
+                                          sigma=5.0, seed=1)
+        cfg = RunConfig(K=3, R=2, x0=np.ones(5))
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        seeds = [base, base, base + 7, base + 7]
+        for method in ("minibatch", "slowcal"):
+            run_lanes(problem, method, cfg, [0.01, 0.1, 0.01, 0.1], seeds)
+        assert len(built) == constructions

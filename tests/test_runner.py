@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +46,10 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+SMALL_LOGISTIC = {"kind": "synth-logistic", "dim": 4, "num_classes": 3, "n_per_machine": 10,
+                  "problem_seed": 1}
 
 
 def read_rows(csv_path):
@@ -1106,6 +1111,38 @@ class TestCli:
         # the (M, d, d) curvature stack is sized before any per-machine QR runs
         cfg = base_config(problem={"kind": "quadratic", "dim": 2}, machines=[2 ** 40])
         assert "out of memory" in self.assert_exits_2(tmp_path, cfg, timeout=30)
+
+    @pytest.mark.parametrize("cfg,code,named", [
+        # features past float range are a named problem field
+        pytest.param(base_config(problem={**SMALL_LOGISTIC, "spread": 1e308}), 2,
+                     "spread 1e+308", id="logistic-spread-1e308"),
+        # the noise sigma's second moments overflow
+        pytest.param(base_config(problem={**SMALL_LOGISTIC, "l2": 1e308}), 2,
+                     "sigma", id="logistic-l2-1e308"),
+        # starts past float range: b0 and the start value overflow, the runs diverge
+        pytest.param(base_config(x0="ones:1e308"), 1, "diverged", id="quadratic-x0-1e308"),
+        pytest.param(base_config(problem=SMALL_LOGISTIC, x0="w_star+ones:1e308"), 1,
+                     "diverged", id="logistic-x0-w_star+1e308"),
+    ])
+    def test_values_past_float_range_raise_no_warning(self, tmp_path, capsys, cfg, code, named):
+        path = self.write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == code
+        assert named in capsys.readouterr().err
+
+    def test_manifest_is_strict_json_when_b0_overflows(self, tmp_path):
+        path = self.write_config(tmp_path, base_config(problem=SMALL_LOGISTIC,
+                                                       x0="w_star+ones:1e308"))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(),
+                              parse_constant=reject)
+        assert manifest["problem_metadata"]["M2"]["b0"] is None
+        assert math.isfinite(manifest["problem_metadata"]["M2"]["f_star"])
 
     def assert_exits_2(self, tmp_path, cfg, timeout=120):
         # through a real process, so an uncaught exception would show as a
