@@ -3,7 +3,8 @@
 Per-machine data are plain arrays: a partition is a tuple of sorted index
 arrays, one per machine, and a synthetic pool is dealt out as one feature
 array and one label array in machine order plus each machine's row count,
-the form ``LogisticEnsemble`` takes."""
+the form ``LogisticEnsemble`` takes. IDX images are bytes in, bytes out:
+uint8 pixels; scaling them to [0, 1] is the caller's step."""
 from __future__ import annotations
 
 import gzip
@@ -107,8 +108,8 @@ def synth_clusters(
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
-    """Decode an image IDX payload to an (N, rows*cols) float64 matrix with
-    pixels rescaled to [0, 1]."""
+    """Decode an image IDX payload to its (N, rows*cols) uint8 pixels, a
+    read-only view of the payload."""
     if len(data) < _IMAGE_HEADER.size:
         raise IdxFormatError(
             f"truncated header: got {len(data)} bytes, need {_IMAGE_HEADER.size}"
@@ -120,7 +121,7 @@ def parse_idx_images(data: bytes) -> np.ndarray:
     if len(data) != expected:
         raise IdxFormatError(f"truncated images: expected {expected} bytes, got {len(data)}")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=_IMAGE_HEADER.size)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return pixels.reshape(count, rows * cols)
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
@@ -137,15 +138,16 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=_LABEL_HEADER.size).astype(np.int64)
 
 
-def serialize_idx_images(pixels01: np.ndarray, rows: int, cols: int) -> bytes:
-    """Inverse of parse_idx_images; exact for byte-valued inputs because
-    u/255 -> round(x*255) round-trips every u in 0..255 in float64."""
-    mat = np.asarray(pixels01, dtype=np.float64)
+def serialize_idx_images(pixels: np.ndarray, rows: int, cols: int) -> bytes:
+    """Inverse of parse_idx_images: (N, rows*cols) uint8 pixels, written as
+    they are."""
+    mat = np.asarray(pixels)
+    if mat.dtype != np.uint8:  # as pixels scaled to [0, 1]
+        raise TypeError(f"pixels must be uint8 bytes, got {mat.dtype}")
     if mat.ndim != 2 or mat.shape[1] != rows * cols:
         raise ValueError(f"pixel matrix shape {mat.shape} does not match {rows}x{cols}")
-    body = np.rint(mat * 255.0).astype(np.uint8)
     header = _IMAGE_HEADER.pack(IMAGES_MAGIC, mat.shape[0], rows, cols)
-    return header + body.tobytes()
+    return header + mat.tobytes()
 
 
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
@@ -174,7 +176,8 @@ def _load_idx(root: Path, stem: str, parse) -> np.ndarray:
 
 def load_mnist(data_dir: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Load the four canonical MNIST IDX files (plain or gzipped) from a
-    local directory. Returns (train_x, train_y, test_x, test_y). A file that
+    local directory. Returns (train_x, train_y, test_x, test_y), the images
+    as uint8 pixels. A file that
     cannot be read or parsed raises IdxFormatError naming it, and so does a
     split whose image and label counts differ, or test images whose width
     differs from the train images'."""

@@ -43,16 +43,15 @@ Each lane's result is bitwise equal to a call of its own. The softmax
 oracle has one lane body: per machine, one strided matmul over every
 lane's weight matrix for the logits and one for the gradient, with the
 log-sum-exp and label picks on (lanes, n, C) arrays; the one-point methods
-(``machine_value``, ``exact_gradient``) are its one-lane calls. A one-point
-``global_value`` or ``global_gradient`` (the optimum's descent, ``f_star``,
-output points, MNIST's L-BFGS reference) pools instead: each machine's
-logits, still its own matmul, fill one (N, C) buffer in machine order, and
-the log-softmax, exp and label picks run once on it; the pick means and
-gradient products stay per machine, summed in machine order. Lane calls
-stay per machine, where pooled (lanes, N, C) temporaries cost more than
-the saved calls. The class-axis max chains whole columns, where numpy's
-reduce walks the short axis once per row; the sum chains them below 8
-classes and keeps numpy's reduce from 8, where its sum is pairwise.
+(``machine_value``, ``exact_gradient``, ``global_value``) are its one-lane
+calls. A one-point ``global_gradient`` (the optimum's descent) pools
+instead, through ``log_probs``: each machine's logits, still its own
+matmul, fill one (N, C) buffer in machine order, and the log-softmax, exp
+and label picks run once on it; the gradient products stay per machine,
+summed in machine order. Lane calls stay per machine, where pooled (lanes,
+N, C) temporaries cost more than the saved calls. The class-axis max
+chains whole columns, where numpy's reduce walks the short axis once per
+row; the sum chains them below 8 classes and keeps numpy's reduce from 8.
 """
 from __future__ import annotations
 
@@ -124,9 +123,9 @@ class _Ensemble:
     """What both ensembles derive from their oracles. A subclass supplies
     ``num_machines``, ``sigma`` (the gradient-noise std the step-size theory
     reads), ``_smoothness``, ``w_star`` (the optimum, the one accessor for
-    it), ``exact_gradient``, ``global_value``, ``global_gradient``,
-    ``round_sampler`` and its own ``_optimum_point`` cached_property, which
-    also sets ``_optimum_report``."""
+    it), the lane oracles ``exact_gradients``, ``global_value`` and
+    ``global_gradient``, ``round_sampler`` and its own ``_optimum_point``
+    cached_property, which also sets ``_optimum_report``."""
 
     @cached_property
     def f_star(self) -> float:
@@ -142,10 +141,9 @@ class _Ensemble:
         return self._smoothness
 
     def _mean_squared_gradient(self, x: np.ndarray) -> float:
-        """mean_i ||grad f_i(x)||^2, one machine at a time."""
-        return np.mean(
-            [float(g @ g) for g in (self.exact_gradient(i, x) for i in range(self.num_machines))]
-        )
+        """mean_i ||grad f_i(x)||^2, from one call at x on every machine."""
+        grads = self.exact_gradients(np.broadcast_to(x, (self.num_machines, x.shape[-1])))
+        return float(squared_norms(grads).mean())
 
     @cached_property
     def _gstar(self) -> float:
@@ -170,13 +168,11 @@ class _Ensemble:
         sqrt(2 max_p mean_i ||grad_i - grad||^2). A lower bound on the true sup;
         reported for diagnostics only, never fed into step-size formulas."""
         pts = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-        worst = 0.0
-        for point in pts:
-            grads = [self.exact_gradient(i, point) for i in range(self.num_machines)]
-            mean_grad = self.global_gradient(point)
-            spread = float(np.mean([(g - mean_grad) @ (g - mean_grad) for g in grads]))
-            worst = max(worst, spread)
-        return math.sqrt(2.0 * worst)
+        grads = self.exact_gradients(
+            np.broadcast_to(pts[:, None, :], (len(pts), self.num_machines, pts.shape[1])))
+        spreads = squared_norms(grads - self.global_gradient(pts)[:, None, :]).mean(axis=-1)
+        # fmax skips a NaN spread, as a max that starts from zero
+        return math.sqrt(2.0 * float(np.fmax.reduce(spreads, initial=0.0)))
 
     def fixed_point_gradients(self, points: np.ndarray, draws, steps: int,
                               lanes: np.ndarray):
@@ -386,8 +382,8 @@ class LogisticEnsemble(_Ensemble):
             raise ValueError(f"need at least two classes, got {self.num_classes}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
+        if feats.ndim != 2 or feats.shape[1] == 0:
+            raise ValueError(f"features must be 2-D with a column, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise ValueError(f"labels shape {labs.shape} does not match {feats.shape[0]} examples")
         for i, n in enumerate(sizes):
@@ -435,11 +431,12 @@ class LogisticEnsemble(_Ensemble):
         each lane's slice is the same BLAS call as a one-lane call."""
         return _log_softmax(self._blocks[machine] @ weight_mats.swapaxes(-1, -2))
 
-    def _pooled_log_probs(self, mat: np.ndarray) -> np.ndarray:
-        """(N, C) log-probabilities of every machine's examples under one
-        (C, f) weight matrix, rows in machine order. Each machine's logits
-        are its own matmul, as in ``_log_probs``: one product over all N
-        rows is not bitwise equal when a machine holds one example."""
+    def log_probs(self, w: np.ndarray) -> np.ndarray:
+        """(N, C) log-probabilities of every example at one point w, rows in
+        machine order, each machine's bitwise its ``_log_probs``: its logits
+        are its own matmul, as one product over all N rows is not bitwise
+        equal when a machine holds one example."""
+        mat = self._matrix(w)
         logits = np.empty((self.labels.shape[0], self.num_classes))
         for f, rows in zip(self._blocks, self._spans):
             logits[rows] = f @ mat.T
@@ -477,19 +474,13 @@ class LogisticEnsemble(_Ensemble):
 
     def global_value(self, x: np.ndarray) -> float | np.ndarray:
         """f at x of shape (..., d): a float for one point, else one value
-        per lane, each bitwise equal to its own call. One point runs one
-        log-softmax over the pooled rows; lanes run one per machine."""
+        per lane, each bitwise equal to its own call; one lane body call
+        per machine."""
         x = np.asarray(x)
         values = np.empty(x.shape[:-1] + (self.num_machines,))
-        if x.ndim == 1:
-            picks = self._pooled_log_probs(self._matrix(x))[self._pooled_picks]
-            decay = 0.5 * self.l2 * squared_norms(x)
-            for i, rows in enumerate(self._spans):
-                values[i] = -picks[rows].mean() + decay
-            return float(values.mean())
         for i in range(self.num_machines):
             values[..., i] = self._values(i, x)
-        return values.mean(axis=-1)
+        return float(values.mean()) if x.ndim == 1 else values.mean(axis=-1)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f at x of shape (..., d), any leading (lane) axes; each
@@ -499,7 +490,7 @@ class LogisticEnsemble(_Ensemble):
         acc = np.zeros(x.shape)
         if x.ndim == 1:
             mat = self._matrix(x)
-            probs = np.exp(self._pooled_log_probs(mat))
+            probs = np.exp(self.log_probs(x))
             probs[self._pooled_picks] -= 1.0
             for feats, rows in zip(self._blocks, self._spans):
                 acc += self._gradient(probs[rows], feats, mat).reshape(x.shape)
@@ -627,7 +618,7 @@ class LogisticEnsemble(_Ensemble):
                 second_moment = float(
                     np.mean(qnorm * anorm + 2.0 * self.l2 * cross) + sq_l2 * sq_l2w
                 )
-                mean_grad = self.exact_gradient(i, w)
+                mean_grad = self._gradient(probs, feats, mat).reshape(-1)  # the same forward
                 total += second_moment - float(mean_grad @ mean_grad)
         if not math.isfinite(total):
             raise DegenerateProblemError(

@@ -699,23 +699,24 @@ _MNIST_CLASSES = 10
 
 def _softmax_test_metrics(test_set: LogisticEnsemble, w: np.ndarray) -> dict[str, float | None]:
     """Test accuracy and cross-entropy at w, from one softmax pass over
-    ``test_set``, the test data as a one-machine ensemble; the loss is 0.0
+    ``test_set``, the test data as an ensemble; the loss is 0.0
     minus the mean true-class log-probability (+0.0 at zero, as the oracle's
     value with l2 = 0). The loss is null where it is not finite, and the
     accuracy where any log-probability is not, as at a non-finite w."""
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        logp = test_set._log_probs(0, test_set._matrix(w))
+        logp = test_set.log_probs(w)
         acc = float((logp.argmax(axis=-1) == test_set.labels).mean())
-        loss = 0.0 - float(logp[test_set._label_picks[0]].mean())
+        loss = 0.0 - float(logp[np.arange(len(logp)), test_set.labels].mean())
     # the argmax of a NaN row is class 0, which says nothing about w
     return {"test_accuracy": acc if np.isfinite(logp).all() else None,
             "test_loss": _finite_or_null(loss)}
 
 
-def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:
+def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, dict]:
     """Near-optimal point for reference-based excess curves on corpora too
-    large for the exact gradient-descent optimum oracle."""
+    large for the exact gradient-descent optimum oracle, and how exact it
+    is: the iterations, whether scipy met its tolerance, the gradient norm."""
     try:
         from scipy.optimize import minimize
     except ImportError as exc:
@@ -730,7 +731,9 @@ def _lbfgs_reference(ensemble: LogisticEnsemble) -> tuple[np.ndarray, float]:
     result = minimize(value_and_grad, np.zeros(ensemble.dim), jac=True,
                       method="L-BFGS-B", options={"maxiter": 1000, "gtol": 1e-8})
     grad_norm = float(np.linalg.norm(ensemble.global_gradient(result.x)))
-    return np.asarray(result.x, dtype=np.float64), grad_norm
+    return np.asarray(result.x, dtype=np.float64), {
+        "method": "L-BFGS-B", "iterations": int(result.nit), "converged": bool(result.success),
+        "grad_norm": _finite_or_null(grad_norm)}
 
 
 def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
@@ -738,13 +741,13 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     """One machine count's MNIST problem: Dirichlet label-skew partition and
     an L-BFGS reference optimum. Returns the problem and its manifest entry."""
     part = dirichlet_partition(train_y, m, prob["label_skew"], prob["problem_seed"])
-    order = np.concatenate(part)  # one gather of the rows, in machine order
-    bare = LogisticEnsemble(train_x[order], train_y[order], [len(idx) for idx in part],
+    order = np.concatenate(part)  # one gather of the uint8 rows, in machine order, to [0, 1]
+    bare = LogisticEnsemble(train_x[order] / 255.0, train_y[order], [len(idx) for idx in part],
                             _MNIST_CLASSES, l2=prob["l2"])
-    reference, grad_norm = _lbfgs_reference(bare)
+    reference, report = _lbfgs_reference(bare)
     problem = dataclasses.replace(bare, reference_point=reference)  # shares the arrays
     return problem, {
-        "grad_norm": _finite_or_null(grad_norm),
+        **report,
         "train_loss": _finite_or_null(problem.f_star),
         "machine_sizes": list(problem.sizes),
     }
@@ -766,7 +769,7 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
     except (FileNotFoundError, IdxFormatError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        test_set = LogisticEnsemble(test_x, test_y, (len(test_y),), _MNIST_CLASSES)
+        test_set = LogisticEnsemble(test_x / 255.0, test_y, (len(test_y),), _MNIST_CLASSES)
     except ValueError as exc:
         raise ConfigError(f"MNIST test set under {root}: {exc}") from exc
     limit = prob["train_limit"]

@@ -1,5 +1,6 @@
 """Partitions, synthetic clusters, and IDX file handling."""
 import gzip
+import struct
 
 import numpy as np
 import pytest
@@ -128,11 +129,26 @@ class TestIdxFiles:
     def test_images_round_trip_bit_exactly(self):
         rng = np.random.default_rng(0)
         raw = rng.integers(0, 256, size=(7, 12), dtype=np.uint8)
-        pixels = raw.astype(np.float64) / 255.0
-        blob = serialize_idx_images(pixels, rows=4, cols=3)
+        blob = serialize_idx_images(raw, rows=4, cols=3)
         back = parse_idx_images(blob)
-        np.testing.assert_array_equal(back, pixels)
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, raw)
         assert serialize_idx_images(back, rows=4, cols=3) == blob
+
+    def test_images_parse_to_a_read_only_view_of_the_payload(self):
+        # a hand-made payload: two 1x3 images holding every edge byte
+        blob = struct.pack(">IIII", 2051, 2, 1, 3) + bytes([0, 1, 127, 128, 254, 255])
+        back = parse_idx_images(blob)
+        assert back.dtype == np.uint8 and back.shape == (2, 3)
+        assert not back.flags.writeable
+        assert back.tolist() == [[0, 1, 127], [128, 254, 255]]
+        assert serialize_idx_images(back, rows=1, cols=3) == blob
+
+    def test_images_that_are_not_bytes_are_rejected(self):
+        raw = np.array([[0, 128, 255]], dtype=np.uint8)
+        for pixels in (raw / 255.0, raw.astype(np.int64)):
+            with pytest.raises(TypeError, match="uint8"):
+                serialize_idx_images(pixels, rows=1, cols=3)
 
     def test_labels_round_trip(self):
         labs = np.array([0, 9, 3, 3, 7], dtype=np.int64)
@@ -143,12 +159,12 @@ class TestIdxFiles:
         blob = serialize_idx_labels(np.arange(20) % 10)
         with pytest.raises(IdxFormatError, match="magic"):
             parse_idx_images(blob)
-        blob = serialize_idx_images(np.zeros((1, 4)), rows=2, cols=2)
+        blob = serialize_idx_images(np.zeros((1, 4), dtype=np.uint8), rows=2, cols=2)
         with pytest.raises(IdxFormatError, match="magic"):
             parse_idx_labels(blob)
 
     def test_truncated_payloads_rejected(self):
-        blob = serialize_idx_images(np.zeros((3, 4)), rows=2, cols=2)
+        blob = serialize_idx_images(np.zeros((3, 4), dtype=np.uint8), rows=2, cols=2)
         with pytest.raises(IdxFormatError, match="truncated"):
             parse_idx_images(blob[:-1])
         with pytest.raises(IdxFormatError, match="truncated"):
@@ -159,7 +175,7 @@ class TestIdxFiles:
 
     def test_shape_mismatch_rejected_on_serialize(self):
         with pytest.raises(ValueError):
-            serialize_idx_images(np.zeros((2, 5)), rows=2, cols=2)
+            serialize_idx_images(np.zeros((2, 5), dtype=np.uint8), rows=2, cols=2)
 
 
 def write_mnist_fixture(root, n_train=40, n_test=16, gzipped=False):
@@ -169,9 +185,9 @@ def write_mnist_fixture(root, n_train=40, n_test=16, gzipped=False):
     train_y = balanced_labels(n_train)
     test_y = balanced_labels(n_test)
     blobs = {
-        "train-images-idx3-ubyte": serialize_idx_images(train / 255.0, rows=2, cols=3),
+        "train-images-idx3-ubyte": serialize_idx_images(train, rows=2, cols=3),
         "train-labels-idx1-ubyte": serialize_idx_labels(train_y),
-        "t10k-images-idx3-ubyte": serialize_idx_images(test / 255.0, rows=2, cols=3),
+        "t10k-images-idx3-ubyte": serialize_idx_images(test, rows=2, cols=3),
         "t10k-labels-idx1-ubyte": serialize_idx_labels(test_y),
     }
     for stem, blob in blobs.items():
@@ -179,7 +195,7 @@ def write_mnist_fixture(root, n_train=40, n_test=16, gzipped=False):
             (root / (stem + ".gz")).write_bytes(gzip.compress(blob))
         else:
             (root / stem).write_bytes(blob)
-    return train / 255.0, train_y, test / 255.0, test_y
+    return train, train_y, test, test_y
 
 
 class TestLoadMnist:
@@ -188,12 +204,14 @@ class TestLoadMnist:
         got = load_mnist(tmp_path)
         for w, g in zip(want, got):
             np.testing.assert_array_equal(g, w)
+        assert [g.dtype for g in got] == [np.uint8, np.int64, np.uint8, np.int64]
 
     def test_loads_gzipped_files(self, tmp_path):
         want = write_mnist_fixture(tmp_path, gzipped=True)
         got = load_mnist(tmp_path)
         for w, g in zip(want, got):
             np.testing.assert_array_equal(g, w)
+        assert [g.dtype for g in got] == [np.uint8, np.int64, np.uint8, np.int64]
 
     def test_missing_file_is_reported(self, tmp_path):
         write_mnist_fixture(tmp_path)

@@ -365,6 +365,9 @@ class TestLogisticOracles:
                 LogisticEnsemble(feats, np.zeros(len(feats), dtype=np.int64), (len(feats),), 2)
         with pytest.raises(ValueError, match="labels shape"):
             LogisticEnsemble(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), (3,), 2)
+        # images of zero pixels: no feature, so no parameter to fit
+        with pytest.raises(ValueError, match=r"2-D with a column, got shape \(3, 0\)"):
+            LogisticEnsemble(np.zeros((3, 0)), np.zeros(3, dtype=np.int64), (3,), 2)
 
     @pytest.mark.parametrize("sizes,message", [
         ((), "need at least one machine"),
@@ -675,9 +678,10 @@ ONE_POINT_CASES = {
 
 
 class TestPooledOnePoint:
-    """A one-point global_value/global_gradient runs one log-softmax over
-    the pooled rows; it must keep the bytes of its row of a lane call and
-    of the per-machine oracle sum."""
+    """A one-point global_gradient runs one log-softmax over the pooled
+    rows, and a one-point global_value is a one-lane call of the lane body;
+    each must keep the bytes of its row of a lane call and of the
+    per-machine oracle sum."""
 
     @pytest.mark.parametrize("case", sorted(ONE_POINT_CASES))
     def test_one_point_equals_lane_row_and_machine_sum(self, case):
@@ -702,3 +706,125 @@ class TestPooledOnePoint:
                 for i in range(m):
                     want += prob.exact_gradient(i, x)
                 np.testing.assert_array_equal(grad, want / m)
+
+
+def two_forward_sigma(prob):
+    """LogisticEnsemble.sigma as computed with a second forward pass per
+    machine: each mean gradient from its own exact_gradient call."""
+    w = prob.w_star
+    mat = w.reshape(prob.num_classes, prob.feature_dim)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_l2w = float((mat ** 2).sum())
+        for i, feats in enumerate(prob._blocks):
+            probs = np.exp(prob._log_probs(i, mat))
+            probs[np.arange(len(feats)), prob.labels[prob._spans[i]]] -= 1.0
+            second_moment = float(np.mean(
+                (probs ** 2).sum(axis=1) * (feats ** 2).sum(axis=1)
+                + 2.0 * prob.l2 * (probs * (feats @ mat.T)).sum(axis=1)) + prob.l2 ** 2 * sq_l2w)
+            mean_grad = prob.exact_gradient(i, w)
+            total += second_moment - float(mean_grad @ mean_grad)
+    return math.sqrt(max(total / prob.num_machines, 0.0))
+
+
+def per_machine_mean_squared_gradient(prob, x):
+    return np.mean([float(g @ g) for g in (prob.exact_gradient(i, x)
+                                           for i in range(prob.num_machines))])
+
+
+def per_machine_dissimilarity(prob, probes):
+    worst = 0.0
+    for point in probes:
+        grads = [prob.exact_gradient(i, point) for i in range(prob.num_machines)]
+        mean_grad = prob.global_gradient(point)
+        spread = float(np.mean([(g - mean_grad) @ (g - mean_grad) for g in grads]))
+        worst = max(worst, spread)
+    return math.sqrt(2.0 * worst)
+
+
+def probe_problems(m, seed):
+    """A d = 1 quadratic and a two-class softmax on one feature (d = 2),
+    both on m machines, the softmax at a reference point off its optimum."""
+    rng = np.random.default_rng(seed)
+    quad = heterogeneous_quadratic(m, 1, seed=seed)
+    sizes = [1 + (3 * i) % 5 for i in range(m)]
+    softmax = LogisticEnsemble(rng.standard_normal((sum(sizes), 1)),
+                               rng.integers(0, 2, sum(sizes)), sizes, num_classes=2, l2=0.2,
+                               reference_point=rng.standard_normal(2))
+    return [quad, softmax]
+
+
+class TestOneForwardProbes:
+    """sigma takes each machine's mean gradient from its one forward pass,
+    and the base-class probes make one lane call where they looped over
+    machines; each keeps the bytes of the per-machine form."""
+
+    @pytest.mark.parametrize("shape", LANE_SHAPES, ids=str)
+    def test_sigma_equals_the_two_forward_formula(self, shape):
+        _, m, d = shape
+        rng = np.random.default_rng(m * 7 + d)
+        for prob in lane_problems(m, d, seed=m + d)[1:]:
+            for scale in (0.0, 0.3, 30.0):
+                moved = dataclasses.replace(prob, reference_point=scale * rng.standard_normal(d))
+                assert moved.sigma == two_forward_sigma(moved)
+
+    def test_sigma_equals_the_two_forward_formula_at_ten_classes(self):
+        prob = one_example_logistic((1, 15, 20, 1), 5, 10, seed=3)
+        assert prob.sigma == two_forward_sigma(prob)  # at the gradient-descent optimum
+        rng = np.random.default_rng(4)
+        moved = dataclasses.replace(prob, reference_point=2.0 * rng.standard_normal(prob.dim))
+        assert moved.sigma == two_forward_sigma(moved)
+
+    @pytest.mark.parametrize("m", [1, 9, 16])
+    def test_growth_probes_equal_per_machine_loops(self, m):
+        rng = np.random.default_rng(m)
+        for prob in probe_problems(m, seed=m):
+            assert prob.gstar() == math.sqrt(
+                2.0 * per_machine_mean_squared_gradient(prob, prob.w_star))
+            for scale in (0.1, 1.0, 10.0):
+                x = prob.w_star + scale * rng.standard_normal(prob.dim)
+                mean_sq = per_machine_mean_squared_gradient(prob, x)
+                assert prob._mean_squared_gradient(x) == mean_sq
+                bound = prob.gstar() ** 2 + 4.0 * prob.smoothness() * (
+                    prob.global_value(x) - prob.f_star)
+                slack = float(bound - mean_sq)
+                assert prob.check_growth_bound(x) == (slack >= -1e-9, slack)
+
+    @pytest.mark.parametrize("m", [1, 9, 16])
+    def test_dissimilarity_equals_the_per_machine_loop(self, m):
+        rng = np.random.default_rng(m + 100)
+        for prob in probe_problems(m, seed=m):
+            probes = prob.w_star + rng.standard_normal((7, prob.dim)) * [[0.1], [3.0], [1.0],
+                                                                       [10.0], [0.5], [2.0], [0.0]]
+            assert prob.g_dissimilarity(probes) == per_machine_dissimilarity(prob, probes)
+            # each probe alone, so no spread hides behind a larger one
+            for probe in prob.w_star + rng.standard_normal((20, prob.dim)):
+                assert prob.g_dissimilarity(probe) == per_machine_dissimilarity(prob, probe[None])
+            # a NaN probe's spread never wins, wherever it stands in the set
+            with_nan = probes.copy()
+            with_nan[[0, 4]] = np.nan
+            with np.errstate(invalid="ignore"):
+                got = prob.g_dissimilarity(with_nan)
+                assert got == per_machine_dissimilarity(prob, with_nan)
+                assert prob.g_dissimilarity(with_nan[:1]) == 0.0
+            assert got == prob.g_dissimilarity(np.delete(with_nan, [0, 4], axis=0))
+
+
+class TestPooledLogProbs:
+    """log_probs(w) is the one-point forward over every example; machine
+    i's rows must keep the bytes of its own lane body."""
+
+    @pytest.mark.parametrize("num_classes", [2, 8, 10, 17])
+    def test_rows_equal_each_machines_lane_body(self, num_classes):
+        sizes = (1, 15, 1, 20, 3)
+        prob = one_example_logistic(sizes, 3, num_classes, seed=num_classes)
+        rng = np.random.default_rng(num_classes)
+        for scale in (0.0, 0.01, 1.0, 30.0):
+            w = scale * rng.standard_normal(prob.dim)
+            logp = prob.log_probs(w)
+            assert logp.shape == (sum(sizes), num_classes)
+            start = 0
+            for i, n in enumerate(sizes):
+                want = prob._log_probs(i, w.reshape(num_classes, 3))
+                assert logp[start:start + n].tobytes() == want.tobytes()
+                start += n

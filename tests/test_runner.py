@@ -673,8 +673,8 @@ class TestSweep:
 
 def write_idx_dir(root, n_train=80, n_test=20):
     rng = np.random.default_rng(5)
-    train = rng.integers(0, 256, size=(n_train, 6), dtype=np.uint8) / 255.0
-    test = rng.integers(0, 256, size=(n_test, 6), dtype=np.uint8) / 255.0
+    train = rng.integers(0, 256, size=(n_train, 6), dtype=np.uint8)
+    test = rng.integers(0, 256, size=(n_test, 6), dtype=np.uint8)
     train_y = np.arange(n_train, dtype=np.int64) % 10
     test_y = np.arange(n_test, dtype=np.int64) % 10
     (root / "train-images-idx3-ubyte").write_bytes(serialize_idx_images(train, rows=2, cols=3))
@@ -684,7 +684,8 @@ def write_idx_dir(root, n_train=80, n_test=20):
 
 
 MALFORMED_MNIST = ("bad-magic", "truncated-gz", "idx-path-is-a-directory", "more-labels",
-                   "fewer-labels", "test-label-out-of-range", "empty-test-set", "test-width")
+                   "fewer-labels", "test-label-out-of-range", "empty-test-set", "test-width",
+                   "zero-pixels")
 
 
 def write_malformed_idx_dir(root, case):
@@ -715,13 +716,18 @@ def write_malformed_idx_dir(root, case):
         return f"MNIST test set under {root}: machine 0 labels outside [0, 10)"
     if case == "empty-test-set":
         (root / "t10k-images-idx3-ubyte").write_bytes(
-            serialize_idx_images(np.empty((0, 6)), rows=2, cols=3))
+            serialize_idx_images(np.empty((0, 6), dtype=np.uint8), rows=2, cols=3))
         (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(np.empty(0)))
         return f"MNIST test set under {root}: machine 0 has no examples"
-    assert case == "test-width"
-    (root / "t10k-images-idx3-ubyte").write_bytes(
-        serialize_idx_images(np.zeros((20, 4)), rows=2, cols=2))
-    return "test images have 4 pixels but train images have 6"
+    if case == "test-width":
+        (root / "t10k-images-idx3-ubyte").write_bytes(
+            serialize_idx_images(np.zeros((20, 4), dtype=np.uint8), rows=2, cols=2))
+        return "test images have 4 pixels but train images have 6"
+    assert case == "zero-pixels"
+    for stem, count in (("train", 60), ("t10k", 20)):
+        (root / f"{stem}-images-idx3-ubyte").write_bytes(
+            serialize_idx_images(np.empty((count, 0), dtype=np.uint8), rows=0, cols=3))
+    return f"MNIST test set under {root}: features must be 2-D with a column, got shape (20, 0)"
 
 
 def mnist_config(**overrides):
@@ -741,7 +747,8 @@ def mnist_config(**overrides):
 
 def closed_form_test_metrics(data, x):
     """The test cross-entropy and accuracy at x, in closed form."""
-    _, _, test_x, test_y = load_mnist(data)
+    _, _, test_pixels, test_y = load_mnist(data)
+    test_x = test_pixels / 255.0
     logits = test_x @ x.reshape(10, -1).T
     peak = logits.max(axis=1, keepdims=True)
     logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
@@ -774,6 +781,9 @@ class TestMnistExperiment:
         ref = manifest["reference"]["M2"]
         assert ref["grad_norm"] <= 1e-4
         assert sum(ref["machine_sizes"]) == 60
+        assert ref["method"] == "L-BFGS-B"
+        assert ref["converged"] is True
+        assert 1 <= ref["iterations"] <= 1000
         tm = manifest["test_metrics"]["local-mnist-logistic-M2-K2-s0"]
         assert 0.0 <= tm["test_accuracy"] <= 1.0
         assert tm["test_loss"] > 0.0
@@ -785,6 +795,29 @@ class TestMnistExperiment:
         loss, accuracy = closed_form_test_metrics(data, x)
         assert tm["test_loss"] == loss
         assert tm["test_accuracy"] == accuracy
+
+    def test_reference_cut_by_its_iteration_cap_says_so(self, tmp_path, monkeypatch):
+        # one L-BFGS iteration stops short of the tolerance: the reference
+        # says it did not converge, and the sweep still runs against it
+        import scipy.optimize
+        minimize = scipy.optimize.minimize
+
+        def one_iteration(*args, options, **kwargs):
+            return minimize(*args, options=dict(options, maxiter=1), **kwargs)
+        monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
+        data = tmp_path / "data"
+        data.mkdir()
+        write_idx_dir(data)
+        summary = run_experiment(spec_from_dict(mnist_config()), out_dir=tmp_path / "out",
+                                 data_dir=data)
+        manifest = json.loads(summary.manifest_path.read_text())
+        ref = manifest["reference"]["M2"]
+        assert ref["method"] == "L-BFGS-B"
+        assert ref["iterations"] == 1
+        assert ref["converged"] is False
+        assert ref["grad_norm"] > 1e-4
+        assert len(read_rows(summary.csv_path)) == 2
+        assert set(manifest["test_metrics"]) == {"local-mnist-logistic-M2-K2-s0"}
 
     def test_diverged_runs_write_a_strict_json_manifest(self, tmp_path):
         # local and slowcal end at non-finite points, whose log-probabilities
