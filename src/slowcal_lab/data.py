@@ -51,7 +51,11 @@ def dirichlet_partition(labels: np.ndarray, num_machines: int, alpha: float,
     assigned: list[list[int]] = [[] for _ in range(num_machines)]
     for cls in np.unique(labs):
         gamma = rng.gamma(alpha, 1.0, size=num_machines)
-        total = gamma.sum()
+        with np.errstate(over="ignore"):  # an overflow is rejected by name below
+            total = gamma.sum()
+        if not np.isfinite(total):
+            raise ValueError(f"label skew {alpha:g} is past float range: "
+                             f"its Gamma draws sum to {total:g}")
         shares = gamma / total if total > 0 else np.full(num_machines, 1.0 / num_machines)
         class_idx = np.flatnonzero(labs == cls)
         choices = rng.choice(num_machines, size=class_idx.size, p=shares)

@@ -8,10 +8,11 @@ Two ensemble families share one oracle surface:
   stochastic gradients sample one local example uniformly.
 
 The global objective is always the machine average f = (1/M) sum_i f_i. The
-``_Ensemble`` base derives the problem scalars (f*, G*, the smoothness L,
-the growth and dissimilarity probes, ``metadata``) from each class's
-oracles. The quadratic L is exact: the largest curvature eigenvalue, from the
-one batched eigen-solve that also checks every matrix is PSD. The softmax
+``_Ensemble`` base reads w* and its report from each class's one
+``_optimum_point`` and derives f*, G*, the growth and dissimilarity probes
+and ``metadata`` from the oracles; each problem scalar is one attribute.
+The quadratic L is exact: the largest curvature eigenvalue, from the one
+batched eigen-solve that also checks every matrix is PSD. The softmax
 optimum is full-batch gradient descent to gradient norm 1e-10; it raises
 ``DegenerateProblemError`` when a step leaves the iterate unchanged or its
 iteration cap runs out.
@@ -122,23 +123,23 @@ class ProblemMetadata:
 class _Ensemble:
     """What both ensembles derive from their oracles. A subclass supplies
     ``num_machines``, ``sigma`` (the gradient-noise std the step-size theory
-    reads), ``_smoothness``, ``w_star`` (the optimum, the one accessor for
-    it), the lane oracles ``exact_gradients``, ``global_value`` and
-    ``global_gradient``, ``round_sampler`` and its own ``_optimum_point``
-    cached_property, which also sets ``_optimum_report``."""
+    reads), ``smoothness`` (the L it reads), the lane oracles
+    ``exact_gradients``, ``global_value`` and ``global_gradient``,
+    ``round_sampler`` and its own ``_optimum_point`` cached_property: the
+    optimum and the report of how exact it is, computed together, once."""
 
-    @cached_property
-    def f_star(self) -> float:
-        return self.global_value(self.w_star)
+    @property
+    def w_star(self) -> np.ndarray:
+        return self._optimum_point[0]
 
     def optimum_report(self) -> dict:
         """How exact the optimum is: the method and its convergence measure,
         recorded by ``_optimum_point`` as it computed the point."""
-        self._optimum_point  # computes the point and its report, once
-        return dict(self._optimum_report)
+        return dict(self._optimum_point[1])
 
-    def smoothness(self) -> float:
-        return self._smoothness
+    @cached_property
+    def f_star(self) -> float:
+        return self.global_value(self.w_star)
 
     def _mean_squared_gradient(self, x: np.ndarray) -> float:
         """mean_i ||grad f_i(x)||^2, from one call at x on every machine."""
@@ -146,18 +147,15 @@ class _Ensemble:
         return float(squared_norms(grads).mean())
 
     @cached_property
-    def _gstar(self) -> float:
-        return math.sqrt(2.0 * self._mean_squared_gradient(self.w_star))
-
     def gstar(self) -> float:
         """G* = sqrt(2 mean_i ||grad f_i(w*)||^2)."""
-        return self._gstar
+        return math.sqrt(2.0 * self._mean_squared_gradient(self.w_star))
 
     def check_growth_bound(self, x: np.ndarray) -> tuple[bool, float]:
         """Slack in mean_i ||grad_i(x)||^2 <= gstar^2 + 4 L (f(x) - f*)."""
         point = np.asarray(x, dtype=np.float64)
         mean_sq = self._mean_squared_gradient(point)
-        bound = self.gstar() ** 2 + 4.0 * self.smoothness() * (
+        bound = self.gstar ** 2 + 4.0 * self.smoothness * (
             self.global_value(point) - self.f_star
         )
         slack = float(bound - mean_sq)
@@ -189,9 +187,9 @@ class _Ensemble:
         with np.errstate(over="ignore", invalid="ignore"):
             b0 = float(np.linalg.norm(np.asarray(x0, dtype=np.float64) - self.w_star))
         return ProblemMetadata(
-            smoothness=self.smoothness(),
+            smoothness=self.smoothness,
             sigma=self.sigma,
-            gstar=self.gstar(),
+            gstar=self.gstar,
             f_star=self.f_star,
             b0=b0,
         )
@@ -223,7 +221,7 @@ class QuadraticEnsemble(_Ensemble):
             floor = float(eigs[i].min())
             if floor < _PSD_EIG_FLOOR:
                 raise ValueError(f"curvature matrix {i} is not PSD: min eigenvalue {floor:g}")
-        object.__setattr__(self, "_smoothness", float(eigs.max()))
+        object.__setattr__(self, "smoothness", float(eigs.max()))
         object.__setattr__(self, "curvatures", mats)
         object.__setattr__(self, "centers", cents)
         object.__setattr__(self, "sigma", float(self.sigma))
@@ -317,7 +315,7 @@ class QuadraticEnsemble(_Ensemble):
             yield grads
 
     @cached_property
-    def _optimum_point(self) -> np.ndarray:
+    def _optimum_point(self) -> tuple[np.ndarray, dict]:
         total = self.curvatures.sum(axis=0)
         rhs = np.einsum("mij,mj->i", self.curvatures, self.centers)
         try:
@@ -332,15 +330,10 @@ class QuadraticEnsemble(_Ensemble):
             raise DegenerateProblemError(
                 f"optimum solve is unreliable (residual {residual:g}); problem is degenerate"
             )
-        object.__setattr__(self, "_optimum_report", {"method": "solve", "residual": float(residual)})
-        return sol
-
-    @property
-    def w_star(self) -> np.ndarray:
-        return self._optimum_point
+        return sol, {"method": "solve", "residual": float(residual)}
 
     @cached_property
-    def _gstar(self) -> float:
+    def gstar(self) -> float:
         # one einsum over the machines, not the base's per-machine dot
         # products: target_gstar rescales the centers by this value, and the
         # two forms differ in the last bits
@@ -362,7 +355,8 @@ class LogisticEnsemble(_Ensemble):
     block is a view of its row span. With l2 > 0 the global optimum is
     unique and found by full-batch gradient descent to tiny gradient norm;
     ``reference_point`` short-circuits that oracle for large corpora where
-    only reference-based excess curves are needed."""
+    only reference-based excess curves are needed; its optimum report is
+    ``{"method": "reference"}``."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -550,7 +544,7 @@ class LogisticEnsemble(_Ensemble):
         return grads.reshape(points.shape)
 
     @cached_property
-    def _smoothness(self) -> float:
+    def smoothness(self) -> float:
         # softmax cross-entropy curvature in the logits is at most 1/2; the
         # squares are taken per machine, never as a second copy of all the features
         with np.errstate(over="ignore"):  # +inf for huge features; the optimum rejects it
@@ -558,22 +552,22 @@ class LogisticEnsemble(_Ensemble):
         return 0.5 * sq + self.l2
 
     @cached_property
-    def _optimum_point(self) -> np.ndarray:
+    def _optimum_point(self) -> tuple[np.ndarray, dict]:
+        if self.reference_point is not None:
+            return np.asarray(self.reference_point, dtype=np.float64), {"method": "reference"}
         if self.l2 <= 0:
             raise DegenerateProblemError(
                 "unregularized logistic optimum may be unattained; set l2 > 0"
             )
-        if not math.isfinite(self.smoothness()):  # the step 1/L would be 0
-            raise DegenerateProblemError(f"smoothness {self.smoothness():g} is not finite")
-        step = 1.0 / self.smoothness()
+        if not math.isfinite(self.smoothness):  # the step 1/L would be 0
+            raise DegenerateProblemError(f"smoothness {self.smoothness:g} is not finite")
+        step = 1.0 / self.smoothness
         w = np.zeros(self.dim)
         for steps in range(_OPTIMUM_MAX_ITERS):
             grad = self.global_gradient(w)
             norm = np.linalg.norm(grad)
             if norm <= _OPTIMUM_GRAD_TOL:
-                object.__setattr__(self, "_optimum_report", {
-                    "method": "gradient-descent", "steps": steps, "grad_norm": float(norm)})
-                return w
+                return w, {"method": "gradient-descent", "steps": steps, "grad_norm": float(norm)}
             if not math.isfinite(norm):
                 raise DegenerateProblemError(f"optimum oracle met gradient norm {norm:g}")
             nxt = w - step * grad
@@ -587,12 +581,6 @@ class LogisticEnsemble(_Ensemble):
             f"optimum oracle did not reach gradient norm {_OPTIMUM_GRAD_TOL:g} "
             f"within {_OPTIMUM_MAX_ITERS} full-batch steps"
         )
-
-    @property
-    def w_star(self) -> np.ndarray:
-        if self.reference_point is not None:
-            return np.asarray(self.reference_point, dtype=np.float64)
-        return self._optimum_point
 
     @cached_property
     def sigma(self) -> float:
@@ -660,13 +648,15 @@ def heterogeneous_quadratic(
         mat = (basis * eigs) @ basis.T
         return 0.5 * (mat + mat.T)
 
-    # allocated first, so a machine count numpy cannot hold fails before any QR
+    # allocated first, so a machine count numpy cannot hold fails before any QR;
+    # QuadraticEnsemble rejects a curvature past float range by name
     mats = np.empty(sizable((num_machines, dim, dim)))
-    if curvature == "shared":
-        mats[:] = random_psd()
-    else:
-        for mat in mats:
-            mat[:] = random_psd()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if curvature == "shared":
+            mats[:] = random_psd()
+        else:
+            for mat in mats:
+                mat[:] = random_psd()
 
     with np.errstate(over="ignore"):  # QuadraticEnsemble rejects a non-finite center
         centers = center_spread * rng.standard_normal((num_machines, dim)) / math.sqrt(dim)
@@ -677,7 +667,7 @@ def heterogeneous_quadratic(
         raise ValueError(f"target_gstar must be nonnegative, got {target_gstar}")
     if target_gstar == 0.0:
         return QuadraticEnsemble(mats, np.zeros_like(centers), sigma)
-    base = ensemble.gstar()
+    base = ensemble.gstar
     if base == 0.0:
         raise ValueError("cannot rescale centers to positive target_gstar from G*=0")
     return QuadraticEnsemble(mats, centers * (target_gstar / base), sigma)

@@ -18,8 +18,9 @@ trajectories from its tuning call, whose lanes are every (seed, candidate)
 pair; a fixed or theory cell's lanes are its seeds. The CSV rows are tuples
 built from the trajectories' arrays as they are written. Only the problem
 building and the kind-specific manifest entries differ by kind. The
-``diagnostics`` field is accepted for compatibility; no output holds
-per-step records, so a sweep never makes them.
+``diagnostics`` key is accepted for compatibility, and must be a boolean,
+but the spec does not keep it: no output holds per-step records, so a sweep
+never makes them. The manifest's ``package_version`` is ``__version__``.
 
 Every run has one id and one record: a repeated ``algorithm``, ``machines``,
 ``local_steps`` or ``seeds`` entry is a config error. ``SLOWCAL_LAB_JOBS``
@@ -44,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .algorithms import ALGORITHMS, ROUND_COLUMNS, RunConfig, Trajectory, run_lanes
 from .data import IdxFormatError, dirichlet_partition, load_mnist, synth_clusters
 from .objectives import LogisticEnsemble, heterogeneous_quadratic
@@ -103,7 +105,6 @@ class ExperimentSpec:
     total_steps: int | None
     lr: object  # "theory" | "fixed:<v>" | "grid:[...]" | {algorithm: one of those}
     seeds: tuple[int, ...]
-    diagnostics: bool
     x0: str
     out_dir: str
 
@@ -355,7 +356,6 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         total_steps=total_steps,
         lr=_validate_lr(raw.get("lr", "theory"), algorithms),
         seeds=_as_int_tuple(raw["seeds"], "seeds", 0),
-        diagnostics=diagnostics,
         x0=x0,
         out_dir=_as_str(raw.get("out_dir", "runs"), "out_dir"),
     )
@@ -646,7 +646,7 @@ def _execute(spec: ExperimentSpec, problems: dict, out_dir: str | Path | None,
         "output_excess": {run_id: _finite_or_null(run.output_excess)
                           for run_id, (_, run) in runs.items()},
         **manifest_extra({run_id: run.x_output for run_id, (_, run) in runs.items()}),
-        "package_version": _package_version(),
+        "package_version": __version__,
         "warnings": warnings,
     }
     resolved = Path(out_dir if out_dir is not None else spec.out_dir)
@@ -682,14 +682,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None,
                           f"not {kind!r}")
     problems, metadata = _build_problems(spec, lambda m: _synthetic_problem(spec, m))
     return _execute(spec, problems, out_dir, lambda outputs: {"problem_metadata": metadata})
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("slowcal-lab")
-    except Exception:
-        return "unknown"
 
 
 # ----------------------------------------------------------------- MNIST

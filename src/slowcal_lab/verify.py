@@ -183,7 +183,7 @@ def _check_self_bounding() -> CheckResult:
                            (LogisticEnsemble(
                                *synth_clusters(3, 5, 3, 0.3, 2.0, seed=23, n_per_machine=30),
                                3, l2=0.05), 1.0)):
-        big_l = problem.smoothness()
+        big_l = problem.smoothness
         for point in _probe_points(problem, 100, 29, scale):
             grad = problem.global_gradient(point)
             slack = 2.0 * big_l * (problem.global_value(point) - problem.f_star) - float(grad @ grad)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowcal_lab.data import synth_clusters
 from slowcal_lab.objectives import (
     DegenerateProblemError,
     LogisticEnsemble,
@@ -69,26 +70,26 @@ class TestQuadraticOracles:
         prob = QuadraticEnsemble(
             np.array([[[1.0]], [[2.0]]]), np.array([[0.0], [3.0]])
         )
-        assert prob.gstar() == pytest.approx(math.sqrt(8.0), rel=1e-12)
+        assert prob.gstar == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
     def test_gstar_scales_linearly_with_centers(self):
         mats = np.array([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
         centers = np.array([[3.0, 0.0], [0.0, 3.0]])
-        base = QuadraticEnsemble(mats, centers).gstar()
-        scaled = QuadraticEnsemble(mats, 2.5 * centers).gstar()
+        base = QuadraticEnsemble(mats, centers).gstar
+        scaled = QuadraticEnsemble(mats, 2.5 * centers).gstar
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
     def test_smoothness_matches_dense_eigensolver(self):
         prob = heterogeneous_quadratic(4, 6, eig_range=(0.3, 1.7), seed=3)
         want = max(float(np.linalg.eigvalsh(a).max()) for a in prob.curvatures)
-        assert prob.smoothness() == want
+        assert prob.smoothness == want
 
     def test_construction_makes_one_eigen_solve(self, monkeypatch):
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
         prob = heterogeneous_quadratic(4, 6, seed=3)
-        prob.smoothness()
+        prob.smoothness
         assert calls == [(4, 6, 6)]
 
     def test_metadata_b0_is_start_distance(self):
@@ -186,12 +187,12 @@ class TestGenerator:
 
     def test_target_gstar_hits_exactly(self):
         prob = heterogeneous_quadratic(6, 10, target_gstar=2.0, seed=4)
-        assert prob.gstar() == pytest.approx(2.0, rel=1e-12)
+        assert prob.gstar == pytest.approx(2.0, rel=1e-12)
 
     def test_target_gstar_zero_collapses_centers(self):
         prob = heterogeneous_quadratic(3, 4, target_gstar=0.0, seed=4)
         np.testing.assert_array_equal(prob.centers, np.zeros((3, 4)))
-        assert prob.gstar() == 0.0
+        assert prob.gstar == 0.0
 
     def test_zero_spread_cannot_reach_positive_gstar(self):
         with pytest.raises(ValueError):
@@ -333,7 +334,7 @@ class TestLogisticOracles:
         # oracle would spin to its iteration cap
         prob = LogisticEnsemble(np.array([[1e200, 0.0], [0.0, -1e200]]), np.array([0, 1]), (2,),
                                 num_classes=2, l2=0.1)
-        assert prob.smoothness() == math.inf
+        assert prob.smoothness == math.inf
         with pytest.raises(DegenerateProblemError, match="smoothness"):
             _ = prob.w_star
 
@@ -349,6 +350,22 @@ class TestLogisticOracles:
         )
         np.testing.assert_array_equal(prob.w_star, ref)
         assert prob.f_star == pytest.approx(prob.global_value(ref), rel=1e-15)
+
+    def test_reference_optimum_report_runs_no_descent(self, monkeypatch):
+        # the report is of the point w_star returns: the reference, with no
+        # full-batch descent to a point nothing reads
+        bare = LogisticEnsemble(*synth_clusters(4, 3, 3, 0.3, 1.0, seed=5, n_per_machine=8),
+                                3, l2=0.1)
+        ref = np.linspace(-0.5, 0.5, bare.dim)
+        calls = []
+        inner = LogisticEnsemble.global_gradient
+        monkeypatch.setattr(LogisticEnsemble, "global_gradient",
+                            lambda self, x: calls.append(1) or inner(self, x))
+        prob = dataclasses.replace(bare, reference_point=ref)
+        assert prob.optimum_report() == {"method": "reference"}
+        assert calls == []
+        assert prob.w_star.tobytes() == ref.tobytes()
+        assert np.float64(prob.f_star).tobytes() == np.float64(bare.global_value(ref)).tobytes()
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="at least one machine"):
@@ -428,7 +445,7 @@ class TestScalarBounds:
     def test_dissimilarity_probe_at_optimum_recovers_gstar(self):
         prob = two_machine_quadratic()
         est = prob.g_dissimilarity(prob.w_star[None, :])
-        assert est == pytest.approx(prob.gstar(), rel=1e-12)
+        assert est == pytest.approx(prob.gstar, rel=1e-12)
 
     def test_dissimilarity_is_monotone_in_probe_set(self):
         prob = two_machine_quadratic()
@@ -779,13 +796,13 @@ class TestOneForwardProbes:
     def test_growth_probes_equal_per_machine_loops(self, m):
         rng = np.random.default_rng(m)
         for prob in probe_problems(m, seed=m):
-            assert prob.gstar() == math.sqrt(
+            assert prob.gstar == math.sqrt(
                 2.0 * per_machine_mean_squared_gradient(prob, prob.w_star))
             for scale in (0.1, 1.0, 10.0):
                 x = prob.w_star + scale * rng.standard_normal(prob.dim)
                 mean_sq = per_machine_mean_squared_gradient(prob, x)
                 assert prob._mean_squared_gradient(x) == mean_sq
-                bound = prob.gstar() ** 2 + 4.0 * prob.smoothness() * (
+                bound = prob.gstar ** 2 + 4.0 * prob.smoothness * (
                     prob.global_value(x) - prob.f_star)
                 slack = float(bound - mean_sq)
                 assert prob.check_growth_bound(x) == (slack >= -1e-9, slack)

@@ -10,12 +10,13 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowcal_lab
 from slowcal_lab import cli, objectives, runner, tuning
 from slowcal_lab.algorithms import ALGORITHMS, METHODS, ROUND_COLUMNS, RunConfig, run_lanes
 from slowcal_lab.data import load_mnist, serialize_idx_images, serialize_idx_labels
@@ -68,12 +69,18 @@ class TestSpecParsing:
         assert spec.schedule == "linear"
         assert spec.x0 == "zeros"
         assert spec.out_dir == "runs"
-        assert spec.diagnostics is False
+        assert not hasattr(spec, "diagnostics")
         assert spec.lr == "fixed:0.05"
         assert spec.problem["curvature"] == "per-machine"
         assert spec.problem["eig_range"] == [0.5, 2.0]
         assert spec.problem["center_spread"] == 1.0
         assert spec.problem["target_gstar"] is None
+
+    def test_diagnostics_key_is_accepted_and_not_kept(self):
+        # no output reads per-step records, so the flag leaves the spec as it was
+        specs = [spec_from_dict(base_config(diagnostics=flag)) for flag in (False, True)]
+        assert specs[0] == specs[1] == spec_from_dict(base_config())
+        assert "diagnostics" not in {field.name for field in fields(ExperimentSpec)}
 
     def test_lr_defaults_to_theory(self):
         cfg = base_config()
@@ -171,7 +178,7 @@ class TestSpecParsing:
         for field in ("algorithm", "machines", "local_steps", "seeds"):
             with pytest.raises(ConfigError, match="nonempty"):
                 spec_from_dict(base_config(**{field: []}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'diagnostics'"):
             spec_from_dict(base_config(diagnostics="yes"))
         with pytest.raises(ConfigError, match="schedule"):
             spec_from_dict(base_config(schedule="cubic"))
@@ -272,6 +279,7 @@ class TestRunExperiment:
         assert set(optimum) == {"method", "residual"} and optimum["method"] == "solve"
         assert manifest["warnings"] == []
         assert manifest["spec"]["problem"]["kind"] == "quadratic"
+        assert manifest["package_version"] == slowcal_lab.__version__
 
     def test_softmax_manifest_reports_the_descent_optimum(self, tmp_path):
         spec = spec_from_dict(base_config(problem={
@@ -495,11 +503,13 @@ def start_point(spec, problem):
     return problem.w_star + ones if spec.x0.startswith("w_star+") else ones
 
 
-def one_run_per_seed(spec):
-    """What an experiment must write, from each cell's step size recomputed
-    on its own (``cell_step_size``) and one ALGORITHMS call per seed at it:
+def one_run_per_seed(config):
+    """What an experiment of ``config`` must write, from each cell's step
+    size recomputed on its own (``cell_step_size``) and one ALGORITHMS call
+    per seed at it, with step records when the config asks for diagnostics:
     the CSV rows without wall_ms, resolved_lr, output_excess and the grid
     cells' tuning tables."""
+    spec = spec_from_dict(config)
     kind = spec.problem["kind"]
     rows, resolved, excess, tuning = [], {}, {}, {}
     for algorithm in spec.algorithms:
@@ -515,7 +525,7 @@ def one_run_per_seed(spec):
                     tuning[cell] = table
                 for seed in spec.seeds:
                     traj = ALGORITHMS[algorithm](
-                        problem, replace(cfg, record_diagnostics=spec.diagnostics),
+                        problem, replace(cfg, record_diagnostics=config.get("diagnostics", False)),
                         resolved[cell], seed=seed)
                     run_id = f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
                     value = excess_loss(problem, traj.x_output)
@@ -533,9 +543,10 @@ def one_run_per_seed(spec):
     return rows, resolved, excess, tuning
 
 
-def assert_outputs_equal_one_run_per_seed(spec, tmp_path):
+def assert_outputs_equal_one_run_per_seed(config, tmp_path):
+    spec = spec_from_dict(config)
     summary = run_experiment(spec, out_dir=tmp_path)
-    rows, resolved, excess, _ = one_run_per_seed(spec)
+    rows, resolved, excess, _ = one_run_per_seed(config)
     assert strip_timing(read_rows(summary.csv_path)) == rows
     manifest = json.loads(summary.manifest_path.read_text())
     assert manifest["resolved_lr"] == resolved
@@ -556,11 +567,10 @@ class TestGridCells:
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
     def test_outputs_equal_one_run_per_seed(self, case, jobs, tmp_path, monkeypatch):
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
-        assert_outputs_equal_one_run_per_seed(spec_from_dict(GRID_CASES[case]), tmp_path)
+        assert_outputs_equal_one_run_per_seed(GRID_CASES[case], tmp_path)
 
     def test_cases_cover_what_they_name(self):
-        quadratic = spec_from_dict(GRID_CASES["quadratic-diverging-candidate"])
-        _, _, _, tuning = one_run_per_seed(quadratic)
+        _, _, _, tuning = one_run_per_seed(GRID_CASES["quadratic-diverging-candidate"])
         assert all(entry["scores"] == [None, None] for table in tuning.values()
                    for entry in table if entry["eta"] == 1000.0)
         logistic = spec_from_dict(GRID_CASES["logistic-unequal-machines"])
@@ -569,10 +579,10 @@ class TestGridCells:
         assert outputs == {"anchor-mean", "weighted-mean"}
 
     def test_tuning_table_equals_grid_search_and_is_strict_json(self, tmp_path):
-        spec = spec_from_dict(GRID_CASES["quadratic-diverging-candidate"])
-        summary = run_experiment(spec, out_dir=tmp_path)
+        config = GRID_CASES["quadratic-diverging-candidate"]
+        summary = run_experiment(spec_from_dict(config), out_dir=tmp_path)
         manifest = json.loads(summary.manifest_path.read_text(), parse_constant=pytest.fail)
-        _, _, _, tuning = one_run_per_seed(spec)
+        _, _, _, tuning = one_run_per_seed(config)
         assert manifest["tuning"] == tuning
         assert set(manifest["tuning"]) == set(manifest["resolved_lr"])
 
@@ -610,12 +620,12 @@ class TestFixedCells:
     @pytest.mark.parametrize("case", sorted(FIXED_CASES))
     def test_outputs_equal_one_run_per_seed(self, case, jobs, tmp_path, monkeypatch):
         monkeypatch.setenv("SLOWCAL_LAB_JOBS", jobs)
-        assert_outputs_equal_one_run_per_seed(spec_from_dict(FIXED_CASES[case]), tmp_path)
+        assert_outputs_equal_one_run_per_seed(FIXED_CASES[case], tmp_path)
 
     def test_cases_cover_what_they_name(self):
         logistic = spec_from_dict(FIXED_CASES["logistic-unequal-machines"])
         assert len(set(build_problem(logistic.problem, 3).sizes)) > 1
-        rows, _, _, _ = one_run_per_seed(spec_from_dict(FIXED_CASES["diverging-seeds"]))
+        rows, _, _, _ = one_run_per_seed(FIXED_CASES["diverging-seeds"])
         assert {row["diverged"] for row in rows} == {"true", "false"}
 
     def test_one_engine_call_per_cell(self, tmp_path, monkeypatch):
@@ -1152,6 +1162,14 @@ class TestCli:
         # the noise sigma's second moments overflow
         pytest.param(base_config(problem={**SMALL_LOGISTIC, "l2": 1e308}), 2,
                      "sigma", id="logistic-l2-1e308"),
+        # the curvature fill overflows before the matrices are checked
+        pytest.param(base_config(problem={"kind": "quadratic", "dim": 3,
+                                          "eig_range": [1e308, 1e308]}), 2,
+                     "config error: problem: curvatures must be finite",
+                     id="quadratic-eig_range-1e308"),
+        # the Dirichlet shares' Gamma draws sum past float range
+        pytest.param(base_config(problem={**SMALL_LOGISTIC, "label_skew": 1e308}), 2,
+                     "config error: problem: label skew 1e+308", id="logistic-label_skew-1e308"),
         # starts past float range: b0 and the start value overflow, the runs diverge
         pytest.param(base_config(x0="ones:1e308"), 1, "diverged", id="quadratic-x0-1e308"),
         pytest.param(base_config(problem=SMALL_LOGISTIC, x0="w_star+ones:1e308"), 1,
