@@ -40,7 +40,10 @@ computes the noise-free part once and adds each step's noise to it.
 per machine; it, ``global_gradient(x)`` and
 ``global_value(x)`` take any leading lane axes, so one call measures
 every lane of a round (``global_value`` of a single point stays a float).
-Each lane's result is bitwise equal to a call of its own. The softmax
+Each lane's result is bitwise equal to a call of its own; the quadratic
+``global_value`` is one batched einsum over every lane (one call per lane
+for a one-machine, 2-D ensemble, where einsum's order moves with the row
+count). The softmax
 oracle has one lane body: per machine, one strided matmul over every
 lane's weight matrix for the logits and one for the gradient, with the
 log-sum-exp and label picks on (lanes, n, C) arrays; the one-point methods
@@ -249,17 +252,20 @@ class QuadraticEnsemble(_Ensemble):
 
     def global_value(self, x: np.ndarray) -> float | np.ndarray:
         """f at x of shape (..., d): a float for one point, else one value
-        per lane. Each lane's machine values are its own einsum (a batched
-        einsum is not bitwise equal to the one-lane call); their means are
-        one reduction over the machine axis, which is."""
+        per lane. Every lane's machine values come from one batched einsum,
+        each row bitwise the one-lane einsum's whatever the row count; their
+        means are one reduction over the machine axis, which is too."""
         x = np.asarray(x)
-        vals = np.array([self._machine_values(point) for point in x.reshape(-1, x.shape[-1])])
+        diff = x.reshape(-1, 1, x.shape[-1]) - self.centers  # (rows, M, d)
+        if self.curvatures.shape[:2] == (1, 2):
+            # one machine in 2-D: einsum sums a row's four terms pairwise for
+            # one or two rows and in sequence for more, so each row is its own call
+            vals = np.array([0.5 * np.einsum("mi,mij,mj->m", row, self.curvatures, row)
+                             for row in diff])
+        else:
+            vals = 0.5 * np.einsum("nmi,mij,nmj->nm", diff, self.curvatures, diff)
         values = (vals.sum(axis=-1) / self.num_machines).reshape(x.shape[:-1])
         return float(values) if x.ndim == 1 else values
-
-    def _machine_values(self, x: np.ndarray) -> np.ndarray:
-        diff = x[None, :] - self.centers
-        return 0.5 * np.einsum("mi,mij,mj->m", diff, self.curvatures, diff)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f at x of shape (..., d), any leading (lane) axes; each

@@ -15,8 +15,9 @@ grid search) and emits every seed's ``Trajectory``, either in this process
 or as one task of a process pool that was handed the built problems at
 start. Every cell is one engine call: a grid cell emits the winner's
 trajectories from its tuning call, whose lanes are every (seed, candidate)
-pair; a fixed or theory cell's lanes are its seeds. The CSV rows are tuples
-built from the trajectories' arrays as they are written. Only the problem
+pair; a fixed or theory cell's lanes are its seeds. Each CSV row is one
+formatted line, built from the trajectories' arrays as it is written, and
+each run's fixed columns are formatted once. Only the problem
 building and the kind-specific manifest entries differ by kind. The
 ``diagnostics`` key is accepted for compatibility, and must be a boolean,
 but the spec does not keep it: no output holds per-step records, so a sweep
@@ -30,7 +31,6 @@ on it.
 from __future__ import annotations
 
 import dataclasses
-import csv
 import json
 import math
 import os
@@ -461,20 +461,13 @@ def _run_id(algorithm: str, kind: str, m: int, k: int, seed: int) -> str:
     return f"{algorithm}-{kind}-M{m}-K{k}-s{seed}"
 
 
-def _run_rows(head: tuple, run: Trajectory) -> list[tuple]:
-    """One run's runs.csv rows in ``CSV_COLUMNS`` order: ``head`` holds the
-    columns up to ``seed``, the rest come from the trajectory."""
-    eta, wall_ms = float(run.eta), float(run.wall_ms)
-    return [(*head, r, t, eta, *values, "true" if diverged else "false", wall_ms)
-            for r, (t, values, diverged) in enumerate(zip(
-                run.t.tolist(), run.values.tolist(), run.round_diverged.tolist()))]
-
-
 class _CsvRows:
-    """The sweep's runs.csv rows, built from the trajectories as they are
-    written, so only one run's rows exist at a time. ``runs`` holds
-    ((algorithm, M, K, seed), trajectory) pairs, one per run id; rows come
-    sorted by that key, rounds ascending."""
+    """The sweep's runs.csv lines, each formatted as it is written, so only
+    one row's text exists at a time. ``runs`` holds ((algorithm, M, K,
+    seed), trajectory) pairs, one per run id; rows come sorted by that key,
+    rounds ascending, each run's fixed columns formatted once. The bytes are
+    ``csv.writer``'s: floats go through ``repr``, and no field needs quoting
+    (run ids, method names and problem kinds come from validated sets)."""
 
     def __init__(self, spec: ExperimentSpec, runs: Iterable):
         self.spec = spec
@@ -486,8 +479,15 @@ class _CsvRows:
     def __iter__(self):
         kind = self.spec.problem["kind"]
         for (algorithm, m, k, seed), run in self.runs:
-            yield from _run_rows((_run_id(algorithm, kind, m, k, seed), algorithm, kind, m, k,
-                                  _rounds_for(self.spec, k), seed), run)
+            head = (f"{_run_id(algorithm, kind, m, k, seed)},{algorithm},{kind},{m},{k},"
+                    f"{_rounds_for(self.spec, k)},{seed},")
+            eta = f",{float(run.eta)!r},"
+            wall_ms = f",{float(run.wall_ms)!r}\r\n"
+            # the five ROUND_COLUMNS named, not joined: a tenth off the formatting
+            for r, (t, (v0, v1, v2, v3, v4), diverged) in enumerate(zip(
+                    run.t.tolist(), run.values.tolist(), run.round_diverged.tolist())):
+                yield (f"{head}{r},{t}{eta}{v0!r},{v1!r},{v2!r},{v3!r},{v4!r},"
+                       f"{'true' if diverged else 'false'}{wall_ms}")
 
 
 def _run_cell(spec: ExperimentSpec, problem, algorithm: str, m: int, k: int):
@@ -582,15 +582,15 @@ def _env_jobs() -> int:
     return jobs
 
 
-def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[tuple],
+def _write_outputs(out_dir: Path, spec: ExperimentSpec, rows: Iterable[str],
                    manifest_extra: dict) -> tuple[Path, Path]:
+    """Write runs.csv, the header then ``rows`` line by line, and manifest.json."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "runs.csv"
         with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
+            handle.write(",".join(CSV_COLUMNS) + "\r\n")
+            handle.writelines(rows)
         manifest = {
             "spec": dataclasses.asdict(spec),
             "csv_columns": CSV_COLUMNS,
@@ -745,13 +745,19 @@ def _mnist_problem(train_x: np.ndarray, train_y: np.ndarray, prob: dict,
     }
 
 
+def _mnist_test_set(test_x: np.ndarray, test_y: np.ndarray) -> LogisticEnsemble:
+    """The held-out images, pixels scaled to [0, 1], as a one-machine ensemble."""
+    return LogisticEnsemble(test_x / 255.0, test_y, (len(test_y),), _MNIST_CLASSES)
+
+
 def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
-    """Load the MNIST data, check it and build the test set, then build
-    each machine count's problem once (Dirichlet label-skew partition,
-    L-BFGS reference optimum for the excess-loss column), all before any
-    cell runs. Returns the problems and the manifest entries as a function
-    of the {run_id: output point} map: each machine count's reference, and
-    per-run test accuracy/loss at each run's output point."""
+    """Load the MNIST data and check the test set, then build each machine
+    count's problem once (Dirichlet label-skew partition, L-BFGS reference
+    optimum for the excess-loss column), all before any cell runs. Returns
+    the problems and the manifest entries as a function of the {run_id:
+    output point} map: each machine count's reference, and per-run test
+    accuracy/loss at each run's output point. The test images stay uint8
+    until then: their float64 copy is built only for those metrics."""
     prob = spec.problem
     root = data_dir if data_dir is not None else prob["data_dir"]
     if root is None:
@@ -761,7 +767,9 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
     except (FileNotFoundError, IdxFormatError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        test_set = LogisticEnsemble(test_x / 255.0, test_y, (len(test_y),), _MNIST_CLASSES)
+        # the checks read the shape and the labels, not the pixel values, so
+        # the first pixel column checks the whole set
+        _mnist_test_set(test_x[:, :1], test_y)
     except ValueError as exc:
         raise ConfigError(f"MNIST test set under {root}: {exc}") from exc
     limit = prob["train_limit"]
@@ -770,8 +778,10 @@ def _mnist_problems(spec: ExperimentSpec, data_dir: str | Path | None):
 
     problems, references = _build_problems(
         spec, lambda m: _mnist_problem(train_x, train_y, prob, m))
-    return problems, lambda outputs: {
-        "reference": references,
-        "test_metrics": {run_id: _softmax_test_metrics(test_set, x)
-                         for run_id, x in outputs.items()},
-    }
+
+    def manifest_extra(outputs: dict) -> dict:
+        test_set = _mnist_test_set(test_x, test_y)
+        return {"reference": references,
+                "test_metrics": {run_id: _softmax_test_metrics(test_set, x)
+                                 for run_id, x in outputs.items()}}
+    return problems, manifest_extra

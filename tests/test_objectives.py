@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowcal_lab.data import synth_clusters
+from slowcal_lab.metrics import _ascending_mean
 from slowcal_lab.objectives import (
     DegenerateProblemError,
     LogisticEnsemble,
@@ -597,6 +598,52 @@ class TestBatchedOracle:
                         want += prob.exact_gradient(i, points[lane])
                     want /= m
                 np.testing.assert_array_equal(single, want)
+
+
+def per_row_values(prob: QuadraticEnsemble, points: np.ndarray) -> np.ndarray:
+    """The reference for the quadratic ``global_value``: each row's machine
+    values from its own one-point einsum, their mean from its own sum."""
+    out = []
+    for x in points:
+        diff = x[None, :] - prob.centers
+        out.append(0.5 * np.einsum("mi,mij,mj->m", diff, prob.curvatures, diff).sum() / len(diff))
+    return np.array(out)
+
+
+class TestQuadraticValueBits:
+    """The quadratic ``global_value`` takes every row in one batched einsum.
+    Each row must equal its own one-point einsum bit for bit, whatever
+    rows share the call; one machine in 2-D is where einsum's order moves
+    with the row count, and the oracle keeps per-row calls there."""
+
+    ROWS = 40
+
+    @pytest.mark.parametrize("m", range(1, 18))
+    def test_rows_match_per_row_einsum_bitwise(self, m):
+        for d in range(1, 34):
+            prob = heterogeneous_quadratic(m, d, sigma=0.0, seed=100 * m + d)
+            rng = np.random.default_rng(m * d)
+            points = 3.0 * rng.standard_normal((self.ROWS, d))
+            want = per_row_values(prob, points)
+            # the same values as a strided view, rows and columns apart
+            padded = np.zeros((2 * self.ROWS, d + 3))
+            padded[::2, 1:d + 1] = points
+            sliced = padded[::2, 1:d + 1]
+            # as close_round passes them: the (block x rows, d) machine means
+            # of (block x rows, M, d) states
+            means = _ascending_mean(3.0 * rng.standard_normal((self.ROWS, m, d)))
+            want_means = per_row_values(prob, means)
+            # every row count, each on one of the three inputs in turn: a row
+            # that depended on the count would miss its one-point reference
+            for n in range(1, self.ROWS + 1):
+                if n % 3 == 0:
+                    got, ref = prob.global_value(points[:n]), want[:n]
+                elif n % 3 == 1:
+                    got, ref = prob.global_value(sliced[-n:]), want[-n:]
+                else:
+                    got, ref = prob.global_value(means[:n]), want_means[:n]
+                np.testing.assert_array_equal(got, ref)
+            assert prob.global_value(points[7]) == want[7]
 
 
 def _reduce_max(a):

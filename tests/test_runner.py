@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, output contract, and CLI."""
 import csv
 import gzip
+import io
 import json
 import math
 import multiprocessing
@@ -18,7 +19,14 @@ import pytest
 
 import slowcal_lab
 from slowcal_lab import cli, objectives, runner, tuning
-from slowcal_lab.algorithms import ALGORITHMS, METHODS, ROUND_COLUMNS, RunConfig, run_lanes
+from slowcal_lab.algorithms import (
+    ALGORITHMS,
+    METHODS,
+    ROUND_COLUMNS,
+    RunConfig,
+    Trajectory,
+    run_lanes,
+)
 from slowcal_lab.data import load_mnist, serialize_idx_images, serialize_idx_labels
 from slowcal_lab.metrics import excess_loss
 from slowcal_lab.objectives import LogisticEnsemble, QuadraticEnsemble
@@ -32,7 +40,7 @@ from slowcal_lab.runner import (
     spec_from_dict,
 )
 from slowcal_lab.tuning import grid_search, theoretical_lr
-from slowcal_lab.weights import parse_schedule
+from slowcal_lab.weights import LINEAR, parse_schedule
 
 
 def base_config(**overrides):
@@ -556,6 +564,84 @@ def assert_outputs_equal_one_run_per_seed(config, tmp_path):
         problem = build_problem(spec.problem, m)
         b0 = float(np.linalg.norm(start_point(spec, problem) - problem.w_star))
         assert manifest["problem_metadata"][f"M{m}"]["b0"] == b0
+
+
+def csv_writer_bytes(spec, runs):
+    """runs.csv as ``csv.writer`` writes it: the header, then each run's
+    rows as tuples in ``CSV_COLUMNS`` order, runs sorted by their key."""
+    kind = spec.problem["kind"]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for (algorithm, m, k, seed), run in sorted(runs, key=lambda item: item[0]):
+        rounds = spec.rounds if spec.rounds is not None else spec.total_steps // k
+        head = (f"{algorithm}-{kind}-M{m}-K{k}-s{seed}", algorithm, kind, m, k, rounds, seed)
+        writer.writerows(
+            (*head, r, t, float(run.eta), *values, "true" if diverged else "false",
+             float(run.wall_ms))
+            for r, (t, values, diverged) in enumerate(zip(
+                run.t.tolist(), run.values.tolist(), run.round_diverged.tolist())))
+    return text.getvalue().encode()
+
+
+def written_csv_bytes(tmp_path, spec, runs):
+    rows = runner._CsvRows(spec, runs)
+    assert len(rows) == sum(len(run.t) for _, run in runs)
+    csv_path, _ = runner._write_outputs(tmp_path, spec, rows, {})
+    return csv_path.read_bytes()
+
+
+# floats at the edges of repr: infinities, a signed zero, the smallest
+# subnormal, a subnormal, the largest float, and ones repr rounds
+EDGE_FLOATS = (math.inf, -math.inf, -0.0, 5e-324, 1e-310, sys.float_info.max,
+               -sys.float_info.max, 0.0, 0.1, 1.0 / 3.0, 1e16, 123456789.00000001, 2.5e-8)
+
+
+class TestCsvFormat:
+    """runs.csv lines are formatted directly; their bytes must be
+    ``csv.writer``'s for the same rows."""
+
+    @pytest.mark.parametrize("problem", [base_config()["problem"], SMALL_LOGISTIC])
+    @pytest.mark.parametrize("budget", [
+        {"rounds": 1}, {"rounds": 7}, {"rounds": None, "total_steps": 12}])
+    def test_edge_values_match_csv_writer_bytewise(self, tmp_path, problem, budget):
+        seeds = [2 ** 64 + 1, 3, 2 ** 70]  # past one and two 64-bit words
+        spec = spec_from_dict(base_config(problem=problem, seeds=seeds, machines=[10, 2],
+                                          local_steps=[4, 3], **budget))
+        runs = []
+        for n, (algorithm, m, k, seed) in enumerate(
+                (a, m, k, s) for a in ("minibatch", "local") for m in (10, 2)
+                for k in (4, 3) for s in seeds):
+            rounds = budget["rounds"] or 12 // k
+            cells = np.arange(n, n + 5 * rounds) % len(EDGE_FLOATS)
+            diverged = np.arange(rounds) % 3 == n % 3
+            eta, wall_ms = EDGE_FLOATS[(n + 3) % 7 + 3], EDGE_FLOATS[n % len(EDGE_FLOATS)]
+            runs.append(((algorithm, m, k, seed), Trajectory(
+                algorithm, eta, LINEAR, seed, np.array(EDGE_FLOATS)[cells].reshape(rounds, 5),
+                np.arange(1, rounds + 1, dtype=np.int64) * k, diverged, np.zeros(2),
+                bool(diverged[-1]), math.inf, wall_ms=wall_ms)))
+        runs.reverse()  # the rows come sorted whatever order the runs arrive in
+        assert written_csv_bytes(tmp_path, spec, runs) == csv_writer_bytes(spec, runs)
+
+    @pytest.mark.parametrize("config", [
+        base_config(lr="fixed:1e200", x0="ones:3", rounds=1),  # every run diverges at once
+        # every run diverges some rounds in, its later rows +inf
+        base_config(lr="fixed:3", rounds=20, seeds=[2 ** 64 + 7, 5]),
+        base_config(problem=SMALL_LOGISTIC, algorithm=["anytime", "slowcal"],
+                    lr="fixed:0.5", rounds=None, total_steps=6, local_steps=[3, 2]),
+    ])
+    def test_sweep_output_matches_csv_writer_bytewise(self, tmp_path, monkeypatch, config):
+        written = {}
+        write = runner._write_outputs
+
+        def capture(out_dir, spec, rows, extra):
+            written["runs"] = rows.runs
+            return write(out_dir, spec, rows, extra)
+
+        monkeypatch.setattr(runner, "_write_outputs", capture)
+        spec = spec_from_dict(config)
+        summary = run_experiment(spec, out_dir=tmp_path)
+        assert summary.csv_path.read_bytes() == csv_writer_bytes(spec, written["runs"])
 
 
 class TestGridCells:
