@@ -155,7 +155,13 @@ def serialize_idx_images(pixels: np.ndarray, rows: int, cols: int) -> bytes:
 
 
 def serialize_idx_labels(labels: np.ndarray) -> bytes:
+    """Inverse of parse_idx_labels: integer labels in [0, 255], one byte each."""
     labs = np.asarray(labels)
+    if not np.issubdtype(labs.dtype, np.integer):
+        raise TypeError(f"labels must be integers, got {labs.dtype}")
+    bad = (labs < 0) | (labs > 255)
+    if bad.any():
+        raise ValueError(f"labels must be in [0, 255], got {labs[bad][0]}")
     header = _LABEL_HEADER.pack(LABELS_MAGIC, labs.shape[0])
     return header + labs.astype(np.uint8).tobytes()
 

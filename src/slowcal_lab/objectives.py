@@ -26,12 +26,13 @@ stacks one round's draws for every machine of every seed in the list
 (scaled noise ``(seeds, M, steps, d)`` for the quadratic, ``(seeds, M,
 steps)`` example rows for softmax regression) from one block call of
 ``normal_rows`` or ``index_rows``, which seeds every (seed, machine)
-stream of the round in one vectorised pass, and
+stream of the round in one pass, and
 ``sampled_gradients(points, draws, k, lanes)`` evaluates step k at query
 points of shape ``(lanes, M, d)``, row i on machine i, lane j taking the
 draws of row ``lanes[j]`` of that stack. Row i of lane j's result equals
 ``round_sampler(seeds[lanes[j]], i, rnd, steps)(k, points[j, i])``
-bitwise; ``round_sampler`` stays as that per-machine reference.
+bitwise. ``round_sampler``, that per-machine reference, draws from each
+key's own ``machine_round_stream``, so a fault in the block seeding shows.
 ``fixed_point_gradients(points, draws, steps, lanes)`` yields
 ``sampled_gradients(points, draws, k, lanes)`` for k = 0, ..., steps - 1,
 bitwise, at points fixed for the round (minibatch SGD's): the quadratic
@@ -62,20 +63,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .metrics import squared_norms
-from .rng import index_rows, normal_rows, sizable
+from .rng import index_rows, machine_round_stream, normal_rows, sizable
 
 GROWTH_SLACK_FLOOR = -1e-9
 _PSD_EIG_FLOOR = -1e-10
 _OPTIMUM_GRAD_TOL = 1e-10
 _OPTIMUM_MAX_ITERS = 4_000_000
 _PAIRWISE_BLOCK = 8  # numpy sums 8 or more contiguous values pairwise
-
-GradSampler = Callable[[int, np.ndarray], np.ndarray]
 
 
 def _class_max(a: np.ndarray) -> np.ndarray:
@@ -273,9 +271,10 @@ class QuadraticEnsemble(_Ensemble):
         diff = x[..., None, :] - self.centers
         return np.einsum("mij,...mj->...i", self.curvatures, diff) / self.num_machines
 
-    def round_sampler(self, seed: int, machine: int, rnd: int, steps: int) -> GradSampler:
-        """Per-round gradient oracle; sample(k, x) is the step-k stochastic
-        gradient at x. Noise rows are pre-drawn for the whole round."""
+    def round_sampler(self, seed: int, machine: int, rnd: int, steps: int):
+        """The per-machine reference oracle: sample(k, x) is the step-k
+        stochastic gradient at x, the round's noise drawn from the key's
+        own ``machine_round_stream``, not through ``normal_rows``."""
         mat = self.curvatures[machine]
         center = self.centers[machine]
         if self.sigma == 0.0:
@@ -283,7 +282,7 @@ class QuadraticEnsemble(_Ensemble):
                 return mat @ (x - center)
             return sample
         scale = self.sigma / math.sqrt(self.dim)
-        noise = normal_rows(seed, machine, rnd, steps, self.dim) * scale
+        noise = machine_round_stream(seed, machine, rnd).standard_normal((steps, self.dim)) * scale
 
         def sample(k: int, x: np.ndarray) -> np.ndarray:
             return mat @ (x - center) + noise[k]
@@ -510,8 +509,11 @@ class LogisticEnsemble(_Ensemble):
         probs[self.labels[rows][example]] -= 1.0
         return (np.outer(probs, row) + self.l2 * mat).reshape(-1)
 
-    def round_sampler(self, seed: int, machine: int, rnd: int, steps: int) -> GradSampler:
-        picks = index_rows(seed, machine, rnd, steps, self.sizes[machine])
+    def round_sampler(self, seed: int, machine: int, rnd: int, steps: int):
+        """The per-machine reference oracle: sample(k, x) is the gradient at x
+        of step k's example, picked from the key's own ``machine_round_stream``."""
+        stream = machine_round_stream(seed, machine, rnd)
+        picks = stream.integers(0, self.sizes[machine], size=steps)
 
         def sample(k: int, x: np.ndarray) -> np.ndarray:
             return self._example_gradient(machine, int(picks[k]), x)

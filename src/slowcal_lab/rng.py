@@ -12,16 +12,17 @@ pre-draw one block per machine-round.
 The stream of a key is numpy's ``default_rng(SeedSequence(seed,
 spawn_key=(machine, round)))``; ``machine_round_stream`` builds it that
 way, and stays the per-key reference. ``normal_rows`` and ``index_rows``
-draw a round's rows for every (seed, machine) key of a block at once and
-seed its streams in one vectorised pass instead: ``_state_words`` runs
-SeedSequence's hash in uint32 numpy arithmetic over every key (the
-``hashmix``/``mix`` entropy pool over the seed's four little-endian
-32-bit words, zero-padded, then the machine and the round, then
-``generate_state(4, np.uint64)``), and each key's PCG64 takes its four
-state words from it, so every stream is bitwise numpy's own. That word
-layout holds for every seed below 2**128 and every machine and round
-below 2**32; a key with a larger part has more entropy words, and its
-stream comes from ``machine_round_stream``.
+take a list of seeds and a list of machines and draw a round's rows for
+every (seed, machine) key of that block at once. A block takes one of two
+paths. When every seed is below 2**128 and every machine and the round
+are below 2**32, it seeds every stream in one vectorised pass:
+``_state_words`` runs SeedSequence's hash in uint32 numpy arithmetic over
+every key (the ``hashmix``/``mix`` entropy pool over the seed's four
+little-endian 32-bit words, zero-padded, then the machine and the round,
+then ``generate_state(4, np.uint64)``), and each key's PCG64 takes its
+four state words from it, so every stream is bitwise numpy's own. A key
+with a larger part has more entropy words than that layout holds, so a
+block with one builds every key's stream with ``machine_round_stream``.
 """
 from __future__ import annotations
 
@@ -105,27 +106,21 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _key_parts(part) -> list[int]:
-    """An int, or a 1-D sequence of them, as a list."""
-    return [int(part)] if np.ndim(part) == 0 else [int(value) for value in part]
-
-
-def _streams(seeds: list[int], machines: list[int], rnd: int):
+def _streams(seeds, machines, rnd: int):
     """The stream of the key (seed, machine, rnd) of every pair, seed by
-    seed and, within a seed, machine by machine."""
+    seed and, within a seed, machine by machine: all from one vectorised
+    pass when the block fits its word layout, else all from numpy's own
+    constructor."""
+    seeds, machines, rnd = [int(seed) for seed in seeds], [int(m) for m in machines], int(rnd)
     if min(seeds + machines + [rnd]) < 0:
         raise ValueError(f"stream key parts must be nonnegative, got seeds {seeds}, "
                          f"machines {machines}, round {rnd}")
-    fast_seeds = [seed < _SEED_LIMIT for seed in seeds]
-    fast_machines = [machine <= _WORD_MASK and rnd <= _WORD_MASK for machine in machines]
-    words = _state_words([seed if fast else 0 for seed, fast in zip(seeds, fast_seeds)],
-                         [machine if fast else 0 for machine, fast in zip(machines, fast_machines)],
-                         rnd if rnd <= _WORD_MASK else 0)
-    for seed, fast_seed, seed_words in zip(seeds, fast_seeds, words):
-        for machine, fast_machine, key_words in zip(machines, fast_machines, seed_words):
-            if fast_seed and fast_machine:
-                yield np.random.Generator(np.random.PCG64(_StateWords(key_words)))
-            else:
+    if max(seeds, default=0) < _SEED_LIMIT and max(machines + [rnd]) <= _WORD_MASK:
+        for key_words in _state_words(seeds, machines, rnd).reshape(-1, _POOL_WORDS):
+            yield np.random.Generator(np.random.PCG64(_StateWords(key_words)))
+    else:
+        for seed in seeds:
+            for machine in machines:
                 yield machine_round_stream(seed, machine, rnd)
 
 
@@ -145,25 +140,21 @@ def machine_round_stream(seed: int, machine: int, rnd: int) -> np.random.Generat
 
 
 def normal_rows(seeds, machines, rnd: int, steps: int, dim: int) -> np.ndarray:
-    """Standard-normal rows of round `rnd` for every (seed, machine) key:
-    shape np.shape(seeds) + np.shape(machines) + (steps, dim), each of
-    `seeds` and `machines` an int or a 1-D sequence; row k of a key is its
-    step k's draw. One seed and one machine give its (steps, dim) block."""
-    seed_list, machine_list = _key_parts(seeds), _key_parts(machines)
-    keys = len(seed_list) * len(machine_list)
-    block = np.empty(sizable((keys, steps, dim)))
-    for rows, stream in zip(block, _streams(seed_list, machine_list, int(rnd))):
+    """Standard-normal rows of round `rnd` for every (seed, machine) key of
+    the sequences `seeds` and `machines`: shape (seeds, machines, steps,
+    dim); row k of a key is its step k's draw."""
+    block = np.empty(sizable((len(seeds) * len(machines), steps, dim)))
+    for rows, stream in zip(block, _streams(seeds, machines, rnd)):
         stream.standard_normal(out=rows)
-    return block.reshape(np.shape(seeds) + np.shape(machines) + (steps, dim))
+    return block.reshape(len(seeds), len(machines), steps, dim)
 
 
 def index_rows(seeds, machines, rnd: int, steps: int, n) -> np.ndarray:
     """Uniform indices of round `rnd` for every (seed, machine) key, shaped
-    as in ``normal_rows`` with (steps,) last; entry k of a key is its step
-    k's draw, in [0, n), `n` an int or one bound per machine."""
-    seed_list, machine_list = _key_parts(seeds), _key_parts(machines)
-    bounds = np.broadcast_to(n, (len(machine_list),)).tolist() * len(seed_list)
+    (seeds, machines, steps) as in ``normal_rows``; entry k of a key is its
+    step k's draw, in [0, n), `n` an int or one bound per machine."""
+    bounds = np.broadcast_to(n, (len(machines),)).tolist() * len(seeds)
     block = np.empty(sizable((len(bounds), steps)), dtype=np.int64)
-    for rows, stream, bound in zip(block, _streams(seed_list, machine_list, int(rnd)), bounds):
+    for rows, stream, bound in zip(block, _streams(seeds, machines, rnd), bounds):
         rows[:] = stream.integers(0, bound, size=steps)
-    return block.reshape(np.shape(seeds) + np.shape(machines) + (steps,))
+    return block.reshape(len(seeds), len(machines), steps)

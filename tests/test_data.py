@@ -154,6 +154,20 @@ class TestIdxFiles:
         labs = np.array([0, 9, 3, 3, 7], dtype=np.int64)
         np.testing.assert_array_equal(parse_idx_labels(serialize_idx_labels(labs)), labs)
 
+    def test_edge_labels_round_trip(self):
+        labs = np.array([0, 255, 0], dtype=np.int64)
+        np.testing.assert_array_equal(parse_idx_labels(serialize_idx_labels(labs)), labs)
+
+    def test_labels_that_are_not_integers_are_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            serialize_idx_labels(np.array([1.7, 2.2]))
+
+    @pytest.mark.parametrize("labels,first", [
+        ([256, -1, 3, 300], 256), ([3, -1, 300], -1)])
+    def test_labels_outside_a_byte_are_rejected(self, labels, first):
+        with pytest.raises(ValueError, match=f"got {first}$"):
+            serialize_idx_labels(np.array(labels))
+
     def test_bad_magic_rejected(self):
         # long enough that the image header parses, but with the label magic
         blob = serialize_idx_labels(np.arange(20) % 10)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowcal_lab import rng
 from slowcal_lab.data import synth_clusters
 from slowcal_lab.metrics import _ascending_mean
 from slowcal_lab.objectives import (
@@ -516,6 +517,24 @@ class TestBatchedOracle:
                 for i in range(5):
                     sample = prob.round_sampler(seeds[row], i, 3, 4)
                     np.testing.assert_array_equal(got[lane, i], sample(k, points[lane, i]))
+
+    @pytest.mark.parametrize("case", range(2), ids=["quadratic", "softmax-2"])
+    def test_reference_catches_a_seeding_fault(self, monkeypatch, case):
+        # one flipped bit in each key's first state word moves the block
+        # draws; the reference builds its streams with numpy's constructor
+        prob = lane_problems(5, 8, seed=4)[case]
+        flip = np.array([1, 0, 0, 0], dtype=np.uint64)
+        real = rng._state_words
+        monkeypatch.setattr(rng, "_state_words", lambda *key: real(*key) ^ flip)
+        seeds, steps = [6, 2], 4
+        draws = prob.round_draws(seeds, 3, steps)
+        lanes = np.array([0, 1])
+        points = 2.0 * np.random.default_rng(case).standard_normal((2, 5, 8))
+        got = np.array([prob.sampled_gradients(points, draws, k, lanes) for k in range(steps)])
+        samplers = [[prob.round_sampler(seed, i, 3, steps) for i in range(5)] for seed in seeds]
+        want = np.array([[[samplers[lane][i](k, points[lane, i]) for i in range(5)]
+                          for lane in range(2)] for k in range(steps)])
+        assert not np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", ["quadratic-sigma0", "quadratic", "softmax"])
     def test_fixed_point_gradients_match_sampled_gradients_bitwise(self, case):

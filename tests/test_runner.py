@@ -813,7 +813,7 @@ def write_malformed_idx_dir(root, case):
     if case == "empty-test-set":
         (root / "t10k-images-idx3-ubyte").write_bytes(
             serialize_idx_images(np.empty((0, 6), dtype=np.uint8), rows=2, cols=3))
-        (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(np.empty(0)))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(serialize_idx_labels(np.empty(0, dtype=np.int64)))
         return f"MNIST test set under {root}: machine 0 has no examples"
     if case == "test-width":
         (root / "t10k-images-idx3-ubyte").write_bytes(
